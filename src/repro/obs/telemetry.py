@@ -4,7 +4,7 @@ Telemetry answers the operational questions the deterministic result
 payload must not: where does a campaign spend its wall clock, which
 cells dominate, how fast is the simulator actually running?  Because
 wall time varies run to run, telemetry lives strictly *outside* the
-config hash, the cell cache entries, and ``to_canonical_json()`` —
+config hash, the stored cell objects, and ``to_canonical_json()`` —
 the sweep engine records it on each :class:`~repro.sweep.engine.CellOutcome`
 as a side channel, and ``runner telemetry`` summarises it.
 """

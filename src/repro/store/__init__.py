@@ -10,8 +10,10 @@ regression gate, fault triage and fuzz tooling read it — see
 
 from repro.store.campaign import (
     MANIFEST_FORMAT_VERSION,
+    SWEEP_FORMAT_VERSION,
     CampaignStore,
     Manifest,
+    atomic_write_text,
     campaign_id_for,
     content_hash,
 )
@@ -20,6 +22,8 @@ __all__ = [
     "CampaignStore",
     "Manifest",
     "MANIFEST_FORMAT_VERSION",
+    "SWEEP_FORMAT_VERSION",
+    "atomic_write_text",
     "campaign_id_for",
     "content_hash",
 ]

@@ -25,10 +25,11 @@ and a campaign killed mid-run leaves a valid partial manifest plus its
 completed objects, from which the engine resumes by recomputing only the
 missing cells.
 
-Legacy flat :class:`~repro.sweep.cache.CellCache` directories (bare
-``<hash>.json`` files at the root) are readable in place — the migration
-shim — and :meth:`CampaignStore.migrate_legacy_cache` imports them into
-``objects/`` permanently.
+This is the only place a campaign result is written to or read from, and
+the package is a leaf: it owns the cell-object schema stamp
+(:data:`SWEEP_FORMAT_VERSION`) and the durable write primitive
+(:func:`atomic_write_text`), and imports nothing from :mod:`repro.sweep`
+at module level.
 """
 
 from __future__ import annotations
@@ -36,14 +37,79 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.sweep.cache import atomic_write_text
-from repro.sweep.grid import SWEEP_FORMAT_VERSION
+#: The cell-object schema version.  Bump when the cell runner's semantics
+#: change in a way that invalidates previously stored results: it is folded
+#: into every config hash (a bump renames every object) and stamped into
+#: every object (a stale one is rejected).  Version 2: cells run through
+#: the unified workload harness (probe-based metrics, http/longlived
+#: experiments).
+SWEEP_FORMAT_VERSION = 2
 
 #: Bump when the manifest schema changes incompatibly.
 MANIFEST_FORMAT_VERSION = 1
+
+
+def _fsync_directory(directory: str) -> None:
+    """Flush a directory's entry table to disk (POSIX; no-op elsewhere).
+
+    After a rename or link the *file* contents are durable but the new
+    name itself lives in the directory, which has its own write-back cache.
+    """
+    try:
+        dir_fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        # Windows (and some exotic filesystems) cannot open directories;
+        # the rename is still atomic, just not crash-durable.
+        return
+    try:
+        os.fsync(dir_fd)
+    except OSError:
+        pass
+    finally:
+        os.close(dir_fd)
+
+
+def _unlink_quietly(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
+def _write_durable_temp(directory: str, text: str) -> str:
+    """Write ``text`` to a fsynced temp file in ``directory``; returns its path."""
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+    except BaseException:
+        _unlink_quietly(tmp_path)
+        raise
+    return tmp_path
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` via a same-directory temp file + rename.
+
+    The temp file is fsynced before the rename and the directory after it,
+    so an interrupted write never leaves a truncated file behind and a
+    crash never surfaces an empty-but-renamed one.  Concurrent writers of
+    the same path simply race to a complete file.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp_path = _write_durable_temp(directory, text)
+    try:
+        os.replace(tmp_path, path)
+    except BaseException:
+        _unlink_quietly(tmp_path)
+        raise
+    _fsync_directory(directory)
 
 
 def _canonical(payload: Mapping) -> str:
@@ -151,8 +217,7 @@ class CampaignStore:
     """A directory of immutable campaign objects plus snapshot manifests.
 
     Opening a store creates nothing; directories appear lazily on first
-    write, so pointing a store at a legacy read-only cache directory is
-    side-effect free.
+    write, so opening one just to read it is side-effect free.
     """
 
     def __init__(self, root: str) -> None:
@@ -172,34 +237,28 @@ class CampaignStore:
     def _object_path(self, config_hash: str) -> str:
         return os.path.join(self.objects_dir, f"{config_hash}.json")
 
-    def _legacy_path(self, config_hash: str) -> str:
-        return os.path.join(self._root, f"{config_hash}.json")
-
     def has_cell(self, config_hash: str) -> bool:
-        """Whether a valid object (or legacy entry) exists for this hash."""
+        """Whether a valid object exists for this hash."""
         return self.get_cell(config_hash) is not None
 
     def get_cell(self, config_hash: str) -> Optional[dict]:
         """The stored entry for ``config_hash``, or ``None``.
 
-        Corrupt/truncated objects and objects stamped with a different
-        ``sweep_format_version`` are misses — the engine recomputes the
-        cell rather than passing a stale-schema payload downstream.  When
-        no object exists, the legacy flat :class:`CellCache` layout at the
-        store root is consulted (the migration shim); legacy entries
-        without a version stamp predate it and are accepted.
+        This is the one definition of a valid stored cell: the object
+        parses as a JSON object, is stamped with the current
+        ``sweep_format_version`` (objects are always written stamped, so a
+        missing or mismatched stamp means foreign or stale either way) and
+        carries a ``result``.  Anything else is a miss — the engine
+        recomputes the cell rather than passing a damaged or stale-schema
+        payload downstream, and :meth:`put_cell` lets the recomputed cell
+        replace it.
         """
         entry = self._read_json(self._object_path(config_hash))
-        if entry is not None:
-            # Objects are always written stamped: a missing or mismatched
-            # stamp means the file is foreign or stale either way.
-            if entry.get("sweep_format_version") != SWEEP_FORMAT_VERSION:
-                return None
-            return entry
-        entry = self._read_json(self._legacy_path(config_hash))
-        if entry is None:
-            return None
-        if entry.get("sweep_format_version", SWEEP_FORMAT_VERSION) != SWEEP_FORMAT_VERSION:
+        if (
+            entry is None
+            or entry.get("sweep_format_version") != SWEEP_FORMAT_VERSION
+            or "result" not in entry
+        ):
             return None
         return entry
 
@@ -218,13 +277,14 @@ class CampaignStore:
         Objects are immutable: the first complete write wins and every
         later writer of the same hash is a no-op, which is what lets any
         number of workers — in-process, subprocesses, other hosts — share
-        one store without coordination.  The one exception is a damaged
-        object (torn write, manual truncation): it reads as a miss, so the
-        recomputed cell must be allowed to heal it.
+        one store without coordination.  The one exception is an object
+        :meth:`get_cell` rejects (torn write, manual truncation, stale
+        stamp, no result): it reads as a miss, so the recomputed cell must
+        be allowed to heal it.
         """
-        path = self._object_path(config_hash)
-        if os.path.exists(path) and self._read_json(path) is not None:
+        if self.get_cell(config_hash) is not None:
             return False
+        path = self._object_path(config_hash)
         payload = dict(entry)
         payload.setdefault("sweep_format_version", SWEEP_FORMAT_VERSION)
         os.makedirs(self.objects_dir, exist_ok=True)
@@ -245,49 +305,6 @@ class CampaignStore:
 
     def __len__(self) -> int:
         return len(self.object_hashes())
-
-    # -- migration shim -------------------------------------------------
-    def legacy_entries(self) -> list[str]:
-        """Hashes of legacy flat-layout cache files at the store root."""
-        try:
-            names = os.listdir(self._root)
-        except OSError:
-            return []
-        return sorted(
-            name[:-5]
-            for name in names
-            if name.endswith(".json") and os.path.isfile(os.path.join(self._root, name))
-        )
-
-    def migrate_legacy_cache(self, cache_dir: Optional[str] = None) -> dict:
-        """Import a flat :class:`CellCache` directory into ``objects/``.
-
-        ``cache_dir`` defaults to the store root itself (the in-place
-        migration).  Returns counts: ``migrated`` entries written,
-        ``skipped`` already present as objects, ``invalid`` unreadable or
-        shaped wrong (left untouched for inspection).  Idempotent.
-        """
-        source = os.path.abspath(cache_dir) if cache_dir is not None else self._root
-        migrated = skipped = invalid = 0
-        try:
-            names = sorted(os.listdir(source))
-        except OSError:
-            names = []
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(source, name)
-            if not os.path.isfile(path):
-                continue
-            entry = self._read_json(path)
-            if entry is None or "result" not in entry:
-                invalid += 1
-                continue
-            if self.put_cell(name[:-5], entry):
-                migrated += 1
-            else:
-                skipped += 1
-        return {"migrated": migrated, "skipped": skipped, "invalid": invalid}
 
     # -- manifests ------------------------------------------------------
     @property
@@ -314,17 +331,29 @@ class CampaignStore:
     def commit_manifest(self, manifest: Manifest) -> int:
         """Append one snapshot commit; returns its sequence number.
 
-        Commits never overwrite: the new manifest gets the next sequence
-        number and is written atomically, so readers see either the
-        previous snapshot or this one.
+        Commits never overwrite: the fsynced temp file is published under
+        the next sequence number with an exclusive hard link, so readers
+        see either the previous snapshot or this one, and a concurrent
+        writer that claimed the same number first just pushes this commit
+        to the one after it.
         """
         existing = self._manifest_files(manifest.campaign_id)
         sequence = existing[-1][0] + 1 if existing else 0
         os.makedirs(self.manifests_dir, exist_ok=True)
-        path = os.path.join(
-            self.manifests_dir, f"{manifest.campaign_id}.{sequence:06d}.json"
-        )
-        atomic_write_text(path, manifest.to_json())
+        tmp_path = _write_durable_temp(self.manifests_dir, manifest.to_json())
+        try:
+            while True:
+                path = os.path.join(
+                    self.manifests_dir, f"{manifest.campaign_id}.{sequence:06d}.json"
+                )
+                try:
+                    os.link(tmp_path, path)
+                    break
+                except FileExistsError:
+                    sequence += 1
+        finally:
+            _unlink_quietly(tmp_path)
+        _fsync_directory(self.manifests_dir)
         manifest.sequence = sequence
         return sequence
 
@@ -425,7 +454,6 @@ class CampaignStore:
             "root": self._root,
             "objects": len(object_hashes),
             "object_bytes": object_bytes,
-            "legacy_entries": len(self.legacy_entries()),
             "campaigns": len(campaigns),
             "campaign_ids": campaigns,
             "manifests": manifest_count,

@@ -33,6 +33,7 @@ import tempfile
 from concurrent.futures import BrokenExecutor
 from typing import Callable, Optional, Sequence, Union
 
+from repro.store import CampaignStore
 from repro.sweep.cells import run_cell, run_cell_with_telemetry
 from repro.sweep.grid import CellSpec
 
@@ -68,7 +69,7 @@ class ExecutionBackend:
         campaign_seed: int,
         workers: int,
         on_cell: OnCell,
-        store=None,
+        store: Optional[CampaignStore] = None,
     ) -> None:
         """Run every pending cell, reporting each through ``on_cell``."""
         raise NotImplementedError
@@ -91,7 +92,7 @@ class SerialBackend(ExecutionBackend):
         campaign_seed: int,
         workers: int,
         on_cell: OnCell,
-        store=None,
+        store: Optional[CampaignStore] = None,
     ) -> None:
         """Run cells in plan order in this process."""
         for index, spec in pending:
@@ -115,7 +116,7 @@ class ProcessPoolBackend(ExecutionBackend):
         campaign_seed: int,
         workers: int,
         on_cell: OnCell,
-        store=None,
+        store: Optional[CampaignStore] = None,
     ) -> None:
         """Fan cells out to pool workers; ``on_cell`` fires as they finish."""
         try:
@@ -149,7 +150,7 @@ class SubprocessShardBackend(ExecutionBackend):
 
     Telemetry is a wall-clock side channel the store deliberately does not
     carry, so cells executed by this backend report zero wall time (like
-    cache hits).
+    store hits).
     """
 
     name = "subprocess"
@@ -161,11 +162,9 @@ class SubprocessShardBackend(ExecutionBackend):
         campaign_seed: int,
         workers: int,
         on_cell: OnCell,
-        store=None,
+        store: Optional[CampaignStore] = None,
     ) -> None:
         """Spawn one child per shard, wait, then read results from the store."""
-        from repro.store import CampaignStore
-
         owned_tmp: Optional[tempfile.TemporaryDirectory] = None
         if store is None:
             # No shared store supplied: communicate through an ephemeral one.
@@ -176,7 +175,7 @@ class SubprocessShardBackend(ExecutionBackend):
             for index, spec in pending:
                 config_hash = spec.config_hash(campaign_seed)
                 entry = store.get_cell(config_hash)
-                if entry is None or "result" not in entry:
+                if entry is None:
                     raise RuntimeError(
                         f"worker shard completed but cell {spec.key!r} "
                         f"({config_hash}) is missing from store {store.root!r}"
@@ -198,7 +197,7 @@ class SubprocessShardBackend(ExecutionBackend):
                 owned_tmp.cleanup()
 
     def _run_shards(
-        self, pending: PendingCells, campaign_seed: int, workers: int, store
+        self, pending: PendingCells, campaign_seed: int, workers: int, store: CampaignStore
     ) -> None:
         """Write shard plans, spawn children, and wait for all of them."""
         shard_count = max(1, min(workers, len(pending)))
@@ -297,9 +296,6 @@ def run_worker_shard(plan_path: str, store_root: str) -> dict:
     propagate — the parent backend reads the non-zero exit as a campaign
     abort.
     """
-    from repro.store import CampaignStore
-    from repro.sweep.grid import SWEEP_FORMAT_VERSION
-
     with open(plan_path, "r", encoding="utf-8") as handle:
         plan = json.load(handle)
     version = plan.get("worker_format_version")
@@ -321,7 +317,6 @@ def run_worker_shard(plan_path: str, store_root: str) -> dict:
         store.put_cell(
             config_hash,
             {
-                "sweep_format_version": SWEEP_FORMAT_VERSION,
                 "spec": spec.as_dict(),
                 "campaign_seed": campaign_seed,
                 "result": result,

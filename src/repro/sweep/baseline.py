@@ -7,14 +7,12 @@ turns every future PR into an automatically checked experiment: CI re-runs
 the grid and :mod:`repro.sweep.diff` compares the fresh cells against the
 snapshot cell by cell.
 
-Four sources produce the same :class:`Baseline` shape, so the diff layer
+Three sources produce the same :class:`Baseline` shape, so the diff layer
 never cares where a campaign came from:
 
 * a live run (:meth:`Baseline.from_result`),
 * a content-addressed campaign store (:func:`baseline_from_store`, or
   :func:`baseline_from_manifest` for a committed snapshot manifest),
-* a legacy on-disk cell cache (:func:`baseline_from_cache` — a shim over
-  the store's legacy read-through),
 * a committed snapshot file (:func:`load_baseline`).
 """
 
@@ -23,11 +21,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
-from repro.sweep.cache import atomic_write_text
+from repro.store import CampaignStore, atomic_write_text
 from repro.sweep.engine import CampaignResult
-from repro.sweep.grid import CampaignGrid, SWEEP_FORMAT_VERSION
+from repro.sweep.grid import SWEEP_FORMAT_VERSION, CampaignGrid, CellSpec
 
 #: Bump when the snapshot schema changes incompatibly.
 BASELINE_FORMAT_VERSION = 1
@@ -157,7 +155,7 @@ def load_baseline(path: str) -> Baseline:
 
 def baseline_from_store(
     grid: CampaignGrid,
-    store,
+    store: Union[str, CampaignStore],
     name: Optional[str] = None,
 ) -> Baseline:
     """Assemble a baseline purely from a campaign store's cell objects.
@@ -165,11 +163,8 @@ def baseline_from_store(
     ``store`` is a :class:`~repro.store.CampaignStore` or a path to one.
     Every cell of ``grid`` must already be stored (a previous run with the
     same campaign seed); missing cells raise, naming the first few,
-    instead of silently producing a partial campaign.  Legacy flat
-    :class:`CellCache` directories read through unchanged.
+    instead of silently producing a partial campaign.
     """
-    from repro.store import CampaignStore
-
     if not isinstance(store, CampaignStore):
         store = CampaignStore(store)
     cells: list[BaselineCell] = []
@@ -177,7 +172,7 @@ def baseline_from_store(
     for spec in grid.expand():
         config_hash = spec.config_hash(grid.campaign_seed)
         entry = store.get_cell(config_hash)
-        if entry is None or "result" not in entry:
+        if entry is None:
             missing.append(spec.key)
             continue
         cells.append(
@@ -203,7 +198,9 @@ def baseline_from_store(
     )
 
 
-def baseline_from_manifest(store, campaign_id: Optional[str] = None) -> Baseline:
+def baseline_from_manifest(
+    store: Union[str, CampaignStore], campaign_id: Optional[str] = None
+) -> Baseline:
     """Assemble a baseline from a committed snapshot manifest.
 
     Loads the latest manifest of ``campaign_id`` (or of the store's only
@@ -212,8 +209,6 @@ def baseline_from_manifest(store, campaign_id: Optional[str] = None) -> Baseline
     Partial manifests raise rather than producing a silently truncated
     campaign.
     """
-    from repro.store import CampaignStore
-
     if not isinstance(store, CampaignStore):
         store = CampaignStore(store)
     if campaign_id is None:
@@ -235,14 +230,14 @@ def baseline_from_manifest(store, campaign_id: Optional[str] = None) -> Baseline
     cells: list[BaselineCell] = []
     for config_hash in manifest.cells:
         entry = store.get_cell(config_hash)
-        if entry is None or "result" not in entry:
+        if entry is None:
             raise ValueError(
                 f"manifest names cell {config_hash} but the store object is missing/corrupt"
             )
         spec = dict(entry["spec"])
         cells.append(
             BaselineCell(
-                key=_spec_key(spec),
+                key=CellSpec.from_dict(spec).key,
                 spec=spec,
                 config_hash=config_hash,
                 metrics=dict(entry["result"]),
@@ -254,27 +249,6 @@ def baseline_from_manifest(store, campaign_id: Optional[str] = None) -> Baseline
         cells=cells,
         source=f"{store.root}@{campaign_id}",
     )
-
-
-def _spec_key(spec: Mapping) -> str:
-    """A stored spec's grid key, via :class:`~repro.sweep.grid.CellSpec`."""
-    from repro.sweep.grid import CellSpec
-
-    return CellSpec.from_dict(spec).key
-
-
-def baseline_from_cache(
-    grid: CampaignGrid,
-    cache_dir: str,
-    name: Optional[str] = None,
-) -> Baseline:
-    """Assemble a baseline from a legacy flat cell-cache directory.
-
-    A compatibility shim: the campaign store reads the flat
-    ``<hash>.json`` layout in place, so this simply delegates to
-    :func:`baseline_from_store` pointed at the cache directory.
-    """
-    return baseline_from_store(grid, cache_dir, name=name)
 
 
 def _normalise(campaign, source: Optional[str] = None) -> Baseline:

@@ -74,7 +74,7 @@ def run_cell(spec_dict: Mapping, campaign_seed: int) -> dict:
             probes=DEFAULT_PROBES,
             # Grid-level opt-out for very large cells, where the capture
             # list dominates memory; the param is part of the config hash,
-            # so traced and untraced cells never share a cache entry.
+            # so traced and untraced cells never share a stored object.
             trace_probe=bool(params.get("trace_probe", True)),
         )
     )
@@ -92,7 +92,7 @@ def run_cell_with_telemetry(spec_dict: Mapping, campaign_seed: int) -> dict:
 
     The wrapper the engine actually ships to workers: the ``result``
     entry is exactly :func:`run_cell`'s deterministic dict (the only
-    thing that reaches caches, baselines and canonical JSON), while the
+    thing that reaches the store, baselines and canonical JSON), while the
     ``telemetry`` entry carries the wall-clock side channel — wall time,
     simulator events, events per wall second — that
     :class:`repro.obs.telemetry.CellTelemetry` is built from.

@@ -6,12 +6,12 @@ connection count and seed — and expands them into the cartesian product of
 :class:`CellSpec` cells.  The expansion order is fixed (nested loops over
 sorted-as-given axes), every cell's seed derives only from the campaign
 seed and the cell coordinates, and each cell has a stable content hash so
-completed cells can be cached on disk and reused across runs.
+completed cells can be stored on disk and reused across runs.
 
 The ``connections`` axis (the scale axis) defaults to a single connection
 per cell; a cell at the default is serialised, keyed, seeded and hashed
 exactly as it was before the axis existed, so committed baselines and
-cached cells from single-connection campaigns stay valid byte for byte.
+stored cells from single-connection campaigns stay valid byte for byte.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from repro.sim.randomness import derive_seed
-
-# Bump when the cell runner's semantics change in a way that invalidates
-# previously cached results.  Version 2: cells run through the unified
-# workload harness (probe-based metrics, http/longlived experiments).
-SWEEP_FORMAT_VERSION = 2
+from repro.store import SWEEP_FORMAT_VERSION
 
 
 def _freeze_params(params: Optional[Mapping[str, object]]) -> tuple[tuple[str, object], ...]:
@@ -89,7 +85,7 @@ class CellSpec:
         return derive_seed(campaign_seed, *components)
 
     def as_dict(self) -> dict:
-        """Plain-dict form (pickled to workers, stored in the cache).
+        """Plain-dict form (pickled to workers, stored in cell objects).
 
         ``connections`` is omitted at its default of 1 so the canonical
         dict — and therefore :meth:`config_hash` and every committed
@@ -124,7 +120,7 @@ class CellSpec:
         """Content hash identifying this cell's full configuration.
 
         Two cells with the same hash are guaranteed to produce the same
-        result, which is what makes the on-disk cache safe.
+        result, which is what makes reusing stored cells safe.
         """
         payload = {
             "version": SWEEP_FORMAT_VERSION,

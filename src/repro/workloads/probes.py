@@ -302,7 +302,7 @@ class EventsProbe(Probe):
     leaves ordinary cells, and the committed baselines, byte-identical.
     Because params are part of the config hash, enabling it changes the
     cell key, which keeps traced results from ever colliding with
-    untraced cache entries.
+    untraced stored cells.
 
     Params understood: ``event_log`` (truthy switch),
     ``event_log_categories`` (comma-separated string or sequence;

@@ -5,8 +5,12 @@ a public module loses its docstring in a refactor.  These tests make the
 two documentation surfaces part of the test contract:
 
 1. ``docs/CLI.md`` must cover every subcommand registered on the actual
-   argparse parser (read from ``build_parser()``, not a hand-kept list).
-2. Every module — and every public class and function — of the
+   argparse parser (read from ``build_parser()``, not a hand-kept list),
+   and each section's option table must list exactly the ``--flags`` that
+   subcommand accepts — a removed flag left behind in the docs fails.
+2. Names this repo deleted on purpose (the flat cell cache and its
+   flags) must not creep back into the source, docs, examples or CI.
+3. Every module — and every public class and function — of the
    user-facing packages (``repro.workloads``, ``repro.sweep``,
    ``repro.faults``, ``repro.obs``) must carry a docstring.  The check is pure
    ``inspect`` so it runs anywhere the test suite runs; CI additionally
@@ -33,14 +37,48 @@ DOCUMENTED_PACKAGES = (
 )
 
 
-def registered_subcommands() -> list[str]:
-    """Every subcommand name on the real parser, via argparse's public-ish
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Every subcommand's parser on the real CLI, via argparse's public-ish
     choices mapping (no hand-maintained duplicate list to drift)."""
     parser = build_parser()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return sorted(action.choices)
+            return dict(action.choices)
     raise AssertionError("build_parser() registered no subparsers")
+
+
+def registered_subcommands() -> list[str]:
+    """Every subcommand name on the real parser, sorted."""
+    return sorted(subparsers())
+
+
+def accepted_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The long options a subparser accepts (``--help`` aside)."""
+    return {
+        option
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+
+
+def documented_flags(section: str) -> set[str]:
+    """The long options in the first column of a section's option tables."""
+    flags: set[str] = set()
+    for line in section.splitlines():
+        if line.startswith("|"):
+            flags.update(re.findall(r"--[a-z][a-z-]*", line.split("|")[1]))
+    return flags
+
+
+def reference_sections() -> dict[str, str]:
+    """``docs/CLI.md`` split into ``{subcommand: section text}``."""
+    text = (DOCS / "CLI.md").read_text(encoding="utf-8")
+    parts = re.split(r"^### `(\w+)`", text, flags=re.MULTILINE)
+    return {
+        name: re.split(r"^(?:## |---$)", body, flags=re.MULTILINE)[0]
+        for name, body in zip(parts[1::2], parts[2::2])
+    }
 
 
 class TestCliReference:
@@ -72,6 +110,45 @@ class TestCliReference:
         headings = re.findall(r"^### `(\w+)`", text, flags=re.MULTILINE)
         stale = [name for name in headings if name not in registered_subcommands()]
         assert not stale, f"docs/CLI.md documents unknown subcommands: {stale}"
+
+    @pytest.mark.parametrize("name", registered_subcommands())
+    def test_option_tables_match_the_parser(self, name):
+        """Flag-level drift, both ways: every ``--flag`` the subparser
+        accepts has a row in its section's option table, and every row
+        names a flag the subparser really accepts."""
+        accepted = accepted_flags(subparsers()[name])
+        documented = documented_flags(reference_sections()[name])
+        assert not accepted - documented, (
+            f"{name}: flags missing from docs/CLI.md: {sorted(accepted - documented)}"
+        )
+        assert not documented - accepted, (
+            f"{name}: docs/CLI.md documents flags the parser rejects: "
+            f"{sorted(documented - accepted)}"
+        )
+
+
+class TestRemovedNamesStayRemoved:
+    """There is one result store.  The flat cell cache, its flags and its
+    migrator are gone; nothing shipped or documented may mention them."""
+
+    REMOVED = ("cache_dir", "--cache-dir", "--from-cache", "CellCache",
+               "migrate_legacy_cache")
+
+    def test_no_removed_name_in_source_docs_examples_or_ci(self):
+        files = [REPO_ROOT / ".github" / "workflows" / "ci.yml"]
+        for directory in ("src", "docs", "examples"):
+            files.extend(
+                path for path in (REPO_ROOT / directory).rglob("*")
+                if path.suffix in (".py", ".md")
+            )
+        offenders = [
+            f"{path.relative_to(REPO_ROOT)}: {name}"
+            for path in files
+            for text in [path.read_text(encoding="utf-8")]
+            for name in self.REMOVED
+            if name in text
+        ]
+        assert not offenders, f"removed names are back: {offenders}"
 
 
 class TestArchitectureDoc:

@@ -9,6 +9,8 @@ backend ran the cells or how many workers it used.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +24,6 @@ from repro.store import (
 )
 from repro.sweep import (
     SWEEP_FORMAT_VERSION,
-    CellCache,
     ProcessPoolBackend,
     SerialBackend,
     SubprocessShardBackend,
@@ -102,33 +103,63 @@ class TestObjects:
         store.put_cell("h1", {"result": {}})
         assert store.missing_cells(["h1", "h2", "h3"]) == ["h2", "h3"]
 
-
-class TestLegacyMigration:
-    def test_flat_cache_reads_through(self, tmp_path):
-        """A legacy CellCache directory is readable in place as a store."""
-        cache = CellCache(str(tmp_path))
-        cache.put("h1", {"result": {"x": 1}})
+    def test_stray_file_at_the_store_root_is_not_a_cell(self, tmp_path):
+        """Only ``objects/<hash>.json`` is a cell: there is no second,
+        flat layout the store reads through to."""
+        (tmp_path / "h1.json").write_text(
+            json.dumps({"result": {"x": 1}, "sweep_format_version": SWEEP_FORMAT_VERSION})
+        )
         store = CampaignStore(str(tmp_path))
-        assert store.get_cell("h1")["result"] == {"x": 1}
-        assert store.legacy_entries() == ["h1"]
+        assert store.get_cell("h1") is None
+        assert not store.has_cell("h1")
+        assert store.missing_cells(["h1"]) == ["h1"]
+        assert len(store) == 0
 
-    def test_migrate_is_idempotent(self, tmp_path):
-        cache = CellCache(str(tmp_path / "cache"))
-        cache.put("h1", {"result": {"x": 1}})
-        cache.put("h2", {"result": {"x": 2}})
-        store = CampaignStore(str(tmp_path / "store"))
-        first = store.migrate_legacy_cache(str(tmp_path / "cache"))
-        assert (first["migrated"], first["skipped"], first["invalid"]) == (2, 0, 0)
-        second = store.migrate_legacy_cache(str(tmp_path / "cache"))
-        assert (second["migrated"], second["skipped"]) == (0, 2)
+    @pytest.mark.parametrize(
+        "damaged",
+        [
+            {"spec": {}, "sweep_format_version": SWEEP_FORMAT_VERSION},  # no result
+            {"result": {"x": 0}, "sweep_format_version": SWEEP_FORMAT_VERSION - 1},
+            {"result": {"x": 0}},  # unstamped
+        ],
+    )
+    def test_every_rejected_object_is_a_miss_everywhere_and_heals(self, tmp_path, damaged):
+        """One definition of a valid cell: what ``get_cell`` rejects,
+        ``has_cell``/``missing_cells`` report absent and ``put_cell``
+        overwrites; what it accepts stays first-write-wins."""
+        store = CampaignStore(str(tmp_path))
+        os.makedirs(store.objects_dir)
+        with open(os.path.join(store.objects_dir, "h1.json"), "w") as handle:
+            json.dump(damaged, handle)
+        assert store.get_cell("h1") is None
+        assert not store.has_cell("h1")
+        assert store.missing_cells(["h1"]) == ["h1"]
+        assert store.put_cell("h1", {"result": {"x": 1}})
         assert store.get_cell("h1")["result"] == {"x": 1}
+        assert not store.put_cell("h1", {"result": {"x": 2}})
 
-    def test_migrate_counts_invalid_entries(self, tmp_path):
-        (tmp_path / "cache").mkdir()
-        (tmp_path / "cache" / "bad.json").write_text("{nope")
-        store = CampaignStore(str(tmp_path / "store"))
-        counts = store.migrate_legacy_cache(str(tmp_path / "cache"))
-        assert counts == {"migrated": 0, "skipped": 0, "invalid": 1}
+
+class TestLeafPackage:
+    """``repro.store`` sits below ``repro.sweep``: either imports alone."""
+
+    @staticmethod
+    def run_python(code):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        return subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+
+    def test_store_imports_alone_without_pulling_in_the_sweep(self):
+        done = self.run_python(
+            "import sys, repro.store; "
+            "assert 'repro.sweep' not in sys.modules, 'store imported sweep'"
+        )
+        assert done.returncode == 0, done.stderr
+
+    def test_sweep_imports_alone(self):
+        done = self.run_python("import repro.sweep")
+        assert done.returncode == 0, done.stderr
 
 
 class TestManifests:
@@ -160,6 +191,31 @@ class TestManifests:
         assert store.commit_manifest_if_changed(manifest) == 0
         assert store.commit_manifest_if_changed(self.manifest()) is None
         assert store.commit_manifest_if_changed(self.manifest(completed=("h1",))) == 1
+
+    def test_racing_commit_takes_the_next_sequence(self, tmp_path, monkeypatch):
+        """Two writers that list the directory at the same moment pick the
+        same sequence number; the loser must land one later, not replace
+        the winner's commit."""
+        store = CampaignStore(str(tmp_path))
+        winner = self.manifest()
+        assert store.commit_manifest(winner) == 0
+        # The loser's listing is stale: it predates the winner's commit.
+        real_listing = CampaignStore._manifest_files
+        stale_listings = [[]]
+
+        def listing(self, campaign_id):
+            if stale_listings:
+                return stale_listings.pop()
+            return real_listing(self, campaign_id)
+
+        monkeypatch.setattr(CampaignStore, "_manifest_files", listing)
+        loser = self.manifest(completed=("h1",))
+        assert store.commit_manifest(loser) == 1
+        history = store.manifests(winner.campaign_id)
+        assert [m.sequence for m in history] == [0, 1]
+        assert [m.completed for m in history] == [(), ("h1",)]
+        assert store.latest_manifest(winner.campaign_id).completed == ("h1",)
+        assert not [name for name in os.listdir(store.manifests_dir) if name.endswith(".tmp")]
 
     def test_manifest_json_has_no_sequence(self):
         """The sequence lives in the filename only, so the final manifest
@@ -294,6 +350,43 @@ class TestResume:
         assert rerun.to_canonical_json() == first.to_canonical_json()
         assert not CampaignStore(store_dir).verify_objects()
 
+    @pytest.mark.parametrize("damage", ["drop_result", "stale_stamp"])
+    def test_damaged_object_heals_once_then_hits(self, tmp_path, damage):
+        """An object that parses but is not a valid cell (no ``result``, or
+        a stale stamp at a live hash) is recomputed and replaced by one
+        rerun; the next rerun is all hits, on every backend."""
+        grid = tiny_grid()
+        store_dir = str(tmp_path / "store")
+        first = run_campaign(grid, workers=1, store_dir=store_dir)
+        store = CampaignStore(store_dir)
+        victim = os.path.join(store.objects_dir, f"{store.object_hashes()[0]}.json")
+
+        def damage_victim():
+            with open(victim, encoding="utf-8") as handle:
+                entry = json.load(handle)
+            if damage == "drop_result":
+                del entry["result"]
+            else:
+                entry["sweep_format_version"] = SWEEP_FORMAT_VERSION - 1
+            with open(victim, "w", encoding="utf-8") as handle:
+                json.dump(entry, handle)
+
+        damage_victim()
+        healing = run_campaign(grid, workers=1, store_dir=store_dir)
+        assert (healing.cache_hits, healing.cache_misses) == (1, 1)
+        healed = run_campaign(grid, workers=1, store_dir=store_dir)
+        assert (healed.cache_hits, healed.cache_misses) == (2, 0)
+        assert not store.verify_objects()
+
+        # The worker's "already stored?" check and the parent's read-back
+        # are the same rule, so the subprocess backend heals it too.
+        damage_victim()
+        sharded = run_campaign(grid, workers=2, backend="subprocess", store_dir=store_dir)
+        assert (sharded.cache_hits, sharded.cache_misses) == (1, 1)
+        assert not store.verify_objects()
+        for result in (healing, healed, sharded):
+            assert result.to_canonical_json() == first.to_canonical_json()
+
     def test_store_instance_is_accepted_directly(self, tmp_path):
         store = CampaignStore(str(tmp_path))
         run_campaign(tiny_grid(), workers=1, store_dir=store)
@@ -350,26 +443,23 @@ class TestStoreCli:
         code = runner.main(list(argv))
         return code, capsys.readouterr().out
 
-    def test_stats_migrate_manifest_verify(self, tmp_path, capsys):
+    def test_stats_manifest_verify(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
-        # A real legacy cache: same machinery, flat layout, different seed
-        # so its hashes are distinct from the store campaign's.
-        run_campaign(
-            tiny_grid(campaign_seed=99), workers=1, cache_dir=str(tmp_path / "cache")
-        )
+        # Two campaigns share the store: a different seed gives distinct
+        # hashes, so the objects add up and each keeps its own manifests.
+        other = run_campaign(tiny_grid(campaign_seed=99), workers=1, store_dir=store_dir)
         run_campaign(tiny_grid(), workers=1, store_dir=store_dir)
 
-        code, out = self.run_cli(
-            capsys, "store", "migrate", "--store", store_dir,
-            "--from-cache", str(tmp_path / "cache"),
-        )
-        assert code == 0 and "migrated 2 legacy cell(s)" in out
-
         code, out = self.run_cli(capsys, "store", "stats", "--store", store_dir)
-        assert code == 0 and "objects: 4" in out and "campaigns: 1" in out
+        assert code == 0 and "objects: 4" in out and "campaigns: 2" in out
 
-        code, out = self.run_cli(capsys, "store", "manifest", "--store", store_dir)
-        assert code == 0 and '"complete": true' in out
+        with pytest.raises(SystemExit, match="2 campaigns"):
+            self.run_cli(capsys, "store", "manifest", "--store", store_dir)
+        code, out = self.run_cli(
+            capsys, "store", "manifest", "--store", store_dir,
+            "--campaign", other.campaign_id,
+        )
+        assert code == 0 and '"complete": true' in out and '"campaign_seed": 99' in out
 
         code, out = self.run_cli(capsys, "store", "verify", "--store", store_dir)
         assert code == 0 and "ok" in out
@@ -380,6 +470,11 @@ class TestStoreCli:
             handle.write("{")
         code, out = self.run_cli(capsys, "store", "verify", "--store", store_dir)
         assert code == 1 and "problem" in out
+
+    def test_store_actions_are_exactly_stats_manifest_verify(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            self.run_cli(capsys, "store", "migrate", "--store", str(tmp_path))
+        assert "invalid choice: 'migrate'" in capsys.readouterr().err
 
     def test_list_reports_backends_and_store_stats(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")

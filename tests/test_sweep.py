@@ -1,4 +1,4 @@
-"""Unit tests for the sweep subsystem: grids, cache, cells, engine, report."""
+"""Unit tests for the sweep subsystem: grids, cells, engine, report."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.sweep import (
     EXPERIMENTS,
     SCENARIOS,
     CampaignGrid,
-    CellCache,
     CellSpec,
     format_campaign_report,
     run_campaign,
@@ -93,36 +92,6 @@ class TestGrid:
         assert base.config_hash(1) == base.config_hash(1)
 
 
-class TestCache:
-    def test_round_trip_stamps_schema_version(self, tmp_path):
-        from repro.sweep import SWEEP_FORMAT_VERSION
-
-        cache = CellCache(str(tmp_path / "cells"))
-        assert cache.get("abc") is None
-        cache.put("abc", {"result": {"x": 1}})
-        assert cache.get("abc") == {
-            "result": {"x": 1},
-            "sweep_format_version": SWEEP_FORMAT_VERSION,
-        }
-        assert len(cache) == 1
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = CellCache(str(tmp_path))
-        (tmp_path / "bad.json").write_text("{truncated")
-        assert cache.get("bad") is None
-
-    def test_stale_schema_version_is_a_miss(self, tmp_path):
-        """A mismatched stamp must never leak a stale-schema payload
-        downstream; an unstamped entry predates the stamp and is accepted."""
-        cache = CellCache(str(tmp_path))
-        (tmp_path / "old.json").write_text(
-            json.dumps({"result": {"x": 1}, "sweep_format_version": 1})
-        )
-        assert cache.get("old") is None
-        (tmp_path / "unstamped.json").write_text(json.dumps({"result": {"x": 1}}))
-        assert cache.get("unstamped") == {"result": {"x": 1}}
-
-
 class TestRegistries:
     def test_registry_contents(self):
         # Every registered workload doubles as a sweep experiment.
@@ -144,16 +113,16 @@ class TestRegistries:
 class TestEngine:
     def test_cache_hits_on_rerun(self, tmp_path):
         grid = tiny_grid(controllers=["passive", "fullmesh"])
-        first = run_campaign(grid, workers=1, cache_dir=str(tmp_path))
+        first = run_campaign(grid, workers=1, store_dir=str(tmp_path))
         assert (first.cache_hits, first.cache_misses) == (0, 2)
-        second = run_campaign(grid, workers=1, cache_dir=str(tmp_path))
+        second = run_campaign(grid, workers=1, store_dir=str(tmp_path))
         assert (second.cache_hits, second.cache_misses) == (2, 0)
         assert all(cell.cached for cell in second.cells)
         assert first.to_canonical_json() == second.to_canonical_json()
 
     def test_changed_seed_misses_cache(self, tmp_path):
-        run_campaign(tiny_grid(), workers=1, cache_dir=str(tmp_path))
-        rerun = run_campaign(tiny_grid(campaign_seed=12), workers=1, cache_dir=str(tmp_path))
+        run_campaign(tiny_grid(), workers=1, store_dir=str(tmp_path))
+        rerun = run_campaign(tiny_grid(campaign_seed=12), workers=1, store_dir=str(tmp_path))
         assert rerun.cache_misses == 1
 
     def test_progress_callback_sees_every_cell(self):
@@ -198,11 +167,11 @@ class TestReport:
             scenarios=["dual_homed", "asymmetric_loss"],
             controllers=["passive", "fullmesh"],
         )
-        result = run_campaign(grid, workers=1, cache_dir=str(tmp_path))
+        result = run_campaign(grid, workers=1, store_dir=str(tmp_path))
         report = format_campaign_report(result)
         assert "dual_homed" in report and "asymmetric_loss" in report
         assert "0 cached / 4 computed" in report
-        rerun = run_campaign(grid, workers=1, cache_dir=str(tmp_path))
+        rerun = run_campaign(grid, workers=1, store_dir=str(tmp_path))
         assert "4 cached / 0 computed" in format_campaign_report(rerun)
 
     def test_streaming_report_uses_block_metric(self):

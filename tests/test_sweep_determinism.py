@@ -201,9 +201,9 @@ class TestCampaignWorkerIndependence:
 
     def test_cached_rerun_is_byte_identical_and_all_hits(self, tmp_path):
         grid = acceptance_grid()
-        first = run_campaign(grid, workers=4, cache_dir=str(tmp_path))
+        first = run_campaign(grid, workers=4, store_dir=str(tmp_path))
         assert first.cache_misses == 24
-        second = run_campaign(grid, workers=4, cache_dir=str(tmp_path))
+        second = run_campaign(grid, workers=4, store_dir=str(tmp_path))
         assert second.cache_hits == 24 and second.cache_misses == 0
         assert first.to_canonical_json() == second.to_canonical_json()
 
