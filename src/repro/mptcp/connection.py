@@ -41,10 +41,13 @@ from repro.net.addressing import IPAddress
 from repro.net.packet import Segment
 from repro.sim.timers import Timer
 from repro.tcp.buffers import ReceiveReassembly
+from repro.tcp.options import SackOption
 from repro.tcp.socket import SubflowObserver, TcpSocket, TcpState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mptcp.stack import MptcpStack
+
+_SYN_BIT = 0x02
 
 
 @dataclass(frozen=True)
@@ -566,11 +569,12 @@ class MptcpConnection(SubflowObserver):
             # Third ACK: echo both keys (receiver key once known).
             return (MpCapableOption(sender_key=self.local_key, receiver_key=self.remote_key),)
         token = self.remote_token if self.remote_token is not None else 0
-        if kind == "syn":
-            return (MpJoinOption(token=token, address_id=flow.id, backup=flow.backup),)
+        # The wire field is 8 bits and no receiver reads it, so the
+        # connection's ever-growing subflow id is emitted modulo 256.
+        address_id = flow.id & 0xFF
         if kind == "synack":
-            return (MpJoinOption(token=self.local_token, address_id=flow.id, backup=flow.backup),)
-        return (MpJoinOption(token=token, address_id=flow.id, backup=flow.backup),)
+            token = self.local_token
+        return (MpJoinOption(token=token, address_id=address_id, backup=flow.backup),)
 
     def data_options(self, sock: TcpSocket, metadata: Any) -> tuple:
         if self.is_fallback:
@@ -646,8 +650,23 @@ class MptcpConnection(SubflowObserver):
     # SubflowObserver: incoming options and data
     # ------------------------------------------------------------------
     def segment_options_received(self, sock: TcpSocket, segment: Segment) -> None:
-        flow = self._subflow_for(sock)
         options = segment.options_by_type
+        dss = options.get(DssOption)
+        if (
+            dss is not None
+            and not segment._flag_bits & _SYN_BIT
+            and (len(options) == 1 or (len(options) == 2 and SackOption in options))
+        ):
+            # Steady state: a non-SYN segment carrying a DSS and at most a
+            # SACK beside it.  None of the handshake, fallback, address or
+            # priority signalling below applies, so only the DSS is read.
+            if not self.is_fallback:
+                if dss.data_ack is not None:
+                    self._process_data_ack(dss.data_ack)
+                if dss.data_fin and dss.data_seq is not None:
+                    self._process_data_fin(dss, self._subflow_for(sock))
+            return
+        flow = self._subflow_for(sock)
         capable = options.get(MpCapableOption)
         if capable is not None and self.remote_key is None and not self.is_fallback:
             self._learn_remote_key(capable.sender_key)
@@ -668,7 +687,7 @@ class MptcpConnection(SubflowObserver):
             elif (
                 not segment.is_syn
                 and sock.state == TcpState.SYN_RECEIVED
-                and options.get(DssOption) is None
+                and dss is None
             ):
                 # Handshake-completing ACK without any MPTCP signalling:
                 # the client fell back (our SYN/ACK's option was stripped
@@ -688,16 +707,11 @@ class MptcpConnection(SubflowObserver):
             # peer that has not yet processed our MP_FAIL is still honoured
             # in on_data.)
             return
-        dss = options.get(DssOption)
         if dss is not None:
             if dss.data_ack is not None:
                 self._process_data_ack(dss.data_ack)
             if dss.data_fin and dss.data_seq is not None:
-                # The DATA_FIN occupies the data-sequence slot right after
-                # the peer's last byte (``data_seq`` when no mapping is
-                # attached, the end of the mapping otherwise).
-                self._remote_fin_seq = dss.mapping_end if dss.has_mapping else dss.data_seq
-                self._check_remote_data_fin(flow)
+                self._process_data_fin(dss, flow)
         fastclose = options.get(MpFastcloseOption)
         if fastclose is not None and not self.closed:
             # The peer aborted the whole MPTCP connection.
@@ -710,6 +724,13 @@ class MptcpConnection(SubflowObserver):
         if prio is not None and flow is not None:
             flow.backup = prio.backup
             flow.socket.backup = prio.backup
+
+    def _process_data_fin(self, dss: DssOption, flow: Optional[Subflow]) -> None:
+        # The DATA_FIN occupies the data-sequence slot right after the
+        # peer's last byte (``data_seq`` when no mapping is attached, the
+        # end of the mapping otherwise).
+        self._remote_fin_seq = dss.mapping_end if dss.has_mapping else dss.data_seq
+        self._check_remote_data_fin(flow)
 
     def on_data(self, sock: TcpSocket, segment: Segment, new_bytes: int) -> None:
         flow = self._subflow_for(sock)

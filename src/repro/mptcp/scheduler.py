@@ -61,25 +61,36 @@ class LowestRttScheduler(Scheduler):
     name = "lowest_rtt"
 
     def select(self, subflows: Sequence[Subflow], chunk_len: int) -> Optional[Subflow]:
-        candidates = self.eligible(subflows)
-        if not candidates:
-            return None
-        if len(candidates) == 1:
-            return candidates[0]
-        # Manual argmin over (has_estimate, srtt, id); keeps the first of
-        # equal keys, exactly like min() with a key function, without
-        # building a tuple per candidate.
-        best = candidates[0]
-        best_srtt = best.socket.rtt.srtt
-        for flow in candidates[1:]:
-            srtt = flow.socket.rtt.srtt
-            if best_srtt is None:
-                if srtt is not None:
-                    continue
-                if flow.id >= best.id:
-                    continue
-            elif srtt is not None and (srtt > best_srtt or (srtt == best_srtt and flow.id >= best.id)):
+        # ``eligible()`` and the argmin over (has_estimate, srtt, id) folded
+        # into one pass without intermediate lists: this runs for every
+        # chunk the connection pushes.  ``best`` ranks backup subflows only
+        # until the first usable regular one shows up, which outranks them
+        # all whether or not it has window; the first of equal keys wins,
+        # exactly like min() with a key function.
+        best: Optional[Subflow] = None
+        best_srtt: Optional[float] = None
+        regular_usable = False
+        for flow in subflows:
+            if not flow.is_usable:
                 continue
+            if flow.backup:
+                if regular_usable:
+                    continue
+            elif not regular_usable:
+                regular_usable = True
+                best = None
+            socket = flow.socket
+            if socket.available_window() <= 0:
+                continue
+            srtt = socket.rtt.srtt
+            if best is not None:
+                if best_srtt is None:
+                    if srtt is not None or flow.id >= best.id:
+                        continue
+                elif srtt is not None and (
+                    srtt > best_srtt or (srtt == best_srtt and flow.id >= best.id)
+                ):
+                    continue
             best = flow
             best_srtt = srtt
         return best

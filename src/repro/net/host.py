@@ -133,7 +133,7 @@ class Host(Node):
         Hosts never forward: segments for addresses the host does not own
         are counted and dropped.
         """
-        if not self.owns_address(segment.dst):
+        if segment.dst._value not in self._address_index:
             self.dropped_not_local += 1
             return
         if self._stack is not None:

@@ -58,8 +58,8 @@ class Timer:
         if event is not None:
             event.cancel()
         sim = self._sim
-        self._expiry = sim.now + delay
-        self._event = sim.schedule(delay, self._fire)
+        self._expiry = expiry = sim.now + delay
+        self._event = sim.schedule_at(expiry, self._fire)
 
     def stop(self) -> None:
         """Disarm the timer if it is armed."""

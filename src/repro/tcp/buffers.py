@@ -8,8 +8,10 @@ stored anywhere in the reproduction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Optional
 
 
@@ -84,11 +86,15 @@ class RetransmissionQueue:
         return pending
 
 
-@dataclass
+@dataclass(slots=True)
 class _Range:
     start: int
     end: int
     stamp: int = 0
+
+
+_BY_STAMP = attrgetter("stamp")
+_BY_END = attrgetter("end")
 
 
 class ReceiveReassembly:
@@ -98,6 +104,11 @@ class ReceiveReassembly:
     (retransmitted) ranges and advances ``rcv_nxt`` over any contiguous
     prefix.  The number of *new* bytes covered is returned so callers can
     keep byte counters without double counting duplicates.
+
+    The out-of-order list is kept sorted, disjoint and non-adjacent (two
+    ranges that touch are one range), so ``start`` and ``end`` are both
+    increasing along it and a register costs a bisection plus the ranges it
+    actually touches, whatever the depth of the window behind the hole.
     """
 
     def __init__(self, initial_seq: int = 0) -> None:
@@ -112,6 +123,11 @@ class ReceiveReassembly:
         return self._rcv_nxt
 
     @property
+    def has_out_of_order(self) -> bool:
+        """True while at least one range is buffered beyond a hole."""
+        return bool(self._out_of_order)
+
+    @property
     def out_of_order_ranges(self) -> list[tuple[int, int]]:
         """Currently buffered out-of-order ranges as (start, end) tuples."""
         return [(r.start, r.end) for r in self._out_of_order]
@@ -123,7 +139,7 @@ class ReceiveReassembly:
         lets the sender learn about *every* hole within a round trip even
         though each ACK only carries a handful of blocks.
         """
-        ordered = sorted(self._out_of_order, key=lambda r: r.stamp, reverse=True)
+        ordered = sorted(self._out_of_order, key=_BY_STAMP, reverse=True)
         return [(r.start, r.end) for r in ordered[:limit]]
 
     @property
@@ -153,32 +169,52 @@ class ReceiveReassembly:
         self._advance()
         return new_bytes
 
+    def consume_fin(self, fin_seq: int) -> None:
+        """Step over the peer's FIN, which occupies sequence number ``fin_seq``."""
+        if fin_seq >= self._rcv_nxt:
+            self._rcv_nxt = fin_seq + 1
+
     def _insert(self, start: int, end: int) -> int:
         """Merge [start, end) into the out-of-order list, returning new bytes."""
+        ranges = self._out_of_order
+        # First range reaching ``start`` (ends are increasing): everything
+        # before it lies strictly below the new range and stays untouched.
+        first = bisect_left(ranges, start, key=_BY_END)
         new_bytes = end - start
-        merged: list[_Range] = []
-        for existing in self._out_of_order:
-            if existing.end < start or existing.start > end:
-                merged.append(existing)
-                continue
-            overlap = min(end, existing.end) - max(start, existing.start)
+        last, count = first, len(ranges)
+        while last < count:
+            existing = ranges[last]
+            other_start, other_end = existing.start, existing.end
+            if other_start > end:
+                break
+            overlap = (end if end < other_end else other_end) - (
+                start if start > other_start else other_start
+            )
             if overlap > 0:
                 self._duplicate_bytes += overlap
                 new_bytes -= overlap
-            start = min(start, existing.start)
-            end = max(end, existing.end)
+            if other_start < start:
+                start = other_start
+            if other_end > end:
+                end = other_end
+            last += 1
         self._stamp += 1
-        merged.append(_Range(start, end, stamp=self._stamp))
-        merged.sort(key=lambda r: r.start)
-        self._out_of_order = merged
+        ranges[first:last] = [_Range(start, end, self._stamp)]
         return max(new_bytes, 0)
 
     def _advance(self) -> None:
-        while self._out_of_order and self._out_of_order[0].start <= self._rcv_nxt:
-            head = self._out_of_order[0]
-            if head.end > self._rcv_nxt:
-                self._rcv_nxt = head.end
-            self._out_of_order.pop(0)
+        ranges = self._out_of_order
+        rcv_nxt = self._rcv_nxt
+        consumed = 0
+        for head in ranges:
+            if head.start > rcv_nxt:
+                break
+            if head.end > rcv_nxt:
+                rcv_nxt = head.end
+            consumed += 1
+        if consumed:
+            self._rcv_nxt = rcv_nxt
+            del ranges[:consumed]
 
     def missing_before(self, seq: int) -> bool:
         """True when there is a gap between ``rcv_nxt`` and ``seq``."""

@@ -134,30 +134,44 @@ class CouplingGroup:
         if member in self._members:
             self._members.remove(member)
 
-    def total_cwnd(self) -> int:
-        """Sum of the members' congestion windows in bytes."""
-        return sum(member.cwnd for member in self._members)
+    def coupling(self) -> tuple[int, float]:
+        """``(total_cwnd, alpha)`` from one pass over the members.
 
-    def alpha(self) -> float:
-        """The LIA aggressiveness factor (RFC 6356, equation 2).
+        ``total_cwnd`` is the sum of the members' congestion windows in
+        bytes.  ``alpha`` is the LIA aggressiveness factor (RFC 6356,
+        equation 2),
 
         ``alpha = tot_cwnd * max(cwnd_i / rtt_i^2) / (sum(cwnd_i / rtt_i))^2``
-        with windows expressed in MSS units.  Falls back to 1.0 while RTT
+
+        with windows expressed in MSS units; it falls back to 1.0 while RTT
         estimates are missing.
         """
+        total = 0
         best = 0.0
         denominator = 0.0
         for member in self._members:
-            rtt = member.smoothed_rtt
+            cwnd = member._cwnd
+            total += cwnd
+            rtt = member._srtt
             if rtt is None or rtt <= 0:
                 continue
-            cwnd_segments = member.cwnd / member.mss
-            best = max(best, cwnd_segments / (rtt * rtt))
+            cwnd_segments = cwnd / member._mss
+            ratio = cwnd_segments / (rtt * rtt)
+            if ratio > best:
+                best = ratio
             denominator += cwnd_segments / rtt
         if best <= 0.0 or denominator <= 0.0:
-            return 1.0
-        total_segments = self.total_cwnd() / max(self._members[0].mss, 1)
-        return total_segments * best / (denominator * denominator)
+            return total, 1.0
+        total_segments = total / max(self._members[0]._mss, 1)
+        return total, total_segments * best / (denominator * denominator)
+
+    def total_cwnd(self) -> int:
+        """Sum of the members' congestion windows in bytes."""
+        return self.coupling()[0]
+
+    def alpha(self) -> float:
+        """The LIA aggressiveness factor (see :meth:`coupling`)."""
+        return self.coupling()[1]
 
 
 class LiaCongestionControl(CongestionControl):
@@ -197,8 +211,8 @@ class LiaCongestionControl(CongestionControl):
         # RFC 6356: increase per ACK is
         #   min( alpha * bytes_acked * MSS / tot_cwnd, bytes_acked * MSS / cwnd )
         # i.e. never more aggressive than regular TCP on this subflow.
-        total = max(self._group.total_cwnd(), self._mss)
-        coupled = self._group.alpha() * acked_bytes * self._mss / total
+        total, alpha = self._group.coupling()
+        coupled = alpha * acked_bytes * self._mss / max(total, self._mss)
         uncoupled = acked_bytes * self._mss / max(self._cwnd, 1)
         return max(int(min(coupled, uncoupled)), 1)
 

@@ -9,7 +9,7 @@ no Linux kernel of the MPTCP era would do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -17,27 +17,28 @@ class SackOption:
     """Selective acknowledgement blocks (RFC 2018).
 
     ``blocks`` holds up to four ``(start, end)`` half-open sequence ranges
-    that the receiver holds out of order.
+    that the receiver holds out of order; ``highest`` is the highest
+    sequence number any of them covers (0 for an empty option).
     """
 
     blocks: tuple[tuple[int, int], ...]
+    highest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.blocks) > 4:
             raise ValueError("a SACK option carries at most 4 blocks")
+        highest = 0
         for start, end in self.blocks:
             if end <= start:
                 raise ValueError(f"invalid SACK block ({start}, {end})")
+            if end > highest:
+                highest = end
+        object.__setattr__(self, "highest", highest)
 
     @property
     def wire_length(self) -> int:
         """2 bytes of header plus 8 bytes per block."""
         return 2 + 8 * len(self.blocks)
-
-    @property
-    def highest(self) -> int:
-        """The highest sequence number covered by any block."""
-        return max(end for _, end in self.blocks)
 
     def covers(self, start: int, end: int) -> bool:
         """True when the byte range [start, end) falls inside one block."""

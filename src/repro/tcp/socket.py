@@ -170,6 +170,9 @@ class TcpSocket:
         self._syn_sent_at: Optional[float] = None
         self._syn_retries = 0
         self._dupacks = 0
+        # True while some queued segment may carry a SACK-inferred ``lost``
+        # mark that ``_retransmit_lost`` has not yet served.
+        self._lost_pending = False
         log = sim.event_log
         self._trace_timer = log.channel("timer") if log is not None else None
 
@@ -662,37 +665,51 @@ class TcpSocket:
         within a subflow, so anything skipped was dropped.
         """
         highest = sack.highest
+        blocks = sack.blocks
         newly_lost = False
         newest_sample: Optional[float] = None
         for sent in self._rtx_queue.segments:
-            if not sent.sacked and sack.covers(sent.seq, sent.end_seq):
-                sent.sacked = True
-                sent.lost = False
-                if not sent.retransmitted:
-                    # Sample the RTT from selectively acknowledged segments
-                    # (as Linux does); waiting for the cumulative ACK would
-                    # wildly overestimate the RTT whenever a hole is being
-                    # repaired in front of this segment.
-                    newest_sample = self._sim.now - sent.first_sent_at
-            elif (
-                not sent.sacked
-                and not sent.lost
-                and not sent.retransmitted
-                and sent.end_seq <= highest
-            ):
-                # Never re-mark a segment that was already retransmitted: if
-                # the retransmission is lost too, the RTO recovers it.
-                sent.lost = True
-                newly_lost = True
+            seq = sent.seq
+            if seq >= highest:
+                # The queue is in sequence order: nothing from here on can
+                # sit inside a block or below one.
+                break
+            if sent.sacked:
+                continue
+            end = seq + sent.length
+            # SackOption.covers, inlined over the (at most four) blocks.
+            for block_start, block_end in blocks:
+                if block_start <= seq and end <= block_end:
+                    sent.sacked = True
+                    sent.lost = False
+                    if not sent.retransmitted:
+                        # Sample the RTT from selectively acknowledged
+                        # segments (as Linux does); waiting for the
+                        # cumulative ACK would wildly overestimate the RTT
+                        # whenever a hole is being repaired in front of
+                        # this segment.
+                        newest_sample = self._sim.now - sent.first_sent_at
+                    break
+            else:
+                if not sent.lost and not sent.retransmitted and end <= highest:
+                    # Never re-mark a segment that was already
+                    # retransmitted: if the retransmission is lost too, the
+                    # RTO recovers it.
+                    sent.lost = True
+                    newly_lost = True
         if newest_sample is not None:
             self.rtt.add_sample(newest_sample)
             self._propagate_rtt()
-        if newly_lost and not self.congestion.fast_recovery:
-            self.lost_events += 1
-            self.congestion.on_fast_retransmit(self.in_flight, self.snd_nxt)
+        if newly_lost:
+            self._lost_pending = True
+            if not self.congestion.fast_recovery:
+                self.lost_events += 1
+                self.congestion.on_fast_retransmit(self.in_flight, self.snd_nxt)
 
     def _retransmit_lost(self, budget: int = 3) -> None:
         """Retransmit up to ``budget`` segments marked lost by SACK."""
+        if not self._lost_pending:
+            return
         sent_any = False
         for sent in self._rtx_queue.segments:
             if budget <= 0:
@@ -702,6 +719,9 @@ class TcpSocket:
                 sent.lost = False
                 budget -= 1
                 sent_any = True
+        else:
+            # Walked the whole queue within budget: no mark is left.
+            self._lost_pending = False
         if sent_any and not self._rto_timer.armed:
             self._rto_timer.start(self.rtt.rto)
 
@@ -753,9 +773,7 @@ class TcpSocket:
             return
         if not self._fin_received:
             self._fin_received = True
-            self._reassembly.register(fin_seq, 0)
-            # The FIN consumes one sequence number.
-            self._reassembly._rcv_nxt = max(self._reassembly.rcv_nxt, fin_seq + 1)
+            self._reassembly.consume_fin(fin_seq)
             self._observer.on_fin_received(self)
             if self.state == TcpState.ESTABLISHED:
                 self.state = TcpState.CLOSE_WAIT
@@ -846,7 +864,7 @@ class TcpSocket:
         if (
             flags & _ACK_BIT
             and self._reassembly is not None
-            and self._reassembly.out_of_order_ranges
+            and self._reassembly.has_out_of_order
         ):
             blocks = tuple(self._reassembly.sack_blocks(4))
             options = tuple(options) + (SackOption(blocks=blocks),)

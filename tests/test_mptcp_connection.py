@@ -180,6 +180,29 @@ class TestSubflowManagement:
         assert len(conn.live_subflows) == 1
         assert conn.live_subflows[0].is_initial
 
+    def test_more_than_255_subflows_over_a_connection_lifetime(self):
+        """MP_JOIN's address id is an 8-bit wire field, the subflow id is not:
+        a long-lived connection whose controller keeps refreshing subflows
+        (longlived/natted/refresh past ~2000 s) must survive its 256th."""
+        rig = build_dual_homed_rig()
+        app, conn = rig.connect_recording()
+        rig.sim.run(until=1.0)
+        for _ in range(300):
+            flow = conn.create_subflow(
+                rig.client_addresses[1],
+                remote_address=rig.server_addresses[1],
+                remote_port=SERVER_PORT,
+            )
+            rig.sim.run(until=rig.sim.now + 0.1)
+            assert flow is not None and flow.is_established
+            conn.remove_subflow(flow, reset=True)
+            rig.sim.run(until=rig.sim.now + 0.1)
+        assert flow.id == 301
+        assert conn.subflows_created == 301
+        server_conn = rig.server_apps[0].connection
+        assert server_conn.subflows_created == 301
+        assert not conn.closed and len(conn.live_subflows) == 1
+
     def test_create_subflow_before_established_returns_none(self):
         rig = build_dual_homed_rig()
         app, conn = rig.connect_recording()

@@ -226,7 +226,8 @@ class _SchedFakeFlow:
 
 flow_states = st.builds(
     lambda srtt, window, backup, established: (srtt, window, backup, established),
-    st.one_of(st.none(), st.floats(min_value=1e-4, max_value=2.0)),
+    # A few fixed values next to arbitrary floats so equal RTTs do occur.
+    st.one_of(st.none(), st.sampled_from([0.01, 0.05]), st.floats(min_value=1e-4, max_value=2.0)),
     st.integers(min_value=0, max_value=100_000),
     st.booleans(),
     st.booleans(),
@@ -456,3 +457,339 @@ class TestEventKernelProperties:
             if follow is not None:
                 heapq.heappush(heap, (time_ + follow, next(sequence), index + 1000, None))
         assert order == reference
+
+
+# ----------------------------------------------------------------------
+# window-independent ACK path vs. the scans it replaced
+# ----------------------------------------------------------------------
+# Four structures on the per-ACK path used to re-scan something
+# window-sized on every call: the receiver rebuilt and re-sorted its
+# out-of-order list, the SACK pass called ``SackOption.covers`` per queued
+# segment, the lowest-RTT scheduler built three lists per pick, and LIA
+# summed over its coupling group three times per ACK.  The replacements
+# (bisect + splice, inlined block test, one-pass select, one-pass coupling
+# terms) must be observationally identical — committed baselines are byte
+# exact — so the old bodies live on here as the oracles.
+
+from repro.mptcp.scheduler import LowestRttScheduler  # noqa: E402
+from repro.sim import Simulator  # noqa: E402
+from repro.tcp.buffers import SentSegment  # noqa: E402
+from repro.tcp.congestion import CouplingGroup, LiaCongestionControl  # noqa: E402
+from repro.tcp.options import SackOption  # noqa: E402
+from repro.tcp.socket import TcpSocket, TcpState  # noqa: E402
+
+
+class _RebuildAndSortReassembly:
+    """The pre-bisect ``ReceiveReassembly``: every insert walks, rebuilds and
+    re-sorts the whole out-of-order list."""
+
+    def __init__(self, initial_seq=0):
+        self.rcv_nxt = initial_seq
+        self._out_of_order = []  # [start, end, stamp]
+        self.duplicate_bytes = 0
+        self._stamp = 0
+
+    @property
+    def out_of_order_ranges(self):
+        return [(start, end) for start, end, _ in self._out_of_order]
+
+    def sack_blocks(self, limit=4):
+        ordered = sorted(self._out_of_order, key=lambda r: r[2], reverse=True)
+        return [(start, end) for start, end, _ in ordered[:limit]]
+
+    def consume_fin(self, fin_seq):
+        # What TcpSocket._process_fin used to assign from outside.
+        self.rcv_nxt = max(self.rcv_nxt, fin_seq + 1)
+
+    def register(self, seq, length):
+        if length == 0:
+            return 0
+        start, end = seq, seq + length
+        if end <= self.rcv_nxt:
+            self.duplicate_bytes += length
+            return 0
+        if start < self.rcv_nxt:
+            self.duplicate_bytes += self.rcv_nxt - start
+            start = self.rcv_nxt
+        if start == self.rcv_nxt and not self._out_of_order:
+            self.rcv_nxt = end
+            return end - start
+        new_bytes = end - start
+        merged = []
+        for existing in self._out_of_order:
+            if existing[1] < start or existing[0] > end:
+                merged.append(existing)
+                continue
+            overlap = min(end, existing[1]) - max(start, existing[0])
+            if overlap > 0:
+                self.duplicate_bytes += overlap
+                new_bytes -= overlap
+            start = min(start, existing[0])
+            end = max(end, existing[1])
+        self._stamp += 1
+        merged.append([start, end, self._stamp])
+        merged.sort(key=lambda r: r[0])
+        self._out_of_order = merged
+        while self._out_of_order and self._out_of_order[0][0] <= self.rcv_nxt:
+            head = self._out_of_order.pop(0)
+            if head[1] > self.rcv_nxt:
+                self.rcv_nxt = head[1]
+        return max(new_bytes, 0)
+
+
+# Arbitrary byte ranges next to segment-aligned ones: the aligned half is
+# what makes exact adjacency, exact duplicates and multi-range bridges common.
+_reassembly_chunks = st.lists(
+    st.one_of(
+        st.tuples(st.integers(min_value=0, max_value=400), st.integers(min_value=1, max_value=60)),
+        st.tuples(
+            st.integers(min_value=0, max_value=40).map(lambda n: n * 10),
+            st.integers(min_value=1, max_value=6).map(lambda n: n * 10),
+        ),
+        # A FIN (length None) may step rcv_nxt over buffered ranges, which the
+        # next register then has to consume several at a time.
+        st.tuples(st.integers(min_value=0, max_value=400), st.none()),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+def _socket_with_queue(lengths, flags):
+    """An established bare socket at t=10 s whose retransmission queue holds
+    one segment per length, flagged ``(retransmitted, sacked, sent_at)``."""
+    sim = Simulator(seed=1)
+    sim.run(until=10.0)
+    emitted = []
+    sock = TcpSocket(sim, "10.0.0.1", 1000, "10.0.0.2", 80, transmit=emitted.append)
+    sock.state = TcpState.ESTABLISHED
+    sock.snd_una = sock.snd_nxt = 1
+    for length, (retransmitted, sacked, sent_at) in zip(lengths, flags):
+        sock._rtx_queue.push(SentSegment(
+            sock.snd_nxt, length, None, sent_at, sent_at,
+            retransmitted=retransmitted, sacked=sacked,
+        ))
+        sock.snd_nxt += length
+    return sock, emitted
+
+
+class TestAckPathOracles:
+    @given(_reassembly_chunks, st.integers(min_value=0, max_value=50))
+    @settings(max_examples=400, deadline=None)
+    def test_reassembly_matches_rebuild_and_sort(self, chunks, initial_seq):
+        reasm = ReceiveReassembly(initial_seq)
+        oracle = _RebuildAndSortReassembly(initial_seq)
+        fin_consumed = False
+        for start, length in chunks:
+            if length is None:
+                reasm.consume_fin(start)
+                oracle.consume_fin(start)
+                assert reasm.rcv_nxt == oracle.rcv_nxt
+                fin_consumed = True
+                continue
+            assert reasm.register(start, length) == oracle.register(start, length)
+            assert reasm.rcv_nxt == oracle.rcv_nxt
+            assert reasm.out_of_order_ranges == oracle.out_of_order_ranges
+            assert reasm.has_out_of_order == bool(oracle.out_of_order_ranges)
+            assert reasm.duplicate_bytes == oracle.duplicate_bytes
+            assert reasm.sack_blocks() == oracle.sack_blocks()
+            assert reasm.sack_blocks(2) == oracle.sack_blocks(2)
+            ranges = reasm.out_of_order_ranges
+            # Sorted, disjoint, non-adjacent, and (for a stream that does
+            # not carry data past its FIN) strictly above rcv_nxt.
+            assert all(a < b for a, b in ranges)
+            assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:]))
+            assert fin_consumed or not ranges or ranges[0][0] > reasm.rcv_nxt
+
+    @given(
+        st.lists(flow_states, min_size=0, max_size=8).flatmap(
+            lambda states: st.permutations(
+                [_SchedFakeFlow(index + 1, *state) for index, state in enumerate(states)]
+            )
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_lowest_rtt_select_is_the_argmin_over_eligible(self, flows):
+        scheduler = LowestRttScheduler()
+
+        def key(flow):
+            srtt = flow.socket.rtt.srtt
+            return (srtt is not None, srtt if srtt is not None else 0.0, flow.id)
+
+        candidates = scheduler.eligible(flows)
+        expected = min(candidates, key=key) if candidates else None
+        assert scheduler.select(flows, 1400) is expected
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sack_pass_matches_the_covers_scan(self, data):
+        lengths = data.draw(st.lists(st.integers(min_value=1, max_value=1400), min_size=1, max_size=24))
+        # Mostly fresh segments, so that one SACK can mark more of them lost
+        # than a single retransmission budget serves.
+        rarely = st.sampled_from([False, False, False, True])
+        flags = [
+            data.draw(st.tuples(rarely, rarely, st.floats(min_value=0.0, max_value=9.0)))
+            for _ in lengths
+        ]
+        bounds = [1]
+        for length in lengths:
+            bounds.append(bounds[-1] + length)
+
+        def build():
+            return _socket_with_queue(lengths, flags)
+
+        def snapshot(sock, emitted):
+            return (
+                [(s.seq, s.sacked, s.lost, s.retransmitted, s.transmissions)
+                 for s in sock._rtx_queue.segments],
+                (sock.rtt.srtt, sock.rtt.rttvar, sock.rtt.rto),
+                sock.lost_events,
+                sock.total_retransmissions,
+                (sock.congestion.cwnd, sock.congestion.ssthresh, sock.congestion.fast_recovery),
+                sock._rto_timer.armed,
+                [(segment.seq, segment.payload_len) for segment in emitted],
+            )
+
+        def reference_process_sack(sock, sack):
+            highest = max(end for _, end in sack.blocks)
+            newly_lost = False
+            newest_sample = None
+            for sent in sock._rtx_queue.segments:
+                if not sent.sacked and sack.covers(sent.seq, sent.end_seq):
+                    sent.sacked = True
+                    sent.lost = False
+                    if not sent.retransmitted:
+                        newest_sample = sock._sim.now - sent.first_sent_at
+                elif (
+                    not sent.sacked
+                    and not sent.lost
+                    and not sent.retransmitted
+                    and sent.end_seq <= highest
+                ):
+                    sent.lost = True
+                    newly_lost = True
+            if newest_sample is not None:
+                sock.rtt.add_sample(newest_sample)
+                sock._propagate_rtt()
+            if newly_lost and not sock.congestion.fast_recovery:
+                sock.lost_events += 1
+                sock.congestion.on_fast_retransmit(sock.in_flight, sock.snd_nxt)
+
+        def reference_retransmit_lost(sock, budget=3):
+            sent_any = False
+            for sent in sock._rtx_queue.segments:
+                if budget <= 0:
+                    break
+                if sent.lost and not sent.sacked:
+                    sock._retransmit(sent)
+                    sent.lost = False
+                    budget -= 1
+                    sent_any = True
+            if sent_any and not sock._rto_timer.armed:
+                sock._rto_timer.start(sock.rtt.rto)
+
+        # Blocks snap to segment boundaries (the only ones a real receiver
+        # reports) or fall anywhere, including beyond snd_nxt.
+        edge = st.one_of(st.sampled_from(bounds), st.integers(min_value=0, max_value=bounds[-1] + 50))
+        block = st.tuples(edge, edge).filter(lambda b: b[0] != b[1]).map(lambda b: (min(b), max(b)))
+        steps = data.draw(st.lists(
+            st.one_of(
+                st.lists(block, min_size=1, max_size=4).map(tuple),
+                st.sampled_from(bounds),
+            ),
+            min_size=1,
+            max_size=8,
+        ))
+        # The same option often arrives again (every duplicate ACK repeats
+        # the blocks): that is when the retransmission budget's leftovers
+        # get served.
+        steps = [step for step in steps for _ in range(2 if isinstance(step, tuple) else 1)]
+
+        sock, emitted = build()
+        oracle, oracle_emitted = build()
+        for step in steps:
+            if isinstance(step, tuple):
+                sack = SackOption(blocks=step)
+                sock._process_sack(sack)
+                sock._retransmit_lost()
+                reference_process_sack(oracle, sack)
+                reference_retransmit_lost(oracle)
+            elif step > sock.snd_una:
+                # A cumulative ACK strips the front of both queues (marks
+                # and all) between SACK passes.
+                for each in (sock, oracle):
+                    each._rtx_queue.ack_upto(step)
+                    each.snd_una = step
+            assert snapshot(sock, emitted) == snapshot(oracle, oracle_emitted)
+
+    def test_retransmission_budget_leftovers_wait_for_the_next_ack(self):
+        """Five segments marked lost by one SACK, three retransmissions per
+        ACK: the remaining two go out on the next ACK even though it marks
+        nothing new, and the one after that finds nothing to do."""
+        sock, emitted = _socket_with_queue([100] * 6, [(False, False, 9.0)] * 6)
+        sack = SackOption(blocks=((501, 601),))
+        served = []
+        for _ in range(3):
+            sock._process_sack(sack)
+            sock._retransmit_lost()
+            served.append([segment.seq for segment in emitted])
+            emitted.clear()
+        assert served == [[1, 101, 201], [301, 401], []]
+        assert sock.lost_events == 1
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=400_000),
+                st.one_of(st.none(), st.just(0.0), st.sampled_from([0.01, 0.05]),
+                          st.floats(min_value=1e-4, max_value=2.0)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.integers(min_value=1, max_value=3 * 1400),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_lia_increase_is_bit_equal_to_alpha_times_total(self, members, acked_bytes):
+        mss = 1400
+        group = CouplingGroup()
+        controllers = []
+        for cwnd, srtt, detached in members:
+            controller = LiaCongestionControl(mss, 10, 1 << 30, group)
+            controller._cwnd = cwnd
+            controller.observe_rtt(srtt)
+            controllers.append((controller, detached))
+        for controller, detached in controllers:
+            if detached:
+                controller.detach()
+
+        def reference_total_cwnd():
+            return sum(member.cwnd for member in group.members)
+
+        def reference_alpha():
+            best = 0.0
+            denominator = 0.0
+            for member in group.members:
+                rtt = member.smoothed_rtt
+                if rtt is None or rtt <= 0:
+                    continue
+                cwnd_segments = member.cwnd / member.mss
+                best = max(best, cwnd_segments / (rtt * rtt))
+                denominator += cwnd_segments / rtt
+            if best <= 0.0 or denominator <= 0.0:
+                return 1.0
+            total_segments = reference_total_cwnd() / max(group.members[0].mss, 1)
+            return total_segments * best / (denominator * denominator)
+
+        assert group.total_cwnd() == reference_total_cwnd()
+        assert group.alpha() == reference_alpha()
+        # Detached controllers keep acknowledging data until their socket is
+        # torn down, against a group they are no longer part of.
+        for controller, _ in controllers:
+            total = max(reference_total_cwnd(), mss)
+            coupled = reference_alpha() * acked_bytes * mss / total
+            uncoupled = acked_bytes * mss / max(controller.cwnd, 1)
+            expected = max(int(min(coupled, uncoupled)), 1)
+            increase = controller._congestion_avoidance_increase(acked_bytes)
+            assert increase == expected and type(increase) is int

@@ -269,6 +269,33 @@ class TestReceiveReassembly:
             reasm.register(100 + index * 100, 50)
         assert len(reasm.sack_blocks(4)) == 4
 
+    def test_has_out_of_order_tracks_the_hole(self):
+        reasm = ReceiveReassembly(0)
+        assert not reasm.has_out_of_order
+        reasm.register(100, 50)
+        assert reasm.has_out_of_order
+        reasm.register(0, 100)
+        assert not reasm.has_out_of_order
+
+    def test_adjacent_ranges_are_one_range(self):
+        reasm = ReceiveReassembly(0)
+        reasm.register(100, 50)
+        reasm.register(200, 50)
+        reasm.register(300, 50)
+        # Bridges the first two exactly and leaves the third alone.
+        assert reasm.register(150, 50) == 50
+        assert reasm.out_of_order_ranges == [(100, 250), (300, 350)]
+        assert reasm.sack_blocks() == [(100, 250), (300, 350)]
+
+    def test_consume_fin_takes_one_sequence_number(self):
+        reasm = ReceiveReassembly(0)
+        reasm.register(0, 100)
+        reasm.consume_fin(100)
+        assert reasm.rcv_nxt == 101
+        # A retransmitted FIN does not move it again.
+        reasm.consume_fin(100)
+        assert reasm.rcv_nxt == 101
+
     def test_zero_length_ignored(self):
         reasm = ReceiveReassembly(0)
         assert reasm.register(10, 0) == 0
@@ -298,6 +325,17 @@ class TestSackOption:
         assert not sack.covers(150, 250)
         assert sack.highest == 400
         assert sack.wire_length == 2 + 16
+
+    def test_highest_is_not_part_of_identity(self):
+        sack = SackOption(blocks=((300, 400), (100, 200)))
+        assert sack.highest == 400
+        assert sack == SackOption(blocks=((300, 400), (100, 200)))
+        assert repr(sack) == "SackOption(blocks=((300, 400), (100, 200)))"
+
+    def test_empty_option_constructs(self):
+        sack = SackOption(blocks=())
+        assert sack.highest == 0
+        assert not sack.covers(0, 1)
 
 
 class TestTcpConfig:
