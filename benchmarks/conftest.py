@@ -8,30 +8,3 @@ import sys
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--update-workloads-baseline",
-        action="store_true",
-        default=False,
-        help="re-record BENCH_workloads.json from this machine's rates",
-    )
-    parser.addoption(
-        "--workloads-bench-tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fail if cells/sec drops more than this fraction below "
-        "BENCH_workloads.json (e.g. 0.4 = 40%%); default is the loose "
-        "10x-collapse check only",
-    )
-    parser.addoption(
-        "--workloads-bench-ratio-tolerance",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="fail if any bulk-vs-workload cells/sec ratio drifts more than "
-        "this fraction from BENCH_workloads.json (e.g. 0.25 = 25%%). The "
-        "ratios cancel out hardware speed, so this is the gate CI uses",
-    )

@@ -274,21 +274,26 @@ def figure_campaigns(campaign_seed: int = 1) -> dict[str, CampaignGrid]:
     }
 
 
+_BUILDERS = {
+    "quick": quick_grid,
+    "default": default_grid,
+    "full": full_grid,
+    "workloads": workloads_grid,
+    "scale": scale_grid,
+    "fuzz": fuzz_grid,
+    "downgrade": downgrade_grid,
+}
+
+#: Every name :func:`named_grid` resolves, in the order ``runner list``
+#: prints them; the CLI's ``--grid`` choices and help text read this.
+GRID_NAMES: tuple[str, ...] = (*_BUILDERS, *sorted(figure_campaigns()))
+
+
 def named_grid(name: str, campaign_seed: int = 1) -> CampaignGrid:
     """Resolve a grid by CLI name (``quick``, ``default``, ``full``, ``fig2a`` ...)."""
-    builders = {
-        "quick": quick_grid,
-        "default": default_grid,
-        "full": full_grid,
-        "workloads": workloads_grid,
-        "scale": scale_grid,
-        "fuzz": fuzz_grid,
-        "downgrade": downgrade_grid,
-    }
-    if name in builders:
-        return builders[name](campaign_seed=campaign_seed)
+    if name in _BUILDERS:
+        return _BUILDERS[name](campaign_seed=campaign_seed)
     figures = figure_campaigns(campaign_seed=campaign_seed)
     if name in figures:
         return figures[name]
-    known = sorted(builders) + sorted(figures)
-    raise ValueError(f"unknown grid {name!r} (expected one of {known})")
+    raise ValueError(f"unknown grid {name!r} (expected one of {list(GRID_NAMES)})")

@@ -30,7 +30,7 @@ from repro.experiments.fig2a_backup import run_fig2a
 from repro.experiments.fig2b_streaming import run_fig2b
 from repro.experiments.fig2c_loadbalance import run_fig2c
 from repro.experiments.fig3_pm_delay import run_fig3
-from repro.experiments.grids import named_grid
+from repro.experiments.grids import GRID_NAMES, named_grid
 from repro.experiments.longlived import run_longlived
 from repro.sweep.engine import run_campaign
 from repro.sweep.report import format_campaign_report, format_diff_report
@@ -62,6 +62,45 @@ def _run_fig3(args: argparse.Namespace) -> str:
 def _run_longlived(args: argparse.Namespace) -> str:
     result = run_longlived(seed=args.seed, duration=args.duration)
     return result.format_report()
+
+
+#: The paper figures: each is a subcommand, and ``all`` runs exactly these.
+FIGURES = ("fig2a", "fig2b", "fig2c", "fig3", "longlived")
+
+
+def _json_object(text: str) -> dict:
+    """``argparse`` type for ``--params``: a JSON object, else a usage error."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise argparse.ArgumentTypeError(f"not valid JSON ({error})")
+    if not isinstance(value, dict):
+        raise argparse.ArgumentTypeError("expected a JSON object")
+    return value
+
+
+def _harness_spec(args: argparse.Namespace, params: dict):
+    """The :class:`HarnessSpec` named by the ``cell``/``trace`` coordinates."""
+    from repro.workloads import HarnessSpec
+
+    return HarnessSpec(
+        workload=args.workload,
+        scenario=args.scenario,
+        controller=args.controller,
+        scheduler=args.scheduler,
+        seed=args.seed,
+        horizon=args.horizon,
+        connections=args.connections,
+        params=params,
+    )
+
+
+def _cell_key(args: argparse.Namespace) -> str:
+    """The grid-key spelling of the ``cell``/``trace`` coordinates."""
+    key = f"{args.workload}/{args.scenario}/{args.scheduler}/{args.controller}/seed{args.seed}"
+    if args.connections != 1:
+        key += f"/conn{args.connections}"
+    return key
 
 
 def _sweep_progress_printer(total: int) -> Callable:
@@ -110,38 +149,25 @@ def _run_sweep(args: argparse.Namespace) -> str:
 def _run_trace(args: argparse.Namespace) -> str:
     """Run one traced harness cell and export its structured event log."""
     from repro.obs import chrome_trace, events_jsonl
-    from repro.workloads import Harness, HarnessSpec
+    from repro.workloads import Harness
 
-    params = json.loads(args.params) if args.params else {}
-    params["event_log"] = True
+    params = dict(args.params or {}, event_log=True)
     if args.categories:
         params["event_log_categories"] = args.categories
     if args.limit is not None:
         params["event_log_limit"] = args.limit
-    run = Harness().run(
-        HarnessSpec(
-            workload=args.workload,
-            scenario=args.scenario,
-            controller=args.controller,
-            scheduler=args.scheduler,
-            seed=args.seed,
-            horizon=args.horizon,
-            connections=args.connections,
-            params=params,
-        )
-    )
+    run = Harness().run(_harness_spec(args, params))
     log = run.probe("events").log
     payload = events_jsonl(log) if args.format == "jsonl" else chrome_trace(log)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)
-        key = f"{args.workload}/{args.scenario}/{args.scheduler}/{args.controller}/seed{args.seed}"
         counts = ", ".join(
             f"{category}={count}"
             for category, count in log.counts_by_category().items()
         )
         return (
-            f"trace {key}: {len(log)} events ({counts}), {log.dropped} dropped\n"
+            f"trace {_cell_key(args)}: {len(log)} events ({counts}), {log.dropped} dropped\n"
             f"wrote {args.format} timeline to {args.out}"
         )
     return payload.rstrip("\n")
@@ -300,7 +326,7 @@ def _run_shrink(args: argparse.Namespace) -> HandlerResult:
     # plan that fails at its recorded horizon stops failing here.
     horizon = args.horizon if args.horizon is not None else plan.horizon
 
-    params = json.loads(args.params) if args.params else {}
+    params = args.params or {}
     predicate, _clean = cell_failure_predicate(
         workload=args.workload,
         base_scenario=base_scenario,
@@ -423,76 +449,12 @@ def _run_store(args: argparse.Namespace) -> HandlerResult:
 
 def _run_cell(args: argparse.Namespace) -> str:
     """Run one harness cell named entirely by registry entries."""
-    from repro.workloads import Harness, HarnessSpec
+    from repro.workloads import Harness
 
-    params = json.loads(args.params) if args.params else {}
-    run = Harness().run(
-        HarnessSpec(
-            workload=args.workload,
-            scenario=args.scenario,
-            controller=args.controller,
-            scheduler=args.scheduler,
-            seed=args.seed,
-            horizon=args.horizon,
-            connections=args.connections,
-            params=params,
-        )
-    )
-    key = f"{args.workload}/{args.scenario}/{args.scheduler}/{args.controller}/seed{args.seed}"
-    if args.connections != 1:
-        key += f"/conn{args.connections}"
-    lines = [f"cell {key}:"]
+    run = Harness().run(_harness_spec(args, args.params or {}))
+    lines = [f"cell {_cell_key(args)}:"]
     for metric, value in sorted(run.metrics.items()):
         lines.append(f"  {metric} = {value}")
-    return "\n".join(lines)
-
-
-def _run_bench(args: argparse.Namespace) -> str:
-    """Benchmark the sweep workloads with the shared harness in repro.bench."""
-    from repro import bench
-
-    if args.workload:
-        unknown = sorted(set(args.workload) - set(bench.BENCH_CELLS))
-        if unknown:
-            raise SystemExit(
-                f"unknown bench workload(s) {unknown} (have {sorted(bench.BENCH_CELLS)})"
-            )
-        names = sorted(set(args.workload))
-    else:
-        names = sorted(bench.BENCH_CELLS)
-
-    lines = [f"benchmark: {args.cells} cells per workload"]
-    results = {}
-    for name in names:
-        result = bench.run_batch(name, cells=args.cells)
-        results[name] = result
-        lines.append("  " + result.summary())
-        if args.profile:
-            lines.append(f"--- cProfile top {args.top} ({name}) ---")
-            lines.append(bench.profile_batch(name, cells=args.cells, top=args.top).rstrip())
-
-    baseline_path = args.baseline
-    if baseline_path:
-        baseline = bench.load_baseline(baseline_path)
-        drifts = bench.ratio_drifts(results, baseline)
-        for name, drift in sorted(drifts.items()):
-            lines.append(f"  bulk-vs-{name} ratio drift vs {baseline_path}: {drift:+.0%}")
-
-    if args.json:
-        payload = {
-            name: {
-                "cells": result.cells,
-                "elapsed_s": result.elapsed_s,
-                "cells_per_s": result.cells_per_s,
-                "events_per_cell": result.events_per_cell,
-                "events_per_s": result.events_per_s,
-            }
-            for name, result in results.items()
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        lines.append(f"  wrote rates to {args.json}")
     return "\n".join(lines)
 
 
@@ -503,8 +465,6 @@ def _format_grid_axes(name: str) -> str:
     values (including the ``connections`` scale axis); listing them saves a
     trip to the source when deciding what ``sweep --grid`` will run.
     """
-    from repro.experiments.grids import named_grid
-
     grid = named_grid(name)
     axes = [
         f"experiments={','.join(grid.experiments)}",
@@ -519,15 +479,11 @@ def _format_grid_axes(name: str) -> str:
 
 def _list_registries(args: argparse.Namespace) -> str:
     """Print every axis of the workload × scenario × controller grid."""
-    from repro.experiments.grids import figure_campaigns
     from repro.faults import FAULT_MODELS, MIDDLEBOXES, NAMED_PLANS
     from repro.mptcp.scheduler import SCHEDULER_REGISTRY
     from repro.workloads import CONTROLLERS, PROBES, SCENARIOS, WORKLOADS
 
-    grid_names = [
-        "quick", "default", "full", "workloads", "scale", "fuzz", "downgrade",
-    ] + sorted(figure_campaigns())
-    grids = [_format_grid_axes(name) for name in grid_names]
+    grids = [_format_grid_axes(name) for name in GRID_NAMES]
     fault_models = [
         f"{name} — {FAULT_MODELS[name].description}" for name in sorted(FAULT_MODELS)
     ]
@@ -581,21 +537,11 @@ EXPERIMENTS: dict[str, Callable[[argparse.Namespace], HandlerResult]] = {
     "baseline": _run_baseline,
     "diff": _run_diff,
     "fuzz": _run_fuzz,
-    "bench": _run_bench,
     "trace": _run_trace,
     "telemetry": _run_telemetry,
     "worker": _run_worker,
     "store": _run_store,
 }
-
-#: Subcommands ``all`` does not run: campaigns, single cells, the registry
-#: listing, the regression-gate pair, the fuzzer, the benchmark, the
-#: observability pair and the store/worker plumbing are opt-in via their
-#: own names.
-OPT_IN = frozenset(
-    {"sweep", "cell", "list", "baseline", "diff", "fuzz", "bench", "trace",
-     "telemetry", "worker", "store"}
-)
 
 
 def _add_figure_options(parser: argparse.ArgumentParser, figures: Sequence[str]) -> None:
@@ -636,19 +582,13 @@ def _add_campaign_options(
     is a silent footgun) and ``diff`` defaults to the snapshot's own grid
     name, so only ``sweep`` keeps the ``default`` grid default.
     """
-    grid_help = (
-        "named campaign grid (quick, default, full, workloads, scale, fuzz, "
-        "downgrade, fig2a, fig2b, fig2c, fig3, longlived)"
+    grid_help = f"named campaign grid ({', '.join(GRID_NAMES)})"
+    if grid_default is None:
+        grid_help += "; defaults to the --baseline snapshot's grid name"
+    parser.add_argument(
+        "--grid", choices=GRID_NAMES, metavar="NAME", default=grid_default,
+        required=grid_required, help=grid_help,
     )
-    if grid_required:
-        parser.add_argument("--grid", required=True, help=grid_help)
-    elif grid_default is None:
-        parser.add_argument(
-            "--grid", default=None,
-            help=grid_help + "; defaults to the --baseline snapshot's grid name",
-        )
-    else:
-        parser.add_argument("--grid", default=grid_default, help=grid_help)
     parser.add_argument("--workers", type=int, default=1, help="worker processes")
     _add_store_options(parser)
 
@@ -688,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'baseline'/'diff' snapshot and regression-check a campaign, 'all' every figure)",
     )
 
-    for figure in ("fig2a", "fig2b", "fig2c", "fig3", "longlived"):
+    for figure in FIGURES:
         figure_parser = subparsers.add_parser(
             figure, parents=[seed_parent], help=f"reproduce {figure}"
         )
@@ -697,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     all_parser = subparsers.add_parser(
         "all", parents=[seed_parent], help="reproduce every paper figure"
     )
-    _add_figure_options(all_parser, ["fig2a", "fig2b", "fig2c", "fig3", "longlived"])
+    _add_figure_options(all_parser, FIGURES)
 
     sweep_parser = subparsers.add_parser(
         "sweep", parents=[seed_parent], help="run a named campaign grid"
@@ -780,43 +720,36 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument("--horizon", type=float, default=None,
                              help="shrink: simulated run horizon in seconds "
                              "(defaults to the plan's own horizon)")
-    fuzz_parser.add_argument("--params", default=None,
+    fuzz_parser.add_argument("--params", type=_json_object, default=None,
                              help="shrink: workload parameters as a JSON object — "
                              "must match the cell the plan failed in (the fuzz "
                              "grid uses e.g. {\"transfer_bytes\": 60000})")
     fuzz_parser.add_argument("--out", default=None,
                              help="shrink: write the counterexample artifact here")
 
-    cell_parser = subparsers.add_parser(
-        "cell", parents=[seed_parent], help="run one harness cell by registry names"
-    )
-    cell_parser.add_argument("--workload", default="bulk_transfer", help="workload registry name")
-    cell_parser.add_argument("--scenario", default="dual_homed", help="scenario registry name")
-    cell_parser.add_argument("--controller", default="passive", help="controller registry name")
-    cell_parser.add_argument("--scheduler", default="lowest_rtt", help="scheduler registry name")
-    cell_parser.add_argument("--horizon", type=float, default=30.0,
+    cell_parent = argparse.ArgumentParser(add_help=False)
+    cell_parent.add_argument("--workload", default="bulk_transfer", help="workload registry name")
+    cell_parent.add_argument("--scenario", default="dual_homed", help="scenario registry name")
+    cell_parent.add_argument("--controller", default="passive", help="controller registry name")
+    cell_parent.add_argument("--scheduler", default="lowest_rtt", help="scheduler registry name")
+    cell_parent.add_argument("--horizon", type=float, default=30.0,
                              help="simulated run horizon in seconds")
-    cell_parser.add_argument("--connections", type=int, default=1,
+    cell_parent.add_argument("--connections", type=int, default=1,
                              help="concurrent client connections (the scale axis); "
                              "starts are staggered over the connection_stagger param")
-    cell_parser.add_argument("--params", default=None,
+    cell_parent.add_argument("--params", type=_json_object, default=None,
                              help="workload parameters as a JSON object")
+
+    subparsers.add_parser(
+        "cell", parents=[seed_parent, cell_parent],
+        help="run one harness cell by registry names",
+    )
 
     trace_parser = subparsers.add_parser(
         "trace",
-        parents=[seed_parent],
+        parents=[seed_parent, cell_parent],
         help="run one traced harness cell and export its structured event log",
     )
-    trace_parser.add_argument("--workload", default="bulk_transfer", help="workload registry name")
-    trace_parser.add_argument("--scenario", default="dual_homed", help="scenario registry name")
-    trace_parser.add_argument("--controller", default="passive", help="controller registry name")
-    trace_parser.add_argument("--scheduler", default="lowest_rtt", help="scheduler registry name")
-    trace_parser.add_argument("--horizon", type=float, default=30.0,
-                              help="simulated run horizon in seconds")
-    trace_parser.add_argument("--connections", type=int, default=1,
-                              help="concurrent client connections (the scale axis)")
-    trace_parser.add_argument("--params", default=None,
-                              help="workload parameters as a JSON object")
     trace_parser.add_argument("--categories", default=None,
                               help="comma-separated event categories to record "
                               "(default: all — connection, fallback, fault, pm, "
@@ -840,25 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="number of slowest fresh cells to list")
     telemetry_parser.add_argument("--json", default=None,
                                   help="also write the telemetry summary JSON here")
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="time batches of sweep cells per workload (cells/s and events/s)",
-    )
-    bench_parser.add_argument(
-        "--workload", action="append", default=None, metavar="NAME",
-        help="benchmark only this workload (repeatable; default: all four)",
-    )
-    bench_parser.add_argument("--cells", type=int, default=5,
-                              help="cells per timed batch")
-    bench_parser.add_argument("--profile", action="store_true",
-                              help="also cProfile one batch per workload")
-    bench_parser.add_argument("--top", type=int, default=25,
-                              help="profile: number of cumulative-time rows to print")
-    bench_parser.add_argument("--baseline", default=None, metavar="PATH",
-                              help="report ratio drift against this BENCH_workloads.json")
-    bench_parser.add_argument("--json", default=None,
-                              help="also write the measured rates as JSON here")
 
     list_parser = subparsers.add_parser(
         "list", parents=[seed_parent],
@@ -899,15 +813,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns non-zero when a subcommand reports failure
-    (currently only ``diff``, on out-of-tolerance drift)."""
+    (``diff`` on out-of-tolerance drift, ``fuzz --fail-on-failed`` on a failed
+    cell, ``fuzz --shrink`` with nothing to shrink, ``store verify`` on damage)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.experiment == "all":
-        # "all" means every paper figure; campaigns, single cells and the
-        # registry listing are opt-in via their own subcommands.
-        names = sorted(name for name in EXPERIMENTS if name not in OPT_IN)
-    else:
-        names = [args.experiment]
+    names = FIGURES if args.experiment == "all" else (args.experiment,)
     exit_code = 0
     for name in names:
         started = time.time()

@@ -224,3 +224,50 @@ class TestExperimentsSmall:
         out = capsys.readouterr().out
         assert "cell http/dual_homed/lowest_rtt/fullmesh/seed1" in out
         assert "requests_completed = 1" in out
+
+    @pytest.mark.parametrize("argv, complaint", [
+        (["sweep", "--grid", "nope"], "--grid: invalid choice: 'nope'"),
+        (["baseline", "--grid", "nope", "--out", "x.json"], "--grid: invalid choice: 'nope'"),
+        (["diff", "--baseline", "b.json", "--grid", "nope"], "--grid: invalid choice: 'nope'"),
+        (["telemetry", "--grid", "nope"], "--grid: invalid choice: 'nope'"),
+        (["cell", "--params", "{bad"], "--params: not valid JSON"),
+        (["trace", "--params", "[1]"], "--params: expected a JSON object"),
+        (["fuzz", "--shrink", "--plan", "x", "--params", "{bad"], "--params: not valid JSON"),
+    ])
+    def test_runner_bad_grid_or_params_is_a_usage_error(self, argv, complaint, capsys):
+        """argparse rejects them (exit 2 + usage), no handler runs and no
+        ValueError / JSONDecodeError traceback escapes."""
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(argv)
+        assert exit_info.value.code == 2
+        assert complaint in capsys.readouterr().err
+
+    def test_grid_names_are_exactly_what_named_grid_accepts(self):
+        from repro.experiments.grids import GRID_NAMES, named_grid
+
+        assert len(set(GRID_NAMES)) == len(GRID_NAMES)
+        assert [named_grid(name).name for name in GRID_NAMES] == list(GRID_NAMES)
+        with pytest.raises(ValueError) as error:
+            named_grid("nope")
+        assert str(list(GRID_NAMES)) in str(error.value)
+
+    def test_runner_list_grids_section_is_pinned(self, capsys):
+        """The ``grids:`` section is pinned byte for byte: names, order and
+        axes (regenerate the fixture from ``runner list`` when a grid or a
+        registered scenario is added on purpose)."""
+        from pathlib import Path
+
+        fixture = Path(__file__).parent / "fixtures" / "runner_list_grids.txt"
+        assert runner_main(["list"]) == 0
+        assert fixture.read_text(encoding="utf-8") in capsys.readouterr().out
+
+    def test_runner_trace_and_cell_report_the_same_key(self, tmp_path, capsys):
+        """Both name the cell by its grid key, ``/conn{N}`` suffix included."""
+        coordinates = ["--connections", "3", "--horizon", "5",
+                       "--params", '{"transfer_bytes": 20000}']
+        assert runner_main(["cell", *coordinates]) == 0
+        cell_key = capsys.readouterr().out.splitlines()[0]
+        assert runner_main(["trace", *coordinates, "--out", str(tmp_path / "t.json")]) == 0
+        trace_key = capsys.readouterr().out.splitlines()[0]
+        assert cell_key == "cell bulk_transfer/dual_homed/lowest_rtt/passive/seed1/conn3:"
+        assert trace_key.startswith("trace " + cell_key[len("cell "):])

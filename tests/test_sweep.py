@@ -190,19 +190,13 @@ class TestRunnerIntegration:
         regression-gate pair (baseline/diff) are opt-in."""
         from repro.experiments import runner
 
-        opt_in = runner.OPT_IN
-        assert {
-            "sweep", "cell", "list", "baseline", "diff", "fuzz", "bench",
-            "trace", "telemetry", "worker", "store",
-        } == set(opt_in)
         ran = []
         monkeypatch.setattr(
             runner, "EXPERIMENTS", {name: lambda args, name=name: ran.append(name) or ""
                                     for name in runner.EXPERIMENTS}
         )
         assert runner.main(["all"]) == 0
-        assert not opt_in & set(ran)
-        assert ran == sorted(name for name in runner.EXPERIMENTS if name not in opt_in)
+        assert ran == list(runner.FIGURES)
 
     def test_import_error_during_pool_setup_falls_back(self, monkeypatch):
         import concurrent.futures
