@@ -1,39 +1,28 @@
 """Analysis utilities: CDFs, summary statistics, traces and reports."""
 
-from repro.analysis.aggregate import cdfs_by, group_cells, metric_values, summarize_groups
-from repro.analysis.cdf import Cdf
-from repro.analysis.deltas import (
-    out_of_tolerance_counts_by_axis,
-    summarize_drift_by_axis,
-    worst_cell_deltas,
-)
-from repro.analysis.stats import SummaryStats, summarize
-from repro.analysis.trace import (
-    SequencePoint,
-    SubflowSequenceTrace,
-    extract_sequence_trace,
-    payload_byte_totals,
-    syn_join_delays,
-)
-from repro.analysis.report import format_cdf_table, format_comparison_table, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cdf",
-    "SummaryStats",
-    "summarize",
-    "SubflowSequenceTrace",
-    "SequencePoint",
-    "extract_sequence_trace",
-    "payload_byte_totals",
-    "syn_join_delays",
-    "format_table",
-    "format_cdf_table",
-    "format_comparison_table",
-    "group_cells",
-    "metric_values",
-    "summarize_groups",
-    "cdfs_by",
-    "worst_cell_deltas",
-    "summarize_drift_by_axis",
-    "out_of_tolerance_counts_by_axis",
-]
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "Cdf": "repro.analysis.cdf",
+    "SummaryStats": "repro.analysis.stats",
+    "summarize": "repro.analysis.stats",
+    "SubflowSequenceTrace": "repro.analysis.trace",
+    "SequencePoint": "repro.analysis.trace",
+    "extract_sequence_trace": "repro.analysis.trace",
+    "payload_byte_totals": "repro.analysis.trace",
+    "syn_join_delays": "repro.analysis.trace",
+    "format_table": "repro.analysis.report",
+    "format_cdf_table": "repro.analysis.report",
+    "format_comparison_table": "repro.analysis.report",
+    "group_cells": "repro.analysis.aggregate",
+    "metric_values": "repro.analysis.aggregate",
+    "summarize_groups": "repro.analysis.aggregate",
+    "cdfs_by": "repro.analysis.aggregate",
+    "worst_cell_deltas": "repro.analysis.deltas",
+    "summarize_drift_by_axis": "repro.analysis.deltas",
+    "out_of_tolerance_counts_by_axis": "repro.analysis.deltas",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from typing import Mapping, Optional
 
-from repro.faults.catalog import FAULTED_SCENARIOS
 from repro.sweep.grid import CellSpec
+from repro.workloads.registry import FAULTED_SCENARIOS
 
 #: Bump when the triage report schema changes incompatibly.
 TRIAGE_FORMAT_VERSION = 1

@@ -8,35 +8,27 @@ shows.  The :mod:`repro.experiments.runner` module wraps them in a
 command-line interface (``smapp-experiments``).
 """
 
-from repro.experiments.fig2a_backup import Fig2aResult, run_fig2a
-from repro.experiments.fig2b_streaming import Fig2bResult, run_fig2b
-from repro.experiments.fig2c_loadbalance import Fig2cResult, run_fig2c
-from repro.experiments.fig3_pm_delay import Fig3Result, run_fig3
-from repro.experiments.grids import (
-    default_grid,
-    figure_campaigns,
-    full_grid,
-    named_grid,
-    quick_grid,
-    workloads_grid,
-)
-from repro.experiments.longlived import LongLivedResult, run_longlived
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "run_fig2a",
-    "Fig2aResult",
-    "run_fig2b",
-    "Fig2bResult",
-    "run_fig2c",
-    "Fig2cResult",
-    "run_fig3",
-    "Fig3Result",
-    "run_longlived",
-    "LongLivedResult",
-    "quick_grid",
-    "default_grid",
-    "full_grid",
-    "workloads_grid",
-    "figure_campaigns",
-    "named_grid",
-]
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "run_fig2a": "repro.experiments.fig2a_backup",
+    "Fig2aResult": "repro.experiments.fig2a_backup",
+    "run_fig2b": "repro.experiments.fig2b_streaming",
+    "Fig2bResult": "repro.experiments.fig2b_streaming",
+    "run_fig2c": "repro.experiments.fig2c_loadbalance",
+    "Fig2cResult": "repro.experiments.fig2c_loadbalance",
+    "run_fig3": "repro.experiments.fig3_pm_delay",
+    "Fig3Result": "repro.experiments.fig3_pm_delay",
+    "run_longlived": "repro.experiments.longlived",
+    "LongLivedResult": "repro.experiments.longlived",
+    "quick_grid": "repro.experiments.grids",
+    "default_grid": "repro.experiments.grids",
+    "full_grid": "repro.experiments.grids",
+    "workloads_grid": "repro.experiments.grids",
+    "figure_campaigns": "repro.experiments.grids",
+    "named_grid": "repro.experiments.grids",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,6 +25,7 @@ figure a cached, regression-tracked data point inside the campaign format.
 from __future__ import annotations
 
 from repro.sweep.grid import CampaignGrid
+from repro.workloads.registry import FAULTED_SCENARIOS, SCENARIOS, WORKLOADS
 
 
 def quick_grid(campaign_seed: int = 1) -> CampaignGrid:
@@ -92,12 +93,10 @@ def workloads_grid(campaign_seed: int = 1) -> CampaignGrid:
     full-mesh path manager, with workload parameters small enough that the
     whole grid runs in well under a minute.
     """
-    from repro.sweep.cells import EXPERIMENTS, SCENARIOS
-
     return CampaignGrid(
         name="workloads",
         campaign_seed=campaign_seed,
-        experiments=sorted(EXPERIMENTS),
+        experiments=sorted(WORKLOADS),
         scenarios=sorted(SCENARIOS),
         schedulers=["lowest_rtt"],
         controllers=["fullmesh"],
@@ -151,8 +150,6 @@ def fuzz_grid(campaign_seed: int = 1, seeds: int = 2) -> CampaignGrid:
     the same campaign so :func:`repro.analysis.faults.triage_campaign` can
     judge goodput retention cell by cell.
     """
-    from repro.faults.catalog import FAULTED_SCENARIOS
-
     scenarios = sorted(set(FAULTED_SCENARIOS) | set(FAULTED_SCENARIOS.values()))
     return CampaignGrid(
         name="fuzz",

@@ -22,44 +22,51 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Callable, Optional, Sequence, Union
 
-from repro.experiments.fig2a_backup import run_fig2a
-from repro.experiments.fig2b_streaming import run_fig2b
-from repro.experiments.fig2c_loadbalance import run_fig2c
-from repro.experiments.fig3_pm_delay import run_fig3
 from repro.experiments.grids import GRID_NAMES, named_grid
-from repro.experiments.longlived import run_longlived
-from repro.sweep.engine import run_campaign
-from repro.sweep.report import format_campaign_report, format_diff_report
 
 #: A handler returns the report text, optionally paired with an exit code.
 HandlerResult = Union[str, tuple[str, int]]
 
+# Each handler imports what it runs: the parser and the store/report
+# subcommands load no figure preset and no protocol stack.
+
 
 def _run_fig2a(args: argparse.Namespace) -> str:
+    from repro.experiments.fig2a_backup import run_fig2a
+
     result = run_fig2a(seed=args.seed, include_baseline=args.baseline)
     return result.format_report()
 
 
 def _run_fig2b(args: argparse.Namespace) -> str:
+    from repro.experiments.fig2b_streaming import run_fig2b
+
     result = run_fig2b(seed=args.seed, block_count=args.blocks, include_smart_sweep=args.sweep)
     return result.format_report()
 
 
 def _run_fig2c(args: argparse.Namespace) -> str:
+    from repro.experiments.fig2c_loadbalance import run_fig2c
+
     result = run_fig2c(seeds=args.runs, scale=args.scale)
     return result.format_report()
 
 
 def _run_fig3(args: argparse.Namespace) -> str:
+    from repro.experiments.fig3_pm_delay import run_fig3
+
     result = run_fig3(seed=args.seed, request_count=args.requests, stressed=args.stressed)
     return result.format_report()
 
 
 def _run_longlived(args: argparse.Namespace) -> str:
+    from repro.experiments.longlived import run_longlived
+
     result = run_longlived(seed=args.seed, duration=args.duration)
     return result.format_report()
 
@@ -77,6 +84,23 @@ def _json_object(text: str) -> dict:
     if not isinstance(value, dict):
         raise argparse.ArgumentTypeError("expected a JSON object")
     return value
+
+
+def _readable_file(path: str) -> str:
+    """``argparse`` type for an input file: readable now, else a usage error."""
+    try:
+        with open(path, "rb"):
+            pass
+    except OSError as error:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r} ({error.strerror})")
+    return path
+
+
+def _existing_directory(path: str) -> str:
+    """``argparse`` type for a store that is read, never created."""
+    if not os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is not an existing directory")
+    return path
 
 
 def _harness_spec(args: argparse.Namespace, params: dict):
@@ -128,19 +152,25 @@ def _sweep_progress_printer(total: int) -> Callable:
     return on_cell
 
 
-def _campaign_kwargs(args: argparse.Namespace) -> dict:
-    """The ``run_campaign`` keywords shared by every campaign subcommand."""
-    return {
-        "workers": args.workers,
-        "backend": getattr(args, "backend", None),
-        "store_dir": getattr(args, "store", None),
-    }
+def _run_campaign(grid, args: argparse.Namespace, progress: Optional[Callable] = None):
+    """``run_campaign`` under the flags every campaign subcommand shares."""
+    from repro.sweep.engine import run_campaign
+
+    return run_campaign(
+        grid,
+        workers=args.workers,
+        backend=getattr(args, "backend", None),
+        store_dir=getattr(args, "store", None),
+        progress=progress,
+    )
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
+    from repro.sweep.report import format_campaign_report
+
     grid = named_grid(args.grid, campaign_seed=args.seed)
     progress = _sweep_progress_printer(grid.cell_count) if args.progress else None
-    result = run_campaign(grid, progress=progress, **_campaign_kwargs(args))
+    result = _run_campaign(grid, args, progress)
     if progress is not None:
         print(file=sys.stderr, flush=True)
     return format_campaign_report(result)
@@ -178,7 +208,7 @@ def _run_telemetry(args: argparse.Namespace) -> str:
     from repro.obs import format_telemetry_report, summarize_telemetry
 
     grid = named_grid(args.grid, campaign_seed=args.seed)
-    result = run_campaign(grid, **_campaign_kwargs(args))
+    result = _run_campaign(grid, args)
     summary = summarize_telemetry(
         [cell.telemetry for cell in result.cells], top=args.top
     )
@@ -196,7 +226,7 @@ def _run_baseline(args: argparse.Namespace) -> str:
     from repro.sweep.baseline import write_baseline
 
     grid = named_grid(args.grid, campaign_seed=args.seed)
-    result = run_campaign(grid, **_campaign_kwargs(args))
+    result = _run_campaign(grid, args)
     baseline = write_baseline(result, args.out)
     return (
         f"wrote baseline '{baseline.name}' ({baseline.cell_count} cells, "
@@ -217,10 +247,12 @@ def _run_diff(args: argparse.Namespace) -> HandlerResult:
     """
     from repro.sweep.baseline import (
         Baseline,
+        IncompleteStoreError,
         baseline_from_store,
         load_baseline,
     )
     from repro.sweep.diff import diff_campaigns
+    from repro.sweep.report import format_diff_report
 
     reference = load_baseline(args.baseline)
     if args.candidate is not None:
@@ -244,9 +276,12 @@ def _run_diff(args: argparse.Namespace) -> HandlerResult:
         if args.from_store:
             if args.store is None:
                 raise SystemExit("diff --from-store requires --store")
-            candidate = baseline_from_store(grid, args.store)
+            try:
+                candidate = baseline_from_store(grid, args.store)
+            except IncompleteStoreError as error:
+                raise SystemExit(f"diff --from-store: {error}")
         else:
-            result = run_campaign(grid, **_campaign_kwargs(args))
+            result = _run_campaign(grid, args)
             candidate = Baseline.from_result(result, source=f"run of grid '{grid_name}'")
 
     diff = diff_campaigns(reference, candidate)
@@ -273,7 +308,7 @@ def _run_fuzz(args: argparse.Namespace) -> HandlerResult:
     from repro.experiments.grids import fuzz_grid
 
     grid = fuzz_grid(campaign_seed=args.seed, seeds=args.seeds)
-    result = run_campaign(grid, **_campaign_kwargs(args))
+    result = _run_campaign(grid, args)
     triage = triage_campaign(result, goodput_floor=args.goodput_floor)
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as handle:
@@ -292,8 +327,6 @@ def _run_fuzz(args: argparse.Namespace) -> HandlerResult:
 
 
 def _run_shrink(args: argparse.Namespace) -> HandlerResult:
-    import os
-
     from repro.faults.plan import FaultPlan
     from repro.faults.plans import NAMED_PLANS
     from repro.faults.shrink import (
@@ -669,11 +702,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_campaign_options(diff_parser, grid_default=None)
     diff_parser.add_argument(
-        "--baseline", required=True,
+        "--baseline", required=True, type=_readable_file,
         help="reference baseline snapshot (the committed file to gate against)",
     )
     diff_parser.add_argument(
-        "--candidate", default=None,
+        "--candidate", default=None, type=_readable_file,
         help="compare another snapshot file instead of running the grid",
     )
     diff_parser.add_argument(
@@ -790,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker_parser.add_argument("--store", required=True, metavar="DIR",
                                help="campaign store the shard reads/writes")
-    worker_parser.add_argument("--plan", required=True, metavar="FILE",
+    worker_parser.add_argument("--plan", required=True, metavar="FILE", type=_readable_file,
                                help="shard plan JSON written by the coordinating backend")
 
     store_parser = subparsers.add_parser(
@@ -804,6 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
         "against its content hash (exit 1 on damage)",
     )
     store_parser.add_argument("--store", required=True, metavar="DIR",
+                              type=_existing_directory,
                               help="campaign store directory")
     store_parser.add_argument("--campaign", default=None, metavar="ID",
                               help="manifest: campaign id (default: the store's "
@@ -814,9 +848,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns non-zero when a subcommand reports failure
     (``diff`` on out-of-tolerance drift, ``fuzz --fail-on-failed`` on a failed
-    cell, ``fuzz --shrink`` with nothing to shrink, ``store verify`` on damage)."""
+    cell, ``fuzz --shrink`` with nothing to shrink, ``store verify`` on damage).
+    Usage errors — an unknown grid, a ``--params`` that is not a JSON object,
+    an unreadable input file, a missing store directory where one is only
+    read — exit 2 from ``argparse``."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.experiment == "diff" and args.from_store and args.store is not None:
+        # ``diff --store`` names a store to create unless --from-store reads it.
+        try:
+            _existing_directory(args.store)
+        except argparse.ArgumentTypeError as error:
+            parser.error(f"argument --store: {error}")
     names = FIGURES if args.experiment == "all" else (args.experiment,)
     exit_code = 0
     for name in names:
@@ -832,4 +875,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``runner list | head``).  Python flushes
+        # stdout again at exit; point it at devnull so that stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

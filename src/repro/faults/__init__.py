@@ -20,69 +20,41 @@ sweepable axis:
   committable counterexample artifacts.
 """
 
-from repro.faults.plan import FAULT_FORMAT_VERSION, FaultEvent, FaultPlan
-from repro.faults.models import (
-    FAULT_MODELS,
-    PROFILES,
-    FaultModel,
-    MutationEngine,
-    profile_models,
-)
-from repro.faults.middlebox import MIDDLEBOXES, FaultingMiddlebox
-from repro.faults.inject import (
-    DEFAULT_FAULT_HORIZON,
-    FaultedScenario,
-    FaultInjector,
-    LinkFaultFilter,
-    fault_targets,
-    faulted,
-)
-from repro.faults.plans import NAMED_PLANS, NamedPlan, named_plan
-from repro.faults.catalog import (
-    FAULTED_SCENARIOS,
-    build_faulted_path,
-    register_faulted_variant,
-)
-from repro.faults.shrink import (
-    COUNTEREXAMPLE_FORMAT_VERSION,
-    ShrinkResult,
-    cell_failure_predicate,
-    counterexample_artifact,
-    counterexample_json,
-    load_counterexample,
-    shrink_plan,
-    write_counterexample,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "FaultPlan",
-    "FAULT_FORMAT_VERSION",
-    "FaultModel",
-    "FAULT_MODELS",
-    "PROFILES",
-    "profile_models",
-    "MutationEngine",
-    "FaultingMiddlebox",
-    "MIDDLEBOXES",
-    "FaultInjector",
-    "FaultedScenario",
-    "LinkFaultFilter",
-    "fault_targets",
-    "faulted",
-    "DEFAULT_FAULT_HORIZON",
-    "NamedPlan",
-    "NAMED_PLANS",
-    "named_plan",
-    "FAULTED_SCENARIOS",
-    "build_faulted_path",
-    "register_faulted_variant",
-    "ShrinkResult",
-    "shrink_plan",
-    "cell_failure_predicate",
-    "counterexample_artifact",
-    "counterexample_json",
-    "write_counterexample",
-    "load_counterexample",
-    "COUNTEREXAMPLE_FORMAT_VERSION",
-]
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "FaultEvent": "repro.faults.plan",
+    "FaultPlan": "repro.faults.plan",
+    "FAULT_FORMAT_VERSION": "repro.faults.plan",
+    "FaultModel": "repro.faults.models",
+    "FAULT_MODELS": "repro.faults.models",
+    "PROFILES": "repro.faults.models",
+    "profile_models": "repro.faults.models",
+    "MutationEngine": "repro.faults.models",
+    "FaultingMiddlebox": "repro.faults.middlebox",
+    "MIDDLEBOXES": "repro.faults.middlebox",
+    "FaultInjector": "repro.faults.inject",
+    "FaultedScenario": "repro.faults.inject",
+    "LinkFaultFilter": "repro.faults.inject",
+    "fault_targets": "repro.faults.inject",
+    "faulted": "repro.faults.inject",
+    "DEFAULT_FAULT_HORIZON": "repro.faults.inject",
+    "NamedPlan": "repro.faults.plans",
+    "NAMED_PLANS": "repro.faults.plans",
+    "named_plan": "repro.faults.plans",
+    "FAULTED_SCENARIOS": "repro.faults.catalog",
+    "build_faulted_path": "repro.faults.catalog",
+    "register_faulted_variant": "repro.faults.catalog",
+    "ShrinkResult": "repro.faults.shrink",
+    "shrink_plan": "repro.faults.shrink",
+    "cell_failure_predicate": "repro.faults.shrink",
+    "counterexample_artifact": "repro.faults.shrink",
+    "counterexample_json": "repro.faults.shrink",
+    "write_counterexample": "repro.faults.shrink",
+    "load_counterexample": "repro.faults.shrink",
+    "COUNTEREXAMPLE_FORMAT_VERSION": "repro.faults.shrink",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,11 +1,13 @@
 """Faulted scenario variants: adversarial behaviour as a sweepable axis.
 
-Every entry registered here pairs an existing scenario with a seed-derived
-fault plan, so each one is immediately a sweep axis value for every
-registered workload — the ``workloads`` grid picks them up automatically,
-and the dedicated ``fuzz`` grid sweeps the fault-plan seed.
-:data:`FAULTED_SCENARIOS` records each variant's *clean twin*, which is
-what :mod:`repro.analysis.faults` diffs robustness against.
+Every builder here pairs an existing scenario with a seed-derived fault
+plan; :mod:`repro.workloads.registry` names them as ``faulted_*``
+scenarios, so each one is a sweep axis value for every registered
+workload — the ``workloads`` grid picks them up automatically, and the
+dedicated ``fuzz`` grid sweeps the fault-plan seed.
+:data:`FAULTED_SCENARIOS` (kept next to the scenario names, re-exported
+here) records each variant's *clean twin*, which is what
+:mod:`repro.analysis.faults` diffs robustness against.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from repro.faults.inject import (
 )
 from repro.faults.middlebox import FaultingMiddlebox
 from repro.faults.plan import FaultPlan
-from repro.netem.scenarios import build_middlebox_path
+from repro.netem.scenarios import (
+    build_dual_homed,
+    build_lan,
+    build_middlebox_path,
+    build_natted,
+)
 from repro.sim.engine import Simulator
 from repro.sim.randomness import derive_seed
-from repro.workloads.registry import SCENARIOS, register_scenario
-
-#: Faulted scenario name → the clean scenario it should be compared to.
-FAULTED_SCENARIOS: dict[str, str] = {}
+from repro.workloads.registry import FAULTED_SCENARIOS, SCENARIOS, register_scenario
 
 
 def register_faulted_variant(name: str, base_name: str, profile: str = "default") -> None:
@@ -34,6 +38,13 @@ def register_faulted_variant(name: str, base_name: str, profile: str = "default"
     base_builder = SCENARIOS[base_name]
     register_scenario(name, faulted(base_builder, base_name, profile=profile))
     FAULTED_SCENARIOS[name] = base_name
+
+
+#: The link-level variants: the clean topology under a plan derived from
+#: the cell seed (``SCENARIOS["faulted_<base>"]``).
+build_faulted_dual_homed = faulted(build_dual_homed, "dual_homed")
+build_faulted_lan = faulted(build_lan, "lan")
+build_faulted_natted = faulted(build_natted, "natted")
 
 
 def build_faulted_path(
@@ -81,7 +92,6 @@ def build_faulted_downgrade(sim: Simulator) -> FaultedScenario:
     grid.
     """
     from repro.faults.plans import named_plan
-    from repro.netem.scenarios import build_dual_homed
 
     builder = faulted(
         build_dual_homed,
@@ -89,17 +99,3 @@ def build_faulted_downgrade(sim: Simulator) -> FaultedScenario:
         plan=named_plan("mpcapable_strip", DEFAULT_FAULT_HORIZON),
     )
     return builder(sim)
-
-
-register_faulted_variant("faulted_dual_homed", "dual_homed")
-register_faulted_variant("faulted_lan", "lan")
-register_faulted_variant("faulted_natted", "natted")
-register_scenario("faulted_path", build_faulted_path)
-FAULTED_SCENARIOS["faulted_path"] = "dual_homed"
-register_scenario("faulted_downgrade", build_faulted_downgrade)
-FAULTED_SCENARIOS["faulted_downgrade"] = "dual_homed"
-# The static MP_CAPABLE strippers are fallback scenarios by construction;
-# recording dual_homed as their clean twin lets the triage judge the
-# downgrade's goodput retention like any other faulted cell.
-FAULTED_SCENARIOS["mpcapable_stripped"] = "dual_homed"
-FAULTED_SCENARIOS["mpcapable_stripped_synack"] = "dual_homed"

@@ -203,6 +203,7 @@ def faulted(
     adversary.
     """
     def build(sim: Simulator):
+        """Build the base scenario and install its fault plan (see :func:`faulted`)."""
         scenario = base_builder(sim)
         targets = fault_targets(scenario)
         the_plan = plan

@@ -12,57 +12,35 @@ The control-plane delegation that is the paper's contribution lives in
 :mod:`repro.core`.
 """
 
-from repro.mptcp.config import MptcpConfig
-from repro.mptcp.connection import DssMapping, MptcpConnection
-from repro.mptcp.options import (
-    AddAddrOption,
-    DssOption,
-    MpCapableOption,
-    MpJoinOption,
-    MpPrioOption,
-    RemoveAddrOption,
-)
-from repro.mptcp.path_manager import (
-    FullMeshPathManager,
-    NdiffportsPathManager,
-    PassivePathManager,
-    PathManager,
-)
-from repro.mptcp.scheduler import (
-    LowestRttScheduler,
-    RoundRobinScheduler,
-    RedundantScheduler,
-    Scheduler,
-    available_schedulers,
-    make_scheduler,
-)
-from repro.mptcp.stack import MptcpStack
-from repro.mptcp.subflow import Subflow, SubflowOrigin
-from repro.mptcp.token import derive_token, generate_key
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MptcpConfig",
-    "MptcpConnection",
-    "DssMapping",
-    "MptcpStack",
-    "Subflow",
-    "SubflowOrigin",
-    "PathManager",
-    "PassivePathManager",
-    "FullMeshPathManager",
-    "NdiffportsPathManager",
-    "Scheduler",
-    "LowestRttScheduler",
-    "RoundRobinScheduler",
-    "RedundantScheduler",
-    "available_schedulers",
-    "make_scheduler",
-    "MpCapableOption",
-    "MpJoinOption",
-    "DssOption",
-    "AddAddrOption",
-    "RemoveAddrOption",
-    "MpPrioOption",
-    "derive_token",
-    "generate_key",
-]
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "MptcpConfig": "repro.mptcp.config",
+    "MptcpConnection": "repro.mptcp.connection",
+    "DssMapping": "repro.mptcp.connection",
+    "MptcpStack": "repro.mptcp.stack",
+    "Subflow": "repro.mptcp.subflow",
+    "SubflowOrigin": "repro.mptcp.subflow",
+    "PathManager": "repro.mptcp.path_manager",
+    "PassivePathManager": "repro.mptcp.path_manager",
+    "FullMeshPathManager": "repro.mptcp.path_manager",
+    "NdiffportsPathManager": "repro.mptcp.path_manager",
+    "Scheduler": "repro.mptcp.scheduler",
+    "LowestRttScheduler": "repro.mptcp.scheduler",
+    "RoundRobinScheduler": "repro.mptcp.scheduler",
+    "RedundantScheduler": "repro.mptcp.scheduler",
+    "available_schedulers": "repro.mptcp.scheduler",
+    "make_scheduler": "repro.mptcp.scheduler",
+    "MpCapableOption": "repro.mptcp.options",
+    "MpJoinOption": "repro.mptcp.options",
+    "DssOption": "repro.mptcp.options",
+    "AddAddrOption": "repro.mptcp.options",
+    "RemoveAddrOption": "repro.mptcp.options",
+    "MpPrioOption": "repro.mptcp.options",
+    "derive_token": "repro.mptcp.token",
+    "generate_key": "repro.mptcp.token",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,9 +15,10 @@ when no non-backup subflow is usable.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.mptcp.subflow import Subflow
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mptcp.subflow import Subflow
 
 
 class Scheduler(ABC):

@@ -18,25 +18,22 @@ Three pieces, all deterministic and all free when unused:
   records outside the config hash and gated payloads.
 """
 
-from repro.obs.counters import CounterRegistry, stack_counters
-from repro.obs.events import CATEGORIES, DEFAULT_LIMIT, EventLog, TraceEvent
-from repro.obs.export import chrome_trace, events_jsonl
-from repro.obs.telemetry import (
-    CellTelemetry,
-    format_telemetry_report,
-    summarize_telemetry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CATEGORIES",
-    "DEFAULT_LIMIT",
-    "CellTelemetry",
-    "CounterRegistry",
-    "EventLog",
-    "TraceEvent",
-    "chrome_trace",
-    "events_jsonl",
-    "format_telemetry_report",
-    "stack_counters",
-    "summarize_telemetry",
-]
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "CATEGORIES": "repro.obs.events",
+    "DEFAULT_LIMIT": "repro.obs.events",
+    "CellTelemetry": "repro.obs.telemetry",
+    "CounterRegistry": "repro.obs.counters",
+    "EventLog": "repro.obs.events",
+    "TraceEvent": "repro.obs.events",
+    "chrome_trace": "repro.obs.export",
+    "events_jsonl": "repro.obs.export",
+    "format_telemetry_report": "repro.obs.telemetry",
+    "stack_counters": "repro.obs.counters",
+    "summarize_telemetry": "repro.obs.telemetry",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

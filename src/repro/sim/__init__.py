@@ -6,28 +6,23 @@ TCP timers, the Netlink channel, subflow controllers, applications) is
 scheduled.  Nothing in the repository uses wall-clock time or threads.
 """
 
-from repro.sim.engine import ScheduledEvent, Simulator, SimulationError
-from repro.sim.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    NormalLatency,
-    ShiftedLatency,
-)
-from repro.sim.randomness import RandomSource, derive_seed
-from repro.sim.timers import PeriodicTimer, Timer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "ScheduledEvent",
-    "SimulationError",
-    "Timer",
-    "PeriodicTimer",
-    "RandomSource",
-    "derive_seed",
-    "LatencyModel",
-    "ConstantLatency",
-    "NormalLatency",
-    "LogNormalLatency",
-    "ShiftedLatency",
-]
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "Simulator": "repro.sim.engine",
+    "ScheduledEvent": "repro.sim.engine",
+    "SimulationError": "repro.sim.engine",
+    "Timer": "repro.sim.timers",
+    "PeriodicTimer": "repro.sim.timers",
+    "RandomSource": "repro.sim.randomness",
+    "derive_seed": "repro.sim.randomness",
+    "LatencyModel": "repro.sim.latency",
+    "ConstantLatency": "repro.sim.latency",
+    "NormalLatency": "repro.sim.latency",
+    "LogNormalLatency": "repro.sim.latency",
+    "ShiftedLatency": "repro.sim.latency",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,95 +14,52 @@ every registered scenario with the same probe-based metric extraction the
 figure presets use.
 """
 
-from repro.sweep.backends import (
-    BACKENDS,
-    ExecutionBackend,
-    PoolUnavailableError,
-    ProcessPoolBackend,
-    SerialBackend,
-    SubprocessShardBackend,
-    resolve_backend,
-    run_worker_shard,
-)
-from repro.sweep.baseline import (
-    BASELINE_FORMAT_VERSION,
-    Baseline,
-    BaselineCell,
-    baseline_from_manifest,
-    baseline_from_store,
-    load_baseline,
-    write_baseline,
-)
-from repro.sweep.cells import (
-    CONTROLLERS,
-    EXPERIMENTS,
-    SCENARIOS,
-    run_cell,
-    run_cell_with_telemetry,
-    trace_digest,
-)
-from repro.sweep.diff import (
-    DEFAULT_TOLERANCES,
-    DIFF_FORMAT_VERSION,
-    CampaignDiff,
-    CellDiff,
-    MetricDelta,
-    Tolerance,
-    diff_campaigns,
-    metric_family,
-)
-from repro.sweep.engine import (
-    CampaignPlan,
-    CampaignResult,
-    CellOutcome,
-    execute_plan,
-    merge_campaign,
-    plan_campaign,
-    run_campaign,
-)
-from repro.sweep.grid import CampaignGrid, CellSpec, SWEEP_FORMAT_VERSION
-from repro.sweep.report import format_campaign_report, format_diff_report
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignGrid",
-    "CellSpec",
-    "CellOutcome",
-    "CampaignPlan",
-    "CampaignResult",
-    "run_campaign",
-    "plan_campaign",
-    "execute_plan",
-    "merge_campaign",
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "SubprocessShardBackend",
-    "PoolUnavailableError",
-    "BACKENDS",
-    "resolve_backend",
-    "run_worker_shard",
-    "run_cell",
-    "run_cell_with_telemetry",
-    "trace_digest",
-    "format_campaign_report",
-    "format_diff_report",
-    "SCENARIOS",
-    "CONTROLLERS",
-    "EXPERIMENTS",
-    "SWEEP_FORMAT_VERSION",
-    "Baseline",
-    "BaselineCell",
-    "baseline_from_store",
-    "baseline_from_manifest",
-    "load_baseline",
-    "write_baseline",
-    "BASELINE_FORMAT_VERSION",
-    "CampaignDiff",
-    "CellDiff",
-    "MetricDelta",
-    "Tolerance",
-    "diff_campaigns",
-    "metric_family",
-    "DEFAULT_TOLERANCES",
-    "DIFF_FORMAT_VERSION",
-]
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "CampaignGrid": "repro.sweep.grid",
+    "CellSpec": "repro.sweep.grid",
+    "CellOutcome": "repro.sweep.engine",
+    "CampaignPlan": "repro.sweep.engine",
+    "CampaignResult": "repro.sweep.engine",
+    "run_campaign": "repro.sweep.engine",
+    "plan_campaign": "repro.sweep.engine",
+    "execute_plan": "repro.sweep.engine",
+    "merge_campaign": "repro.sweep.engine",
+    "ExecutionBackend": "repro.sweep.backends",
+    "SerialBackend": "repro.sweep.backends",
+    "ProcessPoolBackend": "repro.sweep.backends",
+    "SubprocessShardBackend": "repro.sweep.backends",
+    "PoolUnavailableError": "repro.sweep.backends",
+    "BACKENDS": "repro.sweep.backends",
+    "resolve_backend": "repro.sweep.backends",
+    "run_worker_shard": "repro.sweep.backends",
+    "run_cell": "repro.sweep.cells",
+    "run_cell_with_telemetry": "repro.sweep.cells",
+    "trace_digest": "repro.sweep.cells",
+    "format_campaign_report": "repro.sweep.report",
+    "format_diff_report": "repro.sweep.report",
+    "SCENARIOS": "repro.sweep.cells",
+    "CONTROLLERS": "repro.sweep.cells",
+    "EXPERIMENTS": "repro.sweep.cells",
+    "SWEEP_FORMAT_VERSION": "repro.sweep.grid",
+    "Baseline": "repro.sweep.baseline",
+    "BaselineCell": "repro.sweep.baseline",
+    "baseline_from_store": "repro.sweep.baseline",
+    "baseline_from_manifest": "repro.sweep.baseline",
+    "load_baseline": "repro.sweep.baseline",
+    "write_baseline": "repro.sweep.baseline",
+    "BASELINE_FORMAT_VERSION": "repro.sweep.baseline",
+    "CampaignDiff": "repro.sweep.diff",
+    "CellDiff": "repro.sweep.diff",
+    "MetricDelta": "repro.sweep.diff",
+    "Tolerance": "repro.sweep.diff",
+    "diff_campaigns": "repro.sweep.diff",
+    "metric_family": "repro.sweep.diff",
+    "DEFAULT_TOLERANCES": "repro.sweep.diff",
+    "DIFF_FORMAT_VERSION": "repro.sweep.diff",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

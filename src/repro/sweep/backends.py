@@ -24,17 +24,13 @@ content-addressed :class:`~repro.store.CampaignStore`.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import os
-import subprocess
 import sys
 import tempfile
-from concurrent.futures import BrokenExecutor
 from typing import Callable, Optional, Sequence, Union
 
 from repro.store import CampaignStore
-from repro.sweep.cells import run_cell, run_cell_with_telemetry
 from repro.sweep.grid import CellSpec
 
 #: Bump when the worker shard-plan schema changes incompatibly.
@@ -95,6 +91,8 @@ class SerialBackend(ExecutionBackend):
         store: Optional[CampaignStore] = None,
     ) -> None:
         """Run cells in plan order in this process."""
+        from repro.sweep.cells import run_cell_with_telemetry
+
         for index, spec in pending:
             on_cell(index, run_cell_with_telemetry(spec.as_dict(), campaign_seed))
 
@@ -119,6 +117,12 @@ class ProcessPoolBackend(ExecutionBackend):
         store: Optional[CampaignStore] = None,
     ) -> None:
         """Fan cells out to pool workers; ``on_cell`` fires as they finish."""
+        import concurrent.futures
+
+        # Imported here, in the parent, before the pool forks: the workers
+        # inherit the loaded protocol stack instead of importing it each.
+        from repro.sweep.cells import run_cell_with_telemetry
+
         try:
             pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
         except (OSError, ImportError, NotImplementedError) as error:
@@ -131,7 +135,7 @@ class ProcessPoolBackend(ExecutionBackend):
             for future in concurrent.futures.as_completed(futures):
                 try:
                     result = future.result()
-                except BrokenExecutor as error:
+                except concurrent.futures.BrokenExecutor as error:
                     raise PoolUnavailableError(f"worker pool died: {error}") from error
                 on_cell(futures[future], result)
 
@@ -200,6 +204,8 @@ class SubprocessShardBackend(ExecutionBackend):
         self, pending: PendingCells, campaign_seed: int, workers: int, store: CampaignStore
     ) -> None:
         """Write shard plans, spawn children, and wait for all of them."""
+        import subprocess
+
         shard_count = max(1, min(workers, len(pending)))
         shards: list[list[CellSpec]] = [[] for _ in range(shard_count)]
         for position, (_, spec) in enumerate(pending):
@@ -296,6 +302,8 @@ def run_worker_shard(plan_path: str, store_root: str) -> dict:
     propagate — the parent backend reads the non-zero exit as a campaign
     abort.
     """
+    from repro.sweep.cells import run_cell
+
     with open(plan_path, "r", encoding="utf-8") as handle:
         plan = json.load(handle)
     version = plan.get("worker_format_version")

@@ -153,6 +153,10 @@ def load_baseline(path: str) -> Baseline:
     return Baseline.from_payload(payload, source=path)
 
 
+class IncompleteStoreError(ValueError):
+    """A store does not hold every cell of the grid asked of it."""
+
+
 def baseline_from_store(
     grid: CampaignGrid,
     store: Union[str, CampaignStore],
@@ -186,7 +190,7 @@ def baseline_from_store(
     if missing:
         shown = ", ".join(missing[:5])
         more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
-        raise ValueError(
+        raise IncompleteStoreError(
             f"store {store.root!r} is missing {len(missing)} of "
             f"{grid.cell_count} cells for grid {grid.name!r}: {shown}{more}"
         )

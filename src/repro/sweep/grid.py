@@ -232,19 +232,21 @@ class CampaignGrid:
     def validate(self) -> None:
         """Check every axis value against the runtime registries.
 
-        Imported lazily to keep the grid module free of simulator
-        dependencies (grids are cheap to build in tools and tests).  The
-        experiment axis is the workload registry: every registered
-        workload is sweepable.
+        Reads registry *names* only — the registries and the scheduler
+        table import no implementation — so validating (and therefore
+        planning) a grid loads no protocol stack; the one exception is a
+        grid asking for ``connections > 1``, which resolves each workload
+        to read its ``supports_connections``.  The experiment axis is the
+        workload registry: every registered workload is sweepable.
         """
         from repro.mptcp.scheduler import SCHEDULER_REGISTRY
-        from repro.sweep.cells import CONTROLLERS, EXPERIMENTS, SCENARIOS
+        from repro.workloads.registry import CONTROLLERS, SCENARIOS, WORKLOADS
 
         wants_many = any(count > 1 for count in self.connections)
         for experiment in self.experiments:
-            if experiment not in EXPERIMENTS:
-                raise ValueError(f"unknown experiment {experiment!r} (have {sorted(EXPERIMENTS)})")
-            if wants_many and not getattr(EXPERIMENTS[experiment], "supports_connections", True):
+            if experiment not in WORKLOADS:
+                raise ValueError(f"unknown experiment {experiment!r} (have {sorted(WORKLOADS)})")
+            if wants_many and not getattr(WORKLOADS[experiment], "supports_connections", True):
                 raise ValueError(
                     f"experiment {experiment!r} does not support connections > 1"
                 )

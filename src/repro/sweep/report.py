@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 from repro.analysis.aggregate import cdfs_by, summarize_groups
 from repro.analysis.deltas import summarize_drift_by_axis, worst_cell_deltas
 from repro.analysis.report import format_cdf_table, format_table
-from repro.sweep.diff import resolve_tolerance
 from repro.sweep.engine import CampaignResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,6 +102,8 @@ def format_diff_report(diff: "CampaignDiff") -> str:
     metric, the worst within-tolerance movers, and a drift-by-scenario
     summary so a regression's blast radius is visible at a glance.
     """
+    from repro.sweep.diff import resolve_tolerance
+
     lines = [
         f"campaign diff: '{diff.left.name}' ({diff.left.source}) vs "
         f"'{diff.right.name}' ({diff.right.source})",

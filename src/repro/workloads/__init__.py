@@ -14,82 +14,43 @@ and it immediately becomes a sweep experiment over every scenario and a
 runnable CLI cell.
 """
 
-from repro.workloads import catalog  # noqa: F401  (registers the built-in workloads)
-from repro.workloads.base import ClientSetup, HarnessContext, Workload
-from repro.workloads.catalog import (
-    BulkTransferWorkload,
-    HttpWorkload,
-    LongLivedWorkload,
-    StreamingWorkload,
-)
-from repro.workloads.harness import (
-    DEFAULT_SERVER_PORT,
-    Harness,
-    HarnessRun,
-    HarnessSpec,
-    run_workload,
-)
-from repro.workloads.probes import (
-    DEFAULT_PROBES,
-    PROBES,
-    AggregateProbe,
-    AppLatencyProbe,
-    EventsProbe,
-    FallbackProbe,
-    FaultProbe,
-    GoodputProbe,
-    Probe,
-    SubflowProbe,
-    TraceProbe,
-    make_probe,
-    trace_digest,
-)
-from repro.workloads.registry import (
-    CONTROLLERS,
-    SCENARIOS,
-    WORKLOADS,
-    get_workload,
-    register_controller,
-    register_scenario,
-    register_workload,
-)
+from repro._lazy import lazy_exports
 
-# Registering the faulted scenario variants requires the registries above,
-# so the faults catalog imports this package's submodules, never this
-# package itself — importing it last closes the loop safely.
-import repro.faults.catalog  # noqa: E402,F401  (registers faulted_* scenarios)
+#: Public name -> defining module, imported on first attribute access.
+_EXPORTS = {
+    "Workload": "repro.workloads.base",
+    "ClientSetup": "repro.workloads.base",
+    "HarnessContext": "repro.workloads.base",
+    "Harness": "repro.workloads.harness",
+    "HarnessSpec": "repro.workloads.harness",
+    "HarnessRun": "repro.workloads.harness",
+    "run_workload": "repro.workloads.harness",
+    "DEFAULT_SERVER_PORT": "repro.workloads.harness",
+    "Probe": "repro.workloads.probes",
+    "TraceProbe": "repro.workloads.probes",
+    "GoodputProbe": "repro.workloads.probes",
+    "SubflowProbe": "repro.workloads.probes",
+    "AppLatencyProbe": "repro.workloads.probes",
+    "FaultProbe": "repro.workloads.probes",
+    "FallbackProbe": "repro.workloads.probes",
+    "AggregateProbe": "repro.workloads.probes",
+    "EventsProbe": "repro.workloads.probes",
+    "PROBES": "repro.workloads.probes",
+    "DEFAULT_PROBES": "repro.workloads.probes",
+    "make_probe": "repro.workloads.probes",
+    "trace_digest": "repro.workloads.probes",
+    "SCENARIOS": "repro.workloads.registry",
+    "CONTROLLERS": "repro.workloads.registry",
+    "WORKLOADS": "repro.workloads.registry",
+    "register_scenario": "repro.workloads.registry",
+    "register_controller": "repro.workloads.registry",
+    "register_workload": "repro.workloads.registry",
+    "get_workload": "repro.workloads.registry",
+    "BulkTransferWorkload": "repro.workloads.catalog",
+    "StreamingWorkload": "repro.workloads.catalog",
+    "HttpWorkload": "repro.workloads.catalog",
+    "LongLivedWorkload": "repro.workloads.catalog",
+}
 
-__all__ = [
-    "Workload",
-    "ClientSetup",
-    "HarnessContext",
-    "Harness",
-    "HarnessSpec",
-    "HarnessRun",
-    "run_workload",
-    "DEFAULT_SERVER_PORT",
-    "Probe",
-    "TraceProbe",
-    "GoodputProbe",
-    "SubflowProbe",
-    "AppLatencyProbe",
-    "FaultProbe",
-    "FallbackProbe",
-    "AggregateProbe",
-    "EventsProbe",
-    "PROBES",
-    "DEFAULT_PROBES",
-    "make_probe",
-    "trace_digest",
-    "SCENARIOS",
-    "CONTROLLERS",
-    "WORKLOADS",
-    "register_scenario",
-    "register_controller",
-    "register_workload",
-    "get_workload",
-    "BulkTransferWorkload",
-    "StreamingWorkload",
-    "HttpWorkload",
-    "LongLivedWorkload",
-]
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,17 +13,16 @@ cell.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping, Optional
-
-from repro.mptcp.config import MptcpConfig
-from repro.mptcp.connection import ConnectionListener, MptcpConnection
-from repro.mptcp.stack import MptcpStack
-from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.controller import SubflowController
     from repro.core.manager import SmappManager
+    from repro.mptcp.config import MptcpConfig
+    from repro.mptcp.connection import ConnectionListener, MptcpConnection
+    from repro.mptcp.stack import MptcpStack
+    from repro.sim.engine import Simulator
     from repro.workloads.harness import HarnessRun
 
 
@@ -128,14 +127,3 @@ class Workload(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Workload {self.name}>"
-
-
-def resolve_client_setup(setup: Any) -> ClientSetup:
-    """Normalise a controller entry's return value to a :class:`ClientSetup`."""
-    if isinstance(setup, ClientSetup):
-        return setup
-    if isinstance(setup, MptcpStack):
-        return ClientSetup(stack=setup)
-    raise TypeError(
-        f"controller setup must return a ClientSetup or MptcpStack, got {type(setup).__name__}"
-    )

@@ -17,7 +17,6 @@ from repro.apps.streaming import StreamingSinkApp, StreamingSourceApp
 from repro.mptcp.connection import ConnectionListener, MptcpConnection
 from repro.mptcp.stack import MptcpStack
 from repro.workloads.base import HarnessContext, Workload
-from repro.workloads.registry import register_workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.harness import HarnessRun
@@ -251,7 +250,8 @@ class LongLivedWorkload(Workload):
         return driver.delivery_times()
 
 
-BULK = register_workload(BulkTransferWorkload())
-STREAMING = register_workload(StreamingWorkload())
-HTTP = register_workload(HttpWorkload())
-LONGLIVED = register_workload(LongLivedWorkload())
+#: The instances :data:`repro.workloads.registry.WORKLOADS` names.
+BULK = BulkTransferWorkload()
+STREAMING = StreamingWorkload()
+HTTP = HttpWorkload()
+LONGLIVED = LongLivedWorkload()

@@ -26,12 +26,7 @@ from repro.mptcp.connection import MptcpConnection
 from repro.mptcp.stack import MptcpStack
 from repro.sim.engine import Simulator
 from repro.sim.randomness import derive_seed
-from repro.workloads.base import (
-    ClientSetup,
-    HarnessContext,
-    Workload,
-    resolve_client_setup,
-)
+from repro.workloads.base import ClientSetup, HarnessContext, Workload
 from repro.workloads.probes import DEFAULT_PROBES, Probe, make_probe
 from repro.workloads.registry import CONTROLLERS, SCENARIOS, get_workload
 
@@ -128,6 +123,17 @@ class HarnessRun:
             raise KeyError(
                 f"run has no probe {name!r} (have {sorted(self.probes)})"
             ) from None
+
+
+def resolve_client_setup(setup: Any) -> ClientSetup:
+    """Normalise a controller entry's return value to a :class:`ClientSetup`."""
+    if isinstance(setup, ClientSetup):
+        return setup
+    if isinstance(setup, MptcpStack):
+        return ClientSetup(stack=setup)
+    raise TypeError(
+        f"controller setup must return a ClientSetup or MptcpStack, got {type(setup).__name__}"
+    )
 
 
 class Harness:

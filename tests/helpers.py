@@ -7,6 +7,8 @@ These helpers keep the individual tests short and focused on behaviour.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,6 +22,11 @@ from repro.netem.scenarios import DualHomedScenario, build_dual_homed
 from repro.sim.engine import Simulator
 
 SERVER_PORT = 4000
+
+
+def child_env() -> dict:
+    """The environment of a fresh ``python`` child that imports what this process does."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, sys.path)))
 
 
 class RecordingApp(ConnectionListener):

@@ -1,9 +1,13 @@
 """Tests for the applications, analysis helpers, topology builder and the
 scaled-down experiment harness."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from tests.helpers import SERVER_PORT, build_dual_homed_rig
+from tests.helpers import SERVER_PORT, build_dual_homed_rig, child_env
 from repro.analysis.cdf import Cdf
 from repro.analysis.report import format_cdf_table, format_table
 from repro.analysis.stats import summarize
@@ -228,19 +232,48 @@ class TestExperimentsSmall:
     @pytest.mark.parametrize("argv, complaint", [
         (["sweep", "--grid", "nope"], "--grid: invalid choice: 'nope'"),
         (["baseline", "--grid", "nope", "--out", "x.json"], "--grid: invalid choice: 'nope'"),
-        (["diff", "--baseline", "b.json", "--grid", "nope"], "--grid: invalid choice: 'nope'"),
+        (["diff", "--baseline", "baselines/quick.json", "--grid", "nope"], "--grid: invalid choice: 'nope'"),
         (["telemetry", "--grid", "nope"], "--grid: invalid choice: 'nope'"),
         (["cell", "--params", "{bad"], "--params: not valid JSON"),
         (["trace", "--params", "[1]"], "--params: expected a JSON object"),
         (["fuzz", "--shrink", "--plan", "x", "--params", "{bad"], "--params: not valid JSON"),
+        (["diff", "--baseline", "gone.json"], "--baseline: cannot read 'gone.json'"),
+        (["diff", "--baseline", "baselines/quick.json", "--candidate", "gone.json"],
+         "--candidate: cannot read 'gone.json'"),
+        (["worker", "--store", "gone", "--plan", "gone.json"], "--plan: cannot read 'gone.json'"),
+        (["store", "stats", "--store", "gone"], "--store: 'gone' is not an existing directory"),
+        (["store", "manifest", "--store", "gone"], "--store: 'gone' is not an existing directory"),
+        (["store", "verify", "--store", "gone"], "--store: 'gone' is not an existing directory"),
+        (["diff", "--baseline", "baselines/quick.json", "--store", "gone", "--from-store"],
+         "--store: 'gone' is not an existing directory"),
     ])
     def test_runner_bad_grid_or_params_is_a_usage_error(self, argv, complaint, capsys):
         """argparse rejects them (exit 2 + usage), no handler runs and no
-        ValueError / JSONDecodeError traceback escapes."""
+        ValueError / JSONDecodeError / FileNotFoundError traceback escapes;
+        a store that is only read is not created (a typo'd path used to
+        ``verify`` as ``all 0 object(s) ok``)."""
         with pytest.raises(SystemExit) as exit_info:
             runner_main(argv)
         assert exit_info.value.code == 2
-        assert complaint in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert complaint in err and "Traceback" not in err
+        assert not os.path.exists("gone")
+
+    def test_runner_survives_a_closed_stdout_pipe(self):
+        """``runner list | head``: the reader is gone before stdout is flushed;
+        the process exits non-zero without a BrokenPipeError traceback."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro.experiments.runner", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=child_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert done.stderr == ""
 
     def test_grid_names_are_exactly_what_named_grid_accepts(self):
         from repro.experiments.grids import GRID_NAMES, named_grid

@@ -501,3 +501,16 @@ class TestStoreCli:
         )
         assert code == 0 and "no out-of-tolerance drift" in out
         assert grid.cell_count == len(CampaignStore(store_dir).object_hashes())
+
+        # An incomplete store is one line on stderr and exit 1, not a
+        # ValueError traceback out of baseline_from_store.
+        store = CampaignStore(store_dir)
+        os.unlink(os.path.join(store.objects_dir, f"{store.object_hashes()[0]}.json"))
+        with pytest.raises(SystemExit) as exit_info:
+            self.run_cli(
+                capsys, "diff", "--baseline", baseline_path,
+                "--store", store_dir, "--from-store",
+            )
+        message = exit_info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert f"missing 1 of {grid.cell_count} cells" in message
