@@ -44,6 +44,8 @@ class Cdf:
         """The value below which ``fraction`` of the samples fall.
 
         Uses the nearest-rank definition; ``fraction`` is in ``[0, 1]``.
+        Unlike the interpolating :func:`repro.analysis.stats.percentile`, the
+        figure reports that print it always show a delay that was observed.
         """
         if not self._samples:
             raise ValueError("cannot evaluate an empty CDF")

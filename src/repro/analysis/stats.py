@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class SummaryStats:
         }
 
 
-def _percentile(sorted_samples: list[float], fraction: float) -> float:
+def percentile(sorted_samples: Sequence[float], fraction: float) -> float:
+    """Linear-interpolation percentile of an already-sorted, non-empty sample set."""
     if not sorted_samples:
         raise ValueError("cannot summarise an empty sample set")
     if len(sorted_samples) == 1:
@@ -66,9 +67,9 @@ def summarize(samples: Iterable[float]) -> SummaryStats:
         mean=mean,
         stddev=math.sqrt(variance),
         minimum=values[0],
-        p25=_percentile(values, 0.25),
-        median=_percentile(values, 0.50),
-        p75=_percentile(values, 0.75),
-        p95=_percentile(values, 0.95),
+        p25=percentile(values, 0.25),
+        median=percentile(values, 0.50),
+        p75=percentile(values, 0.75),
+        p95=percentile(values, 0.95),
         maximum=values[-1],
     )

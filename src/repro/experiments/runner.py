@@ -86,6 +86,25 @@ def _json_object(text: str) -> dict:
     return value
 
 
+def _positive(convert: Callable) -> Callable:
+    """``argparse`` type for a count or a duration: finite and above zero, else a usage error."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected a positive {convert.__name__}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _positive(int)
+_positive_float = _positive(float)
+
+
 def _readable_file(path: str) -> str:
     """``argparse`` type for an input file: readable now, else a usage error."""
     try:
@@ -585,22 +604,22 @@ def _add_figure_options(parser: argparse.ArgumentParser, figures: Sequence[str])
             help="fig2a: also simulate the kernel-only backup baseline",
         )
     if "fig2b" in figures:
-        parser.add_argument("--blocks", type=int, default=60,
+        parser.add_argument("--blocks", type=_positive_int, default=60,
                             help="fig2b: number of 64 KB blocks per run")
         parser.add_argument("--sweep", action="store_true",
                             help="fig2b: run the smart controller at every loss rate")
     if "fig2c" in figures:
-        parser.add_argument("--runs", type=int, default=10,
+        parser.add_argument("--runs", type=_positive_int, default=10,
                             help="fig2c: number of seeds per variant")
         parser.add_argument("--scale", type=float, default=0.1,
                             help="fig2c: fraction of the 100 MB transfer")
     if "fig3" in figures:
-        parser.add_argument("--requests", type=int, default=200,
+        parser.add_argument("--requests", type=_positive_int, default=200,
                             help="fig3: number of HTTP requests")
         parser.add_argument("--stressed", action="store_true",
                             help="fig3: add CPU-stress scheduling jitter")
     if "longlived" in figures:
-        parser.add_argument("--duration", type=float, default=900.0,
+        parser.add_argument("--duration", type=_positive_float, default=900.0,
                             help="longlived: experiment duration in seconds")
 
 
@@ -622,7 +641,7 @@ def _add_campaign_options(
         "--grid", choices=GRID_NAMES, metavar="NAME", default=grid_default,
         required=grid_required, help=grid_help,
     )
-    parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    parser.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
     _add_store_options(parser)
 
 
@@ -722,9 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[seed_parent],
         help="run a fault-injection fuzz campaign, or --shrink a failing plan",
     )
-    fuzz_parser.add_argument("--seeds", type=int, default=2,
+    fuzz_parser.add_argument("--seeds", type=_positive_int, default=2,
                              help="fault-plan seeds per scenario (the fuzz axis)")
-    fuzz_parser.add_argument("--workers", type=int, default=1, help="worker processes")
+    fuzz_parser.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
     _add_store_options(fuzz_parser)
     fuzz_parser.add_argument("--json", default=None,
                              help="also write the byte-stable triage JSON here")
@@ -750,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="shrink: controller of the failing cell")
     fuzz_parser.add_argument("--scheduler", default="lowest_rtt",
                              help="shrink: scheduler of the failing cell")
-    fuzz_parser.add_argument("--horizon", type=float, default=None,
+    fuzz_parser.add_argument("--horizon", type=_positive_float, default=None,
                              help="shrink: simulated run horizon in seconds "
                              "(defaults to the plan's own horizon)")
     fuzz_parser.add_argument("--params", type=_json_object, default=None,
@@ -765,9 +784,9 @@ def build_parser() -> argparse.ArgumentParser:
     cell_parent.add_argument("--scenario", default="dual_homed", help="scenario registry name")
     cell_parent.add_argument("--controller", default="passive", help="controller registry name")
     cell_parent.add_argument("--scheduler", default="lowest_rtt", help="scheduler registry name")
-    cell_parent.add_argument("--horizon", type=float, default=30.0,
+    cell_parent.add_argument("--horizon", type=_positive_float, default=30.0,
                              help="simulated run horizon in seconds")
-    cell_parent.add_argument("--connections", type=int, default=1,
+    cell_parent.add_argument("--connections", type=_positive_int, default=1,
                              help="concurrent client connections (the scale axis); "
                              "starts are staggered over the connection_stagger param")
     cell_parent.add_argument("--params", type=_json_object, default=None,
@@ -787,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma-separated event categories to record "
                               "(default: all — connection, fallback, fault, pm, "
                               "scheduler, subflow, timer)")
-    trace_parser.add_argument("--limit", type=int, default=None,
+    trace_parser.add_argument("--limit", type=_positive_int, default=None,
                               help="event-log retention cap (drops are counted beyond it)")
     trace_parser.add_argument("--format", default="chrome",
                               choices=("chrome", "jsonl"),
@@ -802,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a grid and print its campaign telemetry summary",
     )
     _add_campaign_options(telemetry_parser)
-    telemetry_parser.add_argument("--top", type=int, default=5,
+    telemetry_parser.add_argument("--top", type=_positive_int, default=5,
                                   help="number of slowest fresh cells to list")
     telemetry_parser.add_argument("--json", default=None,
                                   help="also write the telemetry summary JSON here")

@@ -43,19 +43,6 @@ class CellTelemetry:
         }
 
 
-def _percentile(sorted_values: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile over an already-sorted sequence."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return float(sorted_values[0])
-    rank = fraction * (len(sorted_values) - 1)
-    low = int(rank)
-    high = min(low + 1, len(sorted_values) - 1)
-    weight = rank - low
-    return float(sorted_values[low] * (1.0 - weight) + sorted_values[high] * weight)
-
-
 def summarize_telemetry(
     telemetries: Sequence[Optional[CellTelemetry]], top: int = 5
 ) -> Dict[str, Any]:
@@ -67,13 +54,15 @@ def summarize_telemetry(
     ``None`` entries (cells recorded before telemetry existed) are
     skipped.
     """
+    from repro.analysis.stats import percentile  # on call: importing repro.obs stays leaf-cheap
+
     cells = [t for t in telemetries if t is not None]
     fresh = [t for t in cells if not t.cached]
     cached = len(cells) - len(fresh)
     wall = sum(t.wall_time_s for t in fresh)
     sim_events = sum(t.sim_events for t in cells)
     fresh_events = sum(t.sim_events for t in fresh)
-    rates = sorted(t.events_per_s for t in fresh)
+    rates = sorted(t.events_per_s for t in fresh) or [0.0]  # no fresh cell: 0.0 throughout
     slowest = sorted(fresh, key=lambda t: (-t.wall_time_s, t.key))[:top]
     return {
         "cells": len(cells),
@@ -84,10 +73,10 @@ def summarize_telemetry(
         "events_per_s": (fresh_events / wall) if wall > 0 else 0.0,
         "slowest": [t.as_dict() for t in slowest],
         "events_per_s_distribution": {
-            "min": rates[0] if rates else 0.0,
-            "p50": _percentile(rates, 0.50),
-            "p95": _percentile(rates, 0.95),
-            "max": rates[-1] if rates else 0.0,
+            "min": rates[0],
+            "p50": percentile(rates, 0.50),
+            "p95": percentile(rates, 0.95),
+            "max": rates[-1],
         },
     }
 

@@ -10,19 +10,26 @@ Design choices
 * Callbacks, not coroutines.  The networking code is naturally event driven
   (a segment arrives, a timer fires); modelling it with plain callables keeps
   the control flow explicit and easy to unit test.
-* Two-tier event kernel.  Most traffic (serialisation completions, ACK
-  clocking, RTO churn) lands within a few hundred milliseconds of *now*, so
-  the queue is a calendar wheel of small per-bucket heaps covering a sliding
-  near-future window, with a single spill heap for everything beyond the
-  horizon.  Pushes into the wheel are plain list appends; a bucket is only
-  heapified when the cursor reaches it.  When the wheel drains, the window
-  is rebuilt around the earliest spill event.  The observable order is
-  exactly the flat-heap order: strictly by ``(time, seq)``.
+* One event queue.  A single :mod:`heapq` list of ``(time, seq, event)``
+  tuples: every sift step is a C-level float/int compare and the event
+  object is never compared (``seq`` is unique).  There is deliberately no
+  calendar wheel in front of it.  The 256-bucket x 2 ms wheel + spill heap
+  of PRs 6-16 was measured against this heap on ``python -m bench`` (ten
+  alternating pairs per workload, speed-normalised median ``wall_s``, wheel
+  -> heap): ``bulk_steady`` 1.779 -> 1.687 s, ``many_conns`` 1.614 -> 1.534,
+  ``lossy_http_userspace`` 1.528 -> 1.505, ``tiny_cells`` 1.452 -> 1.281,
+  ``campaign_store`` 1.104 -> 1.059; ``sim.calls_per_event`` 5.65 -> 4.30.
+  The queue holds a few hundred to ~2 000 entries, about 11 C compares per
+  push — cheaper than the Python bucket arithmetic that avoided them.  Do
+  not add a second tier without a ``bench`` before/after (the full table is
+  in docs/ARCHITECTURE.md, *Performance*).  The recycled-event path
+  (:meth:`Simulator.schedule_pooled` / :meth:`Simulator.rearm`) was audited
+  the same way and pays (+2.4 % / +3.2 % ``wall_s`` without it), so it stays.
 * Cancellation by invalidation.  A cancelled :class:`ScheduledEvent` is
   flagged and skipped when popped; a live counter keeps
   :attr:`Simulator.pending_events` O(1), and :meth:`Simulator.run`
-  compacts the queues automatically once dead entries pile up past a
-  threshold.
+  compacts the queue automatically once dead entries pile up past
+  ``_AUTO_COMPACT_THRESHOLD``.
 * Stable ordering.  Events scheduled for the same instant run in the order
   they were scheduled (a monotonically increasing sequence number breaks
   ties), which removes a whole class of flaky behaviours.
@@ -42,12 +49,10 @@ from repro.sim.randomness import RandomSource
 #: one chained comparison on the hot path.
 _MAX_EVENT_TIME = 1.7976931348623157e308
 
-#: Calendar-wheel geometry.  256 buckets of 2 ms cover a 512 ms window —
-#: wide enough that serialisation completions, propagation delays and most
-#: RTO arms stay inside the wheel, narrow enough that a bucket rarely holds
-#: more than a handful of events.
-_WHEEL_BUCKETS = 256
-_WHEEL_WIDTH = 0.002
+#: Lingering cancelled entries that trigger a compaction inside
+#: :meth:`Simulator.run`.  Far above what a baseline campaign cell ever
+#: accumulates, so the gated ``events_compacted`` metric is unaffected.
+_AUTO_COMPACT_THRESHOLD = 1024
 
 
 class SimulationError(RuntimeError):
@@ -63,18 +68,16 @@ class ScheduledEvent:
     not meant to be constructed directly.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "kwargs", "_cancelled", "_executed", "_sim", "_pooled")
+    __slots__ = ("time", "callback", "args", "kwargs", "_cancelled", "_executed", "_sim", "_pooled")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., Any],
         args: tuple,
         kwargs: Optional[dict],
     ) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.kwargs = kwargs
@@ -114,11 +117,6 @@ class ScheduledEvent:
             sim._pending -= 1
             sim._dead += 1
 
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self._cancelled else ("done" if self._executed else "pending")
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -136,32 +134,18 @@ class Simulator:
         jitter) from this seed, so a run is fully reproducible.
     start_time:
         Initial simulated time in seconds.
-    auto_compact_threshold:
-        Number of lingering cancelled entries that triggers an automatic
-        :meth:`compact` inside :meth:`run`.  The default is far above what
-        a baseline campaign cell ever accumulates, so gated metrics such
-        as ``events_compacted`` are unaffected; long fuzz or many-timer
-        runs get their queues trimmed for free.
     """
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0, auto_compact_threshold: int = 1024) -> None:
+    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._sequence = itertools.count()
         self._running = False
         self._processed = 0
-        # Two-tier event kernel: near-future calendar wheel + far-future spill heap.
-        self._wheel: list[list[tuple]] = [[] for _ in range(_WHEEL_BUCKETS)]
-        self._wheel_start = self._now
-        self._cursor = 0
-        self._wheel_count = 0  # raw entries in the wheel, dead included
-        self._spill: list[tuple] = []
-        self._span = _WHEEL_BUCKETS * _WHEEL_WIDTH
-        self._inv_width = 1.0 / _WHEEL_WIDTH
+        # The event queue: one heapq of (time, seq, event) tuples.
+        self._queue: list[tuple] = []
         # Live bookkeeping: pending + dead = raw queued entries.
         self._pending = 0
         self._dead = 0
-        self._auto_compact_threshold = int(auto_compact_threshold)
-        self._auto_compacted = 0
         # Recycled fire-and-forget events (see schedule_pooled).
         self._free: list[ScheduledEvent] = []
         self.random = RandomSource(seed)
@@ -184,7 +168,7 @@ class Simulator:
         """Number of events still queued and not cancelled.
 
         Maintained as a live counter (O(1)); cancelled events linger in the
-        queues until popped or :meth:`compact`-ed and are counted by
+        queue until popped or :meth:`compact`-ed and are counted by
         :attr:`queued_entries` instead.
         """
         return self._pending
@@ -197,12 +181,7 @@ class Simulator:
     @property
     def queued_entries(self) -> int:
         """Raw queue size, including cancelled entries (see :meth:`compact`)."""
-        return self._wheel_count + len(self._spill)
-
-    @property
-    def auto_compacted_entries(self) -> int:
-        """Cancelled entries dropped by automatic compaction inside :meth:`run`."""
-        return self._auto_compacted
+        return len(self._queue)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -219,11 +198,10 @@ class Simulator:
             raise SimulationError(f"callback must be callable, got {callback!r}")
         if not self._now <= time <= _MAX_EVENT_TIME:  # rejects NaN, inf and the past at once
             self._reject_time(time)
-        seq = next(self._sequence)
-        event = ScheduledEvent(time, seq, callback, args, kwargs)
+        event = ScheduledEvent(time, callback, args, kwargs)
         event._sim = self
         self._pending += 1
-        self._insert((time, seq, event))
+        heappush(self._queue, (time, next(self._sequence), event))
         return event
 
     def call_soon(self, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> ScheduledEvent:
@@ -244,21 +222,19 @@ class Simulator:
         if not self._now <= time <= _MAX_EVENT_TIME:
             self._reject_time(time)
         free = self._free
-        seq = next(self._sequence)
         if free:
             event = free.pop()
             event.time = time
-            event.seq = seq
             event.callback = callback
             event.args = args
             event._cancelled = False
             event._executed = False
         else:
-            event = ScheduledEvent(time, seq, callback, args, None)
+            event = ScheduledEvent(time, callback, args, None)
             event._sim = self
             event._pooled = True
         self._pending += 1
-        self._insert((time, seq, event))
+        heappush(self._queue, (time, next(self._sequence), event))
 
     def rearm(self, event: ScheduledEvent, delay: float) -> None:
         """Re-arm an event that already ran to fire again ``delay`` from now.
@@ -266,20 +242,18 @@ class Simulator:
         The event keeps its callback and arguments but draws a fresh
         sequence number, so ordering is identical to scheduling a brand-new
         event — without allocating one.  Only executed events may be
-        re-armed: a cancelled-but-queued event still sits inside a heap and
-        mutating its key would corrupt the queue.
+        re-armed: a cancelled-but-queued event still sits inside the heap
+        under its old ``(time, seq)`` key.
         """
         if not event._executed:
             raise SimulationError("rearm() requires an event that has already run")
         time = self._now + delay
         if not self._now <= time <= _MAX_EVENT_TIME:
             self._reject_time(time)
-        seq = next(self._sequence)
         event.time = time
-        event.seq = seq
         event._executed = False
         self._pending += 1
-        self._insert((time, seq, event))
+        heappush(self._queue, (time, next(self._sequence), event))
 
     def cancel(self, event: Optional[ScheduledEvent]) -> None:
         """Cancel a previously scheduled event (``None`` is tolerated)."""
@@ -287,17 +261,20 @@ class Simulator:
             event.cancel()
 
     def compact(self) -> int:
-        """Drop cancelled events from the queues and rebuild them.
+        """Drop cancelled events from the queue and re-heapify it.
 
-        Cancellation is lazy (heaps have no efficient removal), so
+        Cancellation is lazy (a heap has no efficient removal), so
         long-lived simulations — and batch drivers such as the sweep engine
         that reuse a process for many cells — accumulate dead entries that
-        inflate the queues and slow every push/pop.  Returns the number of
-        entries dropped.
+        inflate the queue and slow every push/pop.  Returns the number of
+        entries dropped.  :meth:`run` discards cancelled entries as they
+        reach the head, so after a run that is exactly the cancelled entries
+        ordered after the earliest still-pending event (0 when nothing is
+        pending) — the definition of the ``events_compacted`` cell metric.
         """
         if self._running:
             raise SimulationError("cannot compact the queue while the simulator is running")
-        return self._compact_queues()
+        return self._compact_queue()
 
     def _reject_time(self, time: float) -> None:
         if math.isnan(time) or math.isinf(time):
@@ -309,99 +286,12 @@ class Simulator:
     # ------------------------------------------------------------------
     # event kernel internals
     # ------------------------------------------------------------------
-    def _insert(self, entry: tuple) -> None:
-        """Place a ``(time, seq, event)`` entry into the wheel or spill heap.
-
-        Queue entries are plain tuples so heap comparisons run entirely in
-        C (float/int compares) instead of calling ``ScheduledEvent.__lt__``
-        per sift step; ``seq`` is unique, so the event object itself is
-        never compared.  Events beyond the wheel horizon go to the spill
-        heap.  Events at or behind the cursor (possible after a window
-        rebuild, because ``now`` can trail ``wheel_start``) are pushed into
-        the cursor bucket, which is maintained as a heap; later buckets are
-        plain appends and only heapified when the cursor reaches them.
-        """
-        index = int((entry[0] - self._wheel_start) * self._inv_width)
-        if index >= _WHEEL_BUCKETS:
-            heappush(self._spill, entry)
-            return
-        cursor = self._cursor
-        if index <= cursor:
-            heappush(self._wheel[cursor], entry)
-        else:
-            self._wheel[index].append(entry)
-        self._wheel_count += 1
-
-    def _front(self) -> Optional[tuple]:
-        """The next live entry, left in place at ``wheel[cursor][0]``.
-
-        Discards dead entries along the way, advances the cursor over empty
-        buckets, and rebuilds the window from the spill heap when the wheel
-        drains.  Returns ``None`` when nothing is pending.
-        """
-        wheel = self._wheel
-        while True:
-            bucket = wheel[self._cursor]
-            while bucket:
-                entry = bucket[0]
-                if entry[2]._cancelled:
-                    heappop(bucket)
-                    self._wheel_count -= 1
-                    self._dead -= 1
-                else:
-                    return entry
-            if self._wheel_count:
-                cursor = self._cursor + 1
-                while not wheel[cursor]:
-                    cursor += 1
-                self._cursor = cursor
-                heapify(wheel[cursor])
-                continue
-            spill = self._spill
-            while spill and spill[0][2]._cancelled:
-                heappop(spill)
-                self._dead -= 1
-            if not spill:
-                return None
-            self._rebuild_window()
-
-    def _rebuild_window(self) -> None:
-        """Re-anchor the (empty) wheel around the earliest spill event."""
-        spill = self._spill
-        start = spill[0][0]
-        self._wheel_start = start
-        self._cursor = 0
-        horizon = start + self._span
-        inv_width = self._inv_width
-        wheel = self._wheel
-        moved = 0
-        while spill and spill[0][0] < horizon:
-            entry = heappop(spill)
-            if entry[2]._cancelled:
-                self._dead -= 1
-                continue
-            index = int((entry[0] - start) * inv_width)
-            if index >= _WHEEL_BUCKETS:  # float rounding at the horizon edge
-                index = _WHEEL_BUCKETS - 1
-            wheel[index].append(entry)
-            moved += 1
-        self._wheel_count += moved
-        heapify(wheel[0])
-
-    def _compact_queues(self) -> int:
-        """Drop dead entries; survivors go back through the spill heap."""
+    def _compact_queue(self) -> int:
+        """Drop dead entries in place (``run`` holds the list in a local)."""
         dropped = self._dead
-        survivors = [entry for entry in self._spill if not entry[2]._cancelled]
-        wheel = self._wheel
-        for index in range(self._cursor, _WHEEL_BUCKETS):
-            bucket = wheel[index]
-            if bucket:
-                survivors.extend(entry for entry in bucket if not entry[2]._cancelled)
-                bucket.clear()
-        heapify(survivors)
-        self._spill = survivors
-        self._wheel_count = 0
-        self._cursor = 0
+        queue = self._queue
+        queue[:] = [entry for entry in queue if not entry[2]._cancelled]
+        heapify(queue)
         self._dead = 0
         return dropped
 
@@ -414,26 +304,9 @@ class Simulator:
         Returns ``True`` when an event was executed, ``False`` when the
         queue is empty.
         """
-        entry = self._front()
-        if entry is None:
-            return False
-        heappop(self._wheel[self._cursor])
-        self._wheel_count -= 1
-        self._pending -= 1
-        event = entry[2]
-        self._now = entry[0]
-        event._executed = True
-        self._processed += 1
-        kwargs = event.kwargs
-        if kwargs:
-            event.callback(*event.args, **kwargs)
-        else:
-            event.callback(*event.args)
-        if event._pooled:
-            event.callback = None
-            event.args = ()
-            self._free.append(event)
-        return True
+        before = self._processed
+        self.run(max_events=1)
+        return self._processed != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
@@ -447,8 +320,7 @@ class Simulator:
             raise SimulationError("simulator is already running (re-entrant run() call)")
         self._running = True
         executed = 0
-        threshold = self._auto_compact_threshold
-        wheel = self._wheel
+        queue = self._queue
         free = self._free
         # Hoist the optional bounds out of the loop: event times never
         # exceed _MAX_EVENT_TIME, so an absent ``until`` simply never trips.
@@ -456,25 +328,19 @@ class Simulator:
         budget = -1 if max_events is None else max_events
         try:
             while True:
-                if self._dead >= threshold:
-                    self._auto_compacted += self._compact_queues()
-                # Fast path: a live event at the head of the cursor bucket.
-                # _front() does the same check first thing; peeking here
-                # saves a call per event on the dominant path.
-                bucket = wheel[self._cursor]
-                if bucket and not (entry := bucket[0])[2]._cancelled:
-                    pass
-                else:
-                    entry = self._front()
-                    if entry is None:
-                        break
-                    bucket = wheel[self._cursor]
+                if self._dead >= _AUTO_COMPACT_THRESHOLD:
+                    self._compact_queue()
+                # Cancelled entries are discarded as they reach the head.
+                while queue and (entry := queue[0])[2]._cancelled:
+                    heappop(queue)
+                    self._dead -= 1
+                if not queue:
+                    break
                 if entry[0] > limit:
                     break
                 if executed == budget:
                     break
-                heappop(bucket)
-                self._wheel_count -= 1
+                heappop(queue)
                 self._pending -= 1
                 event = entry[2]
                 self._now = entry[0]

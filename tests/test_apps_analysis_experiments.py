@@ -246,12 +246,32 @@ class TestExperimentsSmall:
         (["store", "verify", "--store", "gone"], "--store: 'gone' is not an existing directory"),
         (["diff", "--baseline", "baselines/quick.json", "--store", "gone", "--from-store"],
          "--store: 'gone' is not an existing directory"),
+        (["sweep", "--grid", "quick", "--workers", "0"], "--workers: expected a positive int, got '0'"),
+        (["baseline", "--grid", "quick", "--out", "gone", "--workers", "0"], "--workers: expected a positive int"),
+        (["diff", "--baseline", "baselines/quick.json", "--workers", "-2"], "--workers: expected a positive int"),
+        (["telemetry", "--grid", "quick", "--workers", "0"], "--workers: expected a positive int"),
+        (["fuzz", "--workers", "0"], "--workers: expected a positive int"),
+        (["fuzz", "--seeds", "0"], "--seeds: expected a positive int"),
+        (["cell", "--connections", "0"], "--connections: expected a positive int"),
+        (["trace", "--connections", "0"], "--connections: expected a positive int"),
+        (["cell", "--horizon", "-1"], "--horizon: expected a positive float, got '-1'"),
+        (["cell", "--horizon", "nan"], "--horizon: expected a positive float"),
+        (["fuzz", "--shrink", "--plan", "x", "--horizon", "0"], "--horizon: expected a positive float"),
+        (["telemetry", "--grid", "quick", "--top", "0"], "--top: expected a positive int"),
+        (["trace", "--limit", "many"], "--limit: expected a positive int, got 'many'"),
+        (["fig2b", "--blocks", "0"], "--blocks: expected a positive int"),
+        (["fig2c", "--runs", "0"], "--runs: expected a positive int"),
+        (["fig3", "--requests", "-5"], "--requests: expected a positive int"),
+        (["longlived", "--duration", "0"], "--duration: expected a positive float"),
+        (["all", "--duration", "inf"], "--duration: expected a positive float"),
     ])
     def test_runner_bad_grid_or_params_is_a_usage_error(self, argv, complaint, capsys):
         """argparse rejects them (exit 2 + usage), no handler runs and no
         ValueError / JSONDecodeError / FileNotFoundError traceback escapes;
         a store that is only read is not created (a typo'd path used to
-        ``verify`` as ``all 0 object(s) ok``)."""
+        ``verify`` as ``all 0 object(s) ok``) and a non-positive count or
+        duration runs nothing (``cell --horizon -1`` used to exit 0 with an
+        all-zero cell)."""
         with pytest.raises(SystemExit) as exit_info:
             runner_main(argv)
         assert exit_info.value.code == 2

@@ -9,7 +9,8 @@ two documentation surfaces part of the test contract:
    and each section's option table must list exactly the ``--flags`` that
    subcommand accepts — a removed flag left behind in the docs fails.
 2. Names this repo deleted on purpose (the flat cell cache and its
-   flags, the cells/s benchmark stack that ``bench/`` replaced) must not
+   flags, the cells/s benchmark stack that ``bench/`` replaced, the
+   calendar-wheel event queue, the ``benchmarks/`` call wrappers) must not
    creep back into the source, docs, examples, README or CI.
 3. Every module — and every public class and function — of the
    user-facing packages (``repro.workloads``, ``repro.sweep``,
@@ -129,16 +130,20 @@ class TestCliReference:
 
 
 class TestRemovedNamesStayRemoved:
-    """There is one result store and one benchmark (``python -m bench``).
-    The flat cell cache with its flags and migrator, and the cells/s
-    benchmark module with its subcommand, baseline file, pytest options and
-    example, are gone; nothing shipped or documented may mention them."""
+    """There is one result store, one benchmark (``python -m bench``), one
+    event queue and one test tree.  The flat cell cache with its flags and
+    migrator, the cells/s benchmark module with its subcommand, baseline
+    file, pytest options and example, the calendar wheel with its
+    compaction-threshold parameter, and the call-wrapper test directory with
+    its plugin, are gone; nothing shipped or documented may mention them."""
 
     REMOVED = ("cache_dir", "--cache-dir", "--from-cache", "CellCache",
                "migrate_legacy_cache",
                "repro.bench", "runner bench", "BENCH_workloads",
                "--workloads-bench-tolerance", "--workloads-bench-ratio-tolerance",
-               "--update-workloads-baseline", "bench_workloads.py")
+               "--update-workloads-baseline", "bench_workloads.py",
+               "_WHEEL_BUCKETS", "_rebuild_window", "auto_compact_threshold",
+               "pytest-benchmark", "benchmarks/test_bench")
 
     def test_no_removed_name_in_source_docs_examples_or_ci(self):
         files = [REPO_ROOT / ".github" / "workflows" / "ci.yml", REPO_ROOT / "README.md"]

@@ -178,6 +178,29 @@ class TestAnalysisProperties:
         assert stats.count == len(samples)
         assert stats.stddev >= 0
 
+    @given(st.lists(st.one_of(st.none(), st.tuples(
+        st.booleans(), st.floats(min_value=0.0, max_value=1e7, allow_nan=False))), max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_telemetry_distribution_is_the_one_percentile(self, entries):
+        """``runner telemetry`` interpolates with ``stats.percentile`` — the
+        same function behind ``SummaryStats`` and the ``agg_*`` metrics —
+        over the fresh cells' rates, and reports 0.0 when there are none."""
+        from repro.analysis.stats import percentile
+        from repro.obs.telemetry import CellTelemetry, summarize_telemetry
+
+        cells = [
+            entry and CellTelemetry(key=f"cell{index}", cached=entry[0], wall_time_s=1.0,
+                                    sim_events=10, events_per_s=entry[1])
+            for index, entry in enumerate(entries)
+        ]
+        rates = sorted(entry[1] for entry in entries if entry and not entry[0])
+        distribution = summarize_telemetry(cells)["events_per_s_distribution"]
+        assert distribution["p50"] == (percentile(rates, 0.50) if rates else 0.0)
+        assert distribution["p95"] == (percentile(rates, 0.95) if rates else 0.0)
+        if rates:
+            assert rates[0] == distribution["min"] <= distribution["p50"]
+            assert distribution["p50"] <= distribution["p95"] <= distribution["max"] == rates[-1]
+
 
 # ----------------------------------------------------------------------
 # scheduler properties
@@ -305,13 +328,14 @@ class TestSchedulerProperties:
 # ----------------------------------------------------------------------
 # event kernel vs. reference heap
 # ----------------------------------------------------------------------
-# The simulator's two-tier kernel (calendar wheel + spill heap) must be
-# observationally identical to the flat heapq it replaced: events fire in
-# (time, schedule-order) order, cancellation invalidates in place, compact()
-# never changes what runs, and run(until=...) stops at the same point.  The
-# delay strategy mixes arbitrary floats with exact bucket-width multiples so
-# same-time collisions, bucket boundaries (2 ms), the wheel horizon (512 ms)
-# and the spill heap are all exercised.
+# Written against the model, not the structure: whatever queue the kernel
+# uses must be observationally identical to a literal heapq of (time, seq)
+# pairs — events fire in (time, schedule-order) order, cancellation
+# invalidates in place, compact() never changes what runs, and
+# run(until=...) stops at the same point.  The delay strategy mixes arbitrary
+# floats with a few exact values so same-time collisions are common; the
+# 2 ms / 512 ms multiples were the bucket width and horizon of the calendar
+# wheel this suite outlived and stay as arbitrary collision points.
 
 _kernel_delays = st.one_of(
     st.floats(min_value=0.0, max_value=1.5, allow_nan=False, allow_infinity=False),
@@ -457,6 +481,78 @@ class TestEventKernelProperties:
             if follow is not None:
                 heapq.heappush(heap, (time_ + follow, next(sequence), index + 1000, None))
         assert order == reference
+
+    @given(st.lists(st.tuples(_kernel_delays, st.booleans()), min_size=1, max_size=60), _kernel_delays)
+    @settings(max_examples=200, deadline=None)
+    def test_compact_counts_cancelled_entries_behind_the_earliest_pending(self, items, until):
+        """The ``events_compacted`` definition: what ``compact()`` finds after
+        a run is every cancelled entry that sorts after the earliest
+        still-pending event — nothing when no event is pending — whatever
+        the distance between the two."""
+        from repro.sim import Simulator
+
+        sim = Simulator(seed=1)
+        events = [sim.schedule(delay, lambda: None) for delay, _ in items]
+        for event, (_, cancel) in zip(events, items):
+            if cancel:
+                event.cancel()
+        sim.run(until=until)
+        pending = [(delay, index) for index, (delay, cancel) in enumerate(items)
+                   if not cancel and delay > until]
+        debris = [(delay, index) for index, (delay, cancel) in enumerate(items)
+                  if cancel and pending and (delay, index) > min(pending)]
+        assert sim.queued_entries == len(pending) + len(debris)
+        assert sim.compact() == len(debris)
+        assert sim.queued_entries == sim.pending_events == len(pending)
+
+    @given(st.lists(st.tuples(st.sampled_from(["schedule", "pooled", "rearm"]), _kernel_delays,
+                              st.one_of(st.none(), _kernel_delays)), min_size=1, max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_pooled_and_rearmed_events_match_reference_simulation(self, ops):
+        """``schedule_pooled`` and ``rearm`` draw from the same sequence as
+        ``schedule``: interleaved, the three fire in literal-heapq order, and
+        a recycled pool event carries its new label, never a stale one."""
+        import heapq
+        import itertools
+
+        from repro.sim import Simulator
+
+        sim = Simulator(seed=1)
+        order = []
+        handles = {}
+
+        def fire(index, kind, follow):
+            order.append(index)
+            if follow is None:
+                return
+            if kind == "schedule":
+                sim.schedule(follow, fire, index + 1000, kind, None)
+            elif kind == "pooled":
+                sim.schedule_pooled(follow, fire, index + 1000, kind, None)
+            elif index in handles:  # re-arm once: same event, same label, fresh seq
+                sim.rearm(handles.pop(index), follow)
+
+        for index, (kind, delay, follow) in enumerate(ops):
+            if kind == "pooled":
+                sim.schedule_pooled(delay, fire, index, kind, follow)
+            else:
+                handles[index] = sim.schedule(delay, fire, index, kind, follow)
+        sim.run()
+
+        sequence = itertools.count()
+        heap = []
+        for index, (kind, delay, follow) in enumerate(ops):
+            heapq.heappush(heap, (delay, next(sequence), index, kind, follow))
+        reference = []
+        while heap:
+            time_, _, index, kind, follow = heapq.heappop(heap)
+            reference.append(index)
+            if follow is not None:
+                label = index if kind == "rearm" else index + 1000
+                heapq.heappush(heap, (time_ + follow, next(sequence), label, kind, None))
+        assert order == reference
+        assert sim.pending_events == sim.queued_entries == 0
+        assert sim.processed_events == len(reference)
 
 
 # ----------------------------------------------------------------------

@@ -237,6 +237,90 @@ class TestCompaction:
         assert sim.queued_entries == 1
 
 
+    def test_auto_compaction_inside_run_bounds_the_debris(self, sim):
+        """An RTO-style timer re-armed from every ACK-style callback strands
+        one cancelled entry per restart behind the live events; ``run()``
+        sweeps them whenever the constant is reached, and what fires — and
+        in which order — is what would fire with no debris at all."""
+        from repro.sim import Timer
+        from repro.sim.engine import _AUTO_COMPACT_THRESHOLD
+
+        restarts = 3 * _AUTO_COMPACT_THRESHOLD + 500
+        order, debris = [], []
+        timer = Timer(sim, lambda: order.append("rto"))
+        for index in range(40):  # same-time survivors: heap order must outlive every sweep
+            sim.schedule(5.0, order.append, f"late{index}")
+
+        def ack(index):
+            order.append(index)
+            timer.start(10.0)
+            debris.append(sim.queued_entries - sim.pending_events)
+            if index + 1 < restarts:
+                sim.schedule(0.001, ack, index + 1)
+
+        sim.schedule(0.001, ack, 0)
+        sim.run()
+        assert max(debris) == _AUTO_COMPACT_THRESHOLD
+        assert order == list(range(restarts)) + [f"late{index}" for index in range(40)] + ["rto"]
+        assert sim.processed_events == restarts + 41
+        assert sim.queued_entries == sim.pending_events == 0
+
+
+class TestPooledAndRearmedEvents:
+    def test_pooled_events_share_the_sequence_with_schedule(self, sim):
+        order = []
+        sim.schedule(1.0, order.append, "a")
+        sim.schedule_pooled(1.0, order.append, "b")
+        sim.schedule(1.0, order.append, "c")
+        sim.schedule_pooled(0.5, order.append, "first")
+        assert sim.pending_events == 4
+        sim.run()
+        assert order == ["first", "a", "b", "c"]
+
+    def test_recycled_event_fires_only_its_new_callback(self, sim):
+        order = []
+        sim.schedule_pooled(1.0, order.append, "old")
+        sim.run()
+        # The spent event is reused for the next pooled schedule ...
+        sim.schedule_pooled(1.0, order.append, "new")
+        sim.schedule_pooled(2.0, order.append, "fresh")
+        sim.run()
+        # ... and runs the new callback once; the old one never comes back.
+        assert order == ["old", "new", "fresh"]
+        assert sim.processed_events == 3
+
+    def test_pooled_time_is_validated(self, sim):
+        with pytest.raises(SimulationError):
+            sim.schedule_pooled(-1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_pooled(float("nan"), lambda: None)
+
+    def test_rearm_fires_the_same_event_again_in_schedule_order(self, sim):
+        order = []
+        event = sim.schedule(1.0, order.append, "wakeup")
+        sim.run()
+        sim.schedule(1.0, order.append, "before")
+        sim.rearm(event, 1.0)
+        sim.schedule(1.0, order.append, "after")
+        assert event.pending and sim.pending_events == 3
+        sim.run()
+        assert order == ["wakeup", "before", "wakeup", "after"]
+        assert event.executed and sim.now == 2.0
+
+    def test_rearm_requires_an_event_that_already_ran(self, sim):
+        event = sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.rearm(event, 1.0)
+        event.cancel()  # cancelled but still queued under its old key
+        with pytest.raises(SimulationError):
+            sim.rearm(event, 1.0)
+        assert sim.pending_events == 0
+        spent = sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.rearm(spent, -1.0)
+
+
 class TestSeedDerivation:
     def test_derive_seed_is_stable(self):
         from repro.sim import derive_seed
