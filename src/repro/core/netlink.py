@@ -6,9 +6,10 @@ both directions, each crossing costs a sample of a latency model, and FIFO
 ordering is preserved per direction (as a real Netlink socket does).
 
 This crossing latency — plus the controller's own processing time — is
-exactly the overhead that Figure 3 of the paper measures: the userspace
+exactly the overhead that Figure 3 of the paper measures: there, the userspace
 ndiffports controller opens its second subflow roughly 23 microseconds
-later than the in-kernel one.
+later than the in-kernel one; the default model here yields about 17
+(see :class:`NetlinkChannel`; docs/ARCHITECTURE.md has the arithmetic).
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ class NetlinkChannel:
         self._sim = sim
         self._name = name
         self._rng = sim.random.substream(f"netlink:{name}")
-        # Default latency: a right-skewed distribution around 8 µs per
-        # crossing, which lands the end-to-end userspace overhead (two
-        # crossings plus controller processing) in the ~20-25 µs range the
-        # paper reports.
+        # Default latency: a right-skewed distribution with mean 8 µs per
+        # crossing.  Two crossings plus 1.5 µs each of library and command
+        # processing against 2 µs in the kernel: ~17 µs of overhead where the
+        # paper measures ~23 µs (calibrating to its CDF is ROADMAP item 1a).
         self._kernel_to_user = kernel_to_user if kernel_to_user is not None else LogNormalLatency(8e-6, sigma=0.4)
         self._user_to_kernel = user_to_kernel if user_to_kernel is not None else LogNormalLatency(8e-6, sigma=0.4)
         self._user_handler: Optional[MessageHandler] = None

@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from importlib import import_module
 from typing import Callable, Optional, Sequence, Union
 
 from repro.experiments.grids import GRID_NAMES, named_grid
@@ -103,6 +104,30 @@ def _positive(convert: Callable) -> Callable:
 
 _positive_int = _positive(int)
 _positive_float = _positive(float)
+
+
+def _registered(kind: str, registry: str, many: bool = False) -> Callable:
+    """``argparse`` type for a flag naming an entry (``many``: comma-separated
+    entries) of ``registry``, a ``"module:attribute"`` reference imported when an
+    argument is parsed, not when the parser is built; unknown names are usage errors."""
+
+    def parse(text: str) -> str:
+        module, _, attribute = registry.partition(":")
+        names = sorted(getattr(import_module(module), attribute))
+        wanted = {part.strip() for part in text.split(",")} - {""} if many else {text}
+        unknown = ", ".join(repr(name) for name in sorted(wanted.difference(names)))
+        if unknown:
+            raise argparse.ArgumentTypeError(f"unknown {kind} {unknown} (have {', '.join(names)})")
+        return text
+
+    return parse
+
+
+_workload_name = _registered("workload", "repro.workloads.registry:WORKLOADS")
+_scenario_name = _registered("scenario", "repro.workloads.registry:SCENARIOS")
+_controller_name = _registered("controller", "repro.workloads.registry:CONTROLLERS")
+_scheduler_name = _registered("scheduler", "repro.mptcp.scheduler:SCHEDULER_REGISTRY")
+_event_categories = _registered("event category", "repro.obs.events:CATEGORIES", many=True)
 
 
 def _readable_file(path: str) -> str:
@@ -366,7 +391,12 @@ def _run_shrink(args: argparse.Namespace) -> HandlerResult:
         if base_scenario is None:
             base_scenario = named.base_scenario
     elif os.path.exists(args.plan):
-        plan = FaultPlan.load(args.plan)
+        try:
+            plan = FaultPlan.load(args.plan)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as error:
+            raise argparse.ArgumentTypeError(
+                f"argument --plan: {args.plan!r} is not a fault plan file ({error}); "
+                f"the named plans are {', '.join(sorted(NAMED_PLANS))}")
     else:
         raise SystemExit(
             f"--plan {args.plan!r} is neither a named plan "
@@ -760,14 +790,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "that force a plain-TCP downgrade)")
     fuzz_parser.add_argument("--plan", default=None,
                              help="shrink: named fault plan or path to a plan JSON file")
-    fuzz_parser.add_argument("--workload", default="bulk_transfer",
+    fuzz_parser.add_argument("--workload", type=_workload_name, default="bulk_transfer",
                              help="shrink: workload of the failing cell")
-    fuzz_parser.add_argument("--base-scenario", default=None,
+    fuzz_parser.add_argument("--base-scenario", type=_scenario_name, default=None,
                              help="shrink: clean scenario the plan targets "
                              "(defaults to the named plan's)")
-    fuzz_parser.add_argument("--controller", default="passive",
+    fuzz_parser.add_argument("--controller", type=_controller_name, default="passive",
                              help="shrink: controller of the failing cell")
-    fuzz_parser.add_argument("--scheduler", default="lowest_rtt",
+    fuzz_parser.add_argument("--scheduler", type=_scheduler_name, default="lowest_rtt",
                              help="shrink: scheduler of the failing cell")
     fuzz_parser.add_argument("--horizon", type=_positive_float, default=None,
                              help="shrink: simulated run horizon in seconds "
@@ -780,10 +810,14 @@ def build_parser() -> argparse.ArgumentParser:
                              help="shrink: write the counterexample artifact here")
 
     cell_parent = argparse.ArgumentParser(add_help=False)
-    cell_parent.add_argument("--workload", default="bulk_transfer", help="workload registry name")
-    cell_parent.add_argument("--scenario", default="dual_homed", help="scenario registry name")
-    cell_parent.add_argument("--controller", default="passive", help="controller registry name")
-    cell_parent.add_argument("--scheduler", default="lowest_rtt", help="scheduler registry name")
+    cell_parent.add_argument("--workload", type=_workload_name, default="bulk_transfer",
+                             help="workload registry name")
+    cell_parent.add_argument("--scenario", type=_scenario_name, default="dual_homed",
+                             help="scenario registry name")
+    cell_parent.add_argument("--controller", type=_controller_name, default="passive",
+                             help="controller registry name")
+    cell_parent.add_argument("--scheduler", type=_scheduler_name, default="lowest_rtt",
+                             help="scheduler registry name")
     cell_parent.add_argument("--horizon", type=_positive_float, default=30.0,
                              help="simulated run horizon in seconds")
     cell_parent.add_argument("--connections", type=_positive_int, default=1,
@@ -802,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[seed_parent, cell_parent],
         help="run one traced harness cell and export its structured event log",
     )
-    trace_parser.add_argument("--categories", default=None,
+    trace_parser.add_argument("--categories", type=_event_categories, default=None,
                               help="comma-separated event categories to record "
                               "(default: all — connection, fallback, fault, pm, "
                               "scheduler, subflow, timer)")
@@ -868,9 +902,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns non-zero when a subcommand reports failure
     (``diff`` on out-of-tolerance drift, ``fuzz --fail-on-failed`` on a failed
     cell, ``fuzz --shrink`` with nothing to shrink, ``store verify`` on damage).
-    Usage errors — an unknown grid, a ``--params`` that is not a JSON object,
-    an unreadable input file, a missing store directory where one is only
-    read — exit 2 from ``argparse``."""
+    Usage errors — an unknown grid or registry name, a ``--params`` that is not a
+    JSON object, an input file that cannot be read or is not what the flag takes,
+    a missing store directory where one is only read — exit 2 from ``argparse``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment == "diff" and args.from_store and args.store is not None:
@@ -883,7 +917,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     exit_code = 0
     for name in names:
         started = time.time()
-        outcome = EXPERIMENTS[name](args)
+        try:
+            outcome = EXPERIMENTS[name](args)
+        except argparse.ArgumentTypeError as error:
+            parser.error(str(error))
         report, code = outcome if isinstance(outcome, tuple) else (outcome, 0)
         exit_code = max(exit_code, code)
         elapsed = time.time() - started

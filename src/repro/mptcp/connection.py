@@ -912,8 +912,18 @@ class MptcpConnection(SubflowObserver):
     # data-plane internals
     # ------------------------------------------------------------------
     def _push_data(self) -> None:
+        """Hand unassigned data to the subflows until the windows are shut.
+
+        One scheduler pass per flight: while ``pick`` says its subflow was
+        the only one with window (``alone``), the loop sends on it out of
+        that window and stops when it is spent.  Asking per chunk would
+        answer the same: inside one call only the loop's own ``send_data(n)``
+        changes any subflow's usability, backup flag, ``srtt`` or window
+        (links only schedule; nothing calls back into a socket
+        synchronously), and it lowers that socket's window by ``n``."""
         if self.closed:
             return
+        flow, window, alone = None, 0, False
         while self._unassigned:
             start, end = self._unassigned[0]
             if end <= self._data_una:
@@ -927,17 +937,21 @@ class MptcpConnection(SubflowObserver):
             if self.is_fallback:
                 # Scheduler bypass: plain TCP has exactly one path.
                 flow = next((f for f in self._subflows if f.is_usable), None)
-            else:
-                flow = self._scheduler.select(self._subflows, chunk)
-            if flow is None:
-                break
-            window = flow.socket.available_window()
+                if flow is None:
+                    break
+                window = flow.socket.available_window()
+            elif not alone:
+                picked = self._scheduler.pick(self._subflows)
+                if picked is None:
+                    break
+                flow, window, alone = picked
             if window <= 0:
                 break
             send_len = chunk if chunk <= window else window
             mapping = DssMapping(start, send_len)
             if not flow.socket.send_data(send_len, mapping):
                 break
+            window -= send_len
             if self._trace_sched is not None:
                 self._trace_sched.emit(
                     self._sim.now, "scheduler", "select", self._trace_id,

@@ -10,6 +10,11 @@ benchmark.
 
 Backup semantics (RFC 6824): subflows flagged as backup are only eligible
 when no non-backup subflow is usable.
+
+The contract is :meth:`Scheduler.pick`: one pass answers the subflow for the
+next chunk, the window it was found with and whether it was the *only*
+eligible one with window — all ``MptcpConnection._push_data`` needs to send
+a flight without asking again.  ``select`` is that answer's subflow.
 """
 
 from __future__ import annotations
@@ -47,8 +52,16 @@ class Scheduler(ABC):
         return out
 
     @abstractmethod
+    def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
+        """``(subflow, window, alone)`` for the next chunk, or ``None`` to wait:
+        the chosen subflow, its (positive) ``available_window()``, and whether
+        no other eligible subflow had window — so that asking again after
+        sending on it could only name the same subflow or nobody."""
+
     def select(self, subflows: Sequence[Subflow], chunk_len: int) -> Optional[Subflow]:
         """Return the subflow to use for the next chunk, or ``None`` to wait."""
+        picked = self.pick(subflows)
+        return picked[0] if picked is not None else None
 
 
 class LowestRttScheduler(Scheduler):
@@ -61,15 +74,17 @@ class LowestRttScheduler(Scheduler):
 
     name = "lowest_rtt"
 
-    def select(self, subflows: Sequence[Subflow], chunk_len: int) -> Optional[Subflow]:
+    def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
         # ``eligible()`` and the argmin over (has_estimate, srtt, id) folded
         # into one pass without intermediate lists: this runs for every
-        # chunk the connection pushes.  ``best`` ranks backup subflows only
-        # until the first usable regular one shows up, which outranks them
-        # all whether or not it has window; the first of equal keys wins,
-        # exactly like min() with a key function.
+        # flight the connection pushes.  Backup subflows are ranked (and
+        # counted as open) only until the first usable regular one shows up,
+        # which outranks them all whether or not it has window; the first of
+        # equal keys wins, exactly like min() with a key function.
         best: Optional[Subflow] = None
         best_srtt: Optional[float] = None
+        best_window = 0
+        open_flows = 0
         regular_usable = False
         for flow in subflows:
             if not flow.is_usable:
@@ -80,9 +95,12 @@ class LowestRttScheduler(Scheduler):
             elif not regular_usable:
                 regular_usable = True
                 best = None
+                open_flows = 0
             socket = flow.socket
-            if socket.available_window() <= 0:
+            window = socket.available_window()
+            if window <= 0:
                 continue
+            open_flows += 1
             srtt = socket.rtt.srtt
             if best is not None:
                 if best_srtt is None:
@@ -94,7 +112,8 @@ class LowestRttScheduler(Scheduler):
                     continue
             best = flow
             best_srtt = srtt
-        return best
+            best_window = window
+        return (best, best_window, open_flows == 1) if open_flows else None
 
 
 class RoundRobinScheduler(Scheduler):
@@ -105,7 +124,7 @@ class RoundRobinScheduler(Scheduler):
     def __init__(self) -> None:
         self._last_id: Optional[int] = None
 
-    def select(self, subflows: Sequence[Subflow], chunk_len: int) -> Optional[Subflow]:
+    def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
         candidates = sorted(self.eligible(subflows), key=lambda flow: flow.id)
         if not candidates:
             return None
@@ -121,15 +140,14 @@ class RoundRobinScheduler(Scheduler):
             # (Merely window-blocked subflows are alive and keep their
             # position.)
             self._last_id = None
+        chosen = candidates[0]  # first pick, or wrap-around after a full cycle
         if self._last_id is not None:
             for flow in candidates:
                 if flow.id > self._last_id:
-                    self._last_id = flow.id
-                    return flow
-        # First pick, or wrap-around after a completed cycle.
-        chosen = candidates[0]
+                    chosen = flow
+                    break
         self._last_id = chosen.id
-        return chosen
+        return chosen, chosen.socket.available_window(), len(candidates) == 1
 
 
 class RedundantScheduler(Scheduler):
@@ -146,14 +164,15 @@ class RedundantScheduler(Scheduler):
         usable = [flow for flow in subflows if flow.is_usable]
         return [flow for flow in usable if flow.socket.available_window() > 0]
 
-    def select(self, subflows: Sequence[Subflow], chunk_len: int) -> Optional[Subflow]:
+    def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
         candidates = self.eligible(subflows)
         if not candidates:
             return None
         def key(flow: Subflow) -> tuple:
             srtt = flow.socket.rtt.srtt
             return (srtt is not None, srtt if srtt is not None else 0.0, flow.id)
-        return min(candidates, key=key)
+        chosen = min(candidates, key=key)
+        return chosen, chosen.socket.available_window(), len(candidates) == 1
 
 
 SCHEDULER_REGISTRY: dict[str, type[Scheduler]] = {

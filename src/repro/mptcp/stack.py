@@ -228,7 +228,8 @@ class MptcpStack:
             local_port=local_port,
             remote_addr=remote_address,
             remote_port=remote_port,
-            transmit=self._transmit,
+            # Bound per socket, so a ``host.send`` replaced beforehand intercepts.
+            transmit=self._host.send,
             observer=conn,
             config=self._config.tcp,
             congestion=congestion,
@@ -256,9 +257,6 @@ class MptcpStack:
 
     def register_remote_token(self, conn: MptcpConnection) -> None:
         """Hook kept for symmetry; only local tokens are used for demux."""
-
-    def _transmit(self, segment: Segment) -> None:
-        self._host.send(segment)
 
     # ------------------------------------------------------------------
     # segment reception (Host -> stack)

@@ -33,7 +33,13 @@ class SubflowOrigin(enum.Enum):
 
 
 class Subflow:
-    """One subflow of an MPTCP connection."""
+    """One subflow of an MPTCP connection.
+
+    Set once at construction and read as plain attributes: ``id`` (unique
+    within the connection), ``socket`` (the underlying TCP socket),
+    ``origin`` (how it was created) and ``is_initial`` (true for the
+    MP_CAPABLE subflow).
+    """
 
     def __init__(
         self,
@@ -42,9 +48,10 @@ class Subflow:
         origin: SubflowOrigin,
         backup: bool = False,
     ) -> None:
-        self._id = subflow_id
-        self._socket = socket
-        self._origin = origin
+        self.id = subflow_id
+        self.socket = socket
+        self.origin = origin
+        self.is_initial = origin is SubflowOrigin.INITIAL
         self.backup = backup
         socket.backup = backup
         self.created_at = socket.sim.now
@@ -62,29 +69,9 @@ class Subflow:
     # identity
     # ------------------------------------------------------------------
     @property
-    def id(self) -> int:
-        """Identifier of this subflow, unique within its connection."""
-        return self._id
-
-    @property
-    def socket(self) -> TcpSocket:
-        """The underlying TCP socket."""
-        return self._socket
-
-    @property
-    def origin(self) -> SubflowOrigin:
-        """How this subflow was created."""
-        return self._origin
-
-    @property
     def four_tuple(self) -> FourTuple:
         """The subflow's four-tuple, from the local point of view."""
-        return self._socket.four_tuple
-
-    @property
-    def is_initial(self) -> bool:
-        """True for the MP_CAPABLE subflow."""
-        return self._origin is SubflowOrigin.INITIAL
+        return self.socket.four_tuple
 
     # ------------------------------------------------------------------
     # state
@@ -92,19 +79,19 @@ class Subflow:
     @property
     def is_established(self) -> bool:
         """True while the subflow can carry data."""
-        return self._socket.is_established and self.closed_at is None
+        return self.socket.is_established and self.closed_at is None
 
     @property
     def is_closed(self) -> bool:
         """True once the subflow terminated (cleanly or not)."""
-        return self.closed_at is not None or self._socket.is_closed
+        return self.closed_at is not None or self.socket.is_closed
 
     @property
     def is_usable(self) -> bool:
         """True when the scheduler may place data on this subflow."""
         # Flattened is_established/is_closed: an open subflow whose socket
         # sits in ESTABLISHED is by definition not closed.
-        return self.closed_at is None and self._socket.state is TcpState.ESTABLISHED
+        return self.closed_at is None and self.socket.state is TcpState.ESTABLISHED
 
     def mark_established(self, when: float) -> None:
         """Record establishment time (called by the connection)."""
@@ -119,7 +106,7 @@ class Subflow:
 
     def info(self) -> TcpInfo:
         """``TCP_INFO``-style snapshot of the underlying socket."""
-        return self._socket.info()
+        return self.socket.info()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []
@@ -129,4 +116,4 @@ class Subflow:
             flags.append("initial")
         state = "closed" if self.is_closed else ("estab" if self.is_established else "opening")
         extra = f" ({','.join(flags)})" if flags else ""
-        return f"<Subflow #{self._id} {self.four_tuple} {state}{extra}>"
+        return f"<Subflow #{self.id} {self.four_tuple} {state}{extra}>"

@@ -27,6 +27,7 @@ class Interface:
         self._name = name
         self._address = IPAddress(address)
         self._link: Optional["Link"] = None
+        self._direction: object = None  # the link's transmit state for this end
         self._full_name = f"{node.name}.{name}"
         self._up = True
         self.tx_packets = 0
@@ -71,11 +72,12 @@ class Interface:
     # ------------------------------------------------------------------
     # link attachment
     # ------------------------------------------------------------------
-    def attach(self, link: "Link") -> None:
-        """Record the link this interface is plugged into (called by Link)."""
+    def attach(self, link: "Link", direction: object) -> None:
+        """Record the link plugged in here and its transmit state for this end."""
         if self._link is not None and self._link is not link:
             raise RuntimeError(f"interface {self.full_name} is already attached to a link")
         self._link = link
+        self._direction = direction
 
     # ------------------------------------------------------------------
     # administrative state

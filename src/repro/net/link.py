@@ -8,6 +8,11 @@ The loss model draws an independent Bernoulli per packet, exactly like the
 ``loss X%`` netem knob the paper's Mininet scripts use.  Loss is charged
 *after* the serialisation delay: a lost packet still occupied the sender's
 transmitter, as it does on a real lossy wireless hop.
+
+The send side is bound once, in :meth:`Link.connect`: each interface holds
+the ``_Direction`` it transmits into and each direction its two ends, so a
+segment goes ``Interface.send -> Link.transmit -> _admit`` (the one place
+the queue/drop rule is stated) without an ``id()`` or dictionary lookup.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ from repro.sim.engine import Simulator
 class _Direction:
     """State for one direction of a duplex link."""
 
-    __slots__ = ("queue", "busy", "sending", "wakeup", "tx_packets", "tx_bytes", "dropped_queue", "dropped_loss")
+    __slots__ = ("near", "far", "queue", "busy", "sending", "wakeup",
+                 "tx_packets", "tx_bytes", "dropped_queue", "dropped_loss")
 
-    def __init__(self, queue_capacity: int) -> None:
+    def __init__(self, near: Interface, far: Interface) -> None:
+        self.near = near
+        self.far = far
         self.queue: deque[Segment] = deque()
         self.busy = False
         # The segment currently being serialised and the single completion
@@ -81,8 +89,7 @@ class Link:
         self._loss_rate = float(loss_rate)
         self._queue_capacity = int(queue_packets)
         self._name = name
-        self._ends: dict[int, Interface] = {}
-        self._directions: dict[int, _Direction] = {}
+        self._directions: tuple[_Direction, ...] = ()
         self._rng = sim.random.substream(f"link:{name}")
         self._observers: list[Callable[[Segment, Interface, Interface], None]] = []
         self._fault_handler: Optional[Callable[[Segment, Interface], list[Segment]]] = None
@@ -149,22 +156,23 @@ class Link:
 
     def connect(self, side_a: Interface, side_b: Interface) -> "Link":
         """Plug the two interfaces into this link.  Returns ``self``."""
-        if self._ends:
+        if self._directions:
             raise RuntimeError(f"link {self._name} is already connected")
-        side_a.attach(self)
-        side_b.attach(self)
-        self._ends[id(side_a)] = side_b
-        self._ends[id(side_b)] = side_a
-        self._directions[id(side_a)] = _Direction(self._queue_capacity)
-        self._directions[id(side_b)] = _Direction(self._queue_capacity)
+        directions = (_Direction(side_a, side_b), _Direction(side_b, side_a))
+        for direction in directions:
+            direction.near.attach(self, direction)
+        self._directions = directions
         return self
+
+    def _direction_from(self, iface: Interface) -> _Direction:
+        """The direction ``iface`` transmits into; it must be plugged in here."""
+        if iface._link is not self:
+            raise RuntimeError(f"interface {iface.full_name} is not attached to link {self._name}")
+        return iface._direction
 
     def peer_of(self, iface: Interface) -> Interface:
         """The interface at the other end of the link."""
-        try:
-            return self._ends[id(iface)]
-        except KeyError:
-            raise RuntimeError(f"interface {iface.full_name} is not attached to link {self._name}") from None
+        return self._direction_from(iface).far
 
     def add_observer(self, callback: Callable[[Segment, Interface, Interface], None]) -> None:
         """Register a callback invoked for every segment *delivered* by the link.
@@ -193,11 +201,7 @@ class Link:
 
     def inject(self, segment: Segment, from_iface: Interface) -> None:
         """Enter a segment into the link, bypassing the fault handler."""
-        if id(from_iface) not in self._directions:
-            raise RuntimeError(
-                f"interface {from_iface.full_name} is not attached to link {self._name}"
-            )
-        self._admit(segment, from_iface, self._directions[id(from_iface)])
+        self._admit(segment, self._direction_from(from_iface))
 
     # ------------------------------------------------------------------
     # statistics
@@ -205,7 +209,7 @@ class Link:
     def stats(self) -> dict:
         """Aggregate per-link counters (both directions combined)."""
         totals = {"tx_packets": 0, "tx_bytes": 0, "dropped_queue": 0, "dropped_loss": 0}
-        for direction in self._directions.values():
+        for direction in self._directions:
             totals["tx_packets"] += direction.tx_packets
             totals["tx_bytes"] += direction.tx_bytes
             totals["dropped_queue"] += direction.dropped_queue
@@ -217,35 +221,33 @@ class Link:
     # ------------------------------------------------------------------
     def transmit(self, segment: Segment, from_iface: Interface) -> None:
         """Accept a segment from ``from_iface`` for transmission."""
-        direction = self._directions.get(id(from_iface))
-        if direction is None:
+        if from_iface._link is not self:  # ``_direction_from``, inline: this runs per segment
             raise RuntimeError(f"interface {from_iface.full_name} is not attached to link {self._name}")
+        direction = from_iface._direction
         if self._fault_handler is not None:
             for survivor in self._fault_handler(segment, from_iface):
-                self._admit(survivor, from_iface, direction)
+                self._admit(survivor, direction)
             return
-        self._admit(segment, from_iface, direction)
+        self._admit(segment, direction)
 
-    def _admit(self, segment: Segment, from_iface: Interface, direction: _Direction) -> None:
+    def _admit(self, segment: Segment, direction: _Direction) -> None:
+        """Queue behind a busy transmitter (drop-tail), or start serialising."""
         if direction.busy:
             if len(direction.queue) >= self._queue_capacity:
                 direction.dropped_queue += 1
                 return
             direction.queue.append(segment)
             return
-        self._start_transmission(segment, from_iface, direction)
-
-    def _start_transmission(self, segment: Segment, from_iface: Interface, direction: _Direction) -> None:
         direction.busy = True
         direction.sending = segment
         serialisation = (segment.size_bytes * 8.0) / self._rate_bps
         wakeup = direction.wakeup
         if wakeup is None:
-            direction.wakeup = self._sim.schedule(serialisation, self._transmission_done, from_iface, direction)
+            direction.wakeup = self._sim.schedule(serialisation, self._transmission_done, direction)
         else:
             self._sim.rearm(wakeup, serialisation)
 
-    def _transmission_done(self, from_iface: Interface, direction: _Direction) -> None:
+    def _transmission_done(self, direction: _Direction) -> None:
         segment = direction.sending
         direction.tx_packets += 1
         direction.tx_bytes += segment.size_bytes
@@ -254,10 +256,11 @@ class Link:
         if self._loss_rate and self._rng.chance(self._loss_rate):
             direction.dropped_loss += 1
         else:
-            to_iface = self._ends[id(from_iface)]
-            self._sim.schedule_pooled(self._delay, self._deliver, segment, from_iface, to_iface)
+            self._sim.schedule_pooled(self._delay, self._deliver, segment, direction.near, direction.far)
         if direction.queue:
-            self._start_transmission(direction.queue.popleft(), from_iface, direction)
+            # The wakeup that just fired serialises the next queued segment.
+            direction.sending = segment = direction.queue.popleft()
+            self._sim.rearm(direction.wakeup, (segment.size_bytes * 8.0) / self._rate_bps)
         else:
             direction.busy = False
             direction.sending = None

@@ -134,10 +134,13 @@ class Simulator:
         jitter) from this seed, so a run is fully reproducible.
     start_time:
         Initial simulated time in seconds.
+
+    ``now`` is the current simulated time in seconds: a plain attribute,
+    read per event by every component and written by this module only.
     """
 
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        self.now = float(start_time)
         self._sequence = itertools.count()
         self._running = False
         self._processed = 0
@@ -158,11 +161,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
-
     @property
     def pending_events(self) -> int:
         """Number of events still queued and not cancelled.
@@ -190,13 +188,13 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay!r})")
-        return self.schedule_at(self._now + delay, callback, *args, **kwargs)
+        return self.schedule_at(self.now + delay, callback, *args, **kwargs)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> ScheduledEvent:
         """Schedule ``callback`` to run at the absolute simulated ``time``."""
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
-        if not self._now <= time <= _MAX_EVENT_TIME:  # rejects NaN, inf and the past at once
+        if not self.now <= time <= _MAX_EVENT_TIME:  # rejects NaN, inf and the past at once
             self._reject_time(time)
         event = ScheduledEvent(time, callback, args, kwargs)
         event._sim = self
@@ -206,7 +204,7 @@ class Simulator:
 
     def call_soon(self, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> ScheduledEvent:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
-        return self.schedule_at(self._now, callback, *args, **kwargs)
+        return self.schedule_at(self.now, callback, *args, **kwargs)
 
     def schedule_pooled(self, delay: float, callback: Callable[..., Any], *args: Any) -> None:
         """Schedule a fire-and-forget callback on the recycled-event pool.
@@ -218,8 +216,8 @@ class Simulator:
         the same counter as :meth:`schedule`, so the execution order is
         identical to scheduling a fresh event.
         """
-        time = self._now + delay
-        if not self._now <= time <= _MAX_EVENT_TIME:
+        time = self.now + delay
+        if not self.now <= time <= _MAX_EVENT_TIME:
             self._reject_time(time)
         free = self._free
         if free:
@@ -247,8 +245,8 @@ class Simulator:
         """
         if not event._executed:
             raise SimulationError("rearm() requires an event that has already run")
-        time = self._now + delay
-        if not self._now <= time <= _MAX_EVENT_TIME:
+        time = self.now + delay
+        if not self.now <= time <= _MAX_EVENT_TIME:
             self._reject_time(time)
         event.time = time
         event._executed = False
@@ -280,7 +278,7 @@ class Simulator:
         if math.isnan(time) or math.isinf(time):
             raise SimulationError(f"invalid event time {time!r}")
         raise SimulationError(
-            f"cannot schedule an event at {time!r}, current time is {self._now!r}"
+            f"cannot schedule an event at {time!r}, current time is {self.now!r}"
         )
 
     # ------------------------------------------------------------------
@@ -343,7 +341,7 @@ class Simulator:
                 heappop(queue)
                 self._pending -= 1
                 event = entry[2]
-                self._now = entry[0]
+                self.now = entry[0]
                 event._executed = True
                 self._processed += 1
                 executed += 1
@@ -358,9 +356,9 @@ class Simulator:
                     free.append(event)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-        return self._now
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
         """Run until no events remain, guarding against runaway loops."""

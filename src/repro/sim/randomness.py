@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 import zlib
+from functools import cached_property
 from typing import Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -42,8 +43,12 @@ class RandomSource:
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = int(seed)
-        self._rng = random.Random(self._seed)
         self._children: dict[str, RandomSource] = {}
+
+    @cached_property
+    def _rng(self) -> random.Random:
+        """Built (seeded) by the first draw: most named streams never draw one."""
+        return random.Random(self._seed)
 
     @property
     def seed(self) -> int:

@@ -19,6 +19,8 @@ class Timer:
 
     The callback receives no arguments; capture context in a closure or a
     bound method.  Restarting an armed timer cancels the previous deadline.
+    ``expiry`` is the absolute simulated time of the pending expiry, ``None``
+    while the timer is not armed.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
@@ -26,7 +28,7 @@ class Timer:
         self._callback = callback
         self._name = name
         self._event: Optional[ScheduledEvent] = None
-        self._expiry: Optional[float] = None
+        self.expiry: Optional[float] = None
         log = sim.event_log
         self._trace = log.channel("timer") if log is not None else None
 
@@ -38,19 +40,14 @@ class Timer:
     @property
     def armed(self) -> bool:
         """True when the timer is currently counting down."""
-        return self._event is not None and self._event.pending
-
-    @property
-    def expiry(self) -> Optional[float]:
-        """Absolute simulated time of the pending expiry, if armed."""
-        return self._expiry if self.armed else None
+        return self._event is not None  # ``_fire`` and ``stop`` clear it
 
     @property
     def remaining(self) -> Optional[float]:
         """Seconds until expiry, if armed."""
-        if not self.armed or self._expiry is None:
+        if self.expiry is None:
             return None
-        return max(0.0, self._expiry - self._sim.now)
+        return max(0.0, self.expiry - self._sim.now)
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
@@ -58,7 +55,7 @@ class Timer:
         if event is not None:
             event.cancel()
         sim = self._sim
-        self._expiry = expiry = sim.now + delay
+        self.expiry = expiry = sim.now + delay
         self._event = sim.schedule_at(expiry, self._fire)
 
     def stop(self) -> None:
@@ -66,17 +63,17 @@ class Timer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-        self._expiry = None
+        self.expiry = None
 
     def _fire(self) -> None:
         self._event = None
-        self._expiry = None
+        self.expiry = None
         if self._trace is not None:
             self._trace.emit(self._sim.now, "timer", "fire", self._name)
         self._callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = f"expires at {self._expiry:.6f}" if self.armed else "idle"
+        state = f"expires at {self.expiry:.6f}" if self.armed else "idle"
         return f"<Timer {self._name} {state}>"
 
 

@@ -103,7 +103,9 @@ class ReceiveReassembly:
     ``register`` accepts possibly out-of-order, possibly overlapping
     (retransmitted) ranges and advances ``rcv_nxt`` over any contiguous
     prefix.  The number of *new* bytes covered is returned so callers can
-    keep byte counters without double counting duplicates.
+    keep byte counters without double counting duplicates.  ``rcv_nxt``, the
+    next expected in-order sequence number, is a plain attribute (read for
+    every emitted segment) that only this class writes.
 
     The out-of-order list is kept sorted, disjoint and non-adjacent (two
     ranges that touch are one range), so ``start`` and ``end`` are both
@@ -112,15 +114,10 @@ class ReceiveReassembly:
     """
 
     def __init__(self, initial_seq: int = 0) -> None:
-        self._rcv_nxt = initial_seq
+        self.rcv_nxt = initial_seq
         self._out_of_order: list[_Range] = []
         self._duplicate_bytes = 0
         self._stamp = 0
-
-    @property
-    def rcv_nxt(self) -> int:
-        """Next expected in-order sequence number."""
-        return self._rcv_nxt
 
     @property
     def has_out_of_order(self) -> bool:
@@ -154,7 +151,7 @@ class ReceiveReassembly:
         if length == 0:
             return 0
         start, end = seq, seq + length
-        rcv_nxt = self._rcv_nxt
+        rcv_nxt = self.rcv_nxt
         if end <= rcv_nxt:
             self._duplicate_bytes += length
             return 0
@@ -163,7 +160,7 @@ class ReceiveReassembly:
             start = rcv_nxt
         if start == rcv_nxt and not self._out_of_order:
             # In-order fast path: nothing to merge, the window just slides.
-            self._rcv_nxt = end
+            self.rcv_nxt = end
             return end - start
         new_bytes = self._insert(start, end)
         self._advance()
@@ -171,8 +168,8 @@ class ReceiveReassembly:
 
     def consume_fin(self, fin_seq: int) -> None:
         """Step over the peer's FIN, which occupies sequence number ``fin_seq``."""
-        if fin_seq >= self._rcv_nxt:
-            self._rcv_nxt = fin_seq + 1
+        if fin_seq >= self.rcv_nxt:
+            self.rcv_nxt = fin_seq + 1
 
     def _insert(self, start: int, end: int) -> int:
         """Merge [start, end) into the out-of-order list, returning new bytes."""
@@ -204,7 +201,7 @@ class ReceiveReassembly:
 
     def _advance(self) -> None:
         ranges = self._out_of_order
-        rcv_nxt = self._rcv_nxt
+        rcv_nxt = self.rcv_nxt
         consumed = 0
         for head in ranges:
             if head.start > rcv_nxt:
@@ -213,9 +210,9 @@ class ReceiveReassembly:
                 rcv_nxt = head.end
             consumed += 1
         if consumed:
-            self._rcv_nxt = rcv_nxt
+            self.rcv_nxt = rcv_nxt
             del ranges[:consumed]
 
     def missing_before(self, seq: int) -> bool:
         """True when there is a gap between ``rcv_nxt`` and ``seq``."""
-        return seq > self._rcv_nxt
+        return seq > self.rcv_nxt

@@ -21,13 +21,17 @@ from typing import Optional
 
 
 class CongestionControl(ABC):
-    """Interface shared by all congestion controllers."""
+    """Interface shared by all congestion controllers.
+
+    ``cwnd`` is the current congestion window in bytes: a plain attribute,
+    read per segment by the send path and written by this module only.
+    """
 
     def __init__(self, mss: int, initial_cwnd_segments: int, initial_ssthresh: int) -> None:
         if mss <= 0:
             raise ValueError(f"mss must be positive, got {mss!r}")
         self._mss = mss
-        self._cwnd = mss * initial_cwnd_segments
+        self.cwnd = mss * initial_cwnd_segments
         self._ssthresh = initial_ssthresh
         self.fast_recovery = False
         self._recovery_point = 0
@@ -41,11 +45,6 @@ class CongestionControl(ABC):
         return self._mss
 
     @property
-    def cwnd(self) -> int:
-        """Current congestion window in bytes."""
-        return self._cwnd
-
-    @property
     def ssthresh(self) -> int:
         """Current slow-start threshold in bytes."""
         return self._ssthresh
@@ -53,7 +52,7 @@ class CongestionControl(ABC):
     @property
     def in_slow_start(self) -> bool:
         """True while the window is below the slow-start threshold."""
-        return self._cwnd < self._ssthresh
+        return self.cwnd < self._ssthresh
 
     # ------------------------------------------------------------------
     # events
@@ -66,9 +65,9 @@ class CongestionControl(ABC):
             # The window stays frozen at ssthresh until recovery completes.
             return
         if self.in_slow_start:
-            self._cwnd += acked_bytes
+            self.cwnd += acked_bytes
         else:
-            self._cwnd += self._congestion_avoidance_increase(acked_bytes)
+            self.cwnd += self._congestion_avoidance_increase(acked_bytes)
 
     @abstractmethod
     def _congestion_avoidance_increase(self, acked_bytes: int) -> int:
@@ -79,14 +78,14 @@ class CongestionControl(ABC):
         if self.fast_recovery:
             return
         self._ssthresh = max(flight_size // 2, 2 * self._mss)
-        self._cwnd = self._ssthresh
+        self.cwnd = self._ssthresh
         self.fast_recovery = True
         self._recovery_point = snd_nxt
 
     def on_retransmission_timeout(self) -> None:
         """RTO expiry: collapse the window to one segment (RFC 5681)."""
-        self._ssthresh = max(self._cwnd // 2, 2 * self._mss)
-        self._cwnd = self._mss
+        self._ssthresh = max(self.cwnd // 2, 2 * self._mss)
+        self.cwnd = self._mss
         self.fast_recovery = False
 
     def on_recovery_ack(self, snd_una: int) -> bool:
@@ -109,7 +108,7 @@ class RenoCongestionControl(CongestionControl):
     def _congestion_avoidance_increase(self, acked_bytes: int) -> int:
         # Standard appropriate-byte-counting increase: one MSS per window's
         # worth of acknowledged data.
-        increase = (self._mss * acked_bytes) // max(self._cwnd, 1)
+        increase = (self._mss * acked_bytes) // max(self.cwnd, 1)
         return max(increase, 1)
 
 
@@ -150,7 +149,7 @@ class CouplingGroup:
         best = 0.0
         denominator = 0.0
         for member in self._members:
-            cwnd = member._cwnd
+            cwnd = member.cwnd
             total += cwnd
             rtt = member._srtt
             if rtt is None or rtt <= 0:
@@ -213,7 +212,7 @@ class LiaCongestionControl(CongestionControl):
         # i.e. never more aggressive than regular TCP on this subflow.
         total, alpha = self._group.coupling()
         coupled = alpha * acked_bytes * self._mss / max(total, self._mss)
-        uncoupled = acked_bytes * self._mss / max(self._cwnd, 1)
+        uncoupled = acked_bytes * self._mss / max(self.cwnd, 1)
         return max(int(min(coupled, uncoupled)), 1)
 
 

@@ -14,7 +14,11 @@ from typing import Optional
 
 
 class RttEstimator:
-    """Jacobson/Karels smoothed RTT with RFC 6298 RTO computation."""
+    """Jacobson/Karels smoothed RTT with RFC 6298 RTO computation.
+
+    ``srtt`` is the smoothed RTT in seconds (``None`` before the first
+    sample): a plain attribute that only :meth:`add_sample` writes.
+    """
 
     ALPHA = 1.0 / 8.0
     BETA = 1.0 / 4.0
@@ -33,7 +37,7 @@ class RttEstimator:
         self._rto_min = rto_min
         self._rto_max = rto_max
         self._granularity = clock_granularity
-        self._srtt: Optional[float] = None
+        self.srtt: Optional[float] = None
         self._rttvar: Optional[float] = None
         self._rto = rto_initial
         self._backoff_exponent = 0
@@ -57,12 +61,12 @@ class RttEstimator:
         self._samples += 1
         self._last_sample = rtt
         self._min_rtt = rtt if self._min_rtt is None else min(self._min_rtt, rtt)
-        if self._srtt is None or self._rttvar is None:
-            self._srtt = rtt
+        if self.srtt is None or self._rttvar is None:
+            self.srtt = rtt
             self._rttvar = rtt / 2.0
         else:
-            self._rttvar = (1 - self.BETA) * self._rttvar + self.BETA * abs(self._srtt - rtt)
-            self._srtt = (1 - self.ALPHA) * self._srtt + self.ALPHA * rtt
+            self._rttvar = (1 - self.BETA) * self._rttvar + self.BETA * abs(self.srtt - rtt)
+            self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
         self._backoff_exponent = 0
         self._recompute()
 
@@ -76,18 +80,13 @@ class RttEstimator:
         self._backoff_exponent = 0
 
     def _recompute(self) -> None:
-        assert self._srtt is not None and self._rttvar is not None
-        base = self._srtt + max(self._granularity, self.K * self._rttvar)
+        assert self.srtt is not None and self._rttvar is not None
+        base = self.srtt + max(self._granularity, self.K * self._rttvar)
         self._rto = min(self._rto_max, max(self._rto_min, base))
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    @property
-    def srtt(self) -> Optional[float]:
-        """Smoothed RTT in seconds (``None`` before the first sample)."""
-        return self._srtt
-
     @property
     def rttvar(self) -> Optional[float]:
         """RTT variance in seconds (``None`` before the first sample)."""
@@ -124,5 +123,5 @@ class RttEstimator:
         return min(self._rto_max, self._rto * (2.0 ** self._backoff_exponent))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        srtt = f"{self._srtt * 1000:.1f}ms" if self._srtt is not None else "-"
+        srtt = f"{self.srtt * 1000:.1f}ms" if self.srtt is not None else "-"
         return f"<RttEstimator srtt={srtt} rto={self.rto * 1000:.1f}ms backoff={self._backoff_exponent}>"

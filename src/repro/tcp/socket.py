@@ -338,10 +338,8 @@ class TcpSocket:
         self._emit(
             flags=TCPFlags.SYN,
             seq=self._iss,
-            ack=0,
             payload_len=0,
             options=options,
-            with_ack_flag=False,
         )
 
     def _send_syn_ack(self) -> None:
@@ -349,10 +347,8 @@ class TcpSocket:
         self._emit(
             flags=TCPFlags.SYN | TCPFlags.ACK,
             seq=self._iss,
-            ack=self.rcv_nxt,
             payload_len=0,
             options=options,
-            with_ack_flag=False,
         )
 
     def _on_syn_timeout(self) -> None:
@@ -394,7 +390,6 @@ class TcpSocket:
         self._emit(
             flags=_ACK_PSH_FLAGS,
             seq=seq,
-            ack=self.rcv_nxt,
             payload_len=length,
             options=options,
         )
@@ -409,7 +404,6 @@ class TcpSocket:
         self._emit(
             flags=TCPFlags.ACK,
             seq=self.snd_nxt,
-            ack=self.rcv_nxt,
             payload_len=0,
             options=self._observer.ack_options(self),
         )
@@ -437,7 +431,6 @@ class TcpSocket:
         self._emit(
             flags=TCPFlags.FIN | TCPFlags.ACK,
             seq=self._fin_seq,
-            ack=self.rcv_nxt,
             payload_len=0,
             options=self._observer.ack_options(self),
         )
@@ -456,7 +449,6 @@ class TcpSocket:
             self._emit(
                 flags=TCPFlags.RST | TCPFlags.ACK,
                 seq=self.snd_nxt,
-                ack=self.rcv_nxt,
                 payload_len=0,
                 options=(),
             )
@@ -530,7 +522,7 @@ class TcpSocket:
         elif payload_len > 0:
             # Acknowledge every data segment immediately (no delayed ACKs).
             self.send_ack()
-        if data_advanced:
+        if data_advanced and self._pending_close:
             self._maybe_send_fin()
 
     # -- handshake branches --------------------------------------------
@@ -562,7 +554,6 @@ class TcpSocket:
         self._emit(
             flags=TCPFlags.ACK,
             seq=self.snd_nxt,
-            ack=self.rcv_nxt,
             payload_len=0,
             options=options,
         )
@@ -643,7 +634,8 @@ class TcpSocket:
             if acked_segments:
                 metadata = [s.metadata for s in acked_segments if s.metadata is not None]
                 self._observer.on_acked(self, metadata, payload_acked)
-            self._maybe_send_fin()
+            if self._pending_close:
+                self._maybe_send_fin()
             if self.available_window() > 0 and self.state in _SEND_READY_STATES:
                 self._observer.on_send_space(self)
         elif (
@@ -748,7 +740,6 @@ class TcpSocket:
         self._emit(
             flags=TCPFlags.ACK | TCPFlags.PSH,
             seq=sent.seq,
-            ack=self.rcv_nxt,
             payload_len=sent.length,
             options=options,
         )
@@ -835,7 +826,6 @@ class TcpSocket:
             self._emit(
                 flags=TCPFlags.FIN | TCPFlags.ACK,
                 seq=self._fin_seq,
-                ack=self.rcv_nxt,
                 payload_len=0,
                 options=self._observer.ack_options(self),
             )
@@ -849,25 +839,18 @@ class TcpSocket:
         if isinstance(self.congestion, LiaCongestionControl):
             self.congestion.observe_rtt(self.rtt.srtt)
 
-    def _emit(
-        self,
-        flags: TCPFlags,
-        seq: int,
-        ack: int,
-        payload_len: int,
-        options: tuple,
-        with_ack_flag: bool = True,
-    ) -> None:
+    def _emit(self, flags: TCPFlags, seq: int, payload_len: int, options: tuple) -> None:
+        """Build one segment (its ack field is ``rcv_nxt``, 0 until the
+        peer's SYN arrived) and hand it to ``transmit``."""
         flags = int(flags)
-        if with_ack_flag:
-            flags |= _ACK_BIT
-        if (
-            flags & _ACK_BIT
-            and self._reassembly is not None
-            and self._reassembly.has_out_of_order
-        ):
-            blocks = tuple(self._reassembly.sack_blocks(4))
-            options = tuple(options) + (SackOption(blocks=blocks),)
+        reassembly = self._reassembly
+        if reassembly is None:
+            ack = 0
+        else:
+            ack = reassembly.rcv_nxt
+            if flags & _ACK_BIT and reassembly.has_out_of_order:
+                blocks = tuple(reassembly.sack_blocks(4))
+                options = tuple(options) + (SackOption(blocks=blocks),)
         # Positional construction (src, dst, sport, dport, seq, ack, flags,
         # payload_len, options, window, ttl, sent_at) — this is the single
         # hottest allocation in the simulator.

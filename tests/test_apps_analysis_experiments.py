@@ -264,14 +264,40 @@ class TestExperimentsSmall:
         (["fig3", "--requests", "-5"], "--requests: expected a positive int"),
         (["longlived", "--duration", "0"], "--duration: expected a positive float"),
         (["all", "--duration", "inf"], "--duration: expected a positive float"),
+        (["cell", "--workload", "nosuch"],
+         "--workload: unknown workload 'nosuch' (have bulk_transfer, http, longlived, streaming)"),
+        (["cell", "--scenario", "nosuch"], "--scenario: unknown scenario 'nosuch' (have addaddr_stripped, "),
+        (["cell", "--controller", "nosuch"], "--controller: unknown controller 'nosuch' (have fullmesh, "),
+        (["cell", "--scheduler", "nosuch"],
+         "--scheduler: unknown scheduler 'nosuch' (have lowest_rtt, redundant, round_robin)"),
+        (["trace", "--workload", "nosuch"], "--workload: unknown workload 'nosuch'"),
+        (["trace", "--scenario", "nosuch"], "--scenario: unknown scenario 'nosuch'"),
+        (["trace", "--controller", "nosuch"], "--controller: unknown controller 'nosuch'"),
+        (["trace", "--scheduler", "nosuch"], "--scheduler: unknown scheduler 'nosuch'"),
+        (["trace", "--categories", "timer,nosuch"],
+         "--categories: unknown event category 'nosuch' (have connection, fallback, fault, pm, "
+         "scheduler, subflow, timer)"),
+        (["fuzz", "--shrink", "--plan", "known_bad_dual_homed", "--workload", "nosuch"],
+         "--workload: unknown workload 'nosuch'"),
+        (["fuzz", "--shrink", "--plan", "known_bad_dual_homed", "--controller", "nosuch"],
+         "--controller: unknown controller 'nosuch'"),
+        (["fuzz", "--shrink", "--plan", "known_bad_dual_homed", "--scheduler", "nosuch"],
+         "--scheduler: unknown scheduler 'nosuch'"),
+        (["fuzz", "--shrink", "--plan", "known_bad_dual_homed", "--base-scenario", "nosuch"],
+         "--base-scenario: unknown scenario 'nosuch'"),
+        (["fuzz", "--shrink", "--plan", "baselines/quick.json"],
+         "--plan: 'baselines/quick.json' is not a fault plan file (unsupported fault plan format "
+         "version None (expected 1)); the named plans are addaddr_strip, dss_storm, "
+         "known_bad_dual_homed, "),
     ])
     def test_runner_bad_grid_or_params_is_a_usage_error(self, argv, complaint, capsys):
         """argparse rejects them (exit 2 + usage), no handler runs and no
-        ValueError / JSONDecodeError / FileNotFoundError traceback escapes;
-        a store that is only read is not created (a typo'd path used to
-        ``verify`` as ``all 0 object(s) ok``) and a non-positive count or
+        ValueError / KeyError / JSONDecodeError / FileNotFoundError traceback
+        escapes; a store that is only read is not created (a typo'd path used
+        to ``verify`` as ``all 0 object(s) ok``), a non-positive count or
         duration runs nothing (``cell --horizon -1`` used to exit 0 with an
-        all-zero cell)."""
+        all-zero cell), an unknown registry name is answered with the known
+        ones, and a ``--plan`` file that is not a plan runs no cell."""
         with pytest.raises(SystemExit) as exit_info:
             runner_main(argv)
         assert exit_info.value.code == 2

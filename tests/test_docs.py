@@ -2,7 +2,7 @@
 
 Docs drift silently: a new subcommand lands without a reference entry,
 a public module loses its docstring in a refactor.  These tests make the
-two documentation surfaces part of the test contract:
+documentation surfaces (and two source-wide rules) part of the test contract:
 
 1. ``docs/CLI.md`` must cover every subcommand registered on the actual
    argparse parser (read from ``build_parser()``, not a hand-kept list),
@@ -12,7 +12,10 @@ two documentation surfaces part of the test contract:
    flags, the cells/s benchmark stack that ``bench/`` replaced, the
    calendar-wheel event queue, the ``benchmarks/`` call wrappers) must not
    creep back into the source, docs, examples, README or CI.
-3. Every module — and every public class and function — of the
+3. The hot accessors that are plain attributes instead of read-only
+   properties (``Simulator.now``, ``CongestionControl.cwnd``, ...) must be
+   assigned nowhere in ``src/repro/`` but in the module that owns them.
+4. Every module — and every public class and function — of the
    user-facing packages (``repro.workloads``, ``repro.sweep``,
    ``repro.faults``, ``repro.obs``) must carry a docstring.  The check is pure
    ``inspect`` so it runs anywhere the test suite runs; CI additionally
@@ -20,6 +23,7 @@ two documentation surfaces part of the test contract:
 """
 
 import argparse
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -160,6 +164,61 @@ class TestRemovedNamesStayRemoved:
             if name in text
         ]
         assert not offenders, f"removed names are back: {offenders}"
+
+
+class TestOwnersAreTheOnlyWriters:
+    """The hot read-only accessors are plain attributes, not properties
+    (docs/ARCHITECTURE.md, *Segment path*), so nothing but this walk stops a
+    stray write: an attribute of one of these names may be assigned only in
+    the module that owns it."""
+
+    #: attribute -> (the module that may assign it, the class that carries it)
+    OWNERS = {
+        "now": ("sim/engine.py", "Simulator"),
+        "cwnd": ("tcp/congestion.py", "CongestionControl"),
+        "rcv_nxt": ("tcp/buffers.py", "ReceiveReassembly"),
+        "srtt": ("tcp/rtt.py", "RttEstimator"),
+        "socket": ("mptcp/subflow.py", "Subflow"),
+        "is_initial": ("mptcp/subflow.py", "Subflow"),
+        "expiry": ("sim/timers.py", "Timer"),
+    }
+
+    @staticmethod
+    def _assigned_attributes(tree: ast.AST):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in ast.walk(target):
+                    # Store context: ``a.socket.x = 1`` reads ``socket``.
+                    if isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Store):
+                        yield leaf
+
+    def test_no_module_but_the_owner_assigns_a_hot_attribute(self):
+        package = REPO_ROOT / "src" / "repro"
+        offenders = []
+        owners_seen = set()
+        for path in sorted(package.rglob("*.py")):
+            relative = path.relative_to(package).as_posix()
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for target in self._assigned_attributes(tree):
+                owner, _ = self.OWNERS.get(target.attr, (None, None))
+                if owner == relative:
+                    owners_seen.add(target.attr)
+                elif owner is not None:
+                    offenders.append(f"{relative}:{target.lineno} assigns .{target.attr}")
+        assert not offenders, f"only {self.OWNERS} may write these: {offenders}"
+        assert owners_seen == set(self.OWNERS), "an owner no longer assigns its attribute"
+
+    @pytest.mark.parametrize("name", sorted(OWNERS))
+    def test_they_are_attributes_not_properties(self, name):
+        path, cls = self.OWNERS[name]
+        module = importlib.import_module("repro." + path[:-len(".py")].replace("/", "."))
+        assert not hasattr(getattr(module, cls), name)
 
 
 class TestArchitectureDoc:

@@ -853,7 +853,7 @@ class TestAckPathOracles:
         controllers = []
         for cwnd, srtt, detached in members:
             controller = LiaCongestionControl(mss, 10, 1 << 30, group)
-            controller._cwnd = cwnd
+            controller.cwnd = cwnd
             controller.observe_rtt(srtt)
             controllers.append((controller, detached))
         for controller, detached in controllers:
@@ -889,3 +889,271 @@ class TestAckPathOracles:
             expected = max(int(min(coupled, uncoupled)), 1)
             increase = controller._congestion_avoidance_increase(acked_bytes)
             assert increase == expected and type(increase) is int
+
+
+# ----------------------------------------------------------------------
+# the send loop vs. the per-chunk loop it replaced
+# ----------------------------------------------------------------------
+# ``MptcpConnection._push_data`` asks the scheduler once per flight
+# (``pick`` -> subflow, window, alone) where it used to ask once per chunk
+# and once more to learn that every window was shut.  The replaced loop and
+# the three ``select`` bodies it called live on here, verbatim, as the
+# oracle: on stub subflows whose ``send_data(n)`` lowers their window by
+# ``n`` (what a socket's does), both loops must hand the same chunks to the
+# same subflows in the same order and leave the same state behind.
+from collections import deque  # noqa: E402
+
+from repro.mptcp.config import MptcpConfig  # noqa: E402
+from repro.mptcp.connection import DssMapping, MptcpConnection  # noqa: E402
+from repro.mptcp.stack import MptcpStack  # noqa: E402
+from repro.net.host import Host  # noqa: E402
+from repro.obs import EventLog  # noqa: E402
+
+_LOOP_MSS = MptcpConfig().tcp.mss
+
+
+def _parent_select(scheduler, subflows):
+    """The ``select`` bodies of the three schedulers before ``pick``."""
+    if scheduler.name == "lowest_rtt":
+        best = None
+        best_srtt = None
+        regular_usable = False
+        for flow in subflows:
+            if not flow.is_usable:
+                continue
+            if flow.backup:
+                if regular_usable:
+                    continue
+            elif not regular_usable:
+                regular_usable = True
+                best = None
+            socket = flow.socket
+            if socket.available_window() <= 0:
+                continue
+            srtt = socket.rtt.srtt
+            if best is not None:
+                if best_srtt is None:
+                    if srtt is not None or flow.id >= best.id:
+                        continue
+                elif srtt is not None and (
+                    srtt > best_srtt or (srtt == best_srtt and flow.id >= best.id)
+                ):
+                    continue
+            best = flow
+            best_srtt = srtt
+        return best
+    if scheduler.name == "round_robin":
+        candidates = sorted(scheduler.eligible(subflows), key=lambda flow: flow.id)
+        if not candidates:
+            return None
+        cursor_alive = scheduler._last_id is not None and any(
+            flow.id == scheduler._last_id and not flow.is_closed for flow in subflows
+        )
+        if scheduler._last_id is not None and not cursor_alive:
+            scheduler._last_id = None
+        if scheduler._last_id is not None:
+            for flow in candidates:
+                if flow.id > scheduler._last_id:
+                    scheduler._last_id = flow.id
+                    return flow
+        chosen = candidates[0]
+        scheduler._last_id = chosen.id
+        return chosen
+    assert scheduler.name == "redundant"
+    candidates = scheduler.eligible(subflows)
+    if not candidates:
+        return None
+
+    def key(flow):
+        srtt = flow.socket.rtt.srtt
+        return (srtt is not None, srtt if srtt is not None else 0.0, flow.id)
+
+    return min(candidates, key=key)
+
+
+def _parent_push_data(self):
+    """``MptcpConnection._push_data`` before ``pick``: one ``select`` per
+    chunk, ``available_window()`` re-read for each."""
+    if self.closed:
+        return
+    while self._unassigned:
+        start, end = self._unassigned[0]
+        if end <= self._data_una:
+            self._unassigned.popleft()
+            continue
+        if start < self._data_una:
+            start = self._data_una
+        chunk = end - start
+        if chunk > self._mss:
+            chunk = self._mss
+        if self.is_fallback:
+            # Scheduler bypass: plain TCP has exactly one path.
+            flow = next((f for f in self._subflows if f.is_usable), None)
+        else:
+            flow = _parent_select(self._scheduler, self._subflows)
+        if flow is None:
+            break
+        window = flow.socket.available_window()
+        if window <= 0:
+            break
+        send_len = chunk if chunk <= window else window
+        mapping = DssMapping(start, send_len)
+        if not flow.socket.send_data(send_len, mapping):
+            break
+        if self._trace_sched is not None:
+            self._trace_sched.emit(
+                self._sim.now, "scheduler", "select", self._trace_id,
+                {"subflow": flow.id, "data_seq": start, "length": send_len},
+            )
+        flow.bytes_scheduled += send_len
+        if self.is_fallback:
+            flow.fallback_bytes += send_len
+            self.fallback_bytes_sent += send_len
+        new_start = start + send_len
+        if new_start >= end:
+            self._unassigned.popleft()
+        else:
+            self._unassigned[0] = (new_start, end)
+    if not self._meta_rtx_timer.armed:
+        self._restart_meta_timer()
+    self._maybe_send_data_fin()
+
+
+class _LoopSocket(_SchedFakeSocket):
+    """A scheduler stub that also takes data: ``send_data(n)`` keeps the
+    socket's own window test and lowers the window by exactly ``n``."""
+
+    def __init__(self, flow_id, srtt, window, established, accepts, sent):
+        super().__init__(srtt, window, established)
+        self.rtt.rto = 1.0
+        self._flow_id = flow_id
+        self._accepts = accepts
+        self._sent = sent
+
+    def send_data(self, length, metadata):
+        if length > self._window or self._accepts == 0:
+            return False
+        if self._accepts is not None:
+            self._accepts -= 1
+        self._window -= length
+        self._sent.append((self._flow_id, metadata.data_seq, metadata.length))
+        return True
+
+
+class _LoopFlow(_SchedFakeFlow):
+    def __init__(self, flow_id, srtt, window, backup, established, accepts, sent):
+        super().__init__(flow_id, srtt, window, backup, established)
+        self.socket = _LoopSocket(flow_id, srtt, window, established, accepts, sent)
+        self.bytes_scheduled = 0
+        self.fallback_bytes = 0
+
+
+loop_windows = st.one_of(
+    st.integers(min_value=0, max_value=5).map(lambda segments: segments * _LOOP_MSS),
+    st.integers(min_value=0, max_value=5 * _LOOP_MSS),
+)
+loop_flow_states = st.tuples(
+    st.integers(min_value=1, max_value=9),  # id
+    st.one_of(st.none(), st.sampled_from([0.01, 0.05]), st.floats(min_value=1e-4, max_value=2.0)),
+    loop_windows,
+    st.booleans(),  # backup
+    st.sampled_from([True, True, True, False]),  # usable
+    # Sends the socket accepts before its state test refuses (None: all).
+    st.sampled_from([None, None, None, None, 0, 1, 3]),
+)
+loop_flow_sets = st.lists(
+    loop_flow_states, min_size=1, max_size=6, unique_by=lambda state: state[0]
+)
+# Unassigned ranges: (gap before, length) with sub-MSS tails, then how much
+# of the total the peer has already acknowledged at the data level.
+loop_ranges = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 0, 1, _LOOP_MSS]),
+        st.one_of(
+            st.integers(min_value=1, max_value=3 * _LOOP_MSS + 700),
+            st.integers(min_value=1, max_value=4).map(lambda segments: segments * _LOOP_MSS),
+        ),
+    ),
+    min_size=0, max_size=5,
+)
+
+
+def _loop_connection(name, flow_states, ranges, acked_share, fallback, cursor, loop):
+    """A real connection over stub subflows, pushed once by ``loop``."""
+    sim = Simulator(seed=1)
+    sim.event_log = EventLog(categories=["scheduler"])
+    stack = MptcpStack(sim, Host(sim, "h"), config=MptcpConfig(scheduler=name))
+    conn = MptcpConnection(
+        stack, None, make_scheduler(name), local_key=7, is_client=True,
+        remote_address="10.0.0.2", remote_port=80,
+    )
+    sent: list = []
+    conn._subflows = [_LoopFlow(*state, sent) for state in flow_states]
+    position = 0
+    for gap, length in ranges:
+        conn._unassigned.append((position + gap, position + gap + length))
+        position += gap + length
+    conn._data_write_nxt = position
+    conn._data_una = int(position * acked_share)
+    conn.is_fallback = fallback
+    if name == "round_robin":
+        conn._scheduler._last_id = cursor
+    loop(conn)
+    return {
+        "sent": sent,
+        "bytes_scheduled": [(f.id, f.bytes_scheduled, f.fallback_bytes) for f in conn._subflows],
+        "windows": [(f.id, f.socket.available_window()) for f in conn._subflows],
+        "unassigned": list(conn._unassigned),
+        "cursor": getattr(conn._scheduler, "_last_id", None),
+        "fallback_bytes_sent": conn.fallback_bytes_sent,
+        "trace": [(e.time, e.category, e.name, e.subject, e.detail) for e in sim.event_log],
+        "meta_timer": conn._meta_rtx_timer.expiry,
+    }
+
+
+class TestSendLoopOracle:
+    @given(
+        st.sampled_from(sorted(SCHEDULER_REGISTRY)),
+        loop_flow_sets,
+        loop_ranges,
+        st.sampled_from([0.0, 0.0, 0.3, 1.0]),
+        st.sampled_from([False, False, False, True]),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_one_pass_per_flight_sends_what_one_pass_per_chunk_sent(
+        self, name, flow_states, ranges, acked_share, fallback, cursor
+    ):
+        setup = (name, flow_states, ranges, acked_share, fallback, cursor)
+        new = _loop_connection(*setup, MptcpConnection._push_data)
+        old = _loop_connection(*setup, _parent_push_data)
+        assert new == old
+        # Every chunk left with a trace event saying so.
+        assert [(d["subflow"], d["data_seq"], d["length"]) for *_, d in new["trace"]] == new["sent"]
+
+    @given(
+        st.sampled_from(sorted(SCHEDULER_REGISTRY)),
+        loop_flow_sets.flatmap(st.permutations),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=9)),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_pick_names_what_select_named_and_alone_means_one_open_subflow(
+        self, name, flow_states, cursor
+    ):
+        flows = [_LoopFlow(*state, []) for state in flow_states]
+        scheduler, selecting, twin = (make_scheduler(name) for _ in range(3))
+        if name == "round_robin":
+            scheduler._last_id = selecting._last_id = twin._last_id = cursor
+        expected = _parent_select(twin, flows)
+        picked = scheduler.pick(flows)
+        # ``select`` is the same answer reduced to the subflow.
+        assert selecting.select(flows, _LOOP_MSS) is expected
+        for candidate in (scheduler, selecting):
+            assert getattr(candidate, "_last_id", None) == getattr(twin, "_last_id", None)
+        if expected is None:
+            assert picked is None and scheduler.eligible(flows) == []
+            return
+        flow, window, alone = picked
+        assert flow is expected
+        assert window == flow.socket.available_window() > 0
+        assert alone is (len(scheduler.eligible(flows)) == 1)

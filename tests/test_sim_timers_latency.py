@@ -129,6 +129,36 @@ class TestRandomSource:
         root = RandomSource(3)
         assert root.substream("a").random() != root.substream("b").random()
 
+    def test_a_stream_seeds_itself_on_its_first_draw(self, monkeypatch):
+        """Most named streams never draw (a loss-free link's, an idle
+        stack's): naming one, deriving from it and the draw-free ``chance``
+        extremes build no generator, and the one the first draw builds
+        yields what an eagerly seeded ``random.Random`` does."""
+        import random
+
+        built = []
+        eager = random.Random
+
+        class Counting(eager):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(random, "Random", Counting)
+        root = RandomSource(11)
+        child = root.substream("link:wifi")
+        child.substream("deeper")
+        assert child.chance(0.0) is False and child.chance(1.0) is True
+        assert child.seed == RandomSource(11).substream("link:wifi").seed
+        assert built == []
+        reference = eager(child.seed)
+        draws = [child.random(), child.randint(1, 6), child.gauss(0.0, 1.0), child.chance(0.5)]
+        assert draws == [
+            reference.random(), reference.randint(1, 6), reference.gauss(0.0, 1.0),
+            reference.random() < 0.5,
+        ]
+        assert built == [child.seed]
+
     def test_chance_extremes(self):
         rng = RandomSource(1)
         assert rng.chance(0.0) is False
