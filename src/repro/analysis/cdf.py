@@ -7,7 +7,7 @@ the common representation the experiments and benchmarks print.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Cdf:
@@ -89,10 +89,6 @@ class Cdf:
         """The staircase points (value, cumulative fraction)."""
         total = len(self._samples)
         return [(value, (index + 1) / total) for index, value in enumerate(self._samples)]
-
-    def at_fractions(self, fractions: Sequence[float]) -> list[tuple[float, float]]:
-        """Evaluate the inverse CDF at the given cumulative fractions."""
-        return [(fraction, self.percentile(fraction)) for fraction in fractions]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if not self._samples:

@@ -46,10 +46,6 @@ class SubflowSequenceTrace:
                 seen.append(point.subflow)
         return seen
 
-    def series_for(self, subflow: FourTuple) -> list[tuple[float, int]]:
-        """The (time, data sequence) series of one subflow."""
-        return [(point.time, point.data_seq) for point in self.points if point.subflow == subflow]
-
     def highest_seq_before(self, time: float, subflow: Optional[FourTuple] = None) -> int:
         """The highest data sequence sent before ``time`` (optionally per subflow)."""
         best = 0

@@ -7,7 +7,7 @@ mostly-idle application (§4.1).
 """
 
 from repro.apps.base import Application
-from repro.apps.bulk import BulkReceiverApp, BulkSenderApp, BulkTransfer
+from repro.apps.bulk import BulkReceiverApp, BulkSenderApp
 from repro.apps.http import HttpClientDriver, HttpRequestRecord, HttpServerApp
 from repro.apps.longlived import LongLivedApp, LongLivedPeer
 from repro.apps.streaming import BlockRecord, StreamingSinkApp, StreamingSourceApp
@@ -16,7 +16,6 @@ __all__ = [
     "Application",
     "BulkSenderApp",
     "BulkReceiverApp",
-    "BulkTransfer",
     "StreamingSourceApp",
     "StreamingSinkApp",
     "BlockRecord",

@@ -36,15 +36,5 @@ class Application(ConnectionListener):
     def on_connection_closed(self, conn: MptcpConnection) -> None:
         self.closed_at = conn.stack.sim.now
 
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    @property
-    def sim_now(self) -> Optional[float]:
-        """Current simulated time (``None`` before the connection exists)."""
-        if self.connection is None:
-            return None
-        return self.connection.stack.sim.now
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -78,27 +78,3 @@ class BulkReceiverApp(Application):
         super().on_connection_finished(conn)
         conn.close()
 
-
-class BulkTransfer:
-    """Convenience pairing of a bulk sender with its receiver factory.
-
-    Experiments use this to wire "client uploads N bytes to the server"
-    with two lines: install the receiver factory on the listening stack and
-    connect the sender.
-    """
-
-    def __init__(self, total_bytes: int) -> None:
-        self.total_bytes = total_bytes
-        self.sender = BulkSenderApp(total_bytes)
-        self.receivers: list[BulkReceiverApp] = []
-
-    def receiver_factory(self) -> BulkReceiverApp:
-        """Create (and remember) a receiver for an accepted connection."""
-        receiver = BulkReceiverApp(expected_bytes=self.total_bytes)
-        self.receivers.append(receiver)
-        return receiver
-
-    @property
-    def receiver(self) -> Optional[BulkReceiverApp]:
-        """The first accepted receiver, if any."""
-        return self.receivers[0] if self.receivers else None

@@ -107,11 +107,6 @@ class LongLivedPeer(Application):
         self.message_bytes = message_bytes
         self.received_bytes = 0
 
-    @property
-    def messages_received(self) -> int:
-        """Complete messages received so far."""
-        return self.received_bytes // self.message_bytes
-
     def on_data(self, conn: MptcpConnection, new_bytes: int) -> None:
         self.received_bytes += new_bytes
 

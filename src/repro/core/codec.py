@@ -13,45 +13,36 @@ Every message starts with a fixed header::
 
     !BHI   kind (1=event, 2=command, 3=reply), type, payload length
 
-followed by a type-specific payload.  Command replies carry a small
-self-describing key/value payload (integers, floats, strings, lists and
-nested dictionaries) because the ``TCP_INFO``-style queries return many
-fields.
+followed by exactly that many payload bytes.  The payload of an event or a
+command is declared on its class in :mod:`repro.core.events` /
+:mod:`repro.core.commands` as ``wire``, a string of ``field:kind`` entries
+in wire order, and compiled here into one ``struct.Struct`` per class.  A
+kind is a one-letter ``struct`` code (``I`` ``H`` ``B`` ``i`` ``d``, ``?``
+for a flag byte) or one of
+
+=========  =======================================================
+``addr``   4 bytes, an :class:`~repro.net.addressing.IPAddress`
+``addr?``  a presence byte, then 4 address bytes (zeros if absent)
+``tuple``  12 bytes, :meth:`FourTuple.packed`
+``str``    ``!H`` length + UTF-8 bytes; last entry only
+=========  =======================================================
+
+Command replies carry a small self-describing key/value payload (integers,
+floats, strings, lists and nested dictionaries) because the
+``TCP_INFO``-style queries return many fields.
+
+Whatever cannot be parsed raises :class:`CodecError` -- a length field that
+disagrees with the bytes that follow, an unknown type number, a short or
+garbled payload -- never ``struct.error``.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Union
+from typing import Union
 
-from repro.core.commands import (
-    COMMAND_CLASSES,
-    Command,
-    CommandReply,
-    CommandType,
-    CreateSubflowCommand,
-    GetConnInfoCommand,
-    GetSubflowInfoCommand,
-    ListSubflowsCommand,
-    RemoveSubflowCommand,
-    ReplyStatus,
-    SetBackupCommand,
-)
-from repro.core.events import (
-    EVENT_CLASSES,
-    AddAddrEvent,
-    ConnClosedEvent,
-    ConnCreatedEvent,
-    ConnEstablishedEvent,
-    DelLocalAddrEvent,
-    Event,
-    EventType,
-    NewLocalAddrEvent,
-    RemAddrEvent,
-    SubflowClosedEvent,
-    SubflowEstablishedEvent,
-    TimeoutEvent,
-)
+from repro.core.commands import COMMAND_CLASSES, Command, CommandReply, ReplyStatus
+from repro.core.events import EVENT_CLASSES, Event
 from repro.net.addressing import FourTuple, IPAddress
 
 HEADER = struct.Struct("!BHI")
@@ -146,206 +137,143 @@ def _decode_value(data: bytes, offset: int) -> tuple[Value, int]:
     raise CodecError(f"unknown value tag {tag}")
 
 
-def _pack_string(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("!H", len(raw)) + raw
-
-
-def _unpack_string(data: bytes, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from("!H", data, offset)
-    offset += 2
-    return data[offset : offset + length].decode("utf-8"), offset + length
+def _open(kind: int, what: str, data: bytes) -> tuple[int, bytes]:
+    """Check a message's header; return its type number and its payload."""
+    try:
+        got, number, length = HEADER.unpack_from(data)
+    except struct.error as exc:
+        raise CodecError("message too short") from exc
+    if got != kind:
+        raise CodecError(f"expected {what} message, got kind {got}")
+    if len(data) - HEADER.size != length:
+        raise CodecError(f"header announces {length} payload bytes, {len(data) - HEADER.size} follow")
+    return number, data[HEADER.size :]
 
 
 # ----------------------------------------------------------------------
-# events
+# events and commands: one layout per declared class
 # ----------------------------------------------------------------------
+#: What a ``wire`` entry may name besides a one-letter struct code:
+#: kind -> (struct code, field value -> packed bytes, packed bytes -> field value).
+#: The fourth kind, ``str``, is the one thing outside the fixed struct (a
+#: ``!H`` length and that many UTF-8 bytes) and may only be the last entry.
+_KINDS = {
+    "addr": ("4s", IPAddress.packed, IPAddress.from_packed),
+    "addr?": (  # a presence byte, then the address or zeros
+        "5s",
+        lambda address: bytes(5) if address is None else b"\x01" + address.packed(),
+        lambda raw: IPAddress.from_packed(raw[1:]) if raw[0] else None,
+    ),
+    "tuple": ("12s", FourTuple.packed, FourTuple.from_packed),
+}
+_STR_LENGTH = struct.Struct("!H")
+
+
+class _Layout:
+    """The ``wire`` string of one message class, compiled."""
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        entries = [entry.split(":") for entry in cls.wire.split()]
+        self.text = entries.pop()[0] if entries[-1][1] == "str" else None
+        # (field name, struct code, value -> packed, packed -> value); no converters for a plain code
+        self.fields = [(name, *_KINDS.get(code, (code, None, None))) for name, code in entries]
+        self.fixed = struct.Struct("!" + "".join(code for _, code, _, _ in self.fields))
+
+    def pack(self, message: Union[Event, Command]) -> bytes:
+        payload = self.fixed.pack(
+            *[
+                getattr(message, name) if pack is None else pack(getattr(message, name))
+                for name, _, pack, _ in self.fields
+            ]
+        )
+        if self.text is not None:
+            raw = getattr(message, self.text).encode("utf-8")
+            payload += _STR_LENGTH.pack(len(raw)) + raw
+        return payload
+
+    def unpack(self, payload: bytes) -> Union[Event, Command]:
+        end = self.fixed.size
+        fields = {
+            name: value if unpack is None else unpack(value)
+            for (name, _, _, unpack), value in zip(self.fields, self.fixed.unpack_from(payload))
+        }
+        if self.text is not None:
+            (length,) = _STR_LENGTH.unpack_from(payload, end)
+            end += _STR_LENGTH.size + length
+            fields[self.text] = payload[end - length : end].decode("utf-8")
+        if end != len(payload):
+            raise CodecError(f"{self.cls.__name__} takes {end} payload bytes, got {len(payload)}")
+        return self.cls(**fields)
+
+
+_LAYOUTS = {
+    (kind, int(number)): _Layout(cls)
+    for kind, classes in ((KIND_EVENT, EVENT_CLASSES), (KIND_COMMAND, COMMAND_CLASSES))
+    for number, cls in classes.items()
+}
+
+
+def _encode(kind: int, number: int, message: Union[Event, Command]) -> bytes:
+    payload = _LAYOUTS[kind, number].pack(message)
+    return HEADER.pack(kind, number, len(payload)) + payload
+
+
+def _decode(kind: int, what: str, data: bytes) -> Union[Event, Command]:
+    number, payload = _open(kind, what, data)
+    layout = _LAYOUTS.get((kind, number))
+    if layout is None:
+        raise CodecError(f"{what} message of unknown type {number}")
+    try:
+        return layout.unpack(payload)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise CodecError(f"malformed {layout.cls.__name__}: {exc}") from exc
+
+
 def encode_event(event: Event) -> bytes:
     """Serialise an event into its wire form."""
-    event_type = event.event_type
-    if event_type == EventType.CONN_CREATED:
-        assert isinstance(event, ConnCreatedEvent)
-        payload = (
-            struct.pack("!Id", event.token, event.time)
-            + event.four_tuple.packed()
-            + struct.pack("!HB", event.initial_subflow_id, 1 if event.is_client else 0)
-        )
-    elif event_type == EventType.CONN_ESTABLISHED:
-        assert isinstance(event, ConnEstablishedEvent)
-        payload = struct.pack("!Id", event.token, event.time) + event.four_tuple.packed()
-    elif event_type == EventType.CONN_CLOSED:
-        assert isinstance(event, ConnClosedEvent)
-        payload = struct.pack("!Id", event.token, event.time)
-    elif event_type == EventType.SUB_ESTABLISHED:
-        assert isinstance(event, SubflowEstablishedEvent)
-        payload = (
-            struct.pack("!IdH", event.token, event.time, event.subflow_id)
-            + event.four_tuple.packed()
-            + struct.pack("!B", 1 if event.backup else 0)
-        )
-    elif event_type == EventType.SUB_CLOSED:
-        assert isinstance(event, SubflowClosedEvent)
-        payload = (
-            struct.pack("!IdH", event.token, event.time, event.subflow_id)
-            + event.four_tuple.packed()
-            + struct.pack("!i", event.reason)
-        )
-    elif event_type == EventType.TIMEOUT:
-        assert isinstance(event, TimeoutEvent)
-        payload = struct.pack("!IdHdH", event.token, event.time, event.subflow_id, event.rto, event.consecutive)
-    elif event_type == EventType.ADD_ADDR:
-        assert isinstance(event, AddAddrEvent)
-        payload = (
-            struct.pack("!IdB", event.token, event.time, event.address_id)
-            + event.address.packed()
-            + struct.pack("!H", event.port)
-        )
-    elif event_type == EventType.REM_ADDR:
-        assert isinstance(event, RemAddrEvent)
-        payload = struct.pack("!IdB", event.token, event.time, event.address_id)
-    elif event_type in (EventType.NEW_LOCAL_ADDR, EventType.DEL_LOCAL_ADDR):
-        assert isinstance(event, (NewLocalAddrEvent, DelLocalAddrEvent))
-        payload = struct.pack("!d", event.time) + event.address.packed() + _pack_string(event.iface_name)
-    else:  # pragma: no cover - enum is exhaustive
-        raise CodecError(f"cannot encode event {event!r}")
-    return HEADER.pack(KIND_EVENT, int(event_type), len(payload)) + payload
+    return _encode(KIND_EVENT, event.event_type, event)
 
 
 def decode_event(data: bytes) -> Event:
     """Parse an event from its wire form."""
-    kind, raw_type, length = HEADER.unpack_from(data, 0)
-    if kind != KIND_EVENT:
-        raise CodecError(f"expected an event message, got kind {kind}")
-    payload = data[HEADER.size : HEADER.size + length]
-    event_type = EventType(raw_type)
-    if event_type == EventType.CONN_CREATED:
-        token, time = struct.unpack_from("!Id", payload, 0)
-        four_tuple = FourTuple.from_packed(payload[12:24])
-        subflow_id, is_client = struct.unpack_from("!HB", payload, 24)
-        return ConnCreatedEvent(time, token, four_tuple, subflow_id, bool(is_client))
-    if event_type == EventType.CONN_ESTABLISHED:
-        token, time = struct.unpack_from("!Id", payload, 0)
-        four_tuple = FourTuple.from_packed(payload[12:24])
-        return ConnEstablishedEvent(time, token, four_tuple)
-    if event_type == EventType.CONN_CLOSED:
-        token, time = struct.unpack_from("!Id", payload, 0)
-        return ConnClosedEvent(time, token)
-    if event_type == EventType.SUB_ESTABLISHED:
-        token, time, subflow_id = struct.unpack_from("!IdH", payload, 0)
-        four_tuple = FourTuple.from_packed(payload[14:26])
-        (backup,) = struct.unpack_from("!B", payload, 26)
-        return SubflowEstablishedEvent(time, token, subflow_id, four_tuple, bool(backup))
-    if event_type == EventType.SUB_CLOSED:
-        token, time, subflow_id = struct.unpack_from("!IdH", payload, 0)
-        four_tuple = FourTuple.from_packed(payload[14:26])
-        (reason,) = struct.unpack_from("!i", payload, 26)
-        return SubflowClosedEvent(time, token, subflow_id, four_tuple, reason)
-    if event_type == EventType.TIMEOUT:
-        token, time, subflow_id, rto, consecutive = struct.unpack_from("!IdHdH", payload, 0)
-        return TimeoutEvent(time, token, subflow_id, rto, consecutive)
-    if event_type == EventType.ADD_ADDR:
-        token, time, address_id = struct.unpack_from("!IdB", payload, 0)
-        address = IPAddress.from_packed(payload[13:17])
-        (port,) = struct.unpack_from("!H", payload, 17)
-        return AddAddrEvent(time, token, address_id, address, port)
-    if event_type == EventType.REM_ADDR:
-        token, time, address_id = struct.unpack_from("!IdB", payload, 0)
-        return RemAddrEvent(time, token, address_id)
-    if event_type in (EventType.NEW_LOCAL_ADDR, EventType.DEL_LOCAL_ADDR):
-        (time,) = struct.unpack_from("!d", payload, 0)
-        address = IPAddress.from_packed(payload[8:12])
-        iface_name, _ = _unpack_string(payload, 12)
-        cls = NewLocalAddrEvent if event_type == EventType.NEW_LOCAL_ADDR else DelLocalAddrEvent
-        return cls(time, address, iface_name)
-    raise CodecError(f"unknown event type {raw_type}")  # pragma: no cover
+    return _decode(KIND_EVENT, "an event", data)
 
 
-# ----------------------------------------------------------------------
-# commands
-# ----------------------------------------------------------------------
 def encode_command(command: Command) -> bytes:
     """Serialise a command into its wire form."""
-    command_type = command.command_type
-    head = struct.pack("!II", command.request_id, command.token)
-    if command_type == CommandType.CREATE_SUBFLOW:
-        assert isinstance(command, CreateSubflowCommand)
-        remote = command.remote_address
-        payload = head + command.local_address.packed() + struct.pack(
-            "!HB", command.local_port, 1 if remote is not None else 0
-        )
-        payload += (remote.packed() if remote is not None else b"\x00\x00\x00\x00")
-        payload += struct.pack("!HB", command.remote_port, 1 if command.backup else 0)
-    elif command_type == CommandType.REMOVE_SUBFLOW:
-        assert isinstance(command, RemoveSubflowCommand)
-        payload = head + struct.pack("!HB", command.subflow_id, 1 if command.reset else 0)
-    elif command_type == CommandType.GET_CONN_INFO:
-        payload = head
-    elif command_type == CommandType.GET_SUBFLOW_INFO:
-        assert isinstance(command, GetSubflowInfoCommand)
-        payload = head + struct.pack("!H", command.subflow_id)
-    elif command_type == CommandType.LIST_SUBFLOWS:
-        payload = head
-    elif command_type == CommandType.SET_BACKUP:
-        assert isinstance(command, SetBackupCommand)
-        payload = head + struct.pack("!HB", command.subflow_id, 1 if command.backup else 0)
-    else:  # pragma: no cover - enum is exhaustive
-        raise CodecError(f"cannot encode command {command!r}")
-    return HEADER.pack(KIND_COMMAND, int(command_type), len(payload)) + payload
+    return _encode(KIND_COMMAND, command.command_type, command)
 
 
 def decode_command(data: bytes) -> Command:
     """Parse a command from its wire form."""
-    kind, raw_type, length = HEADER.unpack_from(data, 0)
-    if kind != KIND_COMMAND:
-        raise CodecError(f"expected a command message, got kind {kind}")
-    payload = data[HEADER.size : HEADER.size + length]
-    command_type = CommandType(raw_type)
-    request_id, token = struct.unpack_from("!II", payload, 0)
-    body = payload[8:]
-    if command_type == CommandType.CREATE_SUBFLOW:
-        local_address = IPAddress.from_packed(body[0:4])
-        local_port, has_remote = struct.unpack_from("!HB", body, 4)
-        remote_address = IPAddress.from_packed(body[7:11]) if has_remote else None
-        remote_port, backup = struct.unpack_from("!HB", body, 11)
-        return CreateSubflowCommand(
-            request_id, token, local_address, local_port, remote_address, remote_port, bool(backup)
-        )
-    if command_type == CommandType.REMOVE_SUBFLOW:
-        subflow_id, reset = struct.unpack_from("!HB", body, 0)
-        return RemoveSubflowCommand(request_id, token, subflow_id, bool(reset))
-    if command_type == CommandType.GET_CONN_INFO:
-        return GetConnInfoCommand(request_id, token)
-    if command_type == CommandType.GET_SUBFLOW_INFO:
-        (subflow_id,) = struct.unpack_from("!H", body, 0)
-        return GetSubflowInfoCommand(request_id, token, subflow_id)
-    if command_type == CommandType.LIST_SUBFLOWS:
-        return ListSubflowsCommand(request_id, token)
-    if command_type == CommandType.SET_BACKUP:
-        subflow_id, backup = struct.unpack_from("!HB", body, 0)
-        return SetBackupCommand(request_id, token, subflow_id, bool(backup))
-    raise CodecError(f"unknown command type {raw_type}")  # pragma: no cover
+    return _decode(KIND_COMMAND, "a command", data)
 
 
 # ----------------------------------------------------------------------
 # replies
 # ----------------------------------------------------------------------
+_REPLY_HEAD = struct.Struct("!IH")
+
+
 def encode_reply(reply: CommandReply) -> bytes:
     """Serialise a command reply into its wire form."""
-    payload = struct.pack("!IH", reply.request_id, int(reply.status)) + _encode_value(reply.payload)
+    payload = _REPLY_HEAD.pack(reply.request_id, reply.status) + _encode_value(reply.payload)
     return HEADER.pack(KIND_REPLY, 0, len(payload)) + payload
 
 
 def decode_reply(data: bytes) -> CommandReply:
     """Parse a command reply from its wire form."""
-    kind, _, length = HEADER.unpack_from(data, 0)
-    if kind != KIND_REPLY:
-        raise CodecError(f"expected a reply message, got kind {kind}")
-    payload = data[HEADER.size : HEADER.size + length]
-    request_id, status = struct.unpack_from("!IH", payload, 0)
-    value, _ = _decode_value(payload, 6)
-    if not isinstance(value, dict):
-        raise CodecError("reply payload must decode to a dictionary")
-    return CommandReply(request_id, ReplyStatus(status), value)
+    _, payload = _open(KIND_REPLY, "a reply", data)
+    try:
+        request_id, status = _REPLY_HEAD.unpack_from(payload)
+        value, end = _decode_value(payload, _REPLY_HEAD.size)
+        status = ReplyStatus(status)
+    except (struct.error, ValueError) as exc:  # short, not UTF-8, unknown tag or status
+        raise CodecError(f"malformed reply: {exc}") from exc
+    if not isinstance(value, dict) or end != len(payload):
+        raise CodecError("reply payload must decode to one dictionary")
+    return CommandReply(request_id, status, value)
 
 
 def message_kind(data: bytes) -> int:

@@ -7,13 +7,20 @@ information from the control block of the Multipath TCP connection or one
 of the subflows" (the ``TCP_INFO`` equivalent, including ``snd_una``,
 ``rto`` and ``pacing_rate``).  A backup-priority command (MP_PRIO) is
 provided as a natural extension used by some controllers.
+
+Each class is the one declaration of its message: ``command_type`` is its
+number on the wire and ``wire`` its payload as ``field:kind`` entries in
+wire order, extending the ``request_id`` / ``token`` head every command
+starts with (the kinds are listed in :mod:`repro.core.codec`, which
+compiles the string).  Defining the class registers it in
+:data:`COMMAND_CLASSES`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 from repro.net.addressing import IPAddress
 
@@ -39,17 +46,23 @@ class ReplyStatus(enum.IntEnum):
     INVALID = 4
 
 
+#: Every concrete command class by its numeric type, filled as the classes
+#: below are defined; the codec compiles one layout per entry.
+COMMAND_CLASSES: dict[CommandType, type[Command]] = {}
+
+
 @dataclass(frozen=True)
 class Command:
     """Base class for all commands (``request_id`` correlates the reply)."""
 
+    command_type: ClassVar[CommandType]
+    wire: ClassVar[str] = "request_id:I token:I"
+
     request_id: int
     token: int
 
-    @property
-    def command_type(self) -> CommandType:
-        """The numeric type of this command."""
-        raise NotImplementedError
+    def __init_subclass__(cls) -> None:
+        COMMAND_CLASSES[cls.command_type] = cls
 
 
 @dataclass(frozen=True)
@@ -60,68 +73,60 @@ class CreateSubflowCommand(Command):
     default to the connection's primary destination when zero/empty.
     """
 
+    command_type = CommandType.CREATE_SUBFLOW
+    wire = Command.wire + " local_address:addr local_port:H remote_address:addr? remote_port:H backup:?"
+
     local_address: IPAddress = IPAddress("0.0.0.0")
     local_port: int = 0
     remote_address: Optional[IPAddress] = None
     remote_port: int = 0
     backup: bool = False
 
-    @property
-    def command_type(self) -> CommandType:
-        return CommandType.CREATE_SUBFLOW
-
 
 @dataclass(frozen=True)
 class RemoveSubflowCommand(Command):
     """Remove an established subflow (by connection-local identifier)."""
 
+    command_type = CommandType.REMOVE_SUBFLOW
+    wire = Command.wire + " subflow_id:H reset:?"
+
     subflow_id: int = 0
     reset: bool = True
-
-    @property
-    def command_type(self) -> CommandType:
-        return CommandType.REMOVE_SUBFLOW
 
 
 @dataclass(frozen=True)
 class GetConnInfoCommand(Command):
     """Retrieve connection-level state (data-level ``snd_una`` and friends)."""
 
-    @property
-    def command_type(self) -> CommandType:
-        return CommandType.GET_CONN_INFO
+    command_type = CommandType.GET_CONN_INFO
 
 
 @dataclass(frozen=True)
 class GetSubflowInfoCommand(Command):
     """Retrieve one subflow's ``TCP_INFO`` (rto, pacing_rate, cwnd, ...)."""
 
-    subflow_id: int = 0
+    command_type = CommandType.GET_SUBFLOW_INFO
+    wire = Command.wire + " subflow_id:H"
 
-    @property
-    def command_type(self) -> CommandType:
-        return CommandType.GET_SUBFLOW_INFO
+    subflow_id: int = 0
 
 
 @dataclass(frozen=True)
 class ListSubflowsCommand(Command):
     """List the identifiers and four-tuples of a connection's subflows."""
 
-    @property
-    def command_type(self) -> CommandType:
-        return CommandType.LIST_SUBFLOWS
+    command_type = CommandType.LIST_SUBFLOWS
 
 
 @dataclass(frozen=True)
 class SetBackupCommand(Command):
     """Change a subflow's backup priority (sends MP_PRIO to the peer)."""
 
+    command_type = CommandType.SET_BACKUP
+    wire = Command.wire + " subflow_id:H backup:?"
+
     subflow_id: int = 0
     backup: bool = True
-
-    @property
-    def command_type(self) -> CommandType:
-        return CommandType.SET_BACKUP
 
 
 @dataclass(frozen=True)
@@ -137,13 +142,3 @@ class CommandReply:
         """True when the command succeeded."""
         return self.status == ReplyStatus.OK
 
-
-#: All concrete command classes, keyed by their numeric type (used by the codec).
-COMMAND_CLASSES: dict[CommandType, type] = {
-    CommandType.CREATE_SUBFLOW: CreateSubflowCommand,
-    CommandType.REMOVE_SUBFLOW: RemoveSubflowCommand,
-    CommandType.GET_CONN_INFO: GetConnInfoCommand,
-    CommandType.GET_SUBFLOW_INFO: GetSubflowInfoCommand,
-    CommandType.LIST_SUBFLOWS: ListSubflowsCommand,
-    CommandType.SET_BACKUP: SetBackupCommand,
-}

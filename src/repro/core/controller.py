@@ -195,19 +195,7 @@ class SubflowController:
     def _handle_event(self, event: Event) -> None:
         self.events_seen += 1
         self.state.update(event)
-        dispatch = {
-            EventType.CONN_CREATED: self.on_conn_created,
-            EventType.CONN_ESTABLISHED: self.on_conn_established,
-            EventType.CONN_CLOSED: self.on_conn_closed,
-            EventType.SUB_ESTABLISHED: self.on_subflow_established,
-            EventType.SUB_CLOSED: self.on_subflow_closed,
-            EventType.TIMEOUT: self.on_timeout,
-            EventType.ADD_ADDR: self.on_add_addr,
-            EventType.REM_ADDR: self.on_rem_addr,
-            EventType.NEW_LOCAL_ADDR: self.on_local_addr_up,
-            EventType.DEL_LOCAL_ADDR: self.on_local_addr_down,
-        }
-        dispatch[event.event_type](event)
+        getattr(self, event.hook)(event)
 
     # ------------------------------------------------------------------
     # hooks (subclasses override what they need)

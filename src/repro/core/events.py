@@ -6,13 +6,20 @@ needs to take decisions without ever touching kernel state directly:
 connections are identified by their MPTCP token, subflows by a
 connection-local identifier plus their four-tuple, failures by an ``errno``
 value.
+
+Each class is the one declaration of its message.  Besides its fields it
+states ``event_type`` (its number on the wire), ``hook`` (the
+:class:`~repro.core.controller.SubflowController` method it reaches) and
+``wire`` (its payload as ``field:kind`` entries in wire order; the kinds are
+listed in :mod:`repro.core.codec`, which compiles the string).  Defining
+the class registers it in :data:`EVENT_CLASSES`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar
 
 from repro.net.addressing import FourTuple, IPAddress
 
@@ -32,68 +39,75 @@ class EventType(enum.IntEnum):
     DEL_LOCAL_ADDR = 10
 
 
+#: Every concrete event class by its numeric type, filled as the classes
+#: below are defined; the codec compiles one layout per entry.
+EVENT_CLASSES: dict[EventType, type[Event]] = {}
+
+
 @dataclass(frozen=True)
 class Event:
     """Base class for all path-manager events."""
 
+    event_type: ClassVar[EventType]
+    hook: ClassVar[str]
+    wire: ClassVar[str]
+
     time: float
     """Simulated time at which the kernel emitted the event."""
 
-    @property
-    def event_type(self) -> EventType:
-        """The numeric type of this event."""
-        raise NotImplementedError
+    def __init_subclass__(cls) -> None:
+        EVENT_CLASSES[cls.event_type] = cls
 
 
 @dataclass(frozen=True)
 class ConnCreatedEvent(Event):
     """``created``: a new MPTCP connection exists (SYN sent or received)."""
 
+    event_type = EventType.CONN_CREATED
+    hook = "on_conn_created"
+    wire = "token:I time:d four_tuple:tuple initial_subflow_id:H is_client:?"
+
     token: int
     four_tuple: FourTuple
     initial_subflow_id: int
     is_client: bool
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.CONN_CREATED
 
 
 @dataclass(frozen=True)
 class ConnEstablishedEvent(Event):
     """``estab``: the initial subflow's three-way handshake succeeded."""
 
+    event_type = EventType.CONN_ESTABLISHED
+    hook = "on_conn_established"
+    wire = "token:I time:d four_tuple:tuple"
+
     token: int
     four_tuple: FourTuple
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.CONN_ESTABLISHED
 
 
 @dataclass(frozen=True)
 class ConnClosedEvent(Event):
     """``closed``: the MPTCP connection terminated."""
 
-    token: int
+    event_type = EventType.CONN_CLOSED
+    hook = "on_conn_closed"
+    wire = "token:I time:d"
 
-    @property
-    def event_type(self) -> EventType:
-        return EventType.CONN_CLOSED
+    token: int
 
 
 @dataclass(frozen=True)
 class SubflowEstablishedEvent(Event):
     """``sub_estab``: a subflow finished its handshake."""
 
+    event_type = EventType.SUB_ESTABLISHED
+    hook = "on_subflow_established"
+    wire = "token:I time:d subflow_id:H four_tuple:tuple backup:?"
+
     token: int
     subflow_id: int
     four_tuple: FourTuple
     backup: bool
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.SUB_ESTABLISHED
 
 
 @dataclass(frozen=True)
@@ -106,14 +120,14 @@ class SubflowClosedEvent(Event):
     failures.  The §4.1 controller keys its re-establishment timers on it.
     """
 
+    event_type = EventType.SUB_CLOSED
+    hook = "on_subflow_closed"
+    wire = "token:I time:d subflow_id:H four_tuple:tuple reason:i"
+
     token: int
     subflow_id: int
     four_tuple: FourTuple
     reason: int
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.SUB_CLOSED
 
 
 @dataclass(frozen=True)
@@ -125,78 +139,63 @@ class TimeoutEvent(Event):
     underperforming subflows (§4.2, §4.3).
     """
 
+    event_type = EventType.TIMEOUT
+    hook = "on_timeout"
+    wire = "token:I time:d subflow_id:H rto:d consecutive:H"
+
     token: int
     subflow_id: int
     rto: float
     consecutive: int
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.TIMEOUT
 
 
 @dataclass(frozen=True)
 class AddAddrEvent(Event):
     """``add_addr``: the peer advertised an additional address."""
 
+    event_type = EventType.ADD_ADDR
+    hook = "on_add_addr"
+    wire = "token:I time:d address_id:B address:addr port:H"
+
     token: int
     address_id: int
     address: IPAddress
     port: int
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.ADD_ADDR
 
 
 @dataclass(frozen=True)
 class RemAddrEvent(Event):
     """``rem_addr``: the peer withdrew an address."""
 
+    event_type = EventType.REM_ADDR
+    hook = "on_rem_addr"
+    wire = "token:I time:d address_id:B"
+
     token: int
     address_id: int
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.REM_ADDR
 
 
 @dataclass(frozen=True)
 class NewLocalAddrEvent(Event):
     """``new_local_addr``: a local interface/address came up."""
 
+    event_type = EventType.NEW_LOCAL_ADDR
+    hook = "on_local_addr_up"
+    wire = "time:d address:addr iface_name:str"
+
     address: IPAddress
     iface_name: str
     token: int = 0
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.NEW_LOCAL_ADDR
 
 
 @dataclass(frozen=True)
 class DelLocalAddrEvent(Event):
     """``del_local_addr``: a local interface/address went down."""
 
+    event_type = EventType.DEL_LOCAL_ADDR
+    hook = "on_local_addr_down"
+    wire = "time:d address:addr iface_name:str"
+
     address: IPAddress
     iface_name: str
     token: int = 0
-
-    @property
-    def event_type(self) -> EventType:
-        return EventType.DEL_LOCAL_ADDR
-
-
-#: All concrete event classes, keyed by their numeric type (used by the codec).
-EVENT_CLASSES: dict[EventType, type] = {
-    EventType.CONN_CREATED: ConnCreatedEvent,
-    EventType.CONN_ESTABLISHED: ConnEstablishedEvent,
-    EventType.CONN_CLOSED: ConnClosedEvent,
-    EventType.SUB_ESTABLISHED: SubflowEstablishedEvent,
-    EventType.SUB_CLOSED: SubflowClosedEvent,
-    EventType.TIMEOUT: TimeoutEvent,
-    EventType.ADD_ADDR: AddAddrEvent,
-    EventType.REM_ADDR: RemAddrEvent,
-    EventType.NEW_LOCAL_ADDR: NewLocalAddrEvent,
-    EventType.DEL_LOCAL_ADDR: DelLocalAddrEvent,
-}

@@ -30,11 +30,6 @@ class ShrinkResult:
     evaluations: int
     steps: list[dict] = field(default_factory=list)
 
-    @property
-    def removed_events(self) -> int:
-        """How many events the shrink eliminated."""
-        return len(self.original) - len(self.minimal)
-
 
 def shrink_plan(
     plan: FaultPlan,

@@ -23,9 +23,6 @@ class MptcpConfig:
     scheduler: str = "lowest_rtt"
     """Packet scheduler: ``"lowest_rtt"``, ``"round_robin"`` or ``"redundant"``."""
 
-    announce_addresses: bool = True
-    """Advertise additional local addresses with ADD_ADDR after establishment."""
-
     allow_fallback: bool = True
     """Fall back to plain TCP when MPTCP signalling is broken in transit.
 
@@ -35,12 +32,6 @@ class MptcpConfig:
     are corrupted mid-stream degrades to an infinite mapping instead of
     stalling.  With ``False`` the stack keeps the pre-fallback behaviour:
     plain SYNs are reset and mapping-less data is ignored."""
-
-    reinject_on_timeout: bool = True
-    """Reschedule a timed-out subflow's outstanding data on other subflows."""
-
-    reinject_on_close: bool = True
-    """Reschedule a closed subflow's outstanding data on other subflows."""
 
     max_subflows: int = 32
     """Safety cap on concurrent subflows per connection."""

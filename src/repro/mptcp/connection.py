@@ -858,12 +858,11 @@ class MptcpConnection(SubflowObserver):
         if flow is None:
             return
         self._stack.notify_rto_timeout(self, flow, rto, consecutive)
-        if self._config.reinject_on_timeout:
-            # Opportunistic reinjection, Linux-style: only the oldest
-            # outstanding mapping of the timed-out subflow is handed to the
-            # other subflows.  Reinjecting the whole outstanding window on
-            # every expiry would flood the healthy paths with duplicates.
-            self._reinject_outstanding(flow, head_only=True)
+        # Opportunistic reinjection, Linux-style: only the oldest
+        # outstanding mapping of the timed-out subflow is handed to the
+        # other subflows.  Reinjecting the whole outstanding window on
+        # every expiry would flood the healthy paths with duplicates.
+        self._reinject_outstanding(flow, head_only=True)
         self._push_data()
 
     def on_fin_received(self, sock: TcpSocket) -> None:
@@ -899,7 +898,7 @@ class MptcpConnection(SubflowObserver):
                     {"subflow": flow.id, "reason": reason},
                 )
             self._stack.notify_subflow_closed(self, flow, reason)
-        if self._config.reinject_on_close and not self.closed:
+        if not self.closed:
             self._reinject_outstanding(flow)
             self._push_data()
         if all(f.is_closed for f in self._subflows):
@@ -1153,10 +1152,9 @@ class MptcpConnection(SubflowObserver):
     def _learn_remote_key(self, key: int) -> None:
         self.remote_key = key
         self.remote_token = derive_token(key)
-        self._stack.register_remote_token(self)
 
     def _announce_local_addresses(self, initial_flow: Subflow) -> None:
-        if self.is_fallback or not self._config.announce_addresses:
+        if self.is_fallback:
             return
         local = initial_flow.socket.local_address
         next_id = 1

@@ -255,9 +255,6 @@ class MptcpStack:
         """The int-tuple an incoming segment of this flow maps to."""
         return (four_tuple.src._value, four_tuple.sport, four_tuple.dst._value, four_tuple.dport)
 
-    def register_remote_token(self, conn: MptcpConnection) -> None:
-        """Hook kept for symmetry; only local tokens are used for demux."""
-
     # ------------------------------------------------------------------
     # segment reception (Host -> stack)
     # ------------------------------------------------------------------

@@ -109,11 +109,6 @@ class NatFirewall(TwoLeggedMiddlebox):
         self._expire_stale()
         return list(self._flows)
 
-    def flow_state(self, flow: FourTuple) -> Optional[FlowState]:
-        """State for one flow (either direction), or ``None``."""
-        self._expire_stale()
-        return self._flows.get(self._canonical(flow))
-
     # ------------------------------------------------------------------
     # data path
     # ------------------------------------------------------------------

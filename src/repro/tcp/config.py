@@ -52,9 +52,6 @@ class TcpConfig:
     dupack_threshold: int = 3
     """Duplicate ACKs that trigger a fast retransmit."""
 
-    delayed_ack: bool = False
-    """Acknowledge every data segment immediately (keeps dynamics simple)."""
-
     congestion_control: str = "lia"
     """Default congestion controller: ``"reno"`` or the coupled ``"lia"``."""
 

@@ -65,11 +65,6 @@ class TcpInfo:
     last_ack_time: float
     """Simulated time of the last acknowledgement that advanced ``snd_una``."""
 
-    @property
-    def unacked_bytes(self) -> int:
-        """Bytes currently in flight at the subflow level."""
-        return max(0, self.snd_nxt - self.snd_una)
-
     def as_dict(self) -> dict:
         """Plain-dict form used by the Netlink codec and by reports."""
         return {

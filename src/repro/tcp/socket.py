@@ -253,11 +253,6 @@ class TcpSocket:
         return self._reassembly.rcv_nxt if self._reassembly is not None else 0
 
     @property
-    def current_rto(self) -> float:
-        """Current retransmission timeout including backoff."""
-        return self.rtt.rto
-
-    @property
     def consecutive_timeouts(self) -> int:
         """Consecutive RTO expirations without forward progress."""
         return self.rtt.backoff_exponent

@@ -136,6 +136,16 @@ def resolve_client_setup(setup: Any) -> ClientSetup:
     )
 
 
+def _resolve(kind: str, registry: Mapping[str, Callable], entry: Union[str, Callable]) -> Callable:
+    """An axis entry as a callable: itself, or its name looked up in ``registry``."""
+    if callable(entry):
+        return entry
+    try:
+        return registry[entry]
+    except KeyError:
+        raise ValueError(f"unknown {kind} {entry!r} (have {sorted(registry)})") from None
+
+
 class Harness:
     """Compose scenario × controller × workload × probes into one run.
 
@@ -146,37 +156,6 @@ class Harness:
     byte for byte.
     """
 
-    def __init__(
-        self,
-        scenarios: Optional[Mapping[str, Callable]] = None,
-        controllers: Optional[Mapping[str, Callable]] = None,
-    ) -> None:
-        self._scenarios = scenarios if scenarios is not None else SCENARIOS
-        self._controllers = controllers if controllers is not None else CONTROLLERS
-
-    # ------------------------------------------------------------------
-    # axis resolution
-    # ------------------------------------------------------------------
-    def _resolve_scenario(self, entry: ScenarioSpec) -> Callable[[Simulator], Any]:
-        if callable(entry):
-            return entry
-        try:
-            return self._scenarios[entry]
-        except KeyError:
-            raise ValueError(
-                f"unknown scenario {entry!r} (have {sorted(self._scenarios)})"
-            ) from None
-
-    def _resolve_controller(self, entry: ControllerSpec) -> Callable[[HarnessContext], Any]:
-        if callable(entry):
-            return entry
-        try:
-            return self._controllers[entry]
-        except KeyError:
-            raise ValueError(
-                f"unknown controller {entry!r} (have {sorted(self._controllers)})"
-            ) from None
-
     # ------------------------------------------------------------------
     # the composition
     # ------------------------------------------------------------------
@@ -186,7 +165,7 @@ class Harness:
         params: dict[str, Any] = {**workload.default_params, **dict(spec.params)}
 
         sim = Simulator(seed=spec.seed)
-        scenario = self._resolve_scenario(spec.scenario)(sim)
+        scenario = _resolve("scenario", SCENARIOS, spec.scenario)(sim)
         config = MptcpConfig(scheduler=spec.scheduler)
         ctx = HarnessContext(
             sim=sim,
@@ -219,7 +198,7 @@ class Harness:
         server_stack = MptcpStack(sim, scenario.server, config=config)
         server_stack.listen(spec.server_port, server_factory)
 
-        client = resolve_client_setup(self._resolve_controller(spec.controller)(ctx))
+        client = resolve_client_setup(_resolve("controller", CONTROLLERS, spec.controller)(ctx))
 
         n_connections = int(spec.connections)
         if n_connections < 1:

@@ -12,10 +12,12 @@ documentation surfaces (and two source-wide rules) part of the test contract:
    flags, the cells/s benchmark stack that ``bench/`` replaced, the
    calendar-wheel event queue, the ``benchmarks/`` call wrappers) must not
    creep back into the source, docs, examples, README or CI.
-3. The hot accessors that are plain attributes instead of read-only
+3. ``docs/ARCHITECTURE.md``'s message table must be, row for row, what the
+   event and command classes of ``repro.core`` declare.
+4. The hot accessors that are plain attributes instead of read-only
    properties (``Simulator.now``, ``CongestionControl.cwnd``, ...) must be
    assigned nowhere in ``src/repro/`` but in the module that owns them.
-4. Every module — and every public class and function — of the
+5. Every module — and every public class and function — of the
    user-facing packages (``repro.workloads``, ``repro.sweep``,
    ``repro.faults``, ``repro.obs``) must carry a docstring.  The check is pure
    ``inspect`` so it runs anywhere the test suite runs; CI additionally
@@ -138,8 +140,8 @@ class TestRemovedNamesStayRemoved:
     event queue and one test tree.  The flat cell cache with its flags and
     migrator, the cells/s benchmark module with its subcommand, baseline
     file, pytest options and example, the calendar wheel with its
-    compaction-threshold parameter, and the call-wrapper test directory with
-    its plugin, are gone; nothing shipped or documented may mention them."""
+    compaction-threshold parameter, the call-wrapper test directory with
+    its plugin, and four config fields nothing ever set, are gone; nothing shipped or documented may mention them."""
 
     REMOVED = ("cache_dir", "--cache-dir", "--from-cache", "CellCache",
                "migrate_legacy_cache",
@@ -147,7 +149,8 @@ class TestRemovedNamesStayRemoved:
                "--workloads-bench-tolerance", "--workloads-bench-ratio-tolerance",
                "--update-workloads-baseline", "bench_workloads.py",
                "_WHEEL_BUCKETS", "_rebuild_window", "auto_compact_threshold",
-               "pytest-benchmark", "benchmarks/test_bench")
+               "pytest-benchmark", "benchmarks/test_bench",
+               "delayed_ack", "reinject_on_timeout", "reinject_on_close", "announce_addresses")
 
     def test_no_removed_name_in_source_docs_examples_or_ci(self):
         files = [REPO_ROOT / ".github" / "workflows" / "ci.yml", REPO_ROOT / "README.md"]
@@ -233,6 +236,25 @@ class TestArchitectureDoc:
                         "repro.workloads", "repro.sweep", "repro.faults",
                         "repro.analysis", "repro.obs", "repro.store"):
             assert f"`{package}`" in text, f"subsystem map is missing {package}"
+
+    def test_message_table_is_the_declared_one(self):
+        """*The control plane*'s two tables are the class attributes of
+        ``core/events.py`` / ``core/commands.py``, both ways: a message
+        without its row fails, and so does a row no class declares."""
+        from repro.core.commands import COMMAND_CLASSES
+        from repro.core.events import EVENT_CLASSES
+
+        declared = {
+            f"| {int(number)} | `{cls.__name__}` | `{cls.hook}` | `{cls.wire}` |"
+            for number, cls in EVENT_CLASSES.items()
+        } | {
+            f"| {int(number)} | `{cls.__name__}` | `{cls.wire}` |"
+            for number, cls in COMMAND_CLASSES.items()
+        }
+        text = (DOCS / "ARCHITECTURE.md").read_text(encoding="utf-8")
+        section = text.split("## The control plane (`repro.core`)")[1].split("\n## ")[0]
+        documented = {line for line in section.splitlines() if re.match(r"\| \d+ \|", line)}
+        assert documented == declared
 
 
 def _public_members(module) -> list[tuple[str, object]]:

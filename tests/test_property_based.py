@@ -1,12 +1,19 @@
 """Property-based tests (hypothesis) for core data structures and codecs."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.stats import summarize
 from repro.core import codec
-from repro.core.commands import CommandReply, CreateSubflowCommand, RemoveSubflowCommand, ReplyStatus
-from repro.core.events import SubflowClosedEvent, SubflowEstablishedEvent, TimeoutEvent
+from repro.core.commands import (
+    COMMAND_CLASSES,
+    CommandReply,
+    CreateSubflowCommand,
+    RemoveSubflowCommand,
+    ReplyStatus,
+)
+from repro.core.events import EVENT_CLASSES, SubflowClosedEvent, SubflowEstablishedEvent, TimeoutEvent
 from repro.net.addressing import FourTuple, IPAddress
 from repro.tcp.buffers import ReceiveReassembly
 from repro.tcp.rtt import RttEstimator
@@ -120,6 +127,37 @@ class TestCodecProperties:
     def test_remove_subflow_roundtrip(self, token, request_id, subflow_id, reset):
         command = RemoveSubflowCommand(request_id, token, subflow_id, reset)
         assert codec.decode_command(codec.encode_command(command)) == command
+
+    #: One strategy per ``wire`` kind, spanning what the kind can carry.
+    BY_KIND = {
+        "I": st.integers(0, 0xFFFFFFFF),
+        "H": ports,
+        "B": st.integers(0, 0xFF),
+        "i": st.integers(-(1 << 31), (1 << 31) - 1),
+        "d": st.floats(allow_nan=False),
+        "?": st.booleans(),
+        "addr": addresses,
+        "addr?": st.none() | addresses,
+        "tuple": four_tuples,
+        "str": st.text(st.characters(exclude_categories=["Cs"]), max_size=64),
+    }
+
+    @pytest.mark.parametrize(
+        "encode, decode, number, cls",
+        [(codec.encode_event, codec.decode_event, *row) for row in EVENT_CLASSES.items()]
+        + [(codec.encode_command, codec.decode_command, *row) for row in COMMAND_CLASSES.items()],
+        ids=lambda value: getattr(value, "__name__", ""),
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_class_roundtrips_over_its_own_wire_kinds(self, encode, decode, number, cls, data):
+        entries = [entry.split(":") for entry in cls.wire.split()]
+        message = data.draw(st.builds(cls, **{name: self.BY_KIND[kind] for name, kind in entries}))
+        wire = encode(message)
+        decoded = decode(wire)
+        assert decoded == message and type(decoded) is cls
+        assert encode(decoded) == wire
+        assert codec.HEADER.unpack_from(wire) == (codec.message_kind(wire), number, len(wire) - codec.HEADER.size)
 
     @given(
         st.integers(1, 1 << 30),
