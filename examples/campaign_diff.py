@@ -5,8 +5,8 @@ Runs the quick campaign grid, snapshots it to a baseline file, then diffs
 a fresh run against the snapshot twice — once unchanged (the gate passes:
 the simulation is deterministic, so the diff is empty) and once with one
 cell's goodput perturbed beyond tolerance (the gate trips and names the
-cell).  This is exactly what the `campaign-diff` CI job does against the
-committed ``baselines/quick.json``.
+cell).  This is exactly what the `sweep-smoke` CI job's diff gate does
+against the committed ``baselines/quick.json``.
 
 Run with:  python examples/campaign_diff.py
 """
@@ -14,7 +14,7 @@ Run with:  python examples/campaign_diff.py
 import copy
 import sys
 
-from repro.experiments.grids import quick_grid
+from repro.experiments.grids import named_grid
 from repro.sweep import (
     Baseline,
     diff_campaigns,
@@ -24,11 +24,11 @@ from repro.sweep import (
 
 
 def main() -> int:
-    result = run_campaign(quick_grid(), workers=2)
+    result = run_campaign(named_grid("quick"), workers=2)
     reference = Baseline.from_result(result, source="snapshot")
 
     print("=== clean diff: fresh run vs. snapshot of the same code ===")
-    clean = diff_campaigns(reference, run_campaign(quick_grid(), workers=1))
+    clean = diff_campaigns(reference, run_campaign(named_grid("quick"), workers=1))
     print(format_diff_report(clean))
     assert clean.identical, "deterministic reruns must diff empty"
 

@@ -11,7 +11,7 @@ Run with::
 """
 
 from repro.analysis.faults import format_fault_report, triage_campaign
-from repro.experiments.grids import fuzz_grid
+from repro.experiments.grids import named_grid
 from repro.faults import cell_failure_predicate, named_plan, shrink_plan
 from repro.sweep import run_campaign
 
@@ -19,7 +19,7 @@ from repro.sweep import run_campaign
 def main() -> None:
     # 1. A fuzz campaign: every faulted scenario variant under two
     # fault-plan seeds, with the clean twins alongside for comparison.
-    result = run_campaign(fuzz_grid(seeds=2), workers=2)
+    result = run_campaign(named_grid("fuzz"), workers=2)
     triage = triage_campaign(result)
     print(format_fault_report(triage))
     print()

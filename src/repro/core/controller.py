@@ -14,20 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.core.events import (
-    AddAddrEvent,
-    ConnClosedEvent,
-    ConnCreatedEvent,
-    ConnEstablishedEvent,
-    DelLocalAddrEvent,
-    Event,
-    EventType,
-    NewLocalAddrEvent,
-    RemAddrEvent,
-    SubflowClosedEvent,
-    SubflowEstablishedEvent,
-    TimeoutEvent,
-)
+from repro.core.events import Event, EventType
 from repro.core.library import PathManagerLibrary
 from repro.net.addressing import FourTuple, IPAddress
 
@@ -77,7 +64,11 @@ class ConnectionView:
 
 
 class ControllerState:
-    """Event-driven mirror of the kernel's connection/subflow state."""
+    """Event-driven mirror of the kernel's connection/subflow state.
+
+    Each event is folded in by the method its class names as ``hook`` —
+    the name it also reaches on :class:`SubflowController`.
+    """
 
     def __init__(self) -> None:
         self.connections: dict[int, ConnectionView] = {}
@@ -103,49 +94,55 @@ class ControllerState:
 
     def update(self, event: Event) -> None:
         """Fold one event into the state."""
-        if isinstance(event, ConnCreatedEvent):
-            view = self.connection(event.token)
-            view.four_tuple = event.four_tuple
-            view.is_client = event.is_client
-            view.created_at = event.time
-            view.subflow(event.initial_subflow_id).four_tuple = event.four_tuple
-        elif isinstance(event, ConnEstablishedEvent):
-            view = self.connection(event.token)
-            view.established = True
-            view.established_at = event.time
-            view.four_tuple = event.four_tuple
-        elif isinstance(event, ConnClosedEvent):
-            view = self.connection(event.token)
-            view.closed = True
-        elif isinstance(event, SubflowEstablishedEvent):
-            view = self.connection(event.token)
-            flow = view.subflow(event.subflow_id)
-            flow.four_tuple = event.four_tuple
-            flow.backup = event.backup
-            flow.established = True
-            flow.established_at = event.time
-        elif isinstance(event, SubflowClosedEvent):
-            view = self.connection(event.token)
-            flow = view.subflow(event.subflow_id)
-            flow.four_tuple = event.four_tuple
-            flow.closed = True
-            flow.close_reason = event.reason
-            flow.closed_at = event.time
-        elif isinstance(event, TimeoutEvent):
-            view = self.connection(event.token)
-            flow = view.subflow(event.subflow_id)
-            flow.last_timeout_rto = event.rto
-            flow.timeout_count += 1
-        elif isinstance(event, AddAddrEvent):
-            view = self.connection(event.token)
-            view.remote_addresses[event.address_id] = (event.address, event.port)
-        elif isinstance(event, RemAddrEvent):
-            view = self.connection(event.token)
-            view.remote_addresses.pop(event.address_id, None)
-        elif isinstance(event, NewLocalAddrEvent):
-            self.local_addresses[event.iface_name] = event.address
-        elif isinstance(event, DelLocalAddrEvent):
-            self.local_addresses.pop(event.iface_name, None)
+        getattr(self, event.hook)(event)
+
+    def on_conn_created(self, event: Event) -> None:
+        view = self.connection(event.token)
+        view.four_tuple = event.four_tuple
+        view.is_client = event.is_client
+        view.created_at = event.time
+        view.subflow(event.initial_subflow_id).four_tuple = event.four_tuple
+
+    def on_conn_established(self, event: Event) -> None:
+        view = self.connection(event.token)
+        view.established = True
+        view.established_at = event.time
+        view.four_tuple = event.four_tuple
+
+    def on_conn_closed(self, event: Event) -> None:
+        self.connection(event.token).closed = True
+
+    def on_subflow_established(self, event: Event) -> None:
+        flow = self.connection(event.token).subflow(event.subflow_id)
+        flow.four_tuple = event.four_tuple
+        flow.backup = event.backup
+        flow.established = True
+        flow.established_at = event.time
+
+    def on_subflow_closed(self, event: Event) -> None:
+        flow = self.connection(event.token).subflow(event.subflow_id)
+        flow.four_tuple = event.four_tuple
+        flow.closed = True
+        flow.close_reason = event.reason
+        flow.closed_at = event.time
+
+    def on_timeout(self, event: Event) -> None:
+        flow = self.connection(event.token).subflow(event.subflow_id)
+        flow.last_timeout_rto = event.rto
+        flow.timeout_count += 1
+
+    def on_add_addr(self, event: Event) -> None:
+        addresses = self.connection(event.token).remote_addresses
+        addresses[event.address_id] = (event.address, event.port)
+
+    def on_rem_addr(self, event: Event) -> None:
+        self.connection(event.token).remote_addresses.pop(event.address_id, None)
+
+    def on_local_addr_up(self, event: Event) -> None:
+        self.local_addresses[event.iface_name] = event.address
+
+    def on_local_addr_down(self, event: Event) -> None:
+        self.local_addresses.pop(event.iface_name, None)
 
 
 class SubflowController:
@@ -200,35 +197,35 @@ class SubflowController:
     # ------------------------------------------------------------------
     # hooks (subclasses override what they need)
     # ------------------------------------------------------------------
-    def on_conn_created(self, event: ConnCreatedEvent) -> None:
-        """``created`` event."""
+    def on_conn_created(self, event: Event) -> None:
+        """``created`` event (``ConnCreatedEvent``)."""
 
-    def on_conn_established(self, event: ConnEstablishedEvent) -> None:
-        """``estab`` event."""
+    def on_conn_established(self, event: Event) -> None:
+        """``estab`` event (``ConnEstablishedEvent``)."""
 
-    def on_conn_closed(self, event: ConnClosedEvent) -> None:
-        """``closed`` event."""
+    def on_conn_closed(self, event: Event) -> None:
+        """``closed`` event (``ConnClosedEvent``)."""
 
-    def on_subflow_established(self, event: SubflowEstablishedEvent) -> None:
-        """``sub_estab`` event."""
+    def on_subflow_established(self, event: Event) -> None:
+        """``sub_estab`` event (``SubflowEstablishedEvent``)."""
 
-    def on_subflow_closed(self, event: SubflowClosedEvent) -> None:
-        """``sub_closed`` event."""
+    def on_subflow_closed(self, event: Event) -> None:
+        """``sub_closed`` event (``SubflowClosedEvent``)."""
 
-    def on_timeout(self, event: TimeoutEvent) -> None:
-        """``timeout`` event."""
+    def on_timeout(self, event: Event) -> None:
+        """``timeout`` event (``TimeoutEvent``)."""
 
-    def on_add_addr(self, event: AddAddrEvent) -> None:
-        """``add_addr`` event."""
+    def on_add_addr(self, event: Event) -> None:
+        """``add_addr`` event (``AddAddrEvent``)."""
 
-    def on_rem_addr(self, event: RemAddrEvent) -> None:
-        """``rem_addr`` event."""
+    def on_rem_addr(self, event: Event) -> None:
+        """``rem_addr`` event (``RemAddrEvent``)."""
 
-    def on_local_addr_up(self, event: NewLocalAddrEvent) -> None:
-        """``new_local_addr`` event."""
+    def on_local_addr_up(self, event: Event) -> None:
+        """``new_local_addr`` event (``NewLocalAddrEvent``)."""
 
-    def on_local_addr_down(self, event: DelLocalAddrEvent) -> None:
-        """``del_local_addr`` event."""
+    def on_local_addr_down(self, event: Event) -> None:
+        """``del_local_addr`` event (``DelLocalAddrEvent``)."""
 
     # ------------------------------------------------------------------
     # command helpers

@@ -9,7 +9,8 @@ value.
 
 Each class is the one declaration of its message.  Besides its fields it
 states ``event_type`` (its number on the wire), ``hook`` (the
-:class:`~repro.core.controller.SubflowController` method it reaches) and
+:class:`~repro.core.controller.SubflowController` method it reaches, and the
+:class:`~repro.core.controller.ControllerState` method that folds it in) and
 ``wire`` (its payload as ``field:kind`` entries in wire order; the kinds are
 listed in :mod:`repro.core.codec`, which compiles the string).  Defining
 the class registers it in :data:`EVENT_CLASSES`.

@@ -22,11 +22,6 @@ _EXPORTS = {
     "Fig3Result": "repro.experiments.fig3_pm_delay",
     "run_longlived": "repro.experiments.longlived",
     "LongLivedResult": "repro.experiments.longlived",
-    "quick_grid": "repro.experiments.grids",
-    "default_grid": "repro.experiments.grids",
-    "full_grid": "repro.experiments.grids",
-    "workloads_grid": "repro.experiments.grids",
-    "figure_campaigns": "repro.experiments.grids",
     "named_grid": "repro.experiments.grids",
 }
 

@@ -137,13 +137,15 @@ def _run_once(
 
 
 def run_fig2c(
+    seed: int = 1,
     seeds: int = 10,
     scale: float = 0.1,
     subflow_count: int = 5,
     refresh_interval: float = 2.5,
     horizon: Optional[float] = None,
 ) -> Fig2cResult:
-    """Run the load-balancing experiment (Figure 2c) over several seeds."""
+    """Run the load-balancing experiment (Figure 2c) over several seeds:
+    run ``index`` is seeded ``999 + seed + index``."""
     if not 0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale!r}")
     file_bytes = int(FULL_FILE_BYTES * scale)
@@ -156,7 +158,7 @@ def run_fig2c(
         for variant in ("ndiffports", "refresh"):
             runs.append(
                 _run_once(
-                    seed=1000 + index,
+                    seed=999 + seed + index,
                     variant=variant,
                     file_bytes=file_bytes,
                     subflow_count=subflow_count,

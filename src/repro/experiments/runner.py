@@ -2,8 +2,7 @@
 
 Runs one (or all) of the paper-reproduction experiments and prints the
 text rendering of the corresponding figure.  Scaling options keep the run
-times reasonable on a laptop; EXPERIMENTS.md records both the scaled
-defaults and full-size reference runs.
+times reasonable on a laptop; ``docs/CLI.md`` lists their defaults.
 
 Beyond the figure presets, ``sweep`` runs a named campaign grid, ``cell``
 runs one arbitrary workload × scenario × controller × scheduler point of
@@ -13,67 +12,41 @@ a committed JSON file and compares a fresh (or stored) run against it —
 ``diff`` exits non-zero on out-of-tolerance drift, which is what CI keys
 on.
 
-Each subcommand owns its flags (``argparse`` subparsers), so e.g.
-``fig2a --baseline`` (include the kernel-only baseline run) and
-``diff --baseline PATH`` (the snapshot to compare against) coexist.
+Two tables declare the CLI.  :data:`FIGURES` maps each paper figure to
+its ``run_*`` function and to the flags that feed that function's
+keywords.  The command table in :func:`build_parser` gives every
+subcommand its help, handler and flags, and the parser is a loop over it;
+``all`` is the figure rows in order, under the union of their flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
+from functools import partial
 from importlib import import_module
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.experiments.grids import GRID_NAMES, named_grid
 
 #: A handler returns the report text, optionally paired with an exit code.
 HandlerResult = Union[str, tuple[str, int]]
 
+#: A flag: its option string and its ``add_argument`` keywords.
+Flag = tuple[str, dict]
+
 # Each handler imports what it runs: the parser and the store/report
 # subcommands load no figure preset and no protocol stack.
 
 
-def _run_fig2a(args: argparse.Namespace) -> str:
-    from repro.experiments.fig2a_backup import run_fig2a
-
-    result = run_fig2a(seed=args.seed, include_baseline=args.baseline)
-    return result.format_report()
-
-
-def _run_fig2b(args: argparse.Namespace) -> str:
-    from repro.experiments.fig2b_streaming import run_fig2b
-
-    result = run_fig2b(seed=args.seed, block_count=args.blocks, include_smart_sweep=args.sweep)
-    return result.format_report()
-
-
-def _run_fig2c(args: argparse.Namespace) -> str:
-    from repro.experiments.fig2c_loadbalance import run_fig2c
-
-    result = run_fig2c(seeds=args.runs, scale=args.scale)
-    return result.format_report()
-
-
-def _run_fig3(args: argparse.Namespace) -> str:
-    from repro.experiments.fig3_pm_delay import run_fig3
-
-    result = run_fig3(seed=args.seed, request_count=args.requests, stressed=args.stressed)
-    return result.format_report()
-
-
-def _run_longlived(args: argparse.Namespace) -> str:
-    from repro.experiments.longlived import run_longlived
-
-    result = run_longlived(seed=args.seed, duration=args.duration)
-    return result.format_report()
-
-
-#: The paper figures: each is a subcommand, and ``all`` runs exactly these.
-FIGURES = ("fig2a", "fig2b", "fig2c", "fig3", "longlived")
+def _resolve(reference: str) -> Any:
+    """The object a ``"module:attribute"`` reference names, imported now."""
+    module, _, attribute = reference.partition(":")
+    return getattr(import_module(module), attribute)
 
 
 def _json_object(text: str) -> dict:
@@ -106,14 +79,24 @@ _positive_int = _positive(int)
 _positive_float = _positive(float)
 
 
+def _fraction(text: str) -> float:
+    """``argparse`` type for ``--scale``: a float in (0, 1], else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1], got {text!r}")
+    return value
+
+
 def _registered(kind: str, registry: str, many: bool = False) -> Callable:
     """``argparse`` type for a flag naming an entry (``many``: comma-separated
     entries) of ``registry``, a ``"module:attribute"`` reference imported when an
     argument is parsed, not when the parser is built; unknown names are usage errors."""
 
     def parse(text: str) -> str:
-        module, _, attribute = registry.partition(":")
-        names = sorted(getattr(import_module(module), attribute))
+        names = sorted(_resolve(registry))
         wanted = {part.strip() for part in text.split(",")} - {""} if many else {text}
         unknown = ", ".join(repr(name) for name in sorted(wanted.difference(names)))
         if unknown:
@@ -145,6 +128,46 @@ def _existing_directory(path: str) -> str:
     if not os.path.isdir(path):
         raise argparse.ArgumentTypeError(f"{path!r} is not an existing directory")
     return path
+
+
+#: The paper figures, in the order ``all`` runs them: subcommand → the
+#: ``"module:attribute"`` of its ``run`` function and its flags.  Each flag's
+#: ``dest`` is the ``run`` keyword it feeds; ``--seed`` feeds ``seed``.
+FIGURES: dict[str, tuple[str, tuple[Flag, ...]]] = {
+    "fig2a": ("repro.experiments.fig2a_backup:run_fig2a", (
+        ("--baseline", dict(dest="include_baseline", action="store_true",
+                            help="fig2a: also simulate the kernel-only backup baseline")),
+    )),
+    "fig2b": ("repro.experiments.fig2b_streaming:run_fig2b", (
+        ("--blocks", dict(dest="block_count", metavar="BLOCKS", type=_positive_int, default=60,
+                          help="fig2b: number of 64 KB blocks per run")),
+        ("--sweep", dict(dest="include_smart_sweep", action="store_true",
+                         help="fig2b: run the smart controller at every loss rate")),
+    )),
+    "fig2c": ("repro.experiments.fig2c_loadbalance:run_fig2c", (
+        ("--runs", dict(dest="seeds", metavar="RUNS", type=_positive_int, default=10,
+                        help="fig2c: number of seeds per variant")),
+        ("--scale", dict(dest="scale", type=_fraction, default=0.1,
+                         help="fig2c: fraction of the 100 MB transfer, in (0, 1]")),
+    )),
+    "fig3": ("repro.experiments.fig3_pm_delay:run_fig3", (
+        ("--requests", dict(dest="request_count", metavar="REQUESTS", type=_positive_int,
+                            default=200, help="fig3: number of HTTP requests")),
+        ("--stressed", dict(dest="stressed", action="store_true",
+                            help="fig3: add CPU-stress scheduling jitter")),
+    )),
+    "longlived": ("repro.experiments.longlived:run_longlived", (
+        ("--duration", dict(dest="duration", type=_positive_float, default=900.0,
+                            help="longlived: experiment duration in seconds")),
+    )),
+}
+
+
+def _run_figure(name: str, args: argparse.Namespace) -> str:
+    """Run one :data:`FIGURES` row with the keywords its flags feed."""
+    reference, flags = FIGURES[name]
+    keywords = {options["dest"]: getattr(args, options["dest"]) for _, options in flags}
+    return _resolve(reference)(seed=args.seed, **keywords).format_report()
 
 
 def _harness_spec(args: argparse.Namespace, params: dict):
@@ -203,8 +226,8 @@ def _run_campaign(grid, args: argparse.Namespace, progress: Optional[Callable] =
     return run_campaign(
         grid,
         workers=args.workers,
-        backend=getattr(args, "backend", None),
-        store_dir=getattr(args, "store", None),
+        backend=args.backend,
+        store_dir=args.store,
         progress=progress,
     )
 
@@ -349,9 +372,8 @@ def _run_fuzz(args: argparse.Namespace) -> HandlerResult:
     if args.shrink:
         return _run_shrink(args)
     from repro.analysis.faults import format_fault_report, triage_campaign, triage_json
-    from repro.experiments.grids import fuzz_grid
 
-    grid = fuzz_grid(campaign_seed=args.seed, seeds=args.seeds)
+    grid = dataclasses.replace(named_grid("fuzz", campaign_seed=args.seed), seeds=args.seeds)
     result = _run_campaign(grid, args)
     triage = triage_campaign(result, goodput_floor=args.goodput_floor)
     if args.json is not None:
@@ -404,38 +426,25 @@ def _run_shrink(args: argparse.Namespace) -> HandlerResult:
         )
     if base_scenario is None:
         raise SystemExit("fuzz --shrink with a plan file requires --base-scenario")
-    # The cell must run at least as long as the plan's own schedule, or a
-    # plan that fails at its recorded horizon stops failing here.
-    horizon = args.horizon if args.horizon is not None else plan.horizon
 
-    params = args.params or {}
-    predicate, _clean = cell_failure_predicate(
+    cell = dict(
         workload=args.workload,
         base_scenario=base_scenario,
         seed=args.seed,
-        horizon=horizon,
-        params=params,
+        # The cell must run at least as long as the plan's own schedule, or
+        # a plan that fails at its recorded horizon stops failing here.
+        horizon=args.horizon if args.horizon is not None else plan.horizon,
+        params=args.params or {},
         controller=args.controller,
         scheduler=args.scheduler,
-        goodput_floor=args.goodput_floor,
         target_verdict=args.target_verdict,
     )
+    predicate, _clean = cell_failure_predicate(**cell, goodput_floor=args.goodput_floor)
     try:
         result = shrink_plan(plan, predicate)
     except ValueError as error:
         return f"nothing to shrink: {error}", 1
-    artifact = counterexample_artifact(
-        result,
-        workload=args.workload,
-        base_scenario=base_scenario,
-        seed=args.seed,
-        horizon=horizon,
-        params=params,
-        controller=args.controller,
-        scheduler=args.scheduler,
-        plan_name=plan_name,
-        target_verdict=args.target_verdict,
-    )
+    artifact = counterexample_artifact(result, **cell, plan_name=plan_name)
     if args.out is not None:
         write_counterexample(artifact, args.out)
     lines = [
@@ -518,15 +527,13 @@ def _run_store(args: argparse.Namespace) -> HandlerResult:
         if manifest is None:
             raise SystemExit(f"no manifest for campaign {campaign_id!r}")
         return manifest.to_json().rstrip("\n")
-    if args.action == "verify":
-        problems = store.verify_objects()
-        if problems:
-            return "\n".join(
-                [f"store verify: {len(problems)} problem(s)"]
-                + [f"  {problem}" for problem in problems]
-            ), 1
-        return f"store verify: all {len(store)} object(s) ok"
-    raise SystemExit(f"unknown store action {args.action!r}")
+    problems = store.verify_objects()
+    if problems:
+        return "\n".join(
+            [f"store verify: {len(problems)} problem(s)"]
+            + [f"  {problem}" for problem in problems]
+        ), 1
+    return f"store verify: all {len(store)} object(s) ok"
 
 
 def _run_cell(args: argparse.Namespace) -> str:
@@ -600,107 +607,182 @@ def _list_registries(args: argparse.Namespace) -> str:
         "'cell' or as a sweep grid axis; 'fuzz' sweeps fault-plan seeds and "
         "'fuzz --shrink' minimises a failing plan"
     )
-    if getattr(args, "store", None) is not None:
+    if args.store is not None:
         from repro.store import CampaignStore
 
         lines.extend(_format_store_stats(CampaignStore(args.store)))
     return "\n".join(lines)
 
 
-EXPERIMENTS: dict[str, Callable[[argparse.Namespace], HandlerResult]] = {
-    "fig2a": _run_fig2a,
-    "fig2b": _run_fig2b,
-    "fig2c": _run_fig2c,
-    "fig3": _run_fig3,
-    "longlived": _run_longlived,
-    "sweep": _run_sweep,
-    "cell": _run_cell,
-    "list": _list_registries,
-    "baseline": _run_baseline,
-    "diff": _run_diff,
-    "fuzz": _run_fuzz,
-    "trace": _run_trace,
-    "telemetry": _run_telemetry,
-    "worker": _run_worker,
-    "store": _run_store,
-}
-
-
-def _add_figure_options(parser: argparse.ArgumentParser, figures: Sequence[str]) -> None:
-    """Attach the per-figure scaling flags (shared with the ``all`` runner)."""
-    if "fig2a" in figures:
-        parser.add_argument(
-            "--baseline", action="store_true",
-            help="fig2a: also simulate the kernel-only backup baseline",
-        )
-    if "fig2b" in figures:
-        parser.add_argument("--blocks", type=_positive_int, default=60,
-                            help="fig2b: number of 64 KB blocks per run")
-        parser.add_argument("--sweep", action="store_true",
-                            help="fig2b: run the smart controller at every loss rate")
-    if "fig2c" in figures:
-        parser.add_argument("--runs", type=_positive_int, default=10,
-                            help="fig2c: number of seeds per variant")
-        parser.add_argument("--scale", type=float, default=0.1,
-                            help="fig2c: fraction of the 100 MB transfer")
-    if "fig3" in figures:
-        parser.add_argument("--requests", type=_positive_int, default=200,
-                            help="fig3: number of HTTP requests")
-        parser.add_argument("--stressed", action="store_true",
-                            help="fig3: add CPU-stress scheduling jitter")
-    if "longlived" in figures:
-        parser.add_argument("--duration", type=_positive_float, default=900.0,
-                            help="longlived: experiment duration in seconds")
-
-
-def _add_campaign_options(
-    parser: argparse.ArgumentParser,
-    grid_default: Optional[str] = "default",
-    grid_required: bool = False,
-) -> None:
-    """The grid/worker/backend/store flags shared by ``sweep``/``baseline``/``diff``.
-
-    ``baseline`` requires an explicit grid (a snapshot of the wrong grid
-    is a silent footgun) and ``diff`` defaults to the snapshot's own grid
-    name, so only ``sweep`` keeps the ``default`` grid default.
-    """
-    grid_help = f"named campaign grid ({', '.join(GRID_NAMES)})"
-    if grid_default is None:
-        grid_help += "; defaults to the --baseline snapshot's grid name"
-    parser.add_argument(
-        "--grid", choices=GRID_NAMES, metavar="NAME", default=grid_default,
-        required=grid_required, help=grid_help,
-    )
-    parser.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
-    _add_store_options(parser)
-
-
-def _add_store_options(parser: argparse.ArgumentParser) -> None:
-    """The execution-backend/store flags shared by campaign subcommands."""
+def build_parser() -> argparse.ArgumentParser:
+    """Build the argument parser from the command table (exposed for tests)."""
     from repro.sweep.backends import BACKENDS
 
-    parser.add_argument(
-        "--backend", default=None, choices=sorted(BACKENDS) + ["auto"],
-        help="execution backend for fresh cells (default auto: process pool "
-        "when --workers > 1, serial otherwise); results are byte-identical "
-        "across backends",
-    )
-    parser.add_argument(
-        "--store", default=None, metavar="DIR",
+    def like(flag: Flag, option: Optional[str] = None, **changes) -> Flag:
+        """``flag`` (renamed to ``option``) with some ``add_argument`` keywords changed."""
+        return option or flag[0], {**flag[1], **changes}
+
+    def grid(default: Optional[str] = "default", required: bool = False, note: str = "") -> Flag:
+        # ``sweep`` and ``telemetry`` default to the ``default`` grid,
+        # ``baseline`` requires one (a snapshot of the wrong grid is a silent
+        # footgun) and ``diff`` defaults to the snapshot's own.
+        return "--grid", dict(
+            choices=GRID_NAMES, metavar="NAME", default=default, required=required,
+            help=f"named campaign grid ({', '.join(GRID_NAMES)}){note}",
+        )
+
+    def json_out(what: str) -> Flag:
+        return "--json", dict(default=None, help=f"also write the {what} here")
+
+    seed: Flag = ("--seed", dict(type=int, default=1, help="base random seed"))
+    store: Flag = ("--store", dict(
+        default=None, metavar="DIR",
         help="content-addressed campaign store directory (cells and snapshot "
         "manifests; resumes partial campaigns)",
+    ))
+    campaign = (
+        ("--workers", dict(type=_positive_int, default=1, help="worker processes")),
+        ("--backend", dict(
+            default=None, choices=sorted(BACKENDS) + ["auto"],
+            help="execution backend for fresh cells (default auto: process pool "
+            "when --workers > 1, serial otherwise); results are byte-identical "
+            "across backends",
+        )),
+        store,
     )
+    cell = (
+        ("--workload", dict(type=_workload_name, default="bulk_transfer",
+                            help="workload registry name")),
+        ("--scenario", dict(type=_scenario_name, default="dual_homed",
+                            help="scenario registry name")),
+        ("--controller", dict(type=_controller_name, default="passive",
+                              help="controller registry name")),
+        ("--scheduler", dict(type=_scheduler_name, default="lowest_rtt",
+                             help="scheduler registry name")),
+        ("--horizon", dict(type=_positive_float, default=30.0,
+                           help="simulated run horizon in seconds")),
+        ("--connections", dict(type=_positive_int, default=1,
+                               help="concurrent client connections (the scale axis); "
+                               "starts are staggered over the connection_stagger param")),
+        ("--params", dict(type=_json_object, default=None,
+                          help="workload parameters as a JSON object")),
+    )
+    workload, scenario, controller, scheduler, horizon, _, params = cell
+    figure_steps = [(name, partial(_run_figure, name)) for name in FIGURES]
+    figure_flags = {flag[0]: flag for _, flags in FIGURES.values() for flag in flags}
 
+    # subcommand → (help, handler, flags); ``all``'s handler is the figure
+    # rows, each timed and reported on its own.
+    commands: dict[str, tuple[str, Any, tuple[Flag, ...]]] = {
+        **{
+            name: (f"reproduce {name}", [step], (seed, *FIGURES[name][1]))
+            for name, step in zip(FIGURES, figure_steps)
+        },
+        "all": ("reproduce every paper figure", figure_steps, (seed, *figure_flags.values())),
+        "sweep": ("run a named campaign grid", _run_sweep, (
+            seed, grid(), *campaign,
+            ("--progress", dict(action="store_true",
+                                help="print a live cells-done/total + ETA line to stderr "
+                                "(never part of the gated stdout output)")),
+        )),
+        "baseline": ("run a named grid and snapshot it to a baseline JSON file", _run_baseline, (
+            seed, grid(required=True), *campaign,
+            ("--out", dict(required=True, help="path of the baseline snapshot to write")),
+        )),
+        "diff": ("compare a campaign against a committed baseline (exit 1 on drift)", _run_diff, (
+            like(seed, default=None,
+                 help="campaign seed for the candidate run (defaults to the snapshot's)"),
+            grid(default=None, note="; defaults to the --baseline snapshot's grid name"),
+            *campaign,
+            ("--baseline", dict(required=True, type=_readable_file,
+                                help="reference baseline snapshot (the committed file to "
+                                "gate against)")),
+            ("--candidate", dict(default=None, type=_readable_file,
+                                 help="compare another snapshot file instead of running the grid")),
+            ("--from-store", dict(action="store_true",
+                                  help="load the candidate purely from --store (error on "
+                                  "missing cells)")),
+            json_out("machine-readable diff JSON"),
+        )),
+        "fuzz": ("run a fault-injection fuzz campaign, or --shrink a failing plan", _run_fuzz, (
+            seed,
+            ("--seeds", dict(type=_positive_int, default=2,
+                             help="fault-plan seeds per scenario (the fuzz axis)")),
+            *campaign,
+            json_out("byte-stable triage JSON"),
+            ("--goodput-floor", dict(type=float, default=0.5,
+                                     help="retained-goodput fraction below which a cell is "
+                                     "degraded")),
+            ("--fail-on-failed", dict(action="store_true",
+                                      help="exit non-zero when any faulted cell fails outright")),
+            ("--shrink", dict(action="store_true",
+                              help="minimise a failing fault plan instead of running a campaign")),
+            ("--target-verdict", dict(default="failed", choices=("failed", "fallback"),
+                                      help="shrink: triage verdict the minimal plan must keep "
+                                      "producing ('fallback' minimises down to the events "
+                                      "that force a plain-TCP downgrade)")),
+            ("--plan", dict(default=None,
+                            help="shrink: named fault plan or path to a plan JSON file")),
+            like(workload, help="shrink: workload of the failing cell"),
+            like(scenario, "--base-scenario", default=None,
+                 help="shrink: clean scenario the plan targets (defaults to the named plan's)"),
+            like(controller, help="shrink: controller of the failing cell"),
+            like(scheduler, help="shrink: scheduler of the failing cell"),
+            like(horizon, default=None,
+                 help="shrink: simulated run horizon in seconds "
+                 "(defaults to the plan's own horizon)"),
+            like(params, help="shrink: workload parameters as a JSON object — "
+                 "must match the cell the plan failed in (the fuzz "
+                 "grid uses e.g. {\"transfer_bytes\": 60000})"),
+            ("--out", dict(default=None, help="shrink: write the counterexample artifact here")),
+        )),
+        "cell": ("run one harness cell by registry names", _run_cell, (seed, *cell)),
+        "trace": ("run one traced harness cell and export its structured event log", _run_trace, (
+            seed, *cell,
+            ("--categories", dict(type=_event_categories, default=None,
+                                  help="comma-separated event categories to record "
+                                  "(default: all — connection, fallback, fault, pm, "
+                                  "scheduler, subflow, timer)")),
+            ("--limit", dict(type=_positive_int, default=None,
+                             help="event-log retention cap (drops are counted beyond it)")),
+            ("--format", dict(default="chrome", choices=("chrome", "jsonl"),
+                              help="chrome: Chrome-trace-format timeline; "
+                              "jsonl: one JSON object per event")),
+            ("--out", dict(default=None, help="write the export here instead of stdout")),
+        )),
+        "telemetry": ("run a grid and print its campaign telemetry summary", _run_telemetry, (
+            seed, grid(), *campaign,
+            ("--top", dict(type=_positive_int, default=5,
+                           help="number of slowest fresh cells to list")),
+            json_out("telemetry summary JSON"),
+        )),
+        "list": ("print every registry the grid is built from", _list_registries, (
+            like(store, help="also print object/manifest/artifact stats for this campaign store"),
+        )),
+        "worker": (
+            "execute one shard plan against a campaign store "
+            "(spawned by the subprocess backend; usable standalone for remote shards)",
+            _run_worker, (
+                like(store, required=True, help="campaign store the shard reads/writes"),
+                ("--plan", dict(required=True, metavar="FILE", type=_readable_file,
+                                help="shard plan JSON written by the coordinating backend")),
+            ),
+        ),
+        "store": ("inspect a campaign store", _run_store, (
+            ("action", dict(choices=("stats", "manifest", "verify"),
+                            help="stats: object/manifest/artifact counts; manifest: print a "
+                            "campaign's latest snapshot manifest; verify: recheck every object "
+                            "against its content hash (exit 1 on damage)")),
+            like(store, required=True, type=_existing_directory, help="campaign store directory"),
+            ("--campaign", dict(default=None, metavar="ID",
+                                help="manifest: campaign id (default: the store's only campaign)")),
+        )),
+    }
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
         prog="smapp-experiments",
         description="Reproduce the evaluation of 'SMAPP: Towards Smart Multipath TCP-enabled APPlications'",
     )
-    seed_parent = argparse.ArgumentParser(add_help=False)
-    seed_parent.add_argument("--seed", type=int, default=1, help="base random seed")
-
     subparsers = parser.add_subparsers(
         dest="experiment",
         required=True,
@@ -709,192 +791,11 @@ def build_parser() -> argparse.ArgumentParser:
         "workload/scenario/controller point, 'list' prints the registries, "
         "'baseline'/'diff' snapshot and regression-check a campaign, 'all' every figure)",
     )
-
-    for figure in FIGURES:
-        figure_parser = subparsers.add_parser(
-            figure, parents=[seed_parent], help=f"reproduce {figure}"
-        )
-        _add_figure_options(figure_parser, [figure])
-
-    all_parser = subparsers.add_parser(
-        "all", parents=[seed_parent], help="reproduce every paper figure"
-    )
-    _add_figure_options(all_parser, FIGURES)
-
-    sweep_parser = subparsers.add_parser(
-        "sweep", parents=[seed_parent], help="run a named campaign grid"
-    )
-    _add_campaign_options(sweep_parser)
-    sweep_parser.add_argument(
-        "--progress", action="store_true",
-        help="print a live cells-done/total + ETA line to stderr "
-        "(never part of the gated stdout output)",
-    )
-
-    baseline_parser = subparsers.add_parser(
-        "baseline",
-        parents=[seed_parent],
-        help="run a named grid and snapshot it to a baseline JSON file",
-    )
-    _add_campaign_options(baseline_parser, grid_required=True)
-    baseline_parser.add_argument(
-        "--out", required=True, help="path of the baseline snapshot to write"
-    )
-
-    diff_parser = subparsers.add_parser(
-        "diff",
-        help="compare a campaign against a committed baseline (exit 1 on drift)",
-    )
-    diff_parser.add_argument(
-        "--seed", type=int, default=None,
-        help="campaign seed for the candidate run (defaults to the snapshot's)",
-    )
-    _add_campaign_options(diff_parser, grid_default=None)
-    diff_parser.add_argument(
-        "--baseline", required=True, type=_readable_file,
-        help="reference baseline snapshot (the committed file to gate against)",
-    )
-    diff_parser.add_argument(
-        "--candidate", default=None, type=_readable_file,
-        help="compare another snapshot file instead of running the grid",
-    )
-    diff_parser.add_argument(
-        "--from-store", action="store_true",
-        help="load the candidate purely from --store (error on missing cells)",
-    )
-    diff_parser.add_argument(
-        "--json", default=None, help="also write the machine-readable diff JSON here"
-    )
-
-    fuzz_parser = subparsers.add_parser(
-        "fuzz",
-        parents=[seed_parent],
-        help="run a fault-injection fuzz campaign, or --shrink a failing plan",
-    )
-    fuzz_parser.add_argument("--seeds", type=_positive_int, default=2,
-                             help="fault-plan seeds per scenario (the fuzz axis)")
-    fuzz_parser.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
-    _add_store_options(fuzz_parser)
-    fuzz_parser.add_argument("--json", default=None,
-                             help="also write the byte-stable triage JSON here")
-    fuzz_parser.add_argument("--goodput-floor", type=float, default=0.5,
-                             help="retained-goodput fraction below which a cell is degraded")
-    fuzz_parser.add_argument("--fail-on-failed", action="store_true",
-                             help="exit non-zero when any faulted cell fails outright")
-    fuzz_parser.add_argument("--shrink", action="store_true",
-                             help="minimise a failing fault plan instead of running a campaign")
-    fuzz_parser.add_argument("--target-verdict", default="failed",
-                             choices=("failed", "fallback"),
-                             help="shrink: triage verdict the minimal plan must keep "
-                             "producing ('fallback' minimises down to the events "
-                             "that force a plain-TCP downgrade)")
-    fuzz_parser.add_argument("--plan", default=None,
-                             help="shrink: named fault plan or path to a plan JSON file")
-    fuzz_parser.add_argument("--workload", type=_workload_name, default="bulk_transfer",
-                             help="shrink: workload of the failing cell")
-    fuzz_parser.add_argument("--base-scenario", type=_scenario_name, default=None,
-                             help="shrink: clean scenario the plan targets "
-                             "(defaults to the named plan's)")
-    fuzz_parser.add_argument("--controller", type=_controller_name, default="passive",
-                             help="shrink: controller of the failing cell")
-    fuzz_parser.add_argument("--scheduler", type=_scheduler_name, default="lowest_rtt",
-                             help="shrink: scheduler of the failing cell")
-    fuzz_parser.add_argument("--horizon", type=_positive_float, default=None,
-                             help="shrink: simulated run horizon in seconds "
-                             "(defaults to the plan's own horizon)")
-    fuzz_parser.add_argument("--params", type=_json_object, default=None,
-                             help="shrink: workload parameters as a JSON object — "
-                             "must match the cell the plan failed in (the fuzz "
-                             "grid uses e.g. {\"transfer_bytes\": 60000})")
-    fuzz_parser.add_argument("--out", default=None,
-                             help="shrink: write the counterexample artifact here")
-
-    cell_parent = argparse.ArgumentParser(add_help=False)
-    cell_parent.add_argument("--workload", type=_workload_name, default="bulk_transfer",
-                             help="workload registry name")
-    cell_parent.add_argument("--scenario", type=_scenario_name, default="dual_homed",
-                             help="scenario registry name")
-    cell_parent.add_argument("--controller", type=_controller_name, default="passive",
-                             help="controller registry name")
-    cell_parent.add_argument("--scheduler", type=_scheduler_name, default="lowest_rtt",
-                             help="scheduler registry name")
-    cell_parent.add_argument("--horizon", type=_positive_float, default=30.0,
-                             help="simulated run horizon in seconds")
-    cell_parent.add_argument("--connections", type=_positive_int, default=1,
-                             help="concurrent client connections (the scale axis); "
-                             "starts are staggered over the connection_stagger param")
-    cell_parent.add_argument("--params", type=_json_object, default=None,
-                             help="workload parameters as a JSON object")
-
-    subparsers.add_parser(
-        "cell", parents=[seed_parent, cell_parent],
-        help="run one harness cell by registry names",
-    )
-
-    trace_parser = subparsers.add_parser(
-        "trace",
-        parents=[seed_parent, cell_parent],
-        help="run one traced harness cell and export its structured event log",
-    )
-    trace_parser.add_argument("--categories", type=_event_categories, default=None,
-                              help="comma-separated event categories to record "
-                              "(default: all — connection, fallback, fault, pm, "
-                              "scheduler, subflow, timer)")
-    trace_parser.add_argument("--limit", type=_positive_int, default=None,
-                              help="event-log retention cap (drops are counted beyond it)")
-    trace_parser.add_argument("--format", default="chrome",
-                              choices=("chrome", "jsonl"),
-                              help="chrome: Chrome-trace-format timeline; "
-                              "jsonl: one JSON object per event")
-    trace_parser.add_argument("--out", default=None,
-                              help="write the export here instead of stdout")
-
-    telemetry_parser = subparsers.add_parser(
-        "telemetry",
-        parents=[seed_parent],
-        help="run a grid and print its campaign telemetry summary",
-    )
-    _add_campaign_options(telemetry_parser)
-    telemetry_parser.add_argument("--top", type=_positive_int, default=5,
-                                  help="number of slowest fresh cells to list")
-    telemetry_parser.add_argument("--json", default=None,
-                                  help="also write the telemetry summary JSON here")
-
-    list_parser = subparsers.add_parser(
-        "list", parents=[seed_parent],
-        help="print every registry the grid is built from",
-    )
-    list_parser.add_argument(
-        "--store", default=None, metavar="DIR",
-        help="also print object/manifest/artifact stats for this campaign store",
-    )
-
-    worker_parser = subparsers.add_parser(
-        "worker",
-        help="execute one shard plan against a campaign store "
-        "(spawned by the subprocess backend; usable standalone for remote shards)",
-    )
-    worker_parser.add_argument("--store", required=True, metavar="DIR",
-                               help="campaign store the shard reads/writes")
-    worker_parser.add_argument("--plan", required=True, metavar="FILE", type=_readable_file,
-                               help="shard plan JSON written by the coordinating backend")
-
-    store_parser = subparsers.add_parser(
-        "store",
-        help="inspect a campaign store",
-    )
-    store_parser.add_argument(
-        "action", choices=("stats", "manifest", "verify"),
-        help="stats: object/manifest/artifact counts; manifest: print a "
-        "campaign's latest snapshot manifest; verify: recheck every object "
-        "against its content hash (exit 1 on damage)",
-    )
-    store_parser.add_argument("--store", required=True, metavar="DIR",
-                              type=_existing_directory,
-                              help="campaign store directory")
-    store_parser.add_argument("--campaign", default=None, metavar="ID",
-                              help="manifest: campaign id (default: the store's "
-                              "only campaign)")
+    for name, (help_text, handler, flags) in commands.items():
+        subparser = subparsers.add_parser(name, help=help_text)
+        for option, options in flags:
+            subparser.add_argument(option, **options)
+        subparser.set_defaults(steps=handler if isinstance(handler, list) else [(name, handler)])
     return parser
 
 
@@ -903,8 +804,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     (``diff`` on out-of-tolerance drift, ``fuzz --fail-on-failed`` on a failed
     cell, ``fuzz --shrink`` with nothing to shrink, ``store verify`` on damage).
     Usage errors — an unknown grid or registry name, a ``--params`` that is not a
-    JSON object, an input file that cannot be read or is not what the flag takes,
-    a missing store directory where one is only read — exit 2 from ``argparse``."""
+    JSON object, a count, duration or fraction out of range, an input file that
+    cannot be read or is not what the flag takes, a missing store directory where
+    one is only read — exit 2 from ``argparse``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.experiment == "diff" and args.from_store and args.store is not None:
@@ -913,12 +815,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _existing_directory(args.store)
         except argparse.ArgumentTypeError as error:
             parser.error(f"argument --store: {error}")
-    names = FIGURES if args.experiment == "all" else (args.experiment,)
     exit_code = 0
-    for name in names:
+    for name, handler in args.steps:
         started = time.time()
         try:
-            outcome = EXPERIMENTS[name](args)
+            outcome = handler(args)
         except argparse.ArgumentTypeError as error:
             parser.error(str(error))
         report, code = outcome if isinstance(outcome, tuple) else (outcome, 0)

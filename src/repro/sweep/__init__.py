@@ -47,7 +47,6 @@ _EXPORTS = {
     "Baseline": "repro.sweep.baseline",
     "BaselineCell": "repro.sweep.baseline",
     "baseline_from_store": "repro.sweep.baseline",
-    "baseline_from_manifest": "repro.sweep.baseline",
     "load_baseline": "repro.sweep.baseline",
     "write_baseline": "repro.sweep.baseline",
     "BASELINE_FORMAT_VERSION": "repro.sweep.baseline",

@@ -11,8 +11,7 @@ Three sources produce the same :class:`Baseline` shape, so the diff layer
 never cares where a campaign came from:
 
 * a live run (:meth:`Baseline.from_result`),
-* a content-addressed campaign store (:func:`baseline_from_store`, or
-  :func:`baseline_from_manifest` for a committed snapshot manifest),
+* a content-addressed campaign store (:func:`baseline_from_store`),
 * a committed snapshot file (:func:`load_baseline`).
 """
 
@@ -25,7 +24,7 @@ from typing import Mapping, Optional, Union
 
 from repro.store import CampaignStore, atomic_write_text
 from repro.sweep.engine import CampaignResult
-from repro.sweep.grid import SWEEP_FORMAT_VERSION, CampaignGrid, CellSpec
+from repro.sweep.grid import SWEEP_FORMAT_VERSION, CampaignGrid
 
 #: Bump when the snapshot schema changes incompatibly.
 BASELINE_FORMAT_VERSION = 1
@@ -199,59 +198,6 @@ def baseline_from_store(
         campaign_seed=grid.campaign_seed,
         cells=cells,
         source=store.root,
-    )
-
-
-def baseline_from_manifest(
-    store: Union[str, CampaignStore], campaign_id: Optional[str] = None
-) -> Baseline:
-    """Assemble a baseline from a committed snapshot manifest.
-
-    Loads the latest manifest of ``campaign_id`` (or of the store's only
-    campaign when omitted) and reads every completed cell object it
-    names — the read path fault triage and the fuzz tooling share.
-    Partial manifests raise rather than producing a silently truncated
-    campaign.
-    """
-    if not isinstance(store, CampaignStore):
-        store = CampaignStore(store)
-    if campaign_id is None:
-        campaigns = store.campaign_ids()
-        if len(campaigns) != 1:
-            raise ValueError(
-                f"store {store.root!r} holds {len(campaigns)} campaigns; "
-                f"pass campaign_id explicitly (have {campaigns})"
-            )
-        campaign_id = campaigns[0]
-    manifest = store.latest_manifest(campaign_id)
-    if manifest is None:
-        raise ValueError(f"store {store.root!r} has no manifest for campaign {campaign_id!r}")
-    if not manifest.complete:
-        raise ValueError(
-            f"campaign {campaign_id!r} is incomplete: "
-            f"{len(manifest.missing)} of {len(manifest.cells)} cells missing"
-        )
-    cells: list[BaselineCell] = []
-    for config_hash in manifest.cells:
-        entry = store.get_cell(config_hash)
-        if entry is None:
-            raise ValueError(
-                f"manifest names cell {config_hash} but the store object is missing/corrupt"
-            )
-        spec = dict(entry["spec"])
-        cells.append(
-            BaselineCell(
-                key=CellSpec.from_dict(spec).key,
-                spec=spec,
-                config_hash=config_hash,
-                metrics=dict(entry["result"]),
-            )
-        )
-    return Baseline(
-        name=manifest.name,
-        campaign_seed=manifest.campaign_seed,
-        cells=cells,
-        source=f"{store.root}@{campaign_id}",
     )
 
 

@@ -182,6 +182,13 @@ class TestExperimentsSmall:
         assert len(result.cdf_ndiffports) == 1
         assert "Figure 2c" in result.format_report()
 
+    def test_fig2c_seed_reaches_the_runs(self):
+        """``fig2c --seed`` (and ``all --seed``) moves every run: run ``index``
+        is seeded ``999 + seed + index``, so ``--seed 1`` keeps 1000, 1001, ..."""
+        from repro.experiments import run_fig2c
+
+        assert run_fig2c(seed=2, seeds=1, scale=0.02).runs[0].seed == 1001
+
     def test_fig3_small(self):
         from repro.experiments import run_fig3
 
@@ -261,6 +268,9 @@ class TestExperimentsSmall:
         (["trace", "--limit", "many"], "--limit: expected a positive int, got 'many'"),
         (["fig2b", "--blocks", "0"], "--blocks: expected a positive int"),
         (["fig2c", "--runs", "0"], "--runs: expected a positive int"),
+        (["fig2c", "--scale", "0"], "--scale: expected a fraction in (0, 1], got '0'"),
+        (["fig2c", "--scale", "1.5"], "--scale: expected a fraction in (0, 1], got '1.5'"),
+        (["fig2c", "--scale", "nan"], "--scale: expected a fraction in (0, 1], got 'nan'"),
         (["fig3", "--requests", "-5"], "--requests: expected a positive int"),
         (["longlived", "--duration", "0"], "--duration: expected a positive float"),
         (["all", "--duration", "inf"], "--duration: expected a positive float"),
@@ -329,6 +339,27 @@ class TestExperimentsSmall:
         with pytest.raises(ValueError) as error:
             named_grid("nope")
         assert str(list(GRID_NAMES)) in str(error.value)
+
+    def test_a_mutated_named_grid_leaves_the_table_alone(self):
+        from repro.experiments.grids import named_grid
+
+        before = named_grid("quick").as_dict()
+        grid = named_grid("quick")
+        grid.params["horizon"] = 1.0
+        grid.scenarios.append("lan")
+        assert named_grid("quick").as_dict() == before
+
+    def test_every_figure_flag_feeds_a_keyword_of_its_run_function(self):
+        """A ``FIGURES`` row's ``dest``s and ``seed`` are parameters of its
+        ``run`` function, so renaming a keyword fails here, not at run time."""
+        import inspect
+
+        from repro.experiments import runner
+
+        for name, (reference, flags) in runner.FIGURES.items():
+            parameters = inspect.signature(runner._resolve(reference)).parameters
+            dests = {"seed", *(options["dest"] for _, options in flags)}
+            assert dests <= set(parameters), (name, dests - set(parameters))
 
     def test_runner_list_grids_section_is_pinned(self, capsys):
         """The ``grids:`` section is pinned byte for byte: names, order and

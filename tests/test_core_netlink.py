@@ -18,7 +18,7 @@ from repro.core.commands import (
     ReplyStatus,
     SetBackupCommand,
 )
-from repro.core.controller import SubflowController
+from repro.core.controller import ControllerState, SubflowController
 from repro.core.events import (
     EVENT_CLASSES,
     AddAddrEvent,
@@ -210,6 +210,7 @@ class TestMessageTable:
         assert len(set(hooks)) == len(hooks)
         for hook in hooks:
             assert callable(getattr(SubflowController, hook))
+            assert callable(getattr(ControllerState, hook))
 
     def test_each_event_reaches_the_hook_it_always_did(self, sim):
         # The hook names are API for controller subclasses: in EVENTS order.

@@ -423,10 +423,12 @@ class TestFaultedScenarios:
 
 class TestTriage:
     def run_fuzz(self, **kwargs):
-        from repro.experiments.grids import fuzz_grid
+        import dataclasses
+
+        from repro.experiments.grids import named_grid
         from repro.sweep import run_campaign
 
-        return run_campaign(fuzz_grid(seeds=1), **kwargs)
+        return run_campaign(dataclasses.replace(named_grid("fuzz"), seeds=1), **kwargs)
 
     def test_triage_is_deterministic_and_covers_every_faulted_cell(self):
         from repro.analysis.faults import triage_campaign, triage_json

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.experiments.grids import quick_grid
+from repro.experiments.grids import named_grid
 from repro.store import (
     MANIFEST_FORMAT_VERSION,
     CampaignStore,
@@ -27,8 +27,6 @@ from repro.sweep import (
     ProcessPoolBackend,
     SerialBackend,
     SubprocessShardBackend,
-    baseline_from_manifest,
-    baseline_from_store,
     plan_campaign,
     resolve_backend,
     run_campaign,
@@ -306,7 +304,7 @@ class TestResume:
         """Kill a campaign after two cells; the reopened store recomputes
         only the missing cells and the merged report is byte-identical to
         an uninterrupted run."""
-        grid = quick_grid()
+        grid = named_grid("quick")
         store_dir = str(tmp_path / "store")
         fresh = run_campaign(grid, workers=1)
 
@@ -416,26 +414,6 @@ class TestWorkerShard:
             run_worker_shard(plan_path, str(tmp_path / "store"))
 
 
-class TestStoreReadApi:
-    def test_baseline_from_store_and_manifest_agree(self, tmp_path):
-        grid = tiny_grid()
-        store_dir = str(tmp_path / "store")
-        run_campaign(grid, workers=1, store_dir=store_dir)
-        by_grid = baseline_from_store(grid, store_dir)
-        by_manifest = baseline_from_manifest(store_dir)
-        assert by_grid.to_json() == by_manifest.to_json()
-
-    def test_baseline_from_manifest_rejects_partial_campaigns(self, tmp_path):
-        store = CampaignStore(str(tmp_path))
-        manifest = Manifest(
-            campaign_id=campaign_id_for("tiny", 11, ("h1",)),
-            name="tiny", campaign_seed=11, cells=("h1",),
-        )
-        store.commit_manifest(manifest)
-        with pytest.raises(ValueError, match="incomplete"):
-            baseline_from_manifest(store)
-
-
 class TestStoreCli:
     def run_cli(self, capsys, *argv):
         from repro.experiments import runner
@@ -487,7 +465,7 @@ class TestStoreCli:
         assert f"store {CampaignStore(store_dir).root}:" in out
 
     def test_diff_from_store_gates_without_running(self, tmp_path, capsys):
-        grid = quick_grid()
+        grid = named_grid("quick")
         store_dir = str(tmp_path / "store")
         baseline_path = str(tmp_path / "quick.json")
         code, _ = self.run_cli(

@@ -455,12 +455,12 @@ class TestCommittedQuickBaseline:
     def test_committed_baseline_is_reproduced_bit_for_bit(self):
         import os
 
-        from repro.experiments.grids import quick_grid
+        from repro.experiments.grids import named_grid
 
         path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                             "baselines", "quick.json")
         committed = load_baseline(path)
-        fresh = run_campaign(quick_grid(), workers=1)
+        fresh = run_campaign(named_grid("quick"), workers=1)
         diff = diff_campaigns(committed, fresh)
         assert diff.gate_ok, format_diff_report(diff)
         assert diff.identical, format_diff_report(diff)

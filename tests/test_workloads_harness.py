@@ -198,11 +198,11 @@ class TestWorkloadsCampaign:
         do not break numeric aggregation.
         """
         from repro.analysis.aggregate import summarize_groups
-        from repro.experiments.grids import workloads_grid
+        from repro.experiments.grids import named_grid
         from repro.sweep import run_campaign
         from repro.sweep.report import format_campaign_report
 
-        result = run_campaign(workloads_grid(), workers=1, store_dir=str(tmp_path))
+        result = run_campaign(named_grid("workloads"), workers=1, store_dir=str(tmp_path))
         assert result.cell_count == len(WORKLOADS) * len(SCENARIOS)
         assert result.cache_misses == result.cell_count
         for cell in result.cells:
