@@ -26,12 +26,10 @@ from typing import Optional
 
 from repro.analysis.report import format_table
 from repro.analysis.trace import SubflowSequenceTrace
-from repro.core.controllers import SmartBackupController
-from repro.core.manager import SmappManager
 from repro.mptcp.subflow import SubflowOrigin
 from repro.net.addressing import FourTuple
 from repro.netem.scenarios import build_dual_homed
-from repro.workloads import ClientSetup, Harness, HarnessSpec, TraceProbe
+from repro.workloads import Harness, HarnessSpec, TraceProbe
 
 SERVER_PORT = 5001
 
@@ -83,19 +81,6 @@ class Fig2aResult:
         return "\n".join(lines)
 
 
-def _smart_backup_client(ctx, rto_threshold: float) -> ClientSetup:
-    """Client stack preset: SMAPP manager with the smart backup controller."""
-    manager = SmappManager(ctx.sim, ctx.scenario.client)
-    controller = manager.attach_controller(
-        SmartBackupController,
-        backup_local_address=ctx.scenario.client_addresses[1],
-        backup_remote_address=ctx.scenario.server_addresses[1],
-        backup_remote_port=SERVER_PORT,
-        rto_threshold=rto_threshold,
-    )
-    return ClientSetup(manager.stack, manager=manager, controller=controller)
-
-
 def _schedule_loss(run, loss_start: float, loss_percent: float) -> None:
     """Hook: the primary path turns lossy at ``loss_start``."""
     run.sim.schedule(
@@ -121,11 +106,15 @@ def run_fig2a(
         HarnessSpec(
             workload="bulk_transfer",
             scenario=lambda sim: build_dual_homed(sim, rate_mbps=rate_mbps, delay_ms=delay_ms),
-            controller=partial(_smart_backup_client, rto_threshold=rto_threshold),
+            controller="smart_backup",
             seed=seed,
             horizon=duration,
             server_port=SERVER_PORT,
-            params={"transfer_bytes": transfer_bytes, "close_when_done": False},
+            params={
+                "transfer_bytes": transfer_bytes,
+                "close_when_done": False,
+                "rto_threshold": rto_threshold,
+            },
             probes=(trace_probe,),
             hooks=(partial(_schedule_loss, loss_start=loss_start, loss_percent=loss_percent),),
         )

@@ -26,7 +26,7 @@ from typing import Optional
 from repro.analysis.cdf import Cdf
 from repro.analysis.report import format_cdf_table, format_table
 from repro.net.router import EcmpGroup
-from repro.netem.scenarios import EcmpScenario
+from repro.netem.scenarios import Scenario
 from repro.workloads import Harness, HarnessSpec
 
 SERVER_PORT = 7001
@@ -76,9 +76,9 @@ class Fig2cResult:
         return "\n".join(lines)
 
 
-def _distinct_paths(scenario: EcmpScenario, conn) -> int:
+def _distinct_paths(scenario: Scenario, conn) -> int:
     """How many distinct ECMP paths the connection's subflows hash onto."""
-    group = scenario.left_router.lookup(scenario.server_address)
+    group = scenario.topology.router("r1").lookup(scenario.server_addresses[0])
     if not isinstance(group, EcmpGroup):
         return 1
     indices = set()

@@ -126,7 +126,7 @@ def run_longlived(
         max_delivery_time=max(delivery_times) if delivery_times else 0.0,
         subflow_failures=failures,
         reestablishments=controller.reestablishments,
-        nat_expired_flows=run.scenario.nat.expired_flows,
+        nat_expired_flows=run.scenario.middlebox.expired_flows,
         interface_flaps=flaps,
         notes=[
             "expectation: every message is delivered although the NAT keeps expiring the idle "

@@ -35,7 +35,6 @@ _EXPORTS = {
     "FaultingMiddlebox": "repro.faults.middlebox",
     "MIDDLEBOXES": "repro.faults.middlebox",
     "FaultInjector": "repro.faults.inject",
-    "FaultedScenario": "repro.faults.inject",
     "LinkFaultFilter": "repro.faults.inject",
     "fault_targets": "repro.faults.inject",
     "faulted": "repro.faults.inject",

@@ -12,17 +12,14 @@ here) records each variant's *clean twin*, which is what
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
-from repro.faults.inject import (
-    DEFAULT_FAULT_HORIZON,
-    FaultedScenario,
-    FaultInjector,
-    faulted,
-)
+from repro.faults.inject import DEFAULT_FAULT_HORIZON, FaultInjector, faulted
 from repro.faults.middlebox import FaultingMiddlebox
 from repro.faults.plan import FaultPlan
 from repro.netem.scenarios import (
+    Scenario,
     build_dual_homed,
     build_lan,
     build_middlebox_path,
@@ -53,7 +50,7 @@ def build_faulted_path(
     fault_seed: Optional[int] = None,
     profile: str = "segment",
     horizon: float = DEFAULT_FAULT_HORIZON,
-) -> FaultedScenario:
+) -> Scenario:
     """Dual-homed topology with a plan-driven FaultingMiddlebox on path 0.
 
     Unlike the link-level ``faulted_*`` variants, the adversary here is a
@@ -79,10 +76,10 @@ def build_faulted_path(
         )
     injector = FaultInjector(sim, {box.target_name: box.engine}, plan)
     injector.install()
-    return FaultedScenario(base, injector, plan)
+    return replace(base, fault_injector=injector, fault_plan=plan)
 
 
-def build_faulted_downgrade(sim: Simulator) -> FaultedScenario:
+def build_faulted_downgrade(sim: Simulator) -> Scenario:
     """Dual-homed topology replaying the curated ``mpcapable_strip`` plan.
 
     The plan is fixed (not seed-derived): MP_CAPABLE is stripped on path 0

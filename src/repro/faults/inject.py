@@ -12,7 +12,8 @@ as the fault-plan axis: sweep seeds and you sweep adversaries.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional, Union
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Union
 
 from repro.faults.models import FAULT_MODELS, MutationEngine
 from repro.faults.plan import FaultPlan
@@ -21,6 +22,9 @@ from repro.net.link import Link
 from repro.net.packet import Segment
 from repro.sim.engine import Simulator
 from repro.sim.randomness import derive_seed
+
+if TYPE_CHECKING:
+    from repro.netem.scenarios import Scenario
 
 #: Horizon used for seed-derived plans (matches the sweep grids' cells).
 DEFAULT_FAULT_HORIZON = 15.0
@@ -148,42 +152,9 @@ class FaultInjector:
         return dict(sorted(totals.items()))
 
 
-class FaultedScenario:
-    """A built scenario wrapped with a fault injector.
-
-    Everything the harness and the probes ask of a scenario (client,
-    server, addresses, topology, sim) is delegated to the base scenario;
-    the wrapper only adds :attr:`fault_injector` and :attr:`fault_plan`,
-    which is exactly what :class:`repro.workloads.probes.FaultProbe` keys
-    on.
-    """
-
-    def __init__(self, base, injector: FaultInjector, plan: FaultPlan) -> None:
-        self.base = base
-        self.fault_injector = injector
-        self.fault_plan = plan
-
-    def __getattr__(self, name: str):
-        return getattr(self.base, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FaultedScenario {type(self.base).__name__} events={len(self.fault_plan)}>"
-
-
-def fault_targets(scenario) -> dict[str, Link]:
-    """The links of a built scenario that fault plans may target.
-
-    Prefers the scenario's declared per-path links (the convention every
-    scenario dataclass follows); falls back to the single ``link`` of
-    LAN-style scenarios, then to every link of the topology.
-    """
-    links = getattr(scenario, "path_links", None)
-    if links:
-        return {link.name: link for link in links}
-    single = getattr(scenario, "link", None)
-    if single is not None:
-        return {single.name: single}
-    return dict(scenario.topology.links)
+def fault_targets(scenario: Scenario) -> dict[str, Link]:
+    """The links of a built scenario that fault plans may target: its per-path links."""
+    return {link.name: link for link in scenario.path_links}
 
 
 def faulted(
@@ -202,7 +173,7 @@ def faulted(
     simulator's own seed, so each sweep cell gets its own deterministic
     adversary.
     """
-    def build(sim: Simulator):
+    def build(sim: Simulator) -> Scenario:
         """Build the base scenario and install its fault plan (see :func:`faulted`)."""
         scenario = base_builder(sim)
         targets = fault_targets(scenario)
@@ -218,7 +189,7 @@ def faulted(
             )
         injector = FaultInjector(sim, targets, the_plan)
         injector.install()
-        return FaultedScenario(scenario, injector, the_plan)
+        return replace(scenario, fault_injector=injector, fault_plan=the_plan)
 
     build.__name__ = f"faulted_{base_name}"
     build.__qualname__ = build.__name__

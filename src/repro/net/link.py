@@ -86,7 +86,7 @@ class Link:
         self._sim = sim
         self._rate_bps = float(rate_bps)
         self._delay = float(delay)
-        self._loss_rate = float(loss_rate)
+        self.set_loss_rate(loss_rate)
         self._queue_capacity = int(queue_packets)
         self._name = name
         self._directions: tuple[_Direction, ...] = ()

@@ -49,7 +49,6 @@ class PacketTracer:
         self._keep = keep
         self._records: list[PacketRecord] = []
         self._links: list[Link] = []
-        self._sim = None
 
     @property
     def name(self) -> str:
@@ -69,7 +68,6 @@ class PacketTracer:
     def attach(self, link: Link) -> "PacketTracer":
         """Start capturing deliveries on ``link``.  Returns ``self``."""
         self._links.append(link)
-        self._sim = link.sim
         # Per-link closure: the link name and the record list are bound
         # once, so the per-delivery work is one PacketRecord plus an
         # append.  ``clear()`` empties the list in place, keeping the
@@ -98,20 +96,6 @@ class PacketTracer:
     def clear(self) -> None:
         """Discard all captured records."""
         self._records.clear()
-
-    def _observe(self, segment: Segment, from_iface: Interface, to_iface: Interface) -> None:
-        if self._keep is not None and not self._keep(segment):
-            return
-        link = from_iface.link
-        self._records.append(
-            PacketRecord(
-                self._sim.now,
-                segment,
-                from_iface.full_name,
-                to_iface.full_name,
-                link.name if link else "?",
-            )
-        )
 
     # ------------------------------------------------------------------
     # convenience filters used by the experiments

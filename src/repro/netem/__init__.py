@@ -2,11 +2,7 @@
 
 from repro.netem.topology import Topology
 from repro.netem.scenarios import (
-    DualHomedScenario,
-    EcmpScenario,
-    LanScenario,
-    NattedScenario,
-    StrippedAddAddrScenario,
+    Scenario,
     build_addaddr_stripped,
     build_asymmetric_loss,
     build_bufferbloat_cellular,
@@ -20,11 +16,7 @@ from repro.netem.scenarios import (
 
 __all__ = [
     "Topology",
-    "DualHomedScenario",
-    "EcmpScenario",
-    "LanScenario",
-    "NattedScenario",
-    "StrippedAddAddrScenario",
+    "Scenario",
     "build_dual_homed",
     "build_ecmp",
     "build_lan",

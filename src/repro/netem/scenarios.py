@@ -1,44 +1,86 @@
 """The canned topologies used by the paper's experiments.
 
-Each builder returns a small dataclass bundling the topology with the
-objects experiments actually need (hosts, per-path links, addresses), so
-experiment code reads like the Mininet scripts it replaces.
+Every builder returns the same :class:`Scenario`, bundling the topology
+with the objects experiments actually need (hosts, per-path links,
+addresses), so experiment code reads like the Mininet scripts it replaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.net.addressing import IPAddress
 from repro.net.host import Host
 from repro.net.link import Link
-from repro.net.middlebox import NatFirewall, OptionStrippingMiddlebox
-from repro.net.router import EcmpGroup, Router
+from repro.net.node import Node
+from repro.net.router import EcmpGroup
 from repro.netem.topology import Topology
 from repro.sim.engine import Simulator
 
+if TYPE_CHECKING:  # repro.faults stays unloaded on clean cells
+    from repro.faults.inject import FaultInjector
+    from repro.faults.plan import FaultPlan
+
 
 @dataclass
-class DualHomedScenario:
-    """A dual-homed client and a dual-homed server joined by two direct paths.
+class Scenario:
+    """A built topology and the objects experiments need from it.
 
-    This is the smartphone-style topology of §4.2 and §4.3: path 0 plays the
-    role of the primary (e.g. WiFi) interface and path 1 the secondary
-    (e.g. cellular) one.
+    ``path_links`` are the per-path links a fault plan may target, and
+    ``client_addresses`` / ``server_addresses`` hold one address per path
+    (a single element on single-homed topologies).  ``middlebox`` is the
+    two-legged box on the primary path of the middlebox topologies;
+    ``fallback_prone`` marks a topology that downgrades to plain TCP by
+    construction; ``fault_injector`` and ``fault_plan`` are filled in by
+    :func:`repro.faults.inject.faulted` and stay ``None`` on clean
+    scenarios.
     """
 
     topology: Topology
     client: Host
     server: Host
-    path_links: list[Link]
     client_addresses: list[IPAddress]
     server_addresses: list[IPAddress]
+    path_links: list[Link]
+    middlebox: Optional[Node] = None
+    fallback_prone: bool = False
+    fault_injector: Optional[FaultInjector] = None
+    fault_plan: Optional[FaultPlan] = None
 
     @property
     def sim(self) -> Simulator:
         """The simulation engine."""
         return self.topology.sim
+
+
+def _build_two_path(
+    sim: Simulator,
+    name: str,
+    path_params: Sequence[dict],
+) -> Scenario:
+    """A dual-homed client and server joined by two direct paths.
+
+    ``path_params`` holds one ``add_link`` keyword dict per path (exactly
+    two paths, matching the smartphone topologies of the paper).
+    """
+    topo = Topology(sim, name=name)
+    client = topo.add_host("client")
+    server = topo.add_host("server")
+    client_addresses = [IPAddress("10.0.0.1"), IPAddress("10.1.0.1")]
+    server_addresses = [IPAddress("10.0.0.2"), IPAddress("10.1.0.2")]
+    links = []
+    for index, params in enumerate(path_params):
+        link = topo.add_link(
+            f"path{index}",
+            (client, f"if{index}", client_addresses[index]),
+            (server, f"if{index}", server_addresses[index]),
+            **params,
+        )
+        links.append(link)
+        server.add_route(client_addresses[index], f"if{index}")
+        client.add_route(server_addresses[index], f"if{index}")
+    return Scenario(topo, client, server, client_addresses, server_addresses, links)
 
 
 def build_dual_homed(
@@ -47,61 +89,22 @@ def build_dual_homed(
     delay_ms: float = 10.0,
     loss_percent: tuple[float, float] = (0.0, 0.0),
     queue_packets: int = 100,
-) -> DualHomedScenario:
-    """Build the two-path smartphone topology."""
-    topo = Topology(sim, name="dual-homed")
-    client = topo.add_host("client")
-    server = topo.add_host("server")
-    client_addresses = [IPAddress("10.0.0.1"), IPAddress("10.1.0.1")]
-    server_addresses = [IPAddress("10.0.0.2"), IPAddress("10.1.0.2")]
-    links = []
-    for index in range(2):
-        link = topo.add_link(
-            f"path{index}",
-            (client, f"if{index}", client_addresses[index]),
-            (server, f"if{index}", server_addresses[index]),
-            rate_mbps=rate_mbps,
-            delay_ms=delay_ms,
-            loss_percent=loss_percent[index],
-            queue_packets=queue_packets,
-        )
-        links.append(link)
-        server.add_route(client_addresses[index], f"if{index}")
-        client.add_route(server_addresses[index], f"if{index}")
-    return DualHomedScenario(topo, client, server, links, client_addresses, server_addresses)
-
-
-@dataclass
-class EcmpScenario:
-    """Single-homed client and server behind routers that ECMP over N paths.
-
-    This is the §4.4 topology: the routers hash the four-tuple of every
-    subflow onto one of the parallel paths.
-    """
-
-    topology: Topology
-    client: Host
-    server: Host
-    client_address: IPAddress
-    server_address: IPAddress
-    path_links: list[Link]
-    left_router: Router
-    right_router: Router
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine."""
-        return self.topology.sim
-
-    @property
-    def client_addresses(self) -> list[IPAddress]:
-        """Single-element list form (the sweep cell runner's common shape)."""
-        return [self.client_address]
-
-    @property
-    def server_addresses(self) -> list[IPAddress]:
-        """Single-element list form (the sweep cell runner's common shape)."""
-        return [self.server_address]
+) -> Scenario:
+    """Build the two-path smartphone topology of §4.2 and §4.3: path 0 is
+    the primary (e.g. WiFi) interface, path 1 the secondary (e.g. cellular)."""
+    return _build_two_path(
+        sim,
+        "dual-homed",
+        [
+            dict(
+                rate_mbps=rate_mbps,
+                delay_ms=delay_ms,
+                loss_percent=loss_percent[index],
+                queue_packets=queue_packets,
+            )
+            for index in range(2)
+        ],
+    )
 
 
 def build_ecmp(
@@ -112,8 +115,9 @@ def build_ecmp(
     access_rate_mbps: float = 1000.0,
     access_delay_ms: float = 0.1,
     queue_packets: int = 100,
-) -> EcmpScenario:
-    """Build the ECMP load-balancing topology of §4.4."""
+) -> Scenario:
+    """Build the ECMP topology of §4.4: routers ``r1`` and ``r2`` hash the
+    four-tuple of every subflow onto one of the parallel paths."""
     if len(path_delays_ms) < path_count:
         raise ValueError("need one delay per path")
     topo = Topology(sim, name="ecmp")
@@ -163,36 +167,7 @@ def build_ecmp(
     left.add_route(server_address, EcmpGroup(left_ports))
     right.add_route(server_address, "to-server")
     right.add_route(client_address, EcmpGroup(right_ports))
-    return EcmpScenario(
-        topo, client, server, client_address, server_address, path_links, left, right
-    )
-
-
-@dataclass
-class LanScenario:
-    """Two hosts on a direct gigabit link (the §4.5 lab measurement)."""
-
-    topology: Topology
-    client: Host
-    server: Host
-    client_address: IPAddress
-    server_address: IPAddress
-    link: Link
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine."""
-        return self.topology.sim
-
-    @property
-    def client_addresses(self) -> list[IPAddress]:
-        """Single-element list form (the workload harness's common shape)."""
-        return [self.client_address]
-
-    @property
-    def server_addresses(self) -> list[IPAddress]:
-        """Single-element list form (the workload harness's common shape)."""
-        return [self.server_address]
+    return Scenario(topo, client, server, [client_address], [server_address], path_links)
 
 
 def build_lan(
@@ -200,8 +175,8 @@ def build_lan(
     rate_mbps: float = 1000.0,
     delay_ms: float = 0.05,
     queue_packets: int = 1000,
-) -> LanScenario:
-    """Build the direct-link lab topology of §4.5."""
+) -> Scenario:
+    """Two hosts on a direct gigabit link (the §4.5 lab measurement)."""
     topo = Topology(sim, name="lan")
     client = topo.add_host("client")
     server = topo.add_host("server")
@@ -215,31 +190,7 @@ def build_lan(
         delay_ms=delay_ms,
         queue_packets=queue_packets,
     )
-    return LanScenario(topo, client, server, client_address, server_address, link)
-
-
-@dataclass
-class MiddleboxPathScenario:
-    """Dual-homed client whose primary path crosses a two-legged middlebox.
-
-    The shared shape behind the §4.1 NAT topology, the §3 option-stripper
-    topology and the fault-injection topologies of :mod:`repro.faults`:
-    path 0 runs client → middlebox → server, path 1 is a slower direct
-    link so the scheduler prefers the middlebox path.
-    """
-
-    topology: Topology
-    client: Host
-    server: Host
-    middlebox: object
-    path_links: list[Link]
-    client_addresses: list[IPAddress]
-    server_addresses: list[IPAddress]
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine."""
-        return self.topology.sim
+    return Scenario(topo, client, server, [client_address], [server_address], [link])
 
 
 def build_middlebox_path(
@@ -250,16 +201,17 @@ def build_middlebox_path(
     rate_mbps: float = 10.0,
     delay_ms: float = 10.0,
     direct_delay_ms: float = 30.0,
-    scenario_cls: type = MiddleboxPathScenario,
-) -> MiddleboxPathScenario:
-    """Build the middlebox-on-the-primary-path topology.
+) -> Scenario:
+    """Dual-homed client whose primary path crosses a two-legged middlebox.
 
-    ``attach_middlebox(topology)`` creates (and registers) the two-legged
-    middlebox; ``leg_prefix`` names the two primary-path legs
-    (``client-<prefix>`` and ``<prefix>-server``), preserved per concrete
-    scenario so packet traces stay recognisable.  ``scenario_cls`` lets a
-    concrete scenario construct its own :class:`MiddleboxPathScenario`
-    subclass directly.
+    The shared shape behind the §4.1 NAT topology, the §3 option-stripper
+    topologies and the fault-injection topologies of :mod:`repro.faults`:
+    path 0 runs client → middlebox → server, path 1 is a slower direct
+    link so the scheduler prefers the middlebox path.
+    ``attach_middlebox(topology)`` creates (and registers) the middlebox;
+    ``leg_prefix`` names the two primary-path legs (``client-<prefix>``
+    and ``<prefix>-server``), preserved per concrete scenario so packet
+    traces stay recognisable.
     """
     topo = Topology(sim, name=name)
     client = topo.add_host("client")
@@ -300,23 +252,9 @@ def build_middlebox_path(
     client.add_route(server_addresses[1], "if1")
     server.add_route(client_addresses[0], "if0")
     server.add_route(client_addresses[1], "if1")
-    return scenario_cls(
-        topo, client, server, box, links, client_addresses, server_addresses
+    return Scenario(
+        topo, client, server, client_addresses, server_addresses, links, middlebox=box
     )
-
-
-@dataclass
-class NattedScenario(MiddleboxPathScenario):
-    """Dual-homed client where the primary path crosses a stateful NAT.
-
-    This is the §4.1 setting: the NAT drops the state of idle flows after a
-    (configurable, aggressive) timeout, silently killing idle subflows.
-    """
-
-    @property
-    def nat(self) -> NatFirewall:
-        """The NAT/firewall on the primary path."""
-        return self.middlebox
 
 
 def build_natted(
@@ -326,8 +264,12 @@ def build_natted(
     rate_mbps: float = 10.0,
     delay_ms: float = 10.0,
     direct_delay_ms: float = 30.0,
-) -> NattedScenario:
-    """Build the NAT-on-the-primary-path topology of §4.1."""
+) -> Scenario:
+    """Build the NAT-on-the-primary-path topology of §4.1.
+
+    The NAT drops the state of idle flows after a (configurable,
+    aggressive) timeout, silently killing idle subflows.
+    """
     return build_middlebox_path(
         sim,
         "natted",
@@ -336,37 +278,7 @@ def build_natted(
         rate_mbps=rate_mbps,
         delay_ms=delay_ms,
         direct_delay_ms=direct_delay_ms,
-        scenario_cls=NattedScenario,
     )
-
-
-def _build_two_path(
-    sim: Simulator,
-    name: str,
-    path_params: Sequence[dict],
-) -> DualHomedScenario:
-    """Shared scaffolding for dual-homed scenarios with per-path parameters.
-
-    ``path_params`` holds one ``add_link`` keyword dict per path (exactly
-    two paths, matching the smartphone topologies of the paper).
-    """
-    topo = Topology(sim, name=name)
-    client = topo.add_host("client")
-    server = topo.add_host("server")
-    client_addresses = [IPAddress("10.0.0.1"), IPAddress("10.1.0.1")]
-    server_addresses = [IPAddress("10.0.0.2"), IPAddress("10.1.0.2")]
-    links = []
-    for index, params in enumerate(path_params):
-        link = topo.add_link(
-            f"path{index}",
-            (client, f"if{index}", client_addresses[index]),
-            (server, f"if{index}", server_addresses[index]),
-            **params,
-        )
-        links.append(link)
-        server.add_route(client_addresses[index], f"if{index}")
-        client.add_route(server_addresses[index], f"if{index}")
-    return DualHomedScenario(topo, client, server, links, client_addresses, server_addresses)
 
 
 def build_wifi_lte_handover(
@@ -379,7 +291,7 @@ def build_wifi_lte_handover(
     degrade_loss_percent: float = 25.0,
     down_at: Optional[float] = 2.5,
     recover_at: Optional[float] = None,
-) -> DualHomedScenario:
+) -> Scenario:
     """A phone walking out of WiFi coverage onto LTE.
 
     Path 0 is the WiFi interface: it starts clean, becomes lossy at
@@ -422,7 +334,7 @@ def build_asymmetric_loss(
     rate_mbps: float = 10.0,
     delays_ms: tuple[float, float] = (10.0, 25.0),
     queue_packets: int = 100,
-) -> DualHomedScenario:
+) -> Scenario:
     """Two always-up paths with very different loss characteristics.
 
     The low-delay path is the lossy one, so a pure lowest-RTT scheduler
@@ -452,7 +364,7 @@ def build_bufferbloat_cellular(
     cell_rate_mbps: float = 3.0,
     cell_delay_ms: float = 40.0,
     cell_queue_packets: int = 2000,
-) -> DualHomedScenario:
+) -> Scenario:
     """A clean-but-slow cellular path behind a grossly oversized buffer.
 
     The cellular link never drops a packet — it queues it instead, so its
@@ -476,7 +388,7 @@ def build_path_failure_recovery(
     recover_at: float = 3.5,
     rate_mbps: float = 8.0,
     delays_ms: tuple[float, float] = (10.0, 30.0),
-) -> DualHomedScenario:
+) -> Scenario:
     """Mid-transfer blackout of the primary path, then full recovery.
 
     Between ``fail_at`` and ``recover_at`` the primary path drops every
@@ -499,8 +411,12 @@ def build_path_failure_recovery(
     return scenario
 
 
-@dataclass
-class StrippedAddAddrScenario(MiddleboxPathScenario):
+def build_addaddr_stripped(
+    sim: Simulator,
+    rate_mbps: float = 10.0,
+    delay_ms: float = 10.0,
+    secondary_delay_ms: float = 30.0,
+) -> Scenario:
     """Dual-path topology whose primary path strips ADD_ADDR options.
 
     The middlebox forwards everything else untouched, so the connection
@@ -508,20 +424,6 @@ class StrippedAddAddrScenario(MiddleboxPathScenario):
     primary path, which silently disables any path manager that relies on
     the advertisement (§3 of the paper).
     """
-
-    @property
-    def stripper(self) -> OptionStrippingMiddlebox:
-        """The option-stripping middlebox on the primary path."""
-        return self.middlebox
-
-
-def build_addaddr_stripped(
-    sim: Simulator,
-    rate_mbps: float = 10.0,
-    delay_ms: float = 10.0,
-    secondary_delay_ms: float = 30.0,
-) -> StrippedAddAddrScenario:
-    """Build the ADD_ADDR-stripping-middlebox topology."""
     from repro.mptcp.options import AddAddrOption
 
     return build_middlebox_path(
@@ -532,31 +434,7 @@ def build_addaddr_stripped(
         rate_mbps=rate_mbps,
         delay_ms=delay_ms,
         direct_delay_ms=secondary_delay_ms,
-        scenario_cls=StrippedAddAddrScenario,
     )
-
-
-@dataclass
-class StrippedMpCapableScenario(MiddleboxPathScenario):
-    """Dual-path topology whose primary path strips MP_CAPABLE options.
-
-    The harshest §3 interference short of dropping the SYN outright: the
-    MPTCP handshake itself is sanitised away, so every connection over the
-    primary path comes up as a single-subflow plain-TCP fallback — the
-    degradation this scenario family exists to measure.  ``strip_from``
-    distinguishes the symmetric box (both handshake directions stripped,
-    the server never sees MP_CAPABLE) from the SYN/ACK-only box (the server
-    accepts an MPTCP handshake, then follows the client down when the third
-    ACK arrives bare).
-    """
-
-    #: Tells the fallback probe this scenario downgrades by construction.
-    fallback_prone = True
-
-    @property
-    def stripper(self) -> OptionStrippingMiddlebox:
-        """The MP_CAPABLE-stripping middlebox on the primary path."""
-        return self.middlebox
 
 
 def build_mpcapable_stripped(
@@ -565,16 +443,21 @@ def build_mpcapable_stripped(
     rate_mbps: float = 10.0,
     delay_ms: float = 10.0,
     secondary_delay_ms: float = 30.0,
-) -> StrippedMpCapableScenario:
-    """Build the MP_CAPABLE-stripping-middlebox topology.
+) -> Scenario:
+    """Dual-path topology whose primary path strips MP_CAPABLE options.
 
-    ``strip_from=None`` strips both directions (the client's SYN arrives
-    bare at the server); ``strip_from="outside"`` strips only the server's
-    SYN/ACK, exercising the third-ACK downgrade on the server side.
+    The harshest §3 interference short of dropping the SYN outright: the
+    MPTCP handshake itself is sanitised away, so every connection over the
+    primary path comes up as a single-subflow plain-TCP fallback — hence
+    ``fallback_prone``.  ``strip_from=None`` strips both directions (the
+    client's SYN arrives bare at the server); ``strip_from="outside"``
+    strips only the server's SYN/ACK, so the server accepts an MPTCP
+    handshake, then follows the client down when the third ACK arrives
+    bare.
     """
     from repro.mptcp.options import MpCapableOption
 
-    return build_middlebox_path(
+    scenario = build_middlebox_path(
         sim,
         "mpcapable-stripped",
         lambda topo: topo.add_option_stripper(
@@ -584,8 +467,8 @@ def build_mpcapable_stripped(
         rate_mbps=rate_mbps,
         delay_ms=delay_ms,
         direct_delay_ms=secondary_delay_ms,
-        scenario_cls=StrippedMpCapableScenario,
     )
+    return replace(scenario, fallback_prone=True)
 
 
 def build_mpcapable_stripped_synack(
@@ -593,7 +476,7 @@ def build_mpcapable_stripped_synack(
     rate_mbps: float = 10.0,
     delay_ms: float = 10.0,
     secondary_delay_ms: float = 30.0,
-) -> StrippedMpCapableScenario:
+) -> Scenario:
     """The SYN/ACK-only MP_CAPABLE stripper (asymmetric downgrade)."""
     return build_mpcapable_stripped(
         sim,

@@ -193,7 +193,7 @@ class FaultProbe(Probe):
     name = "faults"
 
     def collect(self, run: "HarnessRun") -> dict[str, Any]:
-        injector = getattr(run.scenario, "fault_injector", None)
+        injector = run.scenario.fault_injector
         if injector is None:
             return {}
         metrics: dict[str, Any] = {
@@ -226,8 +226,8 @@ class FallbackProbe(Probe):
     def collect(self, run: "HarnessRun") -> dict[str, Any]:
         stack = run.client.stack
         relevant = (
-            getattr(run.scenario, "fault_injector", None) is not None
-            or getattr(run.scenario, "fallback_prone", False)
+            run.scenario.fault_injector is not None
+            or run.scenario.fallback_prone
             or stack.connections_fallen_back > 0
         )
         if not relevant:
@@ -338,7 +338,7 @@ class EventsProbe(Probe):
         registry.record("client", stack_counters(run.client.stack))
         if run.server_stack is not None:
             registry.record("server", stack_counters(run.server_stack))
-        injector = getattr(run.scenario, "fault_injector", None)
+        injector = run.scenario.fault_injector
         if injector is not None:
             registry.record("faults", injector.stats())
         return {

@@ -60,8 +60,8 @@ class Registry(Mapping):
 
 
 # ----------------------------------------------------------------------
-# scenario registry — every entry is ``builder(sim) -> scenario`` where the
-# scenario exposes client / server hosts and per-path address lists.
+# scenario registry — every entry is ``builder(sim) -> Scenario`` (the one
+# dataclass of repro.netem.scenarios).
 # ----------------------------------------------------------------------
 SCENARIOS = Registry(
     "scenario",

@@ -18,7 +18,7 @@ from repro.mptcp.config import MptcpConfig
 from repro.mptcp.connection import ConnectionListener, MptcpConnection
 from repro.mptcp.path_manager import PathManager
 from repro.mptcp.stack import MptcpStack
-from repro.netem.scenarios import DualHomedScenario, build_dual_homed
+from repro.netem.scenarios import Scenario, build_dual_homed
 from repro.sim.engine import Simulator
 
 SERVER_PORT = 4000
@@ -63,7 +63,7 @@ class DualHomedRig:
     """A dual-homed client/server pair with stacks installed."""
 
     sim: Simulator
-    scenario: DualHomedScenario
+    scenario: Scenario
     client_stack: MptcpStack
     server_stack: MptcpStack
     server_apps: list = field(default_factory=list)

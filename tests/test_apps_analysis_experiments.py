@@ -55,7 +55,7 @@ class TestHttpApps:
         server_stack = MptcpStack(sim, scenario.server)
         server_stack.listen(80, lambda: servers.append(HttpServerApp(object_size=100_000)) or servers[-1])
         client_stack = MptcpStack(sim, scenario.client, path_manager=NdiffportsPathManager(2))
-        driver = HttpClientDriver(client_stack, scenario.server_address, 80,
+        driver = HttpClientDriver(client_stack, scenario.server_addresses[0], 80,
                                   request_count=5, object_size=100_000)
         driver.start()
         sim.run(until=30.0)
@@ -71,7 +71,7 @@ class TestHttpApps:
         scenario = build_lan(sim)
         stack = MptcpStack(sim, scenario.client)
         with pytest.raises(ValueError):
-            HttpClientDriver(stack, scenario.server_address, 80, request_count=0)
+            HttpClientDriver(stack, scenario.server_addresses[0], 80, request_count=0)
 
 
 class TestLongLivedApp:
@@ -130,7 +130,7 @@ class TestAnalysis:
         server_stack = MptcpStack(sim, scenario.server)
         server_stack.listen(80, lambda: servers.append(HttpServerApp(object_size=50_000)) or servers[-1])
         client_stack = MptcpStack(sim, scenario.client, path_manager=NdiffportsPathManager(2))
-        driver = HttpClientDriver(client_stack, scenario.server_address, 80, request_count=3, object_size=50_000)
+        driver = HttpClientDriver(client_stack, scenario.server_addresses[0], 80, request_count=3, object_size=50_000)
         driver.start()
         sim.run(until=10.0)
         delays = syn_join_delays(tracer)

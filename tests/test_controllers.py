@@ -264,7 +264,7 @@ class TestRefreshController:
         manager = SmappManager(sim, scenario.client)
         controller = manager.attach_controller(RefreshController, subflow_count=5, refresh_interval=2.5)
         sender = BulkSenderApp(4_000_000, close_when_done=False)
-        conn = manager.stack.connect(scenario.server_address, SERVER_PORT, listener=sender)
+        conn = manager.stack.connect(scenario.server_addresses[0], SERVER_PORT, listener=sender)
         sim.run(until=12.0)
         assert len(conn.subflows) >= 5
         assert controller.refresh_rounds >= 2

@@ -150,7 +150,10 @@ class TestRemovedNamesStayRemoved:
                "--update-workloads-baseline", "bench_workloads.py",
                "_WHEEL_BUCKETS", "_rebuild_window", "auto_compact_threshold",
                "pytest-benchmark", "benchmarks/test_bench",
-               "delayed_ack", "reinject_on_timeout", "reinject_on_close", "announce_addresses")
+               "delayed_ack", "reinject_on_timeout", "reinject_on_close", "announce_addresses",
+               "DualHomedScenario", "EcmpScenario", "LanScenario", "MiddleboxPathScenario",
+               "NattedScenario", "StrippedAddAddrScenario", "StrippedMpCapableScenario",
+               "FaultedScenario", "scenario_cls")
 
     def test_no_removed_name_in_source_docs_examples_or_ci(self):
         files = [REPO_ROOT / ".github" / "workflows" / "ci.yml", REPO_ROOT / "README.md"]

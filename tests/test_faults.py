@@ -402,7 +402,6 @@ class TestFaultedScenarios:
         c = builder(make_sim(4))
         assert a.fault_plan.to_json() == b.fault_plan.to_json()
         assert a.fault_plan.to_json() != c.fault_plan.to_json()
-        assert a.client is a.base.client  # attribute delegation
         assert a.fault_plan.targets and set(a.fault_plan.targets) <= {"path0", "path1"}
 
     def test_faulted_path_targets_only_the_middlebox(self, make_sim):

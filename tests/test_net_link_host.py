@@ -115,6 +115,15 @@ class TestLink:
         with pytest.raises(ValueError):
             Link(sim, queue_packets=0)
 
+    def test_out_of_range_loss_rejected_at_construction(self, sim):
+        # The constructor states the same [0, 1] rule as set_loss_rate.
+        with pytest.raises(ValueError):
+            Link(sim, loss_rate=1.5)
+        from repro.netem.scenarios import build_asymmetric_loss
+
+        with pytest.raises(ValueError):
+            build_asymmetric_loss(sim, loss_percents=(-5.0, 150.0))
+
     def test_double_connect_rejected(self, sim):
         a, b, link = make_pair(sim)
         with pytest.raises(RuntimeError):

@@ -107,13 +107,13 @@ class TestEcmpScenarioRouting:
         scenario.server.install_stack(sink)
         for port in (33001, 33002, 33003, 33004, 33005, 33006):
             scenario.client.send(
-                Segment(src=scenario.client_address, dst=scenario.server_address, sport=port, dport=80, payload_len=10)
+                Segment(src=scenario.client_addresses[0], dst=scenario.server_addresses[0], sport=port, dport=80, payload_len=10)
             )
         sim.run()
         assert len(sink.segments) == 6
-        group = scenario.left_router.lookup(scenario.server_address)
+        group = scenario.topology.router("r1").lookup(scenario.server_addresses[0])
         indices = {
-            group.path_index(Segment(src=scenario.client_address, dst=scenario.server_address, sport=port, dport=80))
+            group.path_index(Segment(src=scenario.client_addresses[0], dst=scenario.server_addresses[0], sport=port, dport=80))
             for port in (33001, 33002, 33003, 33004, 33005, 33006)
         }
         assert len(indices) >= 2
@@ -123,7 +123,7 @@ class TestEcmpScenarioRouting:
         sink = SinkStack()
         scenario.client.install_stack(sink)
         scenario.server.send(
-            Segment(src=scenario.server_address, dst=scenario.client_address, sport=80, dport=33001, payload_len=10)
+            Segment(src=scenario.server_addresses[0], dst=scenario.client_addresses[0], sport=80, dport=33001, payload_len=10)
         )
         sim.run()
         assert len(sink.segments) == 1
@@ -138,7 +138,7 @@ class TestNatFirewall:
         scenario.client.send(syn)
         sim.run()
         assert len(sink.segments) == 1
-        assert scenario.nat.active_flows()
+        assert scenario.middlebox.active_flows()
 
     def test_outside_syn_blocked(self, sim):
         scenario = build_natted(sim)
@@ -148,7 +148,7 @@ class TestNatFirewall:
         scenario.server.send(syn)
         sim.run()
         assert sink.segments == []
-        assert scenario.nat.dropped_outside_syn == 1
+        assert scenario.middlebox.dropped_outside_syn == 1
 
     def test_non_syn_without_state_dropped(self, sim):
         scenario = build_natted(sim)
@@ -158,7 +158,7 @@ class TestNatFirewall:
         scenario.client.send(data)
         sim.run()
         assert sink.segments == []
-        assert scenario.nat.dropped_no_state == 1
+        assert scenario.middlebox.dropped_no_state == 1
 
     def test_state_expires_after_idle_timeout(self, sim):
         scenario = build_natted(sim, nat_idle_timeout=30.0)
@@ -166,10 +166,10 @@ class TestNatFirewall:
         syn = Segment(src=scenario.client_addresses[0], dst=scenario.server_addresses[0], sport=5000, dport=80, flags=TCPFlags.SYN)
         scenario.client.send(syn)
         sim.run()
-        assert len(scenario.nat.active_flows()) == 1
+        assert len(scenario.middlebox.active_flows()) == 1
         sim.run(until=sim.now + 61.0)
-        assert scenario.nat.active_flows() == []
-        assert scenario.nat.expired_flows == 1
+        assert scenario.middlebox.active_flows() == []
+        assert scenario.middlebox.expired_flows == 1
 
     def test_rst_mode_resets_unknown_flows(self, sim):
         scenario = build_natted(sim, nat_sends_rst=True)
@@ -178,7 +178,7 @@ class TestNatFirewall:
         data = Segment(src=scenario.client_addresses[0], dst=scenario.server_addresses[0], sport=5000, dport=80, flags=TCPFlags.ACK, payload_len=10)
         scenario.client.send(data)
         sim.run()
-        assert scenario.nat.resets_sent == 1
+        assert scenario.middlebox.resets_sent == 1
         assert any(segment.is_rst for segment in client_sink.segments)
 
     def test_invalid_timeout_rejected(self, sim):
@@ -194,8 +194,8 @@ class TestNatFirewall:
         for step in range(1, 5):
             sim.schedule_at(step * 20.0, scenario.client.send, Segment(flags=TCPFlags.ACK, payload_len=1, **flow_args))
         sim.run(until=95.0)
-        assert len(scenario.nat.active_flows()) == 1
-        assert scenario.nat.expired_flows == 0
+        assert len(scenario.middlebox.active_flows()) == 1
+        assert scenario.middlebox.expired_flows == 0
 
     def test_expiry_races_an_in_flight_segment(self, sim):
         """A segment sent before the idle timeout but arriving at the NAT
@@ -215,8 +215,8 @@ class TestNatFirewall:
         sim.schedule_at(10.5, scenario.client.send, Segment(flags=TCPFlags.ACK, payload_len=7, **flow_args))
         sim.run()
         assert len(sink.segments) == 1
-        assert scenario.nat.dropped_no_state == 1
-        assert scenario.nat.expired_flows == 1
+        assert scenario.middlebox.dropped_no_state == 1
+        assert scenario.middlebox.expired_flows == 1
         # A new SYN re-creates state and traffic flows again.
         sim.schedule_at(sim.now + 1.0, scenario.client.send, Segment(flags=TCPFlags.SYN, **flow_args))
         sim.run()

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.apps.bulk import BulkReceiverApp, BulkSenderApp
+from repro.faults.inject import fault_targets
 from repro.mptcp.config import MptcpConfig
 from repro.mptcp.path_manager import FullMeshPathManager
 from repro.mptcp.stack import MptcpStack
 from repro.net.middlebox import OptionStrippingMiddlebox
 from repro.netem.scenarios import (
+    Scenario,
     build_addaddr_stripped,
     build_asymmetric_loss,
     build_bufferbloat_cellular,
@@ -15,8 +17,42 @@ from repro.netem.scenarios import (
     build_wifi_lte_handover,
 )
 from repro.sim.engine import Simulator
+from repro.workloads.registry import SCENARIOS
 
 PORT = 9100
+
+_DUAL = ["path0", "path1"]
+_STRIPPER = ["client-stripper", "direct", "stripper-server"]
+_NAT = ["client-nat", "direct", "nat-server"]
+
+#: ``sorted(fault_targets(...))`` of every registered scenario.
+FAULT_TARGETS = {
+    "dual_homed": _DUAL,
+    "natted": _NAT,
+    "ecmp": ["path0", "path1", "path2", "path3"],
+    "lan": ["lan"],
+    "wifi_lte_handover": _DUAL,
+    "asymmetric_loss": _DUAL,
+    "bufferbloat_cellular": _DUAL,
+    "path_failure_recovery": _DUAL,
+    "addaddr_stripped": _STRIPPER,
+    "mpcapable_stripped": _STRIPPER,
+    "mpcapable_stripped_synack": _STRIPPER,
+    "faulted_dual_homed": _DUAL,
+    "faulted_lan": ["lan"],
+    "faulted_natted": _NAT,
+    "faulted_path": ["client-mbox", "direct", "mbox-server"],
+    "faulted_downgrade": _DUAL,
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_registered_scenario_is_one_scenario_type(name):
+    scenario = SCENARIOS[name](Simulator(seed=1))
+    assert isinstance(scenario, Scenario)
+    assert sorted(fault_targets(scenario)) == FAULT_TARGETS[name]
+    assert (scenario.fault_injector is not None) == name.startswith("faulted_")
+    assert scenario.fallback_prone == name.startswith("mpcapable_stripped")
 
 
 def _transfer(sim, scenario, total_bytes=60_000, horizon=15.0, fullmesh=True):
@@ -134,12 +170,12 @@ class TestAddAddrStripping:
     def test_middlebox_strips_add_addr_only(self):
         sim = Simulator(seed=6)
         scenario = build_addaddr_stripped(sim)
-        assert isinstance(scenario.stripper, OptionStrippingMiddlebox)
+        assert isinstance(scenario.middlebox, OptionStrippingMiddlebox)
         sender, receivers, conn = _transfer(sim, scenario, total_bytes=60_000, horizon=15.0)
         # The transfer itself works: only the advertisement is damaged.
         assert sender.completion_time is not None
-        assert scenario.stripper.options_stripped > 0
-        assert scenario.stripper.forwarded > 0
+        assert scenario.middlebox.options_stripped > 0
+        assert scenario.middlebox.forwarded > 0
 
     def test_stripping_limits_the_mesh(self):
         """With ADD_ADDR stripped the client never learns the server's
