@@ -14,31 +14,27 @@ class Cdf:
     """An empirical CDF over a set of samples."""
 
     def __init__(self, samples: Iterable[float], label: str = "") -> None:
-        self._samples = sorted(float(sample) for sample in samples)
+        #: The sorted samples (do not mutate).
+        self.samples = sorted(float(sample) for sample in samples)
         self.label = label
 
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
-    @property
-    def samples(self) -> list[float]:
-        """The sorted samples (do not mutate)."""
-        return self._samples
-
     def __len__(self) -> int:
-        return len(self._samples)
+        return len(self.samples)
 
     def __bool__(self) -> bool:
-        return bool(self._samples)
+        return bool(self.samples)
 
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
     def probability_below(self, value: float) -> float:
         """P(X <= value)."""
-        if not self._samples:
+        if not self.samples:
             raise ValueError("cannot evaluate an empty CDF")
-        return bisect_right(self._samples, value) / len(self._samples)
+        return bisect_right(self.samples, value) / len(self.samples)
 
     def percentile(self, fraction: float) -> float:
         """The value below which ``fraction`` of the samples fall.
@@ -47,14 +43,14 @@ class Cdf:
         Unlike the interpolating :func:`repro.analysis.stats.percentile`, the
         figure reports that print it always show a delay that was observed.
         """
-        if not self._samples:
+        if not self.samples:
             raise ValueError("cannot evaluate an empty CDF")
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be within [0, 1], got {fraction!r}")
         if fraction == 0.0:
-            return self._samples[0]
-        rank = max(1, int(round(fraction * len(self._samples) + 0.5)) - 1)
-        return self._samples[min(rank, len(self._samples) - 1)]
+            return self.samples[0]
+        rank = max(1, int(round(fraction * len(self.samples) + 0.5)) - 1)
+        return self.samples[min(rank, len(self.samples) - 1)]
 
     @property
     def median(self) -> float:
@@ -64,34 +60,34 @@ class Cdf:
     @property
     def mean(self) -> float:
         """Arithmetic mean of the samples."""
-        if not self._samples:
+        if not self.samples:
             raise ValueError("cannot evaluate an empty CDF")
-        return sum(self._samples) / len(self._samples)
+        return sum(self.samples) / len(self.samples)
 
     @property
     def minimum(self) -> float:
         """Smallest sample."""
-        if not self._samples:
+        if not self.samples:
             raise ValueError("cannot evaluate an empty CDF")
-        return self._samples[0]
+        return self.samples[0]
 
     @property
     def maximum(self) -> float:
         """Largest sample."""
-        if not self._samples:
+        if not self.samples:
             raise ValueError("cannot evaluate an empty CDF")
-        return self._samples[-1]
+        return self.samples[-1]
 
     # ------------------------------------------------------------------
     # exporting
     # ------------------------------------------------------------------
     def points(self) -> list[tuple[float, float]]:
         """The staircase points (value, cumulative fraction)."""
-        total = len(self._samples)
-        return [(value, (index + 1) / total) for index, value in enumerate(self._samples)]
+        total = len(self.samples)
+        return [(value, (index + 1) / total) for index, value in enumerate(self.samples)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if not self._samples:
+        if not self.samples:
             return f"<Cdf {self.label or 'empty'} n=0>"
         return (
             f"<Cdf {self.label} n={len(self)} median={self.median:.4f} "

@@ -9,10 +9,11 @@ of the subflows" (the ``TCP_INFO`` equivalent, including ``snd_una``,
 provided as a natural extension used by some controllers.
 
 Each class is the one declaration of its message: ``command_type`` is its
-number on the wire and ``wire`` its payload as ``field:kind`` entries in
-wire order, extending the ``request_id`` / ``token`` head every command
-starts with (the kinds are listed in :mod:`repro.core.codec`, which
-compiles the string).  Defining the class registers it in
+number on the wire, ``handler`` the
+:class:`~repro.core.netlink_pm.NetlinkPathManager` method that executes it
+and ``wire`` its payload as ``field:kind`` entries in wire order, extending
+the ``request_id`` / ``token`` head every command starts with (the kinds
+are listed in :mod:`repro.core.codec`, which compiles the string).  Defining the class registers it in
 :data:`COMMAND_CLASSES`.
 """
 
@@ -56,6 +57,7 @@ class Command:
     """Base class for all commands (``request_id`` correlates the reply)."""
 
     command_type: ClassVar[CommandType]
+    handler: ClassVar[str]
     wire: ClassVar[str] = "request_id:I token:I"
 
     request_id: int
@@ -74,6 +76,7 @@ class CreateSubflowCommand(Command):
     """
 
     command_type = CommandType.CREATE_SUBFLOW
+    handler = "_create_subflow"
     wire = Command.wire + " local_address:addr local_port:H remote_address:addr? remote_port:H backup:?"
 
     local_address: IPAddress = IPAddress("0.0.0.0")
@@ -88,6 +91,7 @@ class RemoveSubflowCommand(Command):
     """Remove an established subflow (by connection-local identifier)."""
 
     command_type = CommandType.REMOVE_SUBFLOW
+    handler = "_remove_subflow"
     wire = Command.wire + " subflow_id:H reset:?"
 
     subflow_id: int = 0
@@ -99,6 +103,7 @@ class GetConnInfoCommand(Command):
     """Retrieve connection-level state (data-level ``snd_una`` and friends)."""
 
     command_type = CommandType.GET_CONN_INFO
+    handler = "_get_conn_info"
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,7 @@ class GetSubflowInfoCommand(Command):
     """Retrieve one subflow's ``TCP_INFO`` (rto, pacing_rate, cwnd, ...)."""
 
     command_type = CommandType.GET_SUBFLOW_INFO
+    handler = "_get_subflow_info"
     wire = Command.wire + " subflow_id:H"
 
     subflow_id: int = 0
@@ -116,6 +122,7 @@ class ListSubflowsCommand(Command):
     """List the identifiers and four-tuples of a connection's subflows."""
 
     command_type = CommandType.LIST_SUBFLOWS
+    handler = "_list_subflows"
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,7 @@ class SetBackupCommand(Command):
     """Change a subflow's backup priority (sends MP_PRIO to the peer)."""
 
     command_type = CommandType.SET_BACKUP
+    handler = "_set_backup"
     wire = Command.wire + " subflow_id:H backup:?"
 
     subflow_id: int = 0

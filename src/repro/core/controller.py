@@ -228,33 +228,8 @@ class SubflowController:
         """``del_local_addr`` event (``DelLocalAddrEvent``)."""
 
     # ------------------------------------------------------------------
-    # command helpers
+    # helpers
     # ------------------------------------------------------------------
-    def create_subflow(
-        self,
-        token: int,
-        local_address: IPAddress | str,
-        remote_address: Optional[IPAddress | str] = None,
-        remote_port: int = 0,
-        local_port: int = 0,
-        backup: bool = False,
-        on_reply=None,
-    ) -> int:
-        """Issue a ``create subflow`` command."""
-        return self.library.create_subflow(
-            token,
-            local_address,
-            remote_address=remote_address,
-            remote_port=remote_port,
-            local_port=local_port,
-            backup=backup,
-            on_reply=on_reply,
-        )
-
-    def remove_subflow(self, token: int, subflow_id: int, reset: bool = True, on_reply=None) -> int:
-        """Issue a ``remove subflow`` command."""
-        return self.library.remove_subflow(token, subflow_id, reset=reset, on_reply=on_reply)
-
     def local_address_list(self) -> list[IPAddress]:
         """The local addresses the controller currently believes exist."""
         return list(self.state.local_addresses.values())

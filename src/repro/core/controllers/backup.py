@@ -39,15 +39,11 @@ class SmartBackupController(SubflowController):
         self._backup_local = IPAddress(backup_local_address)
         self._backup_remote = IPAddress(backup_remote_address) if backup_remote_address is not None else None
         self._backup_remote_port = backup_remote_port
-        self._rto_threshold = rto_threshold
+        #: RTO value (seconds) above which the primary is abandoned.
+        self.rto_threshold = rto_threshold
         self._switched: set[int] = set()
         self.switch_times: dict[int, float] = {}
         self.switches = 0
-
-    @property
-    def rto_threshold(self) -> float:
-        """RTO value (seconds) above which the primary is abandoned."""
-        return self._rto_threshold
 
     # ------------------------------------------------------------------
     # event hooks
@@ -55,7 +51,7 @@ class SmartBackupController(SubflowController):
     def on_timeout(self, event: TimeoutEvent) -> None:
         if event.token in self._switched:
             return
-        if event.rto <= self._rto_threshold:
+        if event.rto <= self.rto_threshold:
             return
         view = self.state.connection(event.token)
         if view.closed or not view.is_client:
@@ -72,13 +68,13 @@ class SmartBackupController(SubflowController):
         self.switch_times[event.token] = event.time
         # Break before make: close the under-performing primary, then open
         # the subflow over the backup interface to continue the transfer.
-        self.remove_subflow(event.token, event.subflow_id)
+        self.library.remove_subflow(event.token, event.subflow_id)
         remote = self._backup_remote
         port = self._backup_remote_port
         if remote is None and view.four_tuple is not None:
             remote = view.four_tuple.dst
             port = view.four_tuple.dport
-        self.create_subflow(
+        self.library.create_subflow(
             event.token,
             self._backup_local,
             remote_address=remote,

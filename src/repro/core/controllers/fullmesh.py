@@ -93,7 +93,7 @@ class UserspaceFullMeshController(SubflowController):
                 continue
             for flow in view.active_subflows:
                 if flow.four_tuple is not None and flow.four_tuple.src == event.address:
-                    self.remove_subflow(view.token, flow.subflow_id)
+                    self.library.remove_subflow(view.token, flow.subflow_id)
 
     def on_subflow_closed(self, event: SubflowClosedEvent) -> None:
         if event.four_tuple is not None:
@@ -136,7 +136,7 @@ class UserspaceFullMeshController(SubflowController):
                     continue
                 self._requested.add(key)
                 self.subflows_requested += 1
-                self.create_subflow(
+                self.library.create_subflow(
                     view.token,
                     local_address,
                     remote_address=remote_address,
@@ -153,8 +153,10 @@ class UserspaceFullMeshController(SubflowController):
         if not self._is_local_address_up(local):
             return
         self.reestablishments += 1
-        self.create_subflow(token, local, remote_address=remote, remote_port=port,
-                            on_reply=lambda reply: self._on_reestablish_reply(token, local, remote, reply))
+        self.library.create_subflow(
+            token, local, remote_address=remote, remote_port=port,
+            on_reply=lambda reply: self._on_reestablish_reply(token, local, remote, reply),
+        )
 
     def _on_reestablish_reply(self, token: int, local: IPAddress, remote: IPAddress, reply) -> None:
         if reply.ok:

@@ -32,21 +32,17 @@ class UserspaceNdiffportsController(SubflowController):
         super().__init__(library, name=name)
         if subflow_count < 1:
             raise ValueError(f"subflow_count must be at least 1, got {subflow_count!r}")
-        self._subflow_count = subflow_count
+        #: Target number of subflows per connection (including the initial one).
+        self.subflow_count = subflow_count
         self.subflows_requested = 0
-
-    @property
-    def subflow_count(self) -> int:
-        """Target number of subflows per connection (including the initial one)."""
-        return self._subflow_count
 
     def on_conn_established(self, event: ConnEstablishedEvent) -> None:
         view = self.state.connection(event.token)
         if not view.is_client or view.four_tuple is None:
             return
-        for _ in range(self._subflow_count - 1):
+        for _ in range(self.subflow_count - 1):
             self.subflows_requested += 1
-            self.create_subflow(
+            self.library.create_subflow(
                 event.token,
                 view.four_tuple.src,
                 remote_address=view.four_tuple.dst,

@@ -64,7 +64,7 @@ class RefreshController(SubflowController):
         for _ in range(self._subflow_count - 1):
             if view.four_tuple is None:
                 break
-            self.create_subflow(
+            self.library.create_subflow(
                 event.token,
                 view.four_tuple.src,
                 remote_address=view.four_tuple.dst,
@@ -131,9 +131,9 @@ class RefreshController(SubflowController):
         if flow is None or flow.closed or flow.four_tuple is None:
             return
         self.subflows_refreshed += 1
-        self.remove_subflow(token, slowest_id)
+        self.library.remove_subflow(token, slowest_id)
         # Immediately create a replacement with a fresh (random) source port.
-        self.create_subflow(
+        self.library.create_subflow(
             token,
             flow.four_tuple.src,
             remote_address=flow.four_tuple.dst,

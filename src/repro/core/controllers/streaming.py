@@ -94,7 +94,7 @@ class SmartStreamingController(SubflowController):
             self._open_secondary(event.token)
             return
         self.subflows_closed_for_rto += 1
-        self.remove_subflow(event.token, event.subflow_id)
+        self.library.remove_subflow(event.token, event.subflow_id)
 
     def on_conn_closed(self, event: ConnClosedEvent) -> None:
         timer = self._timers.pop(event.token, None)
@@ -148,4 +148,4 @@ class SmartStreamingController(SubflowController):
             remote = view.four_tuple.dst
             port = view.four_tuple.dport
         self._secondary_opened.add(token)
-        self.create_subflow(token, self._secondary_local, remote_address=remote, remote_port=port)
+        self.library.create_subflow(token, self._secondary_local, remote_address=remote, remote_port=port)

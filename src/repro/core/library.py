@@ -46,8 +46,10 @@ class PathManagerLibrary:
         processing_latency: Optional[LatencyModel] = None,
         name: str = "pm-library",
     ) -> None:
-        self._channel = channel
-        self._name = name
+        #: The underlying Netlink channel.
+        self.channel = channel
+        #: Library label.
+        self.name = name
         channel.bind_user(self._on_message)
         # Userspace dispatch cost (callback scheduling inside the controller
         # process).  Kept small; CPU-stress scenarios replace it.
@@ -65,16 +67,6 @@ class PathManagerLibrary:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    @property
-    def channel(self) -> NetlinkChannel:
-        """The underlying Netlink channel."""
-        return self._channel
-
-    @property
-    def name(self) -> str:
-        """Library label."""
-        return self._name
-
     def register(self, event_type: EventType, callback: EventCallback) -> None:
         """Subscribe ``callback`` to every event of the given type."""
         self._callbacks.setdefault(EventType(event_type), []).append(callback)
@@ -99,14 +91,14 @@ class PathManagerLibrary:
             event = codec.decode_event(message)
             self.events_received += 1
             delay = self._processing.sample(self._rng)
-            self._channel.sim.schedule(delay, self._dispatch_event, event)
+            self.channel.sim.schedule(delay, self._dispatch_event, event)
         elif kind == codec.KIND_REPLY:
             reply = codec.decode_reply(message)
             self.replies_received += 1
             callback = self._reply_callbacks.pop(reply.request_id, None)
             if callback is not None:
                 delay = self._processing.sample(self._rng)
-                self._channel.sim.schedule(delay, callback, reply)
+                self.channel.sim.schedule(delay, callback, reply)
 
     def _dispatch_event(self, event: Event) -> None:
         callbacks = self._callbacks.get(event.event_type, [])
@@ -125,7 +117,7 @@ class PathManagerLibrary:
         if on_reply is not None:
             self._reply_callbacks[command.request_id] = on_reply
         self.commands_sent += 1
-        self._channel.send_to_kernel(codec.encode_command(command))
+        self.channel.send_to_kernel(codec.encode_command(command))
         return command.request_id
 
     def next_request_id(self) -> int:
@@ -200,6 +192,6 @@ class PathManagerLibrary:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<PathManagerLibrary {self._name} events={self.events_received} "
+            f"<PathManagerLibrary {self.name} events={self.events_received} "
             f"commands={self.commands_sent}>"
         )

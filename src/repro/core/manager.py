@@ -38,30 +38,22 @@ class SmappManager:
         library_processing: Optional[LatencyModel] = None,
         name: Optional[str] = None,
     ) -> None:
-        self._name = name if name is not None else host.name
+        #: Manager label (defaults to the host name).
+        self.name = name if name is not None else host.name
         self.channel = NetlinkChannel(
             sim,
             kernel_to_user=kernel_to_user_latency,
             user_to_kernel=user_to_kernel_latency,
-            name=self._name,
+            name=self.name,
         )
         self.netlink_pm = NetlinkPathManager(self.channel)
-        self.stack = MptcpStack(sim, host, config=config, path_manager=self.netlink_pm, name=self._name)
+        self.stack = MptcpStack(sim, host, config=config, path_manager=self.netlink_pm, name=self.name)
         self.library = PathManagerLibrary(
-            self.channel, processing_latency=library_processing, name=f"{self._name}-lib"
+            self.channel, processing_latency=library_processing, name=f"{self.name}-lib"
         )
         self.controllers: list[SubflowController] = []
-        self._host = host
-
-    @property
-    def name(self) -> str:
-        """Manager label (defaults to the host name)."""
-        return self._name
-
-    @property
-    def host(self) -> Host:
-        """The host this manager runs on."""
-        return self._host
+        #: The host this manager runs on.
+        self.host = host
 
     def attach_controller(self, controller_class: Type[ControllerT], **kwargs) -> ControllerT:
         """Instantiate, prime and start a subflow controller.
@@ -72,7 +64,7 @@ class SmappManager:
         controller = controller_class(self.library, **kwargs)
         controller.state.prime_local_addresses(
             (iface.name, iface.address)
-            for iface in self._host.interfaces.values()
+            for iface in self.host.interfaces.values()
             if iface.is_up
         )
         controller.start()

@@ -32,8 +32,10 @@ class NetlinkChannel:
         user_to_kernel: Optional[LatencyModel] = None,
         name: str = "netlink",
     ) -> None:
-        self._sim = sim
-        self._name = name
+        #: The simulation engine the channel is scheduled on.
+        self.sim = sim
+        #: Channel label.
+        self.name = name
         self._rng = sim.random.substream(f"netlink:{name}")
         # Default latency: a right-skewed distribution with mean 8 µs per
         # crossing.  Two crossings plus 1.5 µs each of library and command
@@ -53,16 +55,6 @@ class NetlinkChannel:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        """Channel label."""
-        return self._name
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine the channel is scheduled on."""
-        return self._sim
-
     def bind_user(self, handler: MessageHandler) -> None:
         """Register the userspace message handler (the PM library)."""
         self._user_handler = handler
@@ -81,9 +73,9 @@ class NetlinkChannel:
         self.messages_to_user += 1
         self.bytes_to_user += len(message)
         delay = self._kernel_to_user.sample(self._rng)
-        deliver_at = max(self._sim.now + delay, self._last_to_user)
+        deliver_at = max(self.sim.now + delay, self._last_to_user)
         self._last_to_user = deliver_at
-        self._sim.schedule_at(deliver_at, self._deliver_user, message)
+        self.sim.schedule_at(deliver_at, self._deliver_user, message)
 
     def send_to_kernel(self, message: bytes) -> None:
         """Deliver a message from userspace to the kernel side."""
@@ -92,9 +84,9 @@ class NetlinkChannel:
         self.messages_to_kernel += 1
         self.bytes_to_kernel += len(message)
         delay = self._user_to_kernel.sample(self._rng)
-        deliver_at = max(self._sim.now + delay, self._last_to_kernel)
+        deliver_at = max(self.sim.now + delay, self._last_to_kernel)
         self._last_to_kernel = deliver_at
-        self._sim.schedule_at(deliver_at, self._deliver_kernel, message)
+        self.sim.schedule_at(deliver_at, self._deliver_kernel, message)
 
     def _deliver_user(self, message: bytes) -> None:
         if self._user_handler is not None:
@@ -106,6 +98,6 @@ class NetlinkChannel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<NetlinkChannel {self._name} to_user={self.messages_to_user} "
+            f"<NetlinkChannel {self.name} to_user={self.messages_to_user} "
             f"to_kernel={self.messages_to_kernel}>"
         )

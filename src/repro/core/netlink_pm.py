@@ -5,14 +5,13 @@ path-manager module that implements the in-kernel path-manager interface
 (:class:`repro.mptcp.path_manager.PathManager`) but, instead of deciding
 anything itself, serialises every hook invocation into an event message and
 pushes it to userspace over the :class:`~repro.core.netlink.NetlinkChannel`.
-In the other direction it decodes command messages, executes them against
-the stack (create/remove subflow, state queries, backup changes) and sends
-back a reply.
+In the other direction it decodes command messages, executes each with the
+method its class names as ``handler`` (create/remove subflow, state
+queries, backup changes) and sends back a reply.
 """
 
 from __future__ import annotations
 
-import errno
 from typing import Optional
 
 from repro.core import codec
@@ -20,9 +19,7 @@ from repro.core.commands import (
     Command,
     CommandReply,
     CreateSubflowCommand,
-    GetConnInfoCommand,
     GetSubflowInfoCommand,
-    ListSubflowsCommand,
     RemoveSubflowCommand,
     ReplyStatus,
     SetBackupCommand,
@@ -173,44 +170,7 @@ class NetlinkPathManager(PathManager):
         conn = self.stack.connection_by_token(command.token)
         if conn is None:
             return CommandReply(command.request_id, ReplyStatus.UNKNOWN_CONNECTION)
-
-        if isinstance(command, CreateSubflowCommand):
-            return self._create_subflow(command, conn)
-        if isinstance(command, RemoveSubflowCommand):
-            return self._remove_subflow(command, conn)
-        if isinstance(command, GetConnInfoCommand):
-            return CommandReply(command.request_id, ReplyStatus.OK, conn.info().as_dict())
-        if isinstance(command, GetSubflowInfoCommand):
-            flow = conn.subflow_by_id(command.subflow_id)
-            if flow is None:
-                return CommandReply(command.request_id, ReplyStatus.UNKNOWN_SUBFLOW)
-            payload = flow.info().as_dict()
-            payload["subflow_id"] = flow.id
-            payload["backup"] = flow.backup
-            payload["closed"] = flow.is_closed
-            return CommandReply(command.request_id, ReplyStatus.OK, payload)
-        if isinstance(command, ListSubflowsCommand):
-            subflows = [
-                {
-                    "subflow_id": flow.id,
-                    "established": flow.is_established,
-                    "closed": flow.is_closed,
-                    "backup": flow.backup,
-                    "local_address": str(flow.socket.local_address),
-                    "local_port": flow.socket.local_port,
-                    "remote_address": str(flow.socket.remote_address),
-                    "remote_port": flow.socket.remote_port,
-                }
-                for flow in conn.subflows
-            ]
-            return CommandReply(command.request_id, ReplyStatus.OK, {"subflows": subflows})
-        if isinstance(command, SetBackupCommand):
-            flow = conn.subflow_by_id(command.subflow_id)
-            if flow is None:
-                return CommandReply(command.request_id, ReplyStatus.UNKNOWN_SUBFLOW)
-            conn.set_backup(flow, command.backup)
-            return CommandReply(command.request_id, ReplyStatus.OK)
-        return CommandReply(command.request_id, ReplyStatus.INVALID)
+        return getattr(self, command.handler)(command, conn)
 
     def _create_subflow(self, command: CreateSubflowCommand, conn: MptcpConnection) -> CommandReply:
         local_address = command.local_address
@@ -242,6 +202,42 @@ class NetlinkPathManager(PathManager):
         if flow.is_closed:
             return CommandReply(command.request_id, ReplyStatus.OK, {"already_closed": True})
         conn.remove_subflow(flow, reset=command.reset)
+        return CommandReply(command.request_id, ReplyStatus.OK)
+
+    def _get_conn_info(self, command: Command, conn: MptcpConnection) -> CommandReply:
+        return CommandReply(command.request_id, ReplyStatus.OK, conn.info().as_dict())
+
+    def _get_subflow_info(self, command: GetSubflowInfoCommand, conn: MptcpConnection) -> CommandReply:
+        flow = conn.subflow_by_id(command.subflow_id)
+        if flow is None:
+            return CommandReply(command.request_id, ReplyStatus.UNKNOWN_SUBFLOW)
+        payload = flow.socket.info().as_dict()
+        payload["subflow_id"] = flow.id
+        payload["backup"] = flow.backup
+        payload["closed"] = flow.is_closed
+        return CommandReply(command.request_id, ReplyStatus.OK, payload)
+
+    def _list_subflows(self, command: Command, conn: MptcpConnection) -> CommandReply:
+        subflows = [
+            {
+                "subflow_id": flow.id,
+                "established": flow.is_established,
+                "closed": flow.is_closed,
+                "backup": flow.backup,
+                "local_address": str(flow.socket.local_address),
+                "local_port": flow.socket.local_port,
+                "remote_address": str(flow.socket.remote_address),
+                "remote_port": flow.socket.remote_port,
+            }
+            for flow in conn.subflows
+        ]
+        return CommandReply(command.request_id, ReplyStatus.OK, {"subflows": subflows})
+
+    def _set_backup(self, command: SetBackupCommand, conn: MptcpConnection) -> CommandReply:
+        flow = conn.subflow_by_id(command.subflow_id)
+        if flow is None:
+            return CommandReply(command.request_id, ReplyStatus.UNKNOWN_SUBFLOW)
+        conn.set_backup(flow, command.backup)
         return CommandReply(command.request_id, ReplyStatus.OK)
 
     # ------------------------------------------------------------------

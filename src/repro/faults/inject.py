@@ -62,7 +62,8 @@ class FaultInjector:
     ) -> None:
         plan.validate(list(targets))
         self._sim = sim
-        self._plan = plan
+        #: The schedule this injector replays.
+        self.plan = plan
         self._links: dict[str, Link] = {}
         self._engines: dict[str, MutationEngine] = {}
         for name, target in targets.items():
@@ -80,17 +81,12 @@ class FaultInjector:
         self._flap_state: dict[str, list] = {}
         self._installed = False
 
-    @property
-    def plan(self) -> FaultPlan:
-        """The schedule this injector replays."""
-        return self._plan
-
     def install(self) -> None:
         """Schedule every plan event (idempotent)."""
         if self._installed:
             return
         self._installed = True
-        for event in self._plan.events:
+        for event in self.plan.events:
             self._sim.schedule_at(event.time, self._fire, event)
 
     def _fire(self, event) -> None:
@@ -142,7 +138,7 @@ class FaultInjector:
     def stats(self) -> dict[str, int]:
         """Deterministic aggregate counters across every targeted choke point."""
         totals = {
-            "events_scheduled": len(self._plan.events),
+            "events_scheduled": len(self.plan.events),
             "events_fired": self.events_fired,
             "link_flaps": self.link_flaps,
         }

@@ -199,7 +199,8 @@ class MutationEngine:
         reinject: Callable[[Segment, Any], None],
     ) -> None:
         self._sim = sim
-        self._label = label
+        #: The choke point this engine guards (link or middlebox name).
+        self.label = label
         self._reinject = reinject
         self._active: list[FaultEvent] = []
         self._rewrite_offset = 0
@@ -223,11 +224,6 @@ class MutationEngine:
             "segments_reordered": 0,
             "flows_rebound": 0,
         }
-
-    @property
-    def label(self) -> str:
-        """The choke point this engine guards (link or middlebox name)."""
-        return self._label
 
     # ------------------------------------------------------------------
     # plan event dispatch (called by the injector)

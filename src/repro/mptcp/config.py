@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.tcp.config import TcpConfig
 
@@ -35,10 +35,6 @@ class MptcpConfig:
 
     max_subflows: int = 32
     """Safety cap on concurrent subflows per connection."""
-
-    def with_overrides(self, **overrides) -> "MptcpConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)
 
     def validate(self) -> None:
         """Raise ``ValueError`` for inconsistent settings."""

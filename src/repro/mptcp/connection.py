@@ -34,6 +34,7 @@ from repro.mptcp.options import (
     MpJoinOption,
     MpPrioOption,
 )
+from repro.mptcp.path_manager import PathManager
 from repro.mptcp.scheduler import Scheduler
 from repro.mptcp.subflow import Subflow, SubflowOrigin
 from repro.mptcp.token import derive_token
@@ -48,6 +49,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mptcp.stack import MptcpStack
 
 _SYN_BIT = 0x02
+
+#: Where a fallen-back connection's hooks go: the base class, whose hooks
+#: do nothing.
+_BYPASSED = PathManager()
 
 
 @dataclass(frozen=True)
@@ -124,9 +129,14 @@ class MptcpConnection(SubflowObserver):
         remote_address: IPAddress,
         remote_port: int,
     ) -> None:
-        self._stack = stack
+        #: The owning MPTCP stack.
+        self.stack = stack
         self._sim = stack.sim
-        self._listener = listener if listener is not None else ConnectionListener()
+        #: The application listener attached to this connection.
+        self.listener = listener if listener is not None else ConnectionListener()
+        # The path manager this connection reports its life cycle to; see
+        # _enter_fallback for the plain-TCP bypass.
+        self._path_manager = stack.path_manager
         self._scheduler = scheduler
         self._config = stack.mptcp_config
         self._mss = self._config.tcp.mss
@@ -142,19 +152,24 @@ class MptcpConnection(SubflowObserver):
         # Live subflows only: closed subflows are compacted out so the
         # scheduler's per-chunk scan stays proportional to the number of
         # usable paths, not to the connection's lifetime churn.
-        self._subflows: list[Subflow] = []
+        #: The not-yet-closed subflows (the scheduler's working set).
+        self.live_subflows: list[Subflow] = []
         # Every subflow ever created, in id order.  Kept for traces and
         # post-run analysis; ids are never reused, so ``subflow_by_id``
         # stays stable across compactions.
-        self._subflow_history: list[Subflow] = []
+        #: All subflows ever created for this connection (do not mutate).
+        self.subflows: list[Subflow] = []
         self._subflow_by_socket: dict[int, Subflow] = {}
         self._next_subflow_id = 1
 
         # Send side (connection-level data sequence space, starting at 0).
-        self._data_write_nxt = 0
-        self._data_una = 0
+        #: Next connection-level sequence number the application will write at.
+        self.data_next = 0
+        #: Connection-level ``snd_una`` (cumulative data acknowledged by the peer).
+        self.data_una = 0
         self._unassigned: deque[tuple[int, int]] = deque()
-        self._bytes_sent_total = 0
+        #: Connection-level bytes written by the application.
+        self.bytes_sent = 0
 
         # Receive side.
         self._data_reassembly = ReceiveReassembly(0)
@@ -162,7 +177,8 @@ class MptcpConnection(SubflowObserver):
         # is frozen and options tuples are immutable, so one instance can
         # ride many segments until the data-level ack advances.
         self._dss_ack_cache: tuple = (None, None)
-        self._bytes_received_total = 0
+        #: In-order connection-level bytes delivered to the application.
+        self.bytes_received = 0
         self._remote_fin_seq: Optional[int] = None
         self._remote_fin_consumed = False
 
@@ -215,12 +231,14 @@ class MptcpConnection(SubflowObserver):
             self._trace_subflow = None
             self._trace_sched = None
             self._trace_fallback = None
+            self._trace_pm = None
             self._trace_id = ""
         else:
             self._trace_conn = log.channel("connection")
             self._trace_subflow = log.channel("subflow")
             self._trace_sched = log.channel("scheduler")
             self._trace_fallback = log.channel("fallback")
+            self._trace_pm = log.channel("pm")
             self._trace_id = f"{stack.name}/conn-{self.local_token:08x}"
             if self._trace_conn is not None:
                 self._trace_conn.emit(
@@ -232,69 +250,29 @@ class MptcpConnection(SubflowObserver):
     # identity / introspection
     # ------------------------------------------------------------------
     @property
-    def stack(self) -> "MptcpStack":
-        """The owning MPTCP stack."""
-        return self._stack
-
-    @property
-    def listener(self) -> ConnectionListener:
-        """The application listener attached to this connection."""
-        return self._listener
-
-    @property
-    def subflows(self) -> list[Subflow]:
-        """All subflows ever created for this connection (do not mutate)."""
-        return self._subflow_history
-
-    @property
-    def live_subflows(self) -> list[Subflow]:
-        """The not-yet-closed subflows (the scheduler's working set)."""
-        return self._subflows
-
-    @property
     def subflows_created(self) -> int:
         """Total number of subflows ever created on this connection."""
-        return len(self._subflow_history)
+        return len(self.subflows)
 
     @property
     def active_subflows(self) -> list[Subflow]:
         """Subflows that are currently usable by the scheduler."""
-        return [flow for flow in self._subflows if flow.is_usable]
+        return [flow for flow in self.live_subflows if flow.is_usable]
 
     @property
     def initial_subflow(self) -> Optional[Subflow]:
         """The MP_CAPABLE subflow (looked up in the full history, so it is
         still reachable after it closed — Figure 2a's failover analysis
         needs exactly that)."""
-        for flow in self._subflow_history:
+        for flow in self.subflows:
             if flow.is_initial:
                 return flow
         return None
 
     @property
-    def data_una(self) -> int:
-        """Connection-level ``snd_una`` (cumulative data acknowledged by the peer)."""
-        return self._data_una
-
-    @property
-    def data_next(self) -> int:
-        """Next connection-level sequence number the application will write at."""
-        return self._data_write_nxt
-
-    @property
     def data_rcv_nxt(self) -> int:
         """Next expected connection-level receive sequence number."""
         return self._data_reassembly.rcv_nxt
-
-    @property
-    def bytes_received(self) -> int:
-        """In-order connection-level bytes delivered to the application."""
-        return self._bytes_received_total
-
-    @property
-    def bytes_sent(self) -> int:
-        """Connection-level bytes written by the application."""
-        return self._bytes_sent_total
 
     @property
     def remote_addresses(self) -> dict[int, tuple[IPAddress, int]]:
@@ -308,6 +286,11 @@ class MptcpConnection(SubflowObserver):
         byte stream directly: no DSS options are emitted, the scheduler and
         the meta retransmission timer are bypassed, MP_JOINs are refused
         and the subflow-level FIN doubles as the end-of-stream signal.
+
+        The path manager is bypassed too: a fallen-back connection has no
+        subflows to add or remove, so of its life cycle the path manager
+        hears only the creation (possibly before this call) and the close,
+        which both reach ``stack.path_manager`` directly.
         """
         if self.is_fallback or self.closed:
             return
@@ -316,7 +299,7 @@ class MptcpConnection(SubflowObserver):
         self.fell_back_at = self._sim.now
         carrier = flow
         if carrier is None:
-            carrier = next((f for f in self._subflows if not f.is_closed), None)
+            carrier = next((f for f in self.live_subflows if not f.is_closed), None)
         if carrier is not None:
             # The subflow's cumulative acknowledgement is now the data-level
             # acknowledgement: everything below the oldest outstanding
@@ -325,7 +308,7 @@ class MptcpConnection(SubflowObserver):
             outstanding = [
                 m for m in carrier.socket.outstanding_metadata() if isinstance(m, DssMapping)
             ]
-            floor = min((m.data_seq for m in outstanding), default=self._data_write_nxt)
+            floor = min((m.data_seq for m in outstanding), default=self.data_next)
             sent_hwm = max((m.end for m in outstanding), default=floor)
             if self._unassigned:
                 # Drop queued duplicates of already-transmitted ranges (meta
@@ -337,15 +320,16 @@ class MptcpConnection(SubflowObserver):
                     if start < end:
                         trimmed.append((start, end))
                 self._unassigned = trimmed
-            if floor > self._data_una:
+            if floor > self.data_una:
                 self._process_data_ack(floor)
         self._meta_rtx_timer.stop()
+        self._path_manager = _BYPASSED
         if self._trace_fallback is not None:
             self._trace_fallback.emit(
                 self._sim.now, "fallback", "fallback", self._trace_id,
                 {"reason": reason},
             )
-        self._stack.notify_connection_fallback(self)
+        self.stack.notify_connection_fallback(self)
 
     def subflow_by_id(self, subflow_id: int) -> Optional[Subflow]:
         """Look up a subflow by its connection-local identifier.
@@ -354,7 +338,7 @@ class MptcpConnection(SubflowObserver):
         so traces and controllers can keep referring to departed subflows
         after compaction.
         """
-        for flow in self._subflow_history:
+        for flow in self.subflows:
             if flow.id == subflow_id:
                 return flow
         return None
@@ -365,12 +349,12 @@ class MptcpConnection(SubflowObserver):
             token=self.local_token,
             established=self.established,
             closed=self.closed,
-            data_una=self._data_una,
-            data_next=self._data_write_nxt,
+            data_una=self.data_una,
+            data_next=self.data_next,
             data_rcv_nxt=self.data_rcv_nxt,
             subflow_count=len(self.active_subflows),
-            bytes_sent=self._bytes_sent_total,
-            bytes_received=self._bytes_received_total,
+            bytes_sent=self.bytes_sent,
+            bytes_received=self.bytes_received,
         )
 
     # ------------------------------------------------------------------
@@ -387,10 +371,10 @@ class MptcpConnection(SubflowObserver):
             raise ValueError(f"length must be positive, got {length!r}")
         if self.closed or self._close_requested:
             raise RuntimeError("cannot send on a closing MPTCP connection")
-        start = self._data_write_nxt
+        start = self.data_next
         end = start + length
-        self._data_write_nxt = end
-        self._bytes_sent_total += length
+        self.data_next = end
+        self.bytes_sent += length
         self._unassigned.append((start, end))
         self._push_data()
         return start, end
@@ -416,7 +400,7 @@ class MptcpConnection(SubflowObserver):
             if capable:
                 self._pending_options.append(MpFastcloseOption(receiver_key=self.remote_key or 0))
                 capable[0].socket.send_ack()
-        for flow in list(self._subflows):
+        for flow in list(self.live_subflows):
             if not flow.is_closed:
                 flow.socket.abort(reason)
         self._finalise_close()
@@ -426,11 +410,11 @@ class MptcpConnection(SubflowObserver):
     # ------------------------------------------------------------------
     def open_initial_subflow(self, local_address: IPAddress, local_port: int) -> Subflow:
         """Create and connect the MP_CAPABLE subflow (client side)."""
-        socket = self._stack.create_subflow_socket(
+        socket = self.stack.create_subflow_socket(
             self, local_address, local_port, self.remote_address, self.remote_port
         )
         flow = self._register_subflow(socket, SubflowOrigin.INITIAL, backup=False)
-        self._stack.notify_connection_created(self, flow)
+        self.stack.path_manager.on_connection_created(self)
         socket.connect()
         return flow
 
@@ -448,11 +432,11 @@ class MptcpConnection(SubflowObserver):
             self._enter_fallback("mp_capable_stripped")
         else:
             self._learn_remote_key(capable.sender_key)
-        socket = self._stack.create_subflow_socket(
+        socket = self.stack.create_subflow_socket(
             self, segment.dst, segment.dport, segment.src, segment.sport
         )
         flow = self._register_subflow(socket, SubflowOrigin.INITIAL, backup=False)
-        self._stack.notify_connection_created(self, flow)
+        self.stack.path_manager.on_connection_created(self)
         socket.handle_segment(segment)
         return flow
 
@@ -480,8 +464,8 @@ class MptcpConnection(SubflowObserver):
             return None
         remote_addr = IPAddress(remote_address) if remote_address is not None else self.remote_address
         rport = remote_port if remote_port is not None else self.remote_port
-        lport = local_port if local_port is not None else self._stack.allocate_port()
-        socket = self._stack.create_subflow_socket(self, local_address, lport, remote_addr, rport)
+        lport = local_port if local_port is not None else self.stack.allocate_port()
+        socket = self.stack.create_subflow_socket(self, local_address, lport, remote_addr, rport)
         flow = self._register_subflow(socket, origin, backup=backup)
         socket.connect()
         return flow
@@ -498,7 +482,7 @@ class MptcpConnection(SubflowObserver):
             return None
         if len(self.active_subflows) >= self._config.max_subflows:
             return None
-        socket = self._stack.create_subflow_socket(
+        socket = self.stack.create_subflow_socket(
             self, segment.dst, segment.dport, segment.src, segment.sport
         )
         flow = self._register_subflow(socket, SubflowOrigin.PEER, backup=join.backup)
@@ -529,8 +513,8 @@ class MptcpConnection(SubflowObserver):
     def _register_subflow(self, socket: TcpSocket, origin: SubflowOrigin, backup: bool) -> Subflow:
         flow = Subflow(self._next_subflow_id, socket, origin, backup=backup)
         self._next_subflow_id += 1
-        self._subflows.append(flow)
-        self._subflow_history.append(flow)
+        self.live_subflows.append(flow)
+        self.subflows.append(flow)
         self._subflow_by_socket[id(socket)] = flow
         if self._trace_subflow is not None:
             self._trace_subflow.emit(
@@ -542,7 +526,7 @@ class MptcpConnection(SubflowObserver):
     def _compact_subflow(self, flow: Subflow) -> None:
         """Drop a closed subflow from the live list (history keeps it)."""
         try:
-            self._subflows.remove(flow)
+            self.live_subflows.remove(flow)
         except ValueError:
             pass
         self._subflow_by_socket.pop(id(flow.socket), None)
@@ -742,7 +726,7 @@ class MptcpConnection(SubflowObserver):
             if (
                 segment.payload_len > 0
                 and self._config.allow_fallback
-                and len(self._subflow_history) == 1
+                and len(self.subflows) == 1
                 and flow is not None
                 and flow.is_initial
             ):
@@ -761,9 +745,9 @@ class MptcpConnection(SubflowObserver):
         self._data_reassembly.register(dss.data_seq, dss.data_len)
         advanced = self._data_reassembly.rcv_nxt - before
         if advanced > 0:
-            self._bytes_received_total += advanced
-            self._listener.on_data(self, advanced)
-        if flow is not None and flow.is_initial and len(self._subflow_history) == 1:
+            self.bytes_received += advanced
+            self.listener.on_data(self, advanced)
+        if flow is not None and flow.is_initial and len(self.subflows) == 1:
             # Keep the fallback switch point current: if a later segment's
             # DSS is corrupted, the infinite mapping continues the stream
             # from exactly the subflow bytes consumed so far.
@@ -804,9 +788,9 @@ class MptcpConnection(SubflowObserver):
         self._fallback_rx_seen = sock.rcv_nxt
         advanced = self._data_reassembly.rcv_nxt - before
         if advanced > 0:
-            self._bytes_received_total += advanced
+            self.bytes_received += advanced
             self.fallback_bytes_received += advanced
-            self._listener.on_data(self, advanced)
+            self.listener.on_data(self, advanced)
         self._check_remote_data_fin(flow)
 
     def on_acked(self, sock: TcpSocket, metadata_list: list, newly_acked: int) -> None:
@@ -843,21 +827,21 @@ class MptcpConnection(SubflowObserver):
                     {"fallback": self.is_fallback},
                 )
             self._announce_local_addresses(flow)
-            self._stack.notify_connection_established(self)
-            self._listener.on_connection_established(self)
+            self._path_manager.on_connection_established(self)
+            self.listener.on_connection_established(self)
         if self._trace_subflow is not None:
             self._trace_subflow.emit(
                 self._sim.now, "subflow", "established", self._trace_id,
                 {"subflow": flow.id},
             )
-        self._stack.notify_subflow_established(self, flow)
+        self._path_manager.on_subflow_established(self, flow)
         self._push_data()
 
     def on_rto_expired(self, sock: TcpSocket, rto: float, consecutive: int) -> None:
         flow = self._subflow_for(sock)
         if flow is None:
             return
-        self._stack.notify_rto_timeout(self, flow, rto, consecutive)
+        self._path_manager.on_rto_timeout(self, flow, rto, consecutive)
         # Opportunistic reinjection, Linux-style: only the oldest
         # outstanding mapping of the timed-out subflow is handed to the
         # other subflows.  Reinjecting the whole outstanding window on
@@ -879,7 +863,7 @@ class MptcpConnection(SubflowObserver):
         self._fallback_rx_seen = sock.rcv_nxt
         if not self._remote_fin_consumed:
             self._remote_fin_consumed = True
-            self._listener.on_connection_finished(self)
+            self.listener.on_connection_finished(self)
 
     def on_closed(self, sock: TcpSocket, reason: int) -> None:
         flow = self._subflow_for(sock)
@@ -890,18 +874,18 @@ class MptcpConnection(SubflowObserver):
         already_closed = flow.closed_at is not None
         flow.mark_closed(self._sim.now, reason)
         self._compact_subflow(flow)
-        self._stack.unregister_socket(sock)
+        self.stack.unregister_socket(sock)
         if not already_closed:
             if self._trace_subflow is not None:
                 self._trace_subflow.emit(
                     self._sim.now, "subflow", "closed", self._trace_id,
                     {"subflow": flow.id, "reason": reason},
                 )
-            self._stack.notify_subflow_closed(self, flow, reason)
+            self._path_manager.on_subflow_closed(self, flow, reason)
         if not self.closed:
             self._reinject_outstanding(flow)
             self._push_data()
-        if all(f.is_closed for f in self._subflows):
+        if all(f.is_closed for f in self.live_subflows):
             # In fallback the connection *is* its single subflow: when that
             # subflow is gone (cleanly or by reset), so is the connection.
             if self._close_requested or self._remote_fin_consumed or self._aborted or self.is_fallback:
@@ -925,22 +909,22 @@ class MptcpConnection(SubflowObserver):
         flow, window, alone = None, 0, False
         while self._unassigned:
             start, end = self._unassigned[0]
-            if end <= self._data_una:
+            if end <= self.data_una:
                 self._unassigned.popleft()
                 continue
-            if start < self._data_una:
-                start = self._data_una
+            if start < self.data_una:
+                start = self.data_una
             chunk = end - start
             if chunk > self._mss:
                 chunk = self._mss
             if self.is_fallback:
                 # Scheduler bypass: plain TCP has exactly one path.
-                flow = next((f for f in self._subflows if f.is_usable), None)
+                flow = next((f for f in self.live_subflows if f.is_usable), None)
                 if flow is None:
                     break
                 window = flow.socket.available_window()
             elif not alone:
-                picked = self._scheduler.pick(self._subflows)
+                picked = self._scheduler.pick(self.live_subflows)
                 if picked is None:
                     break
                 flow, window, alone = picked
@@ -984,12 +968,12 @@ class MptcpConnection(SubflowObserver):
             # duplicate bytes to the peer's infinite-mapping stream.
             self._meta_rtx_timer.stop()
             return
-        if self._data_una >= self._data_write_nxt:
+        if self.data_una >= self.data_next:
             self._meta_rtx_timer.stop()
             return
         # max(1.0, max(rtos, default=...)) folded into one pass.
         period = 1.0
-        for flow in self._subflows:
+        for flow in self.live_subflows:
             if flow.is_usable:
                 rto = flow.socket.rtt.rto
                 if rto > period:
@@ -1001,17 +985,17 @@ class MptcpConnection(SubflowObserver):
         self._meta_rtx_timer.start(period)
 
     def _on_meta_rto(self) -> None:
-        if self.closed or self.is_fallback or self._data_una >= self._data_write_nxt:
+        if self.closed or self.is_fallback or self.data_una >= self.data_next:
             return
         self.meta_rto_expirations += 1
         self._meta_backoff += 1
         if self._trace_sched is not None:
             self._trace_sched.emit(
                 self._sim.now, "scheduler", "meta_rto", self._trace_id,
-                {"data_una": self._data_una, "backoff": self._meta_backoff},
+                {"data_una": self.data_una, "backoff": self._meta_backoff},
             )
-        start = self._data_una
-        end = min(self._data_write_nxt, start + self._mss)
+        start = self.data_una
+        end = min(self.data_next, start + self._mss)
         if not self._range_pending(start, end):
             self._unassigned.appendleft((start, end))
         self._push_data()
@@ -1027,9 +1011,9 @@ class MptcpConnection(SubflowObserver):
         if head_only and mappings:
             mappings = mappings[:1]
         for mapping in mappings:
-            if mapping.end <= self._data_una:
+            if mapping.end <= self.data_una:
                 continue
-            start = max(mapping.data_seq, self._data_una)
+            start = max(mapping.data_seq, self.data_una)
             if self._range_pending(start, mapping.end):
                 continue
             self._unassigned.appendleft((start, mapping.end))
@@ -1048,16 +1032,16 @@ class MptcpConnection(SubflowObserver):
         return False
 
     def _process_data_ack(self, ack: int) -> None:
-        write_nxt = self._data_write_nxt
+        write_nxt = self.data_next
         limit = write_nxt + 1 if self._data_fin_seq is not None else write_nxt
         if ack > limit:
             ack = limit
-        if ack <= self._data_una:
+        if ack <= self.data_una:
             return
-        self._data_una = ack if ack <= write_nxt else write_nxt
+        self.data_una = ack if ack <= write_nxt else write_nxt
         self._meta_backoff = 0
         self._restart_meta_timer()
-        self._listener.on_data_acked(self, self._data_una)
+        self.listener.on_data_acked(self, self.data_una)
         if (
             self._data_fin_seq is not None
             and not self._data_fin_acked
@@ -1074,14 +1058,14 @@ class MptcpConnection(SubflowObserver):
     def _maybe_send_data_fin(self) -> None:
         if not self._close_requested or self._data_fin_seq is not None or self.closed:
             return
-        if self._unassigned or self._data_una < self._data_write_nxt:
+        if self._unassigned or self.data_una < self.data_next:
             return
         if self.is_fallback:
             # Plain TCP has no DATA_FIN: the subflow-level FIN carries the
             # end-of-stream signal.
             self._close_subflows_gracefully()
             return
-        self._data_fin_seq = self._data_write_nxt
+        self._data_fin_seq = self.data_next
         self._transmit_data_fin()
         self._data_fin_timer.start(1.0)
 
@@ -1093,7 +1077,7 @@ class MptcpConnection(SubflowObserver):
         real stack keeps exchanging DSS options during teardown.
         """
         capable = []
-        for flow in self._subflows:
+        for flow in self.live_subflows:
             sock = flow.socket
             if sock.closed_at is None and sock.state.value != "CLOSED":
                 capable.append(flow)
@@ -1119,7 +1103,7 @@ class MptcpConnection(SubflowObserver):
             return
         if self._data_reassembly.rcv_nxt >= self._remote_fin_seq:
             self._remote_fin_consumed = True
-            self._listener.on_connection_finished(self)
+            self.listener.on_connection_finished(self)
             capable = self._transmission_capable_subflows()
             if flow is not None and flow in capable:
                 flow.socket.send_ack()
@@ -1127,7 +1111,7 @@ class MptcpConnection(SubflowObserver):
                 capable[0].socket.send_ack()
 
     def _close_subflows_gracefully(self) -> None:
-        for flow in list(self._subflows):
+        for flow in list(self.live_subflows):
             if not flow.is_closed:
                 flow.socket.close()
 
@@ -1143,8 +1127,8 @@ class MptcpConnection(SubflowObserver):
                 self._sim.now, "connection", "closed", self._trace_id,
                 {"fallback": self.is_fallback, "aborted": self._aborted},
             )
-        self._stack.notify_connection_closed(self)
-        self._listener.on_connection_closed(self)
+        self.stack.notify_connection_closed(self)
+        self.listener.on_connection_closed(self)
 
     # ------------------------------------------------------------------
     # address handling
@@ -1158,7 +1142,7 @@ class MptcpConnection(SubflowObserver):
             return
         local = initial_flow.socket.local_address
         next_id = 1
-        for address in self._stack.local_addresses():
+        for address in self.stack.local_addresses():
             if address == local:
                 continue
             self._announced_local_ids[next_id] = address
@@ -1171,14 +1155,20 @@ class MptcpConnection(SubflowObserver):
         known = self._remote_addresses.get(option.address_id)
         if known is not None and known[0] == option.address:
             return
-        self._remote_addresses[option.address_id] = (option.address, option.port or self.remote_port)
-        self._stack.notify_add_addr(self, option.address_id, option.address, option.port or self.remote_port)
+        port = option.port or self.remote_port
+        self._remote_addresses[option.address_id] = (option.address, port)
+        if self._trace_pm is not None:
+            self._trace_pm.emit(
+                self._sim.now, "pm", "add_addr", self.stack.name,
+                {"address_id": option.address_id, "address": str(option.address), "port": port},
+            )
+        self._path_manager.on_add_addr(self, option.address_id, option.address, port)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "client" if self.is_client else "server"
         fallback = " fallback" if self.is_fallback else ""
         return (
             f"<MptcpConnection {role} token={self.local_token:#x} "
-            f"subflows={len(self._subflows)}/{len(self._subflow_history)} "
+            f"subflows={len(self.live_subflows)}/{len(self.subflows)} "
             f"estab={self.established} closed={self.closed}{fallback}>"
         )

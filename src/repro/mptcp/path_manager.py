@@ -175,13 +175,9 @@ class NdiffportsPathManager(PathManager):
         super().__init__()
         if subflow_count < 1:
             raise ValueError(f"subflow_count must be at least 1, got {subflow_count!r}")
-        self._subflow_count = subflow_count
+        #: Total number of subflows targeted per connection (including the initial one).
+        self.subflow_count = subflow_count
         self._latency = processing_latency if processing_latency is not None else ConstantLatency(2e-6)
-
-    @property
-    def subflow_count(self) -> int:
-        """Total number of subflows targeted per connection (including the initial one)."""
-        return self._subflow_count
 
     def on_connection_established(self, conn: "MptcpConnection") -> None:
         if not conn.is_client or self.stack is None:
@@ -196,6 +192,6 @@ class NdiffportsPathManager(PathManager):
         if initial is None:
             return
         local_address = initial.socket.local_address
-        missing = self._subflow_count - len(conn.active_subflows)
+        missing = self.subflow_count - len(conn.active_subflows)
         for _ in range(max(0, missing)):
             conn.create_subflow(local_address, origin=SubflowOrigin.KERNEL_PM)

@@ -3,10 +3,11 @@
 The stack is the reproduction of "the kernel" on one host: it owns the
 listening ports, demultiplexes incoming segments to subflow sockets (by
 four-tuple for established subflows, by MP_CAPABLE/MP_JOIN options for new
-SYNs), creates connections and subflow sockets, and fans life-cycle
-notifications out to the installed path manager — which is either one of
-the in-kernel strategies of :mod:`repro.mptcp.path_manager` or the paper's
-Netlink path manager from :mod:`repro.core.netlink_pm`.
+SYNs), creates connections and subflow sockets, and installs the path manager —
+either one of the in-kernel strategies of :mod:`repro.mptcp.path_manager`
+or the paper's Netlink path manager from :mod:`repro.core.netlink_pm`.
+Connections report their life cycle to ``stack.path_manager`` themselves;
+the stack passes on the interface events.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from repro.mptcp.connection import ConnectionListener, MptcpConnection
 from repro.mptcp.options import MpCapableOption, MpJoinOption
 from repro.mptcp.path_manager import PassivePathManager, PathManager
 from repro.mptcp.scheduler import make_scheduler
-from repro.mptcp.subflow import Subflow
 from repro.mptcp.token import derive_token, generate_key
 from repro.net.addressing import FourTuple, IPAddress
 from repro.net.host import Host
 from repro.net.interface import Interface
-from repro.net.packet import Segment, TCPFlags
+from repro.net.packet import Segment, reset_for
 from repro.sim.engine import Simulator
 from repro.tcp.congestion import CouplingGroup, make_congestion_control
 from repro.tcp.socket import TcpSocket
@@ -42,12 +42,16 @@ class MptcpStack:
         path_manager: Optional[PathManager] = None,
         name: Optional[str] = None,
     ) -> None:
-        self._sim = sim
-        self._host = host
-        self._config = config if config is not None else MptcpConfig()
-        self._config.validate()
-        self._name = name if name is not None else host.name
-        self._rng = sim.random.substream(f"stack:{self._name}")
+        #: The simulation engine.
+        self.sim = sim
+        #: The host this stack is installed on.
+        self.host = host
+        #: The MPTCP configuration in effect.
+        self.mptcp_config = config if config is not None else MptcpConfig()
+        self.mptcp_config.validate()
+        #: Stack name (defaults to the host name).
+        self.name = name if name is not None else host.name
+        self._rng = sim.random.substream(f"stack:{self.name}")
 
         self._listeners: dict[int, ListenerFactory] = {}
         self._sockets: dict[FourTuple, TcpSocket] = {}
@@ -55,13 +59,17 @@ class MptcpStack:
         # segment produces, so the per-segment demux skips FourTuple
         # construction and hashing entirely.
         self._demux: dict[tuple, TcpSocket] = {}
-        self._connections: list[MptcpConnection] = []
+        #: Connections that are not yet fully closed (do not mutate).  A
+        #: closing connection removes itself from this live list, so a caller
+        #: that closes connections while iterating iterates a copy.
+        self.connections: list[MptcpConnection] = []
         self._conn_by_token: dict[int, MptcpConnection] = {}
         self._cc_groups: dict[int, CouplingGroup] = {}
         self._used_ports: set[int] = set()
 
-        self._path_manager = path_manager if path_manager is not None else PassivePathManager()
-        self._path_manager.attach(self)
+        #: The installed (kernel-side) path manager.
+        self.path_manager = path_manager if path_manager is not None else PassivePathManager()
+        self.path_manager.attach(self)
 
         host.install_stack(self)
 
@@ -74,7 +82,9 @@ class MptcpStack:
         self.connections_fallen_back = 0
         # Every connection that ever downgraded to plain TCP, kept past
         # close so probes can account fallback bytes after the run.
-        self._fallback_connections: list[MptcpConnection] = []
+        #: Every connection that downgraded to plain TCP, closed ones included (do not
+        #: mutate).
+        self.fallback_connections: list[MptcpConnection] = []
         # Socket-level totals of fully closed connections, folded in at
         # close time so counters() stays proportional to live state.
         self._retired_retransmissions = 0
@@ -89,51 +99,9 @@ class MptcpStack:
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine."""
-        return self._sim
-
-    @property
-    def host(self) -> Host:
-        """The host this stack is installed on."""
-        return self._host
-
-    @property
-    def name(self) -> str:
-        """Stack name (defaults to the host name)."""
-        return self._name
-
-    @property
-    def mptcp_config(self) -> MptcpConfig:
-        """The MPTCP configuration in effect."""
-        return self._config
-
-    @property
-    def path_manager(self) -> PathManager:
-        """The installed (kernel-side) path manager."""
-        return self._path_manager
-
-    @property
-    def connections(self) -> list[MptcpConnection]:
-        """Connections that are not yet fully closed (do not mutate).
-
-        This is the live list: a connection closing removes itself from it
-        via :meth:`notify_connection_closed`.  Callers that close
-        connections while iterating (e.g. tearing down a many-connection
-        cell) must iterate a copy — ``list(stack.connections)``.
-        """
-        return self._connections
-
-    @property
-    def fallback_connections(self) -> list[MptcpConnection]:
-        """Every connection that downgraded to plain TCP, closed ones
-        included (do not mutate)."""
-        return self._fallback_connections
-
     def local_addresses(self) -> list[IPAddress]:
         """Addresses of the host's interfaces that are currently up."""
-        return self._host.addresses(only_up=True)
+        return self.host.addresses(only_up=True)
 
     def connection_by_token(self, token: int) -> Optional[MptcpConnection]:
         """Look up a connection by its local token (Netlink commands use this)."""
@@ -151,7 +119,7 @@ class MptcpStack:
         if not 0 < port <= 0xFFFF:
             raise ValueError(f"port out of range: {port!r}")
         if port in self._listeners:
-            raise ValueError(f"port {port} is already listening on {self._name}")
+            raise ValueError(f"port {port} is already listening on {self.name}")
         self._listeners[port] = listener_factory
         self._used_ports.add(port)
 
@@ -171,9 +139,9 @@ class MptcpStack:
         """
         remote = IPAddress(remote_address)
         if local_address is None:
-            iface = self._host.route(remote)
+            iface = self.host.route(remote)
             if iface is None:
-                raise RuntimeError(f"host {self._host.name} has no usable interface towards {remote}")
+                raise RuntimeError(f"host {self.host.name} has no usable interface towards {remote}")
             local = iface.address
         else:
             local = IPAddress(local_address)
@@ -181,7 +149,7 @@ class MptcpStack:
         conn = MptcpConnection(
             stack=self,
             listener=listener,
-            scheduler=make_scheduler(self._config.scheduler),
+            scheduler=make_scheduler(self.mptcp_config.scheduler),
             local_key=self._generate_local_key(),
             is_client=True,
             remote_address=remote,
@@ -202,7 +170,7 @@ class MptcpStack:
             if port not in self._used_ports:
                 self._used_ports.add(port)
                 return port
-        raise RuntimeError(f"stack {self._name} ran out of ephemeral ports")
+        raise RuntimeError(f"stack {self.name} ran out of ephemeral ports")
 
     def create_subflow_socket(
         self,
@@ -215,25 +183,25 @@ class MptcpStack:
         """Create (and register) the TCP socket backing a new subflow."""
         group = self._cc_groups.setdefault(conn.local_token, CouplingGroup())
         congestion = make_congestion_control(
-            self._config.tcp.congestion_control,
-            self._config.tcp.mss,
-            self._config.tcp.initial_cwnd_segments,
-            self._config.tcp.initial_ssthresh_bytes,
+            self.mptcp_config.tcp.congestion_control,
+            self.mptcp_config.tcp.mss,
+            self.mptcp_config.tcp.initial_cwnd_segments,
+            self.mptcp_config.tcp.initial_ssthresh_bytes,
             group=group,
         )
         self._used_ports.add(local_port)
         socket = TcpSocket(
-            sim=self._sim,
+            sim=self.sim,
             local_addr=local_address,
             local_port=local_port,
             remote_addr=remote_address,
             remote_port=remote_port,
             # Bound per socket, so a ``host.send`` replaced beforehand intercepts.
-            transmit=self._host.send,
+            transmit=self.host.send,
             observer=conn,
-            config=self._config.tcp,
+            config=self.mptcp_config.tcp,
             congestion=congestion,
-            name=f"{self._name}:{local_address}:{local_port}",
+            name=f"{self.name}:{local_address}:{local_port}",
         )
         self.register_socket(socket)
         return socket
@@ -270,8 +238,7 @@ class MptcpStack:
             self._handle_new_syn(segment)
             return
         self.segments_unmatched += 1
-        if not segment.is_rst:
-            self._send_reset(segment)
+        self._send_reset(segment)
 
     def _handle_new_syn(self, segment: Segment) -> None:
         factory = self._listeners.get(segment.dport)
@@ -294,7 +261,7 @@ class MptcpStack:
             self._send_reset(segment)
             return
         capable = segment.find_option(MpCapableOption)
-        if capable is None and not self._config.allow_fallback:
+        if capable is None and not self.mptcp_config.allow_fallback:
             # Fallback disabled: plain TCP SYNs are not served.
             self.segments_unmatched += 1
             self._send_reset(segment)
@@ -306,7 +273,7 @@ class MptcpStack:
         conn = MptcpConnection(
             stack=self,
             listener=listener,
-            scheduler=make_scheduler(self._config.scheduler),
+            scheduler=make_scheduler(self.mptcp_config.scheduler),
             local_key=self._generate_local_key(),
             is_client=False,
             remote_address=segment.src,
@@ -317,35 +284,19 @@ class MptcpStack:
         conn.accept_initial_subflow(segment)
 
     def _send_reset(self, segment: Segment) -> None:
-        # RFC 793 reset generation: a segment carrying an ACK is answered
-        # with ``<SEQ=SEG.ACK><CTL=RST>``; a segment without one (a bare
-        # SYN, whose ack field is meaningless) with ``<SEQ=0>
-        # <ACK=SEG.SEQ+SEG.LEN><CTL=RST,ACK>``.  Using ``segment.ack``
-        # unconditionally put garbage sequence numbers on resets for
-        # ACK-less segments.
-        if segment.is_ack:
-            seq, ack, flags = segment.ack, 0, TCPFlags.RST
-        else:
-            seq, ack, flags = 0, segment.end_seq, TCPFlags.RST | TCPFlags.ACK
-        reset = Segment(
-            src=segment.dst,
-            dst=segment.src,
-            sport=segment.dport,
-            dport=segment.sport,
-            seq=seq,
-            ack=ack,
-            flags=flags,
-        )
+        reset = reset_for(segment)
+        if reset is None:
+            return
         self.resets_sent += 1
         if self._trace_conn is not None:
             self._trace_conn.emit(
-                self._sim.now, "connection", "reset_sent", self._name,
+                self.sim.now, "connection", "reset_sent", self.name,
                 {"to": f"{segment.src}:{segment.sport}"},
             )
-        self._host.send(reset)
+        self.host.send(reset)
 
     # ------------------------------------------------------------------
-    # connection registry & path-manager notifications
+    # connection registry
     # ------------------------------------------------------------------
     def _generate_local_key(self) -> int:
         """Draw a local key whose 32-bit token is unused on this stack.
@@ -363,41 +314,26 @@ class MptcpStack:
             if derive_token(key) not in self._conn_by_token:
                 return key
         raise RuntimeError(
-            f"stack {self._name} could not draw a collision-free MPTCP key"
+            f"stack {self.name} could not draw a collision-free MPTCP key"
         )
 
     def _register_connection(self, conn: MptcpConnection) -> None:
-        self._connections.append(conn)
+        self.connections.append(conn)
         self._conn_by_token[conn.local_token] = conn
-
-    def notify_connection_created(self, conn: MptcpConnection, flow: Subflow) -> None:
-        """Called by the connection when its initial subflow starts."""
-        self._path_manager.on_connection_created(conn)
 
     def notify_connection_fallback(self, conn: MptcpConnection) -> None:
         """Called by a connection when it downgrades to plain TCP.
 
-        The path manager is *not* told: a fallen-back connection is outside
-        its jurisdiction (no subflows to add or remove), which is exactly
-        the bypass the fallback contract requires.
+        The path manager is *not* told: the connection stops reporting to
+        it (see :meth:`MptcpConnection._enter_fallback`).
         """
         self.connections_fallen_back += 1
-        self._fallback_connections.append(conn)
-
-    def notify_connection_established(self, conn: MptcpConnection) -> None:
-        """Called when the initial subflow's handshake completes.
-
-        Fallen-back connections bypass the path manager entirely: there is
-        nothing a subflow strategy could do for plain TCP.
-        """
-        if conn.is_fallback:
-            return
-        self._path_manager.on_connection_established(conn)
+        self.fallback_connections.append(conn)
 
     def notify_connection_closed(self, conn: MptcpConnection) -> None:
         """Called when the connection fully terminates."""
-        if conn in self._connections:
-            self._connections.remove(conn)
+        if conn in self.connections:
+            self.connections.remove(conn)
         self._conn_by_token.pop(conn.local_token, None)
         self._cc_groups.pop(conn.local_token, None)
         # Fold the departing connection's socket totals into the retired
@@ -407,47 +343,7 @@ class MptcpStack:
             self._retired_retransmissions += sock.total_retransmissions
             self._retired_segments_sent += sock.segments_sent
             self._retired_segments_received += sock.segments_received
-        self._path_manager.on_connection_closed(conn)
-
-    def notify_subflow_established(self, conn: MptcpConnection, flow: Subflow) -> None:
-        """Called when any subflow's handshake completes."""
-        if conn.is_fallback:
-            return
-        self._path_manager.on_subflow_established(conn, flow)
-
-    def notify_subflow_closed(self, conn: MptcpConnection, flow: Subflow, reason: int) -> None:
-        """Called when any subflow terminates."""
-        if conn.is_fallback:
-            return
-        self._path_manager.on_subflow_closed(conn, flow, reason)
-
-    def notify_rto_timeout(self, conn: MptcpConnection, flow: Subflow, rto: float, consecutive: int) -> None:
-        """Called when a subflow's retransmission timer expires."""
-        if conn.is_fallback:
-            return
-        self._path_manager.on_rto_timeout(conn, flow, rto, consecutive)
-
-    def notify_add_addr(self, conn: MptcpConnection, address_id: int, address: IPAddress, port: int) -> None:
-        """Called when the peer advertises an address."""
-        if conn.is_fallback:
-            return
-        if self._trace_pm is not None:
-            self._trace_pm.emit(
-                self._sim.now, "pm", "add_addr", self._name,
-                {"address_id": address_id, "address": str(address), "port": port},
-            )
-        self._path_manager.on_add_addr(conn, address_id, address, port)
-
-    def notify_rem_addr(self, conn: MptcpConnection, address_id: int) -> None:
-        """Called when the peer withdraws an address."""
-        if conn.is_fallback:
-            return
-        if self._trace_pm is not None:
-            self._trace_pm.emit(
-                self._sim.now, "pm", "rem_addr", self._name,
-                {"address_id": address_id},
-            )
-        self._path_manager.on_rem_addr(conn, address_id)
+        self.path_manager.on_connection_closed(conn)
 
     # ------------------------------------------------------------------
     # interface events (Host -> stack -> path manager)
@@ -456,19 +352,19 @@ class MptcpStack:
         """A local interface came up."""
         if self._trace_pm is not None:
             self._trace_pm.emit(
-                self._sim.now, "pm", "address_up", self._name,
+                self.sim.now, "pm", "address_up", self.name,
                 {"iface": iface.full_name},
             )
-        self._path_manager.on_local_address_up(iface)
+        self.path_manager.on_local_address_up(iface)
 
     def on_local_address_down(self, iface: Interface) -> None:
         """A local interface went down."""
         if self._trace_pm is not None:
             self._trace_pm.emit(
-                self._sim.now, "pm", "address_down", self._name,
+                self.sim.now, "pm", "address_down", self.name,
                 {"iface": iface.full_name},
             )
-        self._path_manager.on_local_address_down(iface)
+        self.path_manager.on_local_address_down(iface)
 
     # ------------------------------------------------------------------
     # observability
@@ -485,7 +381,7 @@ class MptcpStack:
         retransmissions = self._retired_retransmissions
         segments_sent = self._retired_segments_sent
         segments_received = self._retired_segments_received
-        for conn in self._connections:
+        for conn in self.connections:
             for flow in conn.subflows:
                 sock = flow.socket
                 retransmissions += sock.total_retransmissions
@@ -505,6 +401,6 @@ class MptcpStack:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<MptcpStack {self._name} connections={len(self._connections)} "
-            f"sockets={len(self._sockets)} pm={self._path_manager.name}>"
+            f"<MptcpStack {self.name} connections={len(self.connections)} "
+            f"sockets={len(self._sockets)} pm={self.path_manager.name}>"
         )

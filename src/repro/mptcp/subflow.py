@@ -12,7 +12,6 @@ import enum
 from typing import Optional
 
 from repro.net.addressing import FourTuple
-from repro.tcp.info import TcpInfo
 from repro.tcp.socket import TcpSocket, TcpState
 
 
@@ -103,10 +102,6 @@ class Subflow:
         if self.closed_at is None:
             self.closed_at = when
             self.close_reason = reason
-
-    def info(self) -> TcpInfo:
-        """``TCP_INFO``-style snapshot of the underlying socket."""
-        return self.socket.info()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

@@ -37,7 +37,8 @@ class Host(Node):
 
     def __init__(self, sim: Simulator, name: str) -> None:
         super().__init__(sim, name)
-        self._stack: Optional[TransportStack] = None
+        #: The installed transport stack, if any.
+        self.stack: Optional[TransportStack] = None
         self._static_routes: dict[IPAddress, str] = {}
         self._default_interface: Optional[str] = None
         # (dst, src) -> Interface memo for the send() hot path.  Any event
@@ -50,14 +51,9 @@ class Host(Node):
     # ------------------------------------------------------------------
     # stack attachment
     # ------------------------------------------------------------------
-    @property
-    def stack(self) -> Optional[TransportStack]:
-        """The installed transport stack, if any."""
-        return self._stack
-
     def install_stack(self, stack: TransportStack) -> None:
         """Install the transport stack that will consume received segments."""
-        self._stack = stack
+        self.stack = stack
 
     def add_interface(self, name: str, address: IPAddress | str) -> Interface:
         iface = super().add_interface(name, address)
@@ -136,18 +132,18 @@ class Host(Node):
         if segment.dst._value not in self._address_index:
             self.dropped_not_local += 1
             return
-        if self._stack is not None:
-            self._stack.on_segment(segment, iface)
+        if self.stack is not None:
+            self.stack.on_segment(segment, iface)
 
     # ------------------------------------------------------------------
     # interface state hooks
     # ------------------------------------------------------------------
     def on_interface_up(self, iface: Interface) -> None:
         self._route_cache.clear()
-        if self._stack is not None:
-            self._stack.on_local_address_up(iface)
+        if self.stack is not None:
+            self.stack.on_local_address_up(iface)
 
     def on_interface_down(self, iface: Interface) -> None:
         self._route_cache.clear()
-        if self._stack is not None:
-            self._stack.on_local_address_down(iface)
+        if self.stack is not None:
+            self.stack.on_local_address_down(iface)

@@ -66,6 +66,9 @@ class Link:
         being serialised).
     name:
         Optional label used by traces.
+
+    The attribute ``loss_rate`` is the current per-packet loss probability;
+    only :meth:`set_loss_rate`, which checks the range, writes it.
     """
 
     def __init__(
@@ -83,12 +86,16 @@ class Link:
             raise ValueError(f"link delay cannot be negative, got {delay!r}")
         if queue_packets < 1:
             raise ValueError(f"queue must hold at least one packet, got {queue_packets!r}")
-        self._sim = sim
-        self._rate_bps = float(rate_bps)
-        self._delay = float(delay)
+        #: The simulation engine this link schedules on.
+        self.sim = sim
+        #: Per-direction rate in bits per second.
+        self.rate_bps = float(rate_bps)
+        #: One-way propagation delay in seconds.
+        self.delay = float(delay)
         self.set_loss_rate(loss_rate)
         self._queue_capacity = int(queue_packets)
-        self._name = name
+        #: Link label.
+        self.name = name
         self._directions: tuple[_Direction, ...] = ()
         self._rng = sim.random.substream(f"link:{name}")
         self._observers: list[Callable[[Segment, Interface, Interface], None]] = []
@@ -117,41 +124,16 @@ class Link:
             name=name,
         )
 
-    @property
-    def name(self) -> str:
-        """Link label."""
-        return self._name
-
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine this link schedules on."""
-        return self._sim
-
-    @property
-    def rate_bps(self) -> float:
-        """Per-direction rate in bits per second."""
-        return self._rate_bps
-
-    @property
-    def delay(self) -> float:
-        """One-way propagation delay in seconds."""
-        return self._delay
-
-    @property
-    def loss_rate(self) -> float:
-        """Current per-packet loss probability."""
-        return self._loss_rate
-
     def set_loss_rate(self, loss_rate: float) -> None:
         """Change the loss probability at runtime (used by the §4.2/§4.3 scenarios)."""
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError(f"loss rate must be within [0, 1], got {loss_rate!r}")
-        self._loss_rate = float(loss_rate)
+        self.loss_rate = float(loss_rate)
 
     def connect(self, side_a: Interface, side_b: Interface) -> "Link":
         """Plug the two interfaces into this link.  Returns ``self``."""
         if self._directions:
-            raise RuntimeError(f"link {self._name} is already connected")
+            raise RuntimeError(f"link {self.name} is already connected")
         directions = (_Direction(side_a, side_b), _Direction(side_b, side_a))
         for direction in directions:
             direction.near.attach(self, direction)
@@ -160,8 +142,8 @@ class Link:
 
     def _direction_from(self, iface: Interface) -> _Direction:
         """The direction ``iface`` transmits into; it must be plugged in here."""
-        if iface._link is not self:
-            raise RuntimeError(f"interface {iface.full_name} is not attached to link {self._name}")
+        if iface.link is not self:
+            raise RuntimeError(f"interface {iface.full_name} is not attached to link {self.name}")
         return iface._direction
 
     def peer_of(self, iface: Interface) -> Interface:
@@ -190,7 +172,7 @@ class Link:
         :mod:`repro.faults` drives; only one handler can be installed.
         """
         if handler is not None and self._fault_handler is not None:
-            raise RuntimeError(f"link {self._name} already has a fault handler")
+            raise RuntimeError(f"link {self.name} already has a fault handler")
         self._fault_handler = handler
 
     def inject(self, segment: Segment, from_iface: Interface) -> None:
@@ -215,8 +197,8 @@ class Link:
     # ------------------------------------------------------------------
     def transmit(self, segment: Segment, from_iface: Interface) -> None:
         """Accept a segment from ``from_iface`` for transmission."""
-        if from_iface._link is not self:  # ``_direction_from``, inline: this runs per segment
-            raise RuntimeError(f"interface {from_iface.full_name} is not attached to link {self._name}")
+        if from_iface.link is not self:  # ``_direction_from``, inline: this runs per segment
+            raise RuntimeError(f"interface {from_iface.full_name} is not attached to link {self.name}")
         direction = from_iface._direction
         if self._fault_handler is not None:
             for survivor in self._fault_handler(segment, from_iface):
@@ -234,12 +216,12 @@ class Link:
             return
         direction.busy = True
         direction.sending = segment
-        serialisation = (segment.size_bytes * 8.0) / self._rate_bps
+        serialisation = (segment.size_bytes * 8.0) / self.rate_bps
         wakeup = direction.wakeup
         if wakeup is None:
-            direction.wakeup = self._sim.schedule(serialisation, self._transmission_done, direction)
+            direction.wakeup = self.sim.schedule(serialisation, self._transmission_done, direction)
         else:
-            self._sim.rearm(wakeup, serialisation)
+            self.sim.rearm(wakeup, serialisation)
 
     def _transmission_done(self, direction: _Direction) -> None:
         segment = direction.sending
@@ -247,14 +229,14 @@ class Link:
         direction.tx_bytes += segment.size_bytes
         # chance(0.0) returns False without consuming a draw, so skipping
         # the call on loss-free links leaves the RNG stream untouched.
-        if self._loss_rate and self._rng.chance(self._loss_rate):
+        if self.loss_rate and self._rng.chance(self.loss_rate):
             direction.dropped_loss += 1
         else:
-            self._sim.schedule_pooled(self._delay, self._deliver, segment, direction.near, direction.far)
+            self.sim.schedule_pooled(self.delay, self._deliver, segment, direction.near, direction.far)
         if direction.queue:
             # The wakeup that just fired serialises the next queued segment.
             direction.sending = segment = direction.queue.popleft()
-            self._sim.rearm(direction.wakeup, (segment.size_bytes * 8.0) / self._rate_bps)
+            self.sim.rearm(direction.wakeup, (segment.size_bytes * 8.0) / self.rate_bps)
         else:
             direction.busy = False
             direction.sending = None
@@ -267,6 +249,6 @@ class Link:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Link {self._name} {self._rate_bps / 1e6:.1f}Mbps "
-            f"{self._delay * 1000:.1f}ms loss={self._loss_rate:.2%}>"
+            f"<Link {self.name} {self.rate_bps / 1e6:.1f}Mbps "
+            f"{self.delay * 1000:.1f}ms loss={self.loss_rate:.2%}>"
         )

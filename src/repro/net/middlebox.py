@@ -21,7 +21,7 @@ from typing import Optional
 from repro.net.addressing import FourTuple
 from repro.net.interface import Interface
 from repro.net.node import Node
-from repro.net.packet import Segment, TCPFlags
+from repro.net.packet import Segment, reset_for
 from repro.sim.engine import Simulator
 
 
@@ -73,8 +73,9 @@ class NatFirewall(TwoLeggedMiddlebox):
         Seconds of inactivity after which a flow's state is discarded.
     send_rst:
         When ``True``, a packet arriving for an expired/unknown flow makes
-        the middlebox send a RST back to the packet's sender (some deployed
-        firewalls do this); when ``False`` the packet is silently dropped
+        the middlebox send the RFC 793 reset (:func:`repro.net.packet.reset_for`)
+        back to the packet's sender (some deployed firewalls do this); a RST
+        is never answered.  When ``False`` the packet is silently dropped
         (the common NAT behaviour the paper describes).
     """
 
@@ -88,7 +89,8 @@ class NatFirewall(TwoLeggedMiddlebox):
         super().__init__(sim, name)
         if idle_timeout <= 0:
             raise ValueError(f"idle timeout must be positive, got {idle_timeout!r}")
-        self._idle_timeout = float(idle_timeout)
+        #: Idle interval after which flow state is removed.
+        self.idle_timeout = float(idle_timeout)
         self._send_rst = send_rst
         self._flows: dict[FourTuple, FlowState] = {}
         self.dropped_no_state = 0
@@ -99,11 +101,6 @@ class NatFirewall(TwoLeggedMiddlebox):
     # ------------------------------------------------------------------
     # configuration helpers
     # ------------------------------------------------------------------
-    @property
-    def idle_timeout(self) -> float:
-        """Idle interval after which flow state is removed."""
-        return self._idle_timeout
-
     def active_flows(self) -> list[FourTuple]:
         """Flows whose state has not expired at the current simulated time."""
         self._expire_stale()
@@ -131,8 +128,10 @@ class NatFirewall(TwoLeggedMiddlebox):
                     return
             else:
                 self.dropped_no_state += 1
-                if self._send_rst:
-                    self._reset(segment, iface)
+                reset = reset_for(segment) if self._send_rst else None
+                if reset is not None:
+                    self.resets_sent += 1
+                    iface.send(reset)
                 return
 
         state.last_seen = self.sim.now
@@ -143,19 +142,6 @@ class NatFirewall(TwoLeggedMiddlebox):
             # in the experiments depends on the exact teardown behaviour.
             pass
         self._forward(segment, iface)
-
-    def _reset(self, segment: Segment, in_iface: Interface) -> None:
-        rst = Segment(
-            src=segment.dst,
-            dst=segment.src,
-            sport=segment.dport,
-            dport=segment.sport,
-            seq=segment.ack,
-            ack=segment.end_seq,
-            flags=TCPFlags.RST | TCPFlags.ACK,
-        )
-        self.resets_sent += 1
-        in_iface.send(rst)
 
     # ------------------------------------------------------------------
     # state management
@@ -169,7 +155,7 @@ class NatFirewall(TwoLeggedMiddlebox):
 
     def _expire_stale(self) -> None:
         now = self.sim.now
-        expired = [flow for flow, state in self._flows.items() if now - state.last_seen > self._idle_timeout]
+        expired = [flow for flow, state in self._flows.items() if now - state.last_seen > self.idle_timeout]
         for flow in expired:
             del self._flows[flow]
             self.expired_flows += 1
@@ -203,25 +189,17 @@ class OptionStrippingMiddlebox(TwoLeggedMiddlebox):
             raise ValueError(
                 f"strip_from must be {self.INSIDE!r} or {self.OUTSIDE!r}, got {strip_from!r}"
             )
-        self._strip_options = tuple(strip_options)
-        self._strip_from = strip_from
+        #: The option classes removed from forwarded segments.
+        self.strip_options = tuple(strip_options)
+        #: The only leg whose ingress is stripped (``None`` = both).
+        self.strip_from = strip_from
         self.options_stripped = 0
 
-    @property
-    def strip_options(self) -> tuple[type, ...]:
-        """The option classes removed from forwarded segments."""
-        return self._strip_options
-
-    @property
-    def strip_from(self) -> Optional[str]:
-        """The only leg whose ingress is stripped (``None`` = both)."""
-        return self._strip_from
-
     def receive(self, segment: Segment, iface: Interface) -> None:
-        directional_pass = self._strip_from is not None and iface.name != self._strip_from
-        if self._strip_options and segment.options and not directional_pass:
+        directional_pass = self.strip_from is not None and iface.name != self.strip_from
+        if self.strip_options and segment.options and not directional_pass:
             kept = tuple(
-                option for option in segment.options if not isinstance(option, self._strip_options)
+                option for option in segment.options if not isinstance(option, self.strip_options)
             )
             if len(kept) != len(segment.options):
                 self.options_stripped += len(segment.options) - len(kept)

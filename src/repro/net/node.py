@@ -18,9 +18,12 @@ class Node:
     """
 
     def __init__(self, sim: Simulator, name: str) -> None:
-        self._sim = sim
-        self._name = name
-        self._interfaces: dict[str, Interface] = {}
+        #: The simulation engine this node is scheduled on.
+        self.sim = sim
+        #: Node name, unique within a topology.
+        self.name = name
+        #: Mapping of interface name to interface (do not mutate).
+        self.interfaces: dict[str, Interface] = {}
         # Address (as a 32-bit int) -> owning interface, first wins; keeps
         # the per-segment ownership/routing lookups O(1).
         self._address_index: dict[int, Interface] = {}
@@ -28,36 +31,21 @@ class Node:
     # ------------------------------------------------------------------
     # identity / topology
     # ------------------------------------------------------------------
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine this node is scheduled on."""
-        return self._sim
-
-    @property
-    def name(self) -> str:
-        """Node name, unique within a topology."""
-        return self._name
-
-    @property
-    def interfaces(self) -> dict[str, Interface]:
-        """Mapping of interface name to interface (do not mutate)."""
-        return self._interfaces
-
     def add_interface(self, name: str, address: IPAddress | str) -> Interface:
         """Create a new interface with the given name and address."""
-        if name in self._interfaces:
-            raise ValueError(f"node {self._name} already has an interface named {name!r}")
+        if name in self.interfaces:
+            raise ValueError(f"node {self.name} already has an interface named {name!r}")
         iface = Interface(self, name, IPAddress(address))
-        self._interfaces[name] = iface
+        self.interfaces[name] = iface
         self._address_index.setdefault(iface.address._value, iface)
         return iface
 
     def interface(self, name: str) -> Interface:
         """Look up an interface by name."""
         try:
-            return self._interfaces[name]
+            return self.interfaces[name]
         except KeyError:
-            raise KeyError(f"node {self._name} has no interface named {name!r}") from None
+            raise KeyError(f"node {self.name} has no interface named {name!r}") from None
 
     def interface_for_address(self, address: IPAddress | str) -> Optional[Interface]:
         """Return the interface owning ``address``, or ``None``."""
@@ -69,7 +57,7 @@ class Node:
         """All addresses assigned to this node (by default only up interfaces)."""
         return [
             iface.address
-            for iface in self._interfaces.values()
+            for iface in self.interfaces.values()
             if iface.is_up or not only_up
         ]
 
@@ -93,4 +81,4 @@ class Node:
         """Called when one of this node's interfaces goes down."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self._name} ifaces={list(self._interfaces)}>"
+        return f"<{type(self).__name__} {self.name} ifaces={list(self.interfaces)}>"

@@ -254,3 +254,22 @@ class Segment:
             f"[{self.flag_names()} {self.src}:{self.sport}>{self.dst}:{self.dport}"
             f" seq={self.seq} ack={self.ack} len={self.payload_len}]"
         )
+
+
+def reset_for(segment: Segment) -> Optional[Segment]:
+    """The RFC 793 §3.4 reset answering ``segment``, or ``None`` for a RST.
+
+    A segment carrying an ACK is answered with ``<SEQ=SEG.ACK><CTL=RST>``;
+    one without (a bare SYN, whose ack field is meaningless) with
+    ``<SEQ=0><ACK=SEG.SEQ+SEG.LEN><CTL=RST,ACK>``.  A RST is never answered.
+    """
+    if segment.is_rst:
+        return None
+    if segment.is_ack:
+        seq, ack, flags = segment.ack, 0, TCPFlags.RST
+    else:
+        seq, ack, flags = 0, segment.end_seq, TCPFlags.RST | TCPFlags.ACK
+    return Segment(
+        src=segment.dst, dst=segment.src, sport=segment.dport, dport=segment.sport,
+        seq=seq, ack=ack, flags=flags,
+    )

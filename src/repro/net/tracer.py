@@ -45,15 +45,11 @@ class PacketTracer:
     """Records segments delivered on the links it is attached to."""
 
     def __init__(self, name: str = "trace", keep: Optional[Callable[[Segment], bool]] = None) -> None:
-        self._name = name
+        #: Trace label.
+        self.name = name
         self._keep = keep
         self._records: list[PacketRecord] = []
         self._links: list[Link] = []
-
-    @property
-    def name(self) -> str:
-        """Trace label."""
-        return self._name
 
     @property
     def records(self) -> list[PacketRecord]:
@@ -124,4 +120,4 @@ class PacketTracer:
         return len(self._records)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<PacketTracer {self._name} records={len(self._records)} links={len(self._links)}>"
+        return f"<PacketTracer {self.name} records={len(self._records)} links={len(self._links)}>"

@@ -25,58 +25,34 @@ class Topology:
     """A named collection of hosts, routers, middleboxes and links."""
 
     def __init__(self, sim: Simulator, name: str = "topology") -> None:
-        self._sim = sim
-        self._name = name
-        self._hosts: dict[str, Host] = {}
-        self._routers: dict[str, Router] = {}
-        self._middleboxes: dict[str, Node] = {}
-        self._links: dict[str, Link] = {}
+        #: The simulation engine.
+        self.sim = sim
+        #: Topology label.
+        self.name = name
+        #: Hosts by name (do not mutate).
+        self.hosts: dict[str, Host] = {}
+        #: Routers by name (do not mutate).
+        self.routers: dict[str, Router] = {}
+        #: Middleboxes by name (do not mutate).
+        self.middleboxes: dict[str, Node] = {}
+        #: Links by name (do not mutate).
+        self.links: dict[str, Link] = {}
         self._tracers: dict[str, PacketTracer] = {}
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine."""
-        return self._sim
-
-    @property
-    def name(self) -> str:
-        """Topology label."""
-        return self._name
-
-    @property
-    def hosts(self) -> dict[str, Host]:
-        """Hosts by name (do not mutate)."""
-        return self._hosts
-
-    @property
-    def routers(self) -> dict[str, Router]:
-        """Routers by name (do not mutate)."""
-        return self._routers
-
-    @property
-    def links(self) -> dict[str, Link]:
-        """Links by name (do not mutate)."""
-        return self._links
-
-    @property
-    def middleboxes(self) -> dict[str, Node]:
-        """Middleboxes by name (do not mutate)."""
-        return self._middleboxes
-
     def host(self, name: str) -> Host:
         """Look up a host by name."""
-        return self._hosts[name]
+        return self.hosts[name]
 
     def router(self, name: str) -> Router:
         """Look up a router by name."""
-        return self._routers[name]
+        return self.routers[name]
 
     def link(self, name: str) -> Link:
         """Look up a link by name."""
-        return self._links[name]
+        return self.links[name]
 
     def tracer(self, name: str) -> PacketTracer:
         """Look up a previously created tracer by name."""
@@ -87,31 +63,31 @@ class Topology:
     # ------------------------------------------------------------------
     def add_host(self, name: str) -> Host:
         """Create a host."""
-        if name in self._hosts:
+        if name in self.hosts:
             raise ValueError(f"duplicate host name {name!r}")
-        host = Host(self._sim, name)
-        self._hosts[name] = host
+        host = Host(self.sim, name)
+        self.hosts[name] = host
         return host
 
     def add_router(self, name: str) -> Router:
         """Create a router."""
-        if name in self._routers:
+        if name in self.routers:
             raise ValueError(f"duplicate router name {name!r}")
-        router = Router(self._sim, name)
-        self._routers[name] = router
+        router = Router(self.sim, name)
+        self.routers[name] = router
         return router
 
     def add_middlebox(self, box: Node) -> Node:
         """Register an already constructed middlebox node with the topology."""
-        if box.name in self._middleboxes:
+        if box.name in self.middleboxes:
             raise ValueError(f"duplicate middlebox name {box.name!r}")
-        self._middleboxes[box.name] = box
+        self.middleboxes[box.name] = box
         return box
 
     def add_nat(self, name: str, idle_timeout: float, send_rst: bool = False) -> NatFirewall:
         """Create a NAT/firewall middlebox."""
         return self.add_middlebox(
-            NatFirewall(self._sim, name, idle_timeout=idle_timeout, send_rst=send_rst)
+            NatFirewall(self.sim, name, idle_timeout=idle_timeout, send_rst=send_rst)
         )
 
     def add_option_stripper(
@@ -127,7 +103,7 @@ class Topology:
         """
         return self.add_middlebox(
             OptionStrippingMiddlebox(
-                self._sim, name, strip_options=strip_options, strip_from=strip_from
+                self.sim, name, strip_options=strip_options, strip_from=strip_from
             )
         )
 
@@ -147,28 +123,28 @@ class Topology:
         ``(node, iface_name, address)`` tuple, in which case the interface
         is created on the node first.
         """
-        if name in self._links:
+        if name in self.links:
             raise ValueError(f"duplicate link name {name!r}")
         iface_a = self._resolve_interface(side_a)
         iface_b = self._resolve_interface(side_b)
         link = Link.mbps(
-            self._sim,
+            self.sim,
             rate_mbps,
             delay_ms,
             loss_percent=loss_percent,
             queue_packets=queue_packets,
             name=name,
         ).connect(iface_a, iface_b)
-        self._links[name] = link
+        self.links[name] = link
         return link
 
     def add_tracer(self, name: str, link_names: Optional[list[str]] = None) -> PacketTracer:
         """Attach a packet tracer to the named links (all links by default)."""
         tracer = PacketTracer(name=name)
         targets = (
-            [self._links[link_name] for link_name in link_names]
+            [self.links[link_name] for link_name in link_names]
             if link_names is not None
-            else list(self._links.values())
+            else list(self.links.values())
         )
         tracer.attach_all(targets)
         self._tracers[name] = tracer
@@ -185,4 +161,4 @@ class Topology:
 
     def run(self, until: Optional[float] = None) -> float:
         """Convenience wrapper around the simulator's run loop."""
-        return self._sim.run(until=until)
+        return self.sim.run(until=until)

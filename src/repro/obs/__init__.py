@@ -31,7 +31,6 @@ _EXPORTS = {
     "chrome_trace": "repro.obs.export",
     "events_jsonl": "repro.obs.export",
     "format_telemetry_report": "repro.obs.telemetry",
-    "stack_counters": "repro.obs.counters",
     "summarize_telemetry": "repro.obs.telemetry",
 }
 

@@ -8,16 +8,16 @@ name to integer — with merge-add semantics so repeated collections from
 the same scope accumulate.
 
 The registry itself is passive: it never hooks the simulator.  The
-``events`` probe pulls stack counters at collect time via
-:func:`stack_counters`, which keeps the hot path completely untouched
-when observability is off.
+``events`` probe pulls each stack's counters at collect time from
+:meth:`~repro.mptcp.stack.MptcpStack.counters`, which keeps the hot path
+completely untouched when observability is off.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Mapping
 
-__all__ = ["CounterRegistry", "stack_counters"]
+__all__ = ["CounterRegistry"]
 
 
 class CounterRegistry:
@@ -48,14 +48,3 @@ class CounterRegistry:
             for scope, counters in sorted(self._scopes.items())
         }
 
-
-def stack_counters(stack: Any) -> Dict[str, int]:
-    """The named monotonic counters of one MPTCP stack.
-
-    Thin collection point over ``MptcpStack.counters()`` so the probe
-    layer depends on ``repro.obs`` rather than reaching into stack
-    internals; see that method for the counter catalogue (connections
-    accepted/initiated/fallen back, segments demuxed and unmatched,
-    resets sent, socket-level segment and retransmission totals).
-    """
-    return dict(stack.counters())

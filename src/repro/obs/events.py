@@ -143,16 +143,12 @@ class EventLog:
         if limit <= 0:
             raise ValueError(f"event log limit must be positive, got {limit}")
         self._enabled = frozenset(enabled)
-        self._limit = int(limit)
+        #: The retention cap this log was built with.
+        self.limit = int(limit)
         self._events: List[TraceEvent] = []
         self._next_seq = 0
         #: Events discarded after the log filled up.
         self.dropped = 0
-
-    @property
-    def limit(self) -> int:
-        """The retention cap this log was built with."""
-        return self._limit
 
     @property
     def categories(self) -> Tuple[str, ...]:
@@ -195,7 +191,7 @@ class EventLog:
         ``detail`` values must be JSON-safe primitives — the exports
         serialise them verbatim.
         """
-        if len(self._events) >= self._limit:
+        if len(self._events) >= self.limit:
             self.dropped += 1
             return
         self._events.append(

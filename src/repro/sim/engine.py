@@ -143,7 +143,8 @@ class Simulator:
         self.now = float(start_time)
         self._sequence = itertools.count()
         self._running = False
-        self._processed = 0
+        #: Number of callbacks executed so far.
+        self.processed_events = 0
         # The event queue: one heapq of (time, seq, event) tuples.
         self._queue: list[tuple] = []
         # Live bookkeeping: pending + dead = raw queued entries.
@@ -170,11 +171,6 @@ class Simulator:
         :attr:`queued_entries` instead.
         """
         return self._pending
-
-    @property
-    def processed_events(self) -> int:
-        """Number of callbacks executed so far."""
-        return self._processed
 
     @property
     def queued_entries(self) -> int:
@@ -302,9 +298,9 @@ class Simulator:
         Returns ``True`` when an event was executed, ``False`` when the
         queue is empty.
         """
-        before = self._processed
+        before = self.processed_events
         self.run(max_events=1)
-        return self._processed != before
+        return self.processed_events != before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or
@@ -343,7 +339,7 @@ class Simulator:
                 event = entry[2]
                 self.now = entry[0]
                 event._executed = True
-                self._processed += 1
+                self.processed_events += 1
                 executed += 1
                 kwargs = event.kwargs
                 if kwargs:

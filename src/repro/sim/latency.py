@@ -116,24 +116,16 @@ class ShiftedLatency(LatencyModel):
     def __init__(self, base: LatencyModel, shift: float) -> None:
         if shift < 0:
             raise ValueError(f"shift cannot be negative, got {shift!r}")
-        self._base = base
-        self._shift = float(shift)
-
-    @property
-    def base(self) -> LatencyModel:
-        """The wrapped base model."""
-        return self._base
-
-    @property
-    def shift(self) -> float:
-        """The constant additional latency, in seconds."""
-        return self._shift
+        #: The wrapped base model.
+        self.base = base
+        #: The constant additional latency, in seconds.
+        self.shift = float(shift)
 
     def sample(self, rng: RandomSource) -> float:
-        return self._base.sample(rng) + self._shift
+        return self.base.sample(rng) + self.shift
 
     def mean(self) -> float:
-        return self._base.mean() + self._shift
+        return self.base.mean() + self.shift
 
     def __repr__(self) -> str:
-        return f"ShiftedLatency({self._base!r}, shift={self._shift!r})"
+        return f"ShiftedLatency({self.base!r}, shift={self.shift!r})"

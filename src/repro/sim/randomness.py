@@ -42,18 +42,14 @@ class RandomSource:
     """A seeded random stream with derivable, named sub-streams."""
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
+        #: The seed this source was created with.
+        self.seed = int(seed)
         self._children: dict[str, RandomSource] = {}
 
     @cached_property
     def _rng(self) -> random.Random:
         """Built (seeded) by the first draw: most named streams never draw one."""
-        return random.Random(self._seed)
-
-    @property
-    def seed(self) -> int:
-        """The seed this source was created with."""
-        return self._seed
+        return random.Random(self.seed)
 
     def substream(self, name: str) -> "RandomSource":
         """Return a child stream derived deterministically from ``name``.
@@ -63,7 +59,7 @@ class RandomSource:
         """
         child = self._children.get(name)
         if child is None:
-            derived = (self._seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) & 0xFFFFFFFF
+            derived = (self.seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) & 0xFFFFFFFF
             child = RandomSource(derived)
             self._children[name] = child
         return child

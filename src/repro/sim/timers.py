@@ -26,16 +26,12 @@ class Timer:
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
         self._sim = sim
         self._callback = callback
-        self._name = name
+        #: Human-readable timer name (used in traces and error messages).
+        self.name = name
         self._event: Optional[ScheduledEvent] = None
         self.expiry: Optional[float] = None
         log = sim.event_log
         self._trace = log.channel("timer") if log is not None else None
-
-    @property
-    def name(self) -> str:
-        """Human-readable timer name (used in traces and error messages)."""
-        return self._name
 
     @property
     def armed(self) -> bool:
@@ -69,12 +65,12 @@ class Timer:
         self._event = None
         self.expiry = None
         if self._trace is not None:
-            self._trace.emit(self._sim.now, "timer", "fire", self._name)
+            self._trace.emit(self._sim.now, "timer", "fire", self.name)
         self._callback()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = f"expires at {self.expiry:.6f}" if self.armed else "idle"
-        return f"<Timer {self._name} {state}>"
+        return f"<Timer {self.name} {state}>"
 
 
 class PeriodicTimer:
@@ -95,55 +91,43 @@ class PeriodicTimer:
         if interval <= 0:
             raise ValueError(f"periodic timer interval must be positive, got {interval!r}")
         self._sim = sim
-        self._interval = interval
+        #: Seconds between ticks.
+        self.interval = interval
         self._callback = callback
         self._name = name
         self._event: Optional[ScheduledEvent] = None
-        self._running = False
-        self._ticks = 0
+        #: True while the timer keeps re-arming itself.
+        self.running = False
+        #: Number of times the callback fired.
+        self.ticks = 0
         log = sim.event_log
         self._trace = log.channel("timer") if log is not None else None
 
-    @property
-    def interval(self) -> float:
-        """Seconds between ticks."""
-        return self._interval
-
-    @property
-    def running(self) -> bool:
-        """True while the timer keeps re-arming itself."""
-        return self._running
-
-    @property
-    def ticks(self) -> int:
-        """Number of times the callback fired."""
-        return self._ticks
-
     def start(self, initial_delay: Optional[float] = None) -> None:
         """Begin the periodic series."""
-        if self._running:
+        if self.running:
             return
-        self._running = True
-        delay = self._interval if initial_delay is None else initial_delay
+        self.running = True
+        delay = self.interval if initial_delay is None else initial_delay
         self._event = self._sim.schedule(delay, self._fire)
 
     def stop(self) -> None:
         """Stop the series; a pending tick is cancelled."""
-        self._running = False
+        self.running = False
         if self._event is not None:
             self._event.cancel()
             self._event = None
 
     def _fire(self) -> None:
-        if not self._running:
+        if not self.running:
             return
-        self._ticks += 1
+        self.ticks += 1
         if self._trace is not None:
             self._trace.emit(self._sim.now, "timer", "fire", self._name)
         self._callback()
-        if self._running:
-            self._event = self._sim.schedule(self._interval, self._fire)
+        if self.running:
+            self._event = self._sim.schedule(self.interval, self._fire)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "running" if self._running else "stopped"
-        return f"<PeriodicTimer {self._name} every {self._interval}s [{state}] ticks={self._ticks}>"
+        state = "running" if self.running else "stopped"
+        return f"<PeriodicTimer {self._name} every {self.interval}s [{state}] ticks={self.ticks}>"

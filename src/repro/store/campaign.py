@@ -221,18 +221,14 @@ class CampaignStore:
     """
 
     def __init__(self, root: str) -> None:
-        self._root = os.path.abspath(root)
-
-    @property
-    def root(self) -> str:
-        """The backing directory."""
-        return self._root
+        #: The backing directory.
+        self.root = os.path.abspath(root)
 
     # -- cell objects ---------------------------------------------------
     @property
     def objects_dir(self) -> str:
         """Where immutable cell objects live."""
-        return os.path.join(self._root, "objects")
+        return os.path.join(self.root, "objects")
 
     def _object_path(self, config_hash: str) -> str:
         return os.path.join(self.objects_dir, f"{config_hash}.json")
@@ -310,7 +306,7 @@ class CampaignStore:
     @property
     def manifests_dir(self) -> str:
         """Where snapshot manifests live."""
-        return os.path.join(self._root, "manifests")
+        return os.path.join(self.root, "manifests")
 
     def _manifest_files(self, campaign_id: str) -> list[tuple[int, str]]:
         """``(sequence, path)`` pairs for a campaign, in commit order."""
@@ -395,7 +391,7 @@ class CampaignStore:
     @property
     def artifacts_dir(self) -> str:
         """Where corpus artifacts live, one subdirectory per kind."""
-        return os.path.join(self._root, "artifacts")
+        return os.path.join(self.root, "artifacts")
 
     def put_artifact(self, kind: str, payload: Mapping) -> str:
         """Store a content-addressed corpus artifact; returns its hash.
@@ -451,7 +447,7 @@ class CampaignStore:
         for campaign in campaigns:
             manifest_count += len(self._manifest_files(campaign))
         return {
-            "root": self._root,
+            "root": self.root,
             "objects": len(object_hashes),
             "object_bytes": object_bytes,
             "campaigns": len(campaigns),

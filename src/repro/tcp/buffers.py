@@ -41,31 +41,27 @@ class RetransmissionQueue:
     def __init__(self) -> None:
         # A deque: cumulative ACKs strip segments from the front, so the
         # hot ``ack_upto`` path must not shift the whole list per segment.
-        self._segments: deque[SentSegment] = deque()
+        #: The queued segments in sequence order (do not mutate).
+        self.segments: deque[SentSegment] = deque()
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self.segments)
 
     def __bool__(self) -> bool:
-        return bool(self._segments)
-
-    @property
-    def segments(self) -> "deque[SentSegment]":
-        """The queued segments in sequence order (do not mutate)."""
-        return self._segments
+        return bool(self.segments)
 
     def push(self, segment: SentSegment) -> None:
         """Append a newly transmitted segment (sequence order is maintained
         because new data is always sent at ``snd_nxt``)."""
-        self._segments.append(segment)
+        self.segments.append(segment)
 
     def head(self) -> Optional[SentSegment]:
         """The oldest unacknowledged segment, if any."""
-        return self._segments[0] if self._segments else None
+        return self.segments[0] if self.segments else None
 
     def ack_upto(self, ack: int) -> list[SentSegment]:
         """Remove and return every segment fully covered by ``ack``."""
-        segments = self._segments
+        segments = self.segments
         acked: list[SentSegment] = []
         while segments and segments[0].seq + segments[0].length <= ack:
             acked.append(segments.popleft())
@@ -73,16 +69,16 @@ class RetransmissionQueue:
 
     def outstanding_bytes(self) -> int:
         """Total unacknowledged payload bytes."""
-        return sum(segment.length for segment in self._segments)
+        return sum(segment.length for segment in self.segments)
 
     def metadata_items(self) -> list[Any]:
         """Metadata of every outstanding segment (used for MPTCP reinjection)."""
-        return [segment.metadata for segment in self._segments if segment.metadata is not None]
+        return [segment.metadata for segment in self.segments if segment.metadata is not None]
 
     def clear(self) -> list[SentSegment]:
         """Drop everything (connection aborted); returns what was pending."""
-        pending = list(self._segments)
-        self._segments.clear()
+        pending = list(self.segments)
+        self.segments.clear()
         return pending
 
 
@@ -116,7 +112,8 @@ class ReceiveReassembly:
     def __init__(self, initial_seq: int = 0) -> None:
         self.rcv_nxt = initial_seq
         self._out_of_order: list[_Range] = []
-        self._duplicate_bytes = 0
+        #: Bytes received more than once (retransmissions/spurious).
+        self.duplicate_bytes = 0
         self._stamp = 0
 
     @property
@@ -139,11 +136,6 @@ class ReceiveReassembly:
         ordered = sorted(self._out_of_order, key=_BY_STAMP, reverse=True)
         return [(r.start, r.end) for r in ordered[:limit]]
 
-    @property
-    def duplicate_bytes(self) -> int:
-        """Bytes received more than once (retransmissions/spurious)."""
-        return self._duplicate_bytes
-
     def register(self, seq: int, length: int) -> int:
         """Record a received range; returns the number of new bytes."""
         if length < 0:
@@ -153,10 +145,10 @@ class ReceiveReassembly:
         start, end = seq, seq + length
         rcv_nxt = self.rcv_nxt
         if end <= rcv_nxt:
-            self._duplicate_bytes += length
+            self.duplicate_bytes += length
             return 0
         if start < rcv_nxt:
-            self._duplicate_bytes += rcv_nxt - start
+            self.duplicate_bytes += rcv_nxt - start
             start = rcv_nxt
         if start == rcv_nxt and not self._out_of_order:
             # In-order fast path: nothing to merge, the window just slides.
@@ -188,7 +180,7 @@ class ReceiveReassembly:
                 start if start > other_start else other_start
             )
             if overlap > 0:
-                self._duplicate_bytes += overlap
+                self.duplicate_bytes += overlap
                 new_bytes -= overlap
             if other_start < start:
                 start = other_start

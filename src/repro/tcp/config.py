@@ -8,7 +8,7 @@ Experiments override individual fields instead of monkey-patching sockets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,6 @@ class TcpConfig:
 
     pacing_ca_factor: float = 1.2
     """Pacing-rate multiplier applied in congestion avoidance (Linux uses 1.2)."""
-
-    def with_overrides(self, **overrides) -> "TcpConfig":
-        """Return a copy with the given fields replaced."""
-        return replace(self, **overrides)
 
     def validate(self) -> None:
         """Raise ``ValueError`` for obviously inconsistent settings."""

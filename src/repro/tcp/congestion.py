@@ -30,9 +30,11 @@ class CongestionControl(ABC):
     def __init__(self, mss: int, initial_cwnd_segments: int, initial_ssthresh: int) -> None:
         if mss <= 0:
             raise ValueError(f"mss must be positive, got {mss!r}")
-        self._mss = mss
+        #: Segment size used for window arithmetic.
+        self.mss = mss
         self.cwnd = mss * initial_cwnd_segments
-        self._ssthresh = initial_ssthresh
+        #: Current slow-start threshold in bytes.
+        self.ssthresh = initial_ssthresh
         self.fast_recovery = False
         self._recovery_point = 0
 
@@ -40,19 +42,9 @@ class CongestionControl(ABC):
     # accessors
     # ------------------------------------------------------------------
     @property
-    def mss(self) -> int:
-        """Segment size used for window arithmetic."""
-        return self._mss
-
-    @property
-    def ssthresh(self) -> int:
-        """Current slow-start threshold in bytes."""
-        return self._ssthresh
-
-    @property
     def in_slow_start(self) -> bool:
         """True while the window is below the slow-start threshold."""
-        return self.cwnd < self._ssthresh
+        return self.cwnd < self.ssthresh
 
     # ------------------------------------------------------------------
     # events
@@ -77,15 +69,15 @@ class CongestionControl(ABC):
         """Three duplicate ACKs: halve the window and enter fast recovery."""
         if self.fast_recovery:
             return
-        self._ssthresh = max(flight_size // 2, 2 * self._mss)
-        self.cwnd = self._ssthresh
+        self.ssthresh = max(flight_size // 2, 2 * self.mss)
+        self.cwnd = self.ssthresh
         self.fast_recovery = True
         self._recovery_point = snd_nxt
 
     def on_retransmission_timeout(self) -> None:
         """RTO expiry: collapse the window to one segment (RFC 5681)."""
-        self._ssthresh = max(self.cwnd // 2, 2 * self._mss)
-        self.cwnd = self._mss
+        self.ssthresh = max(self.cwnd // 2, 2 * self.mss)
+        self.cwnd = self.mss
         self.fast_recovery = False
 
     def on_recovery_ack(self, snd_una: int) -> bool:
@@ -108,7 +100,7 @@ class RenoCongestionControl(CongestionControl):
     def _congestion_avoidance_increase(self, acked_bytes: int) -> int:
         # Standard appropriate-byte-counting increase: one MSS per window's
         # worth of acknowledged data.
-        increase = (self._mss * acked_bytes) // max(self.cwnd, 1)
+        increase = (self.mss * acked_bytes) // max(self.cwnd, 1)
         return max(increase, 1)
 
 
@@ -116,22 +108,18 @@ class CouplingGroup:
     """The shared state of all LIA controllers of one MPTCP connection."""
 
     def __init__(self) -> None:
-        self._members: list["LiaCongestionControl"] = []
-
-    @property
-    def members(self) -> list["LiaCongestionControl"]:
-        """Current members (do not mutate)."""
-        return self._members
+        #: Current members (do not mutate).
+        self.members: list["LiaCongestionControl"] = []
 
     def join(self, member: "LiaCongestionControl") -> None:
         """Add a subflow's controller to the group."""
-        if member not in self._members:
-            self._members.append(member)
+        if member not in self.members:
+            self.members.append(member)
 
     def leave(self, member: "LiaCongestionControl") -> None:
         """Remove a subflow's controller from the group."""
-        if member in self._members:
-            self._members.remove(member)
+        if member in self.members:
+            self.members.remove(member)
 
     def coupling(self) -> tuple[int, float]:
         """``(total_cwnd, alpha)`` from one pass over the members.
@@ -148,20 +136,20 @@ class CouplingGroup:
         total = 0
         best = 0.0
         denominator = 0.0
-        for member in self._members:
+        for member in self.members:
             cwnd = member.cwnd
             total += cwnd
-            rtt = member._srtt
+            rtt = member.smoothed_rtt
             if rtt is None or rtt <= 0:
                 continue
-            cwnd_segments = cwnd / member._mss
+            cwnd_segments = cwnd / member.mss
             ratio = cwnd_segments / (rtt * rtt)
             if ratio > best:
                 best = ratio
             denominator += cwnd_segments / rtt
         if best <= 0.0 or denominator <= 0.0:
             return total, 1.0
-        total_segments = total / max(self._members[0]._mss, 1)
+        total_segments = total / max(self.members[0].mss, 1)
         return total, total_segments * best / (denominator * denominator)
 
     def total_cwnd(self) -> int:
@@ -184,35 +172,27 @@ class LiaCongestionControl(CongestionControl):
         group: Optional[CouplingGroup] = None,
     ) -> None:
         super().__init__(mss, initial_cwnd_segments, initial_ssthresh)
-        self._group = group if group is not None else CouplingGroup()
-        self._group.join(self)
-        self._srtt: Optional[float] = None
-
-    @property
-    def group(self) -> CouplingGroup:
-        """The coupling group this controller belongs to."""
-        return self._group
-
-    @property
-    def smoothed_rtt(self) -> Optional[float]:
-        """Latest smoothed RTT reported by the owning socket."""
-        return self._srtt
+        #: The coupling group this controller belongs to.
+        self.group = group if group is not None else CouplingGroup()
+        self.group.join(self)
+        #: Latest smoothed RTT reported by the owning socket.
+        self.smoothed_rtt: Optional[float] = None
 
     def observe_rtt(self, srtt: Optional[float]) -> None:
         """Called by the socket whenever its RTT estimate changes."""
-        self._srtt = srtt
+        self.smoothed_rtt = srtt
 
     def detach(self) -> None:
         """Remove this controller from its coupling group (subflow closed)."""
-        self._group.leave(self)
+        self.group.leave(self)
 
     def _congestion_avoidance_increase(self, acked_bytes: int) -> int:
         # RFC 6356: increase per ACK is
         #   min( alpha * bytes_acked * MSS / tot_cwnd, bytes_acked * MSS / cwnd )
         # i.e. never more aggressive than regular TCP on this subflow.
-        total, alpha = self._group.coupling()
-        coupled = alpha * acked_bytes * self._mss / max(total, self._mss)
-        uncoupled = acked_bytes * self._mss / max(self.cwnd, 1)
+        total, alpha = self.group.coupling()
+        coupled = alpha * acked_bytes * self.mss / max(total, self.mss)
+        uncoupled = acked_bytes * self.mss / max(self.cwnd, 1)
         return max(int(min(coupled, uncoupled)), 1)
 
 

@@ -38,11 +38,15 @@ class RttEstimator:
         self._rto_max = rto_max
         self._granularity = clock_granularity
         self.srtt: Optional[float] = None
-        self._rttvar: Optional[float] = None
+        #: RTT variance in seconds (``None`` before the first sample).
+        self.rttvar: Optional[float] = None
         self._rto = rto_initial
-        self._backoff_exponent = 0
-        self._samples = 0
-        self._min_rtt: Optional[float] = None
+        #: Number of consecutive RTO doublings currently applied.
+        self.backoff_exponent = 0
+        #: Number of samples incorporated.
+        self.samples = 0
+        #: Smallest RTT observed so far.
+        self.min_rtt: Optional[float] = None
 
     # ------------------------------------------------------------------
     # observations
@@ -57,59 +61,39 @@ class RttEstimator:
         """
         if rtt < 0:
             raise ValueError(f"RTT cannot be negative, got {rtt!r}")
-        self._samples += 1
-        self._min_rtt = rtt if self._min_rtt is None else min(self._min_rtt, rtt)
-        if self.srtt is None or self._rttvar is None:
+        self.samples += 1
+        self.min_rtt = rtt if self.min_rtt is None else min(self.min_rtt, rtt)
+        if self.srtt is None or self.rttvar is None:
             self.srtt = rtt
-            self._rttvar = rtt / 2.0
+            self.rttvar = rtt / 2.0
         else:
-            self._rttvar = (1 - self.BETA) * self._rttvar + self.BETA * abs(self.srtt - rtt)
+            self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(self.srtt - rtt)
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
-        self._backoff_exponent = 0
+        self.backoff_exponent = 0
         self._recompute()
 
     def on_timeout(self) -> float:
         """Apply exponential backoff after an RTO expiry; returns the new RTO."""
-        self._backoff_exponent += 1
+        self.backoff_exponent += 1
         return self.rto
 
     def reset_backoff(self) -> None:
         """Clear the backoff (forward progress was made)."""
-        self._backoff_exponent = 0
+        self.backoff_exponent = 0
 
     def _recompute(self) -> None:
-        assert self.srtt is not None and self._rttvar is not None
-        base = self.srtt + max(self._granularity, self.K * self._rttvar)
+        assert self.srtt is not None and self.rttvar is not None
+        base = self.srtt + max(self._granularity, self.K * self.rttvar)
         self._rto = min(self._rto_max, max(self._rto_min, base))
 
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------
     @property
-    def rttvar(self) -> Optional[float]:
-        """RTT variance in seconds (``None`` before the first sample)."""
-        return self._rttvar
-
-    @property
-    def min_rtt(self) -> Optional[float]:
-        """Smallest RTT observed so far."""
-        return self._min_rtt
-
-    @property
-    def samples(self) -> int:
-        """Number of samples incorporated."""
-        return self._samples
-
-    @property
-    def backoff_exponent(self) -> int:
-        """Number of consecutive RTO doublings currently applied."""
-        return self._backoff_exponent
-
-    @property
     def rto(self) -> float:
         """Current retransmission timeout, including exponential backoff."""
-        return min(self._rto_max, self._rto * (2.0 ** self._backoff_exponent))
+        return min(self._rto_max, self._rto * (2.0 ** self.backoff_exponent))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         srtt = f"{self.srtt * 1000:.1f}ms" if self.srtt is not None else "-"
-        return f"<RttEstimator srtt={srtt} rto={self.rto * 1000:.1f}ms backoff={self._backoff_exponent}>"
+        return f"<RttEstimator srtt={srtt} rto={self.rto * 1000:.1f}ms backoff={self.backoff_exponent}>"

@@ -121,16 +121,23 @@ class TcpSocket:
         congestion: Optional[CongestionControl] = None,
         name: str = "tcp",
     ) -> None:
-        self._sim = sim
-        self._local_addr = IPAddress(local_addr)
-        self._local_port = int(local_port)
-        self._remote_addr = IPAddress(remote_addr)
-        self._remote_port = int(remote_port)
+        #: The simulation engine.
+        self.sim = sim
+        #: Local IP address.
+        self.local_address = IPAddress(local_addr)
+        #: Local TCP port.
+        self.local_port = int(local_port)
+        #: Remote IP address.
+        self.remote_address = IPAddress(remote_addr)
+        #: Remote TCP port.
+        self.remote_port = int(remote_port)
         self._transmit = transmit
         self._observer = observer if observer is not None else SubflowObserver()
-        self._config = config if config is not None else TcpConfig()
-        self._config.validate()
-        self._name = name
+        #: The TCP configuration in effect.
+        self.config = config if config is not None else TcpConfig()
+        self.config.validate()
+        #: Socket label used in traces.
+        self.name = name
 
         self.state = TcpState.CLOSED
 
@@ -140,7 +147,7 @@ class TcpSocket:
         self._iss = 0
         self.snd_una = 0
         self.snd_nxt = 0
-        self._peer_window = self._config.receive_window
+        self._peer_window = self.config.receive_window
         self._pending_close = False
         self._fin_seq: Optional[int] = None
 
@@ -151,17 +158,17 @@ class TcpSocket:
 
         # Machinery.
         self.rtt = RttEstimator(
-            rto_initial=self._config.rto_initial,
-            rto_min=self._config.rto_min,
-            rto_max=self._config.rto_max,
+            rto_initial=self.config.rto_initial,
+            rto_min=self.config.rto_min,
+            rto_max=self.config.rto_max,
         )
         if congestion is None:
             from repro.tcp.congestion import RenoCongestionControl
 
             congestion = RenoCongestionControl(
-                self._config.mss,
-                self._config.initial_cwnd_segments,
-                self._config.initial_ssthresh_bytes,
+                self.config.mss,
+                self.config.initial_cwnd_segments,
+                self.config.initial_ssthresh_bytes,
             )
         self.congestion = congestion
         self._rtx_queue = RetransmissionQueue()
@@ -193,44 +200,9 @@ class TcpSocket:
     # identity & simple accessors
     # ------------------------------------------------------------------
     @property
-    def sim(self) -> Simulator:
-        """The simulation engine."""
-        return self._sim
-
-    @property
-    def name(self) -> str:
-        """Socket label used in traces."""
-        return self._name
-
-    @property
-    def config(self) -> TcpConfig:
-        """The TCP configuration in effect."""
-        return self._config
-
-    @property
     def four_tuple(self) -> FourTuple:
         """(local address, local port, remote address, remote port)."""
-        return FourTuple(self._local_addr, self._local_port, self._remote_addr, self._remote_port)
-
-    @property
-    def local_address(self) -> IPAddress:
-        """Local IP address."""
-        return self._local_addr
-
-    @property
-    def remote_address(self) -> IPAddress:
-        """Remote IP address."""
-        return self._remote_addr
-
-    @property
-    def local_port(self) -> int:
-        """Local TCP port."""
-        return self._local_port
-
-    @property
-    def remote_port(self) -> int:
-        """Remote TCP port."""
-        return self._remote_port
+        return FourTuple(self.local_address, self.local_port, self.remote_address, self.remote_port)
 
     @property
     def is_established(self) -> bool:
@@ -287,9 +259,9 @@ class TcpSocket:
         if srtt is None or srtt <= 0:
             return 0.0
         factor = (
-            self._config.pacing_ss_factor
+            self.config.pacing_ss_factor
             if self.congestion.in_slow_start
-            else self._config.pacing_ca_factor
+            else self.config.pacing_ca_factor
         )
         return factor * self.congestion.cwnd / srtt
 
@@ -320,13 +292,13 @@ class TcpSocket:
     def connect(self) -> None:
         """Start an active open (send the SYN)."""
         if self.state != TcpState.CLOSED or self.closed_at is not None:
-            raise RuntimeError(f"socket {self._name} cannot connect from state {self.state}")
+            raise RuntimeError(f"socket {self.name} cannot connect from state {self.state}")
         self.state = TcpState.SYN_SENT
         self.snd_una = self._iss
         self.snd_nxt = self._iss + 1
-        self._syn_sent_at = self._sim.now
+        self._syn_sent_at = self.sim.now
         self._send_syn()
-        self._syn_timer.start(self._config.syn_timeout)
+        self._syn_timer.start(self.config.syn_timeout)
 
     def _send_syn(self) -> None:
         options = self._observer.handshake_options(self, "syn")
@@ -348,7 +320,7 @@ class TcpSocket:
 
     def _on_syn_timeout(self) -> None:
         self._syn_retries += 1
-        if self._syn_retries > self._config.syn_retries:
+        if self._syn_retries > self.config.syn_retries:
             self.abort(errno.ETIMEDOUT, send_rst=False)
             return
         if self.state == TcpState.SYN_SENT:
@@ -358,7 +330,7 @@ class TcpSocket:
         else:
             return
         self.total_retransmissions += 1
-        self._syn_timer.start(self._config.syn_timeout * (2 ** self._syn_retries))
+        self._syn_timer.start(self.config.syn_timeout * (2 ** self._syn_retries))
 
     # ------------------------------------------------------------------
     # sending data
@@ -373,12 +345,12 @@ class TcpSocket:
         """
         if self.state not in _SEND_READY_STATES:
             return False
-        if length <= 0 or length > self._config.mss:
+        if length <= 0 or length > self.config.mss:
             raise ValueError(f"segment length must be in (0, mss]; got {length!r}")
         if length > self.available_window():
             return False
         seq = self.snd_nxt
-        now = self._sim.now
+        now = self.sim.now
         self._rtx_queue.push(SentSegment(seq, length, metadata, now, now))
         self.snd_nxt += length
         options = self._observer.data_options(self, metadata)
@@ -453,7 +425,7 @@ class TcpSocket:
         if self.closed_at is not None:
             return
         self.state = TcpState.CLOSED
-        self.closed_at = self._sim.now
+        self.closed_at = self.sim.now
         self.close_reason = reason
         self._rto_timer.stop()
         self._syn_timer.stop()
@@ -527,9 +499,9 @@ class TcpSocket:
         self.state = TcpState.SYN_RECEIVED
         self.snd_una = self._iss
         self.snd_nxt = self._iss + 1
-        self._syn_sent_at = self._sim.now
+        self._syn_sent_at = self.sim.now
         self._send_syn_ack()
-        self._syn_timer.start(self._config.syn_timeout)
+        self._syn_timer.start(self.config.syn_timeout)
 
     def _handle_syn_sent(self, segment: Segment) -> None:
         if not (segment.is_syn and segment.is_ack):
@@ -541,10 +513,10 @@ class TcpSocket:
         self.snd_una = segment.ack
         self._syn_timer.stop()
         if self._syn_retries == 0 and self._syn_sent_at is not None:
-            self.rtt.add_sample(self._sim.now - self._syn_sent_at)
+            self.rtt.add_sample(self.sim.now - self._syn_sent_at)
             self._propagate_rtt()
         self.state = TcpState.ESTABLISHED
-        self.established_at = self._sim.now
+        self.established_at = self.sim.now
         options = self._observer.handshake_options(self, "ack")
         self._emit(
             flags=TCPFlags.ACK,
@@ -564,10 +536,10 @@ class TcpSocket:
                 self.snd_una = max(self.snd_una, ack)
                 self._syn_timer.stop()
                 if self._syn_retries == 0 and self._syn_sent_at is not None:
-                    self.rtt.add_sample(self._sim.now - self._syn_sent_at)
+                    self.rtt.add_sample(self.sim.now - self._syn_sent_at)
                     self._propagate_rtt()
                 self.state = TcpState.ESTABLISHED
-                self.established_at = self._sim.now
+                self.established_at = self.sim.now
                 self._observer.on_established(self)
                 self._observer.on_send_space(self)
             return
@@ -581,7 +553,7 @@ class TcpSocket:
 
         if ack > self.snd_una:
             self.snd_una = ack
-            self.last_ack_time = self._sim.now
+            self.last_ack_time = self.sim.now
             self._dupacks = 0
             acked_segments = self._rtx_queue.ack_upto(ack)
 
@@ -606,7 +578,7 @@ class TcpSocket:
             if recovery_ack:
                 sample_segment = None
             if sample_segment is not None:
-                self.rtt.add_sample(self._sim.now - sample_segment.first_sent_at)
+                self.rtt.add_sample(self.sim.now - sample_segment.first_sent_at)
             else:
                 self.rtt.reset_backoff()
             self._propagate_rtt()
@@ -639,7 +611,7 @@ class TcpSocket:
             and self._rtx_queue
         ):
             self._dupacks += 1
-            if self._dupacks == self._config.dupack_threshold:
+            if self._dupacks == self.config.dupack_threshold:
                 self._fast_retransmit()
         if sack is not None:
             self._retransmit_lost()
@@ -675,7 +647,7 @@ class TcpSocket:
                         # cumulative ACK would wildly overestimate the RTT
                         # whenever a hole is being repaired in front of
                         # this segment.
-                        newest_sample = self._sim.now - sent.first_sent_at
+                        newest_sample = self.sim.now - sent.first_sent_at
                     break
             else:
                 if not sent.lost and not sent.retransmitted and end <= highest:
@@ -724,11 +696,11 @@ class TcpSocket:
     def _retransmit(self, sent: SentSegment) -> None:
         sent.retransmitted = True
         sent.transmissions += 1
-        sent.last_sent_at = self._sim.now
+        sent.last_sent_at = self.sim.now
         self.total_retransmissions += 1
         if self._trace_timer is not None:
             self._trace_timer.emit(
-                self._sim.now, "timer", "retransmit", self._name,
+                self.sim.now, "timer", "retransmit", self.name,
                 {"seq": sent.seq, "length": sent.length},
             )
         options = self._observer.data_options(self, sent.metadata)
@@ -782,7 +754,7 @@ class TcpSocket:
         # A shortened TIME_WAIT: long enough to acknowledge a retransmitted
         # FIN, short enough not to slow experiments down.
         self.state = TcpState.TIME_WAIT
-        self._sim.schedule(2 * self._config.rto_min, self._time_wait_done)
+        self.sim.schedule(2 * self.config.rto_min, self._time_wait_done)
 
     def _time_wait_done(self) -> None:
         if self.state == TcpState.TIME_WAIT:
@@ -800,10 +772,10 @@ class TcpSocket:
         new_rto = self.rtt.rto
         if self._trace_timer is not None:
             self._trace_timer.emit(
-                self._sim.now, "timer", "rto_expired", self._name,
+                self.sim.now, "timer", "rto_expired", self.name,
                 {"rto": new_rto, "consecutive": consecutive},
             )
-        if consecutive > self._config.max_rto_doublings:
+        if consecutive > self.config.max_rto_doublings:
             # The Linux kernel gives up after ~15 doublings and the subflow
             # is terminated; §4.2 measures this taking about 12 minutes.
             self.abort(errno.ETIMEDOUT, send_rst=False)
@@ -815,7 +787,7 @@ class TcpSocket:
             self.total_retransmissions += 1
             if self._trace_timer is not None:
                 self._trace_timer.emit(
-                    self._sim.now, "timer", "retransmit", self._name,
+                    self.sim.now, "timer", "retransmit", self.name,
                     {"seq": self._fin_seq, "length": 0},
                 )
             self._emit(
@@ -850,24 +822,24 @@ class TcpSocket:
         # payload_len, options, window, ttl, sent_at) — this is the single
         # hottest allocation in the simulator.
         segment = Segment(
-            self._local_addr,
-            self._remote_addr,
-            self._local_port,
-            self._remote_port,
+            self.local_address,
+            self.remote_address,
+            self.local_port,
+            self.remote_port,
             seq,
             ack,
             flags,
             payload_len,
             options,
-            self._config.receive_window,
+            self.config.receive_window,
             64,
-            self._sim.now,
+            self.sim.now,
         )
         self.segments_sent += 1
         self._transmit(segment)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<TcpSocket {self._name} {self.four_tuple} {self.state.value}"
+            f"<TcpSocket {self.name} {self.four_tuple} {self.state.value}"
             f" una={self.snd_una} nxt={self.snd_nxt}>"
         )

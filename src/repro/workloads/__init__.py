@@ -24,7 +24,6 @@ _EXPORTS = {
     "Harness": "repro.workloads.harness",
     "HarnessSpec": "repro.workloads.harness",
     "HarnessRun": "repro.workloads.harness",
-    "run_workload": "repro.workloads.harness",
     "DEFAULT_SERVER_PORT": "repro.workloads.harness",
     "Probe": "repro.workloads.probes",
     "TraceProbe": "repro.workloads.probes",

@@ -287,8 +287,3 @@ class Harness:
         if spec.measure_probe_overhead:
             run.metrics["probe_overhead_s"] = dict(probe_timings)
         return run
-
-
-def run_workload(spec: HarnessSpec) -> HarnessRun:
-    """Run one harness composition against the global registries."""
-    return Harness().run(spec)

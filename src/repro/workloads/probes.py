@@ -332,12 +332,12 @@ class EventsProbe(Probe):
     def collect(self, run: "HarnessRun") -> dict[str, Any]:
         if self.log is None:
             return {}
-        from repro.obs import CounterRegistry, stack_counters
+        from repro.obs import CounterRegistry
 
         registry = CounterRegistry()
-        registry.record("client", stack_counters(run.client.stack))
+        registry.record("client", run.client.stack.counters())
         if run.server_stack is not None:
-            registry.record("server", stack_counters(run.server_stack))
+            registry.record("server", run.server_stack.counters())
         injector = run.scenario.fault_injector
         if injector is not None:
             registry.record("faults", injector.stats())

@@ -35,8 +35,12 @@ from repro.core.events import (
 )
 from repro.core.library import PathManagerLibrary
 from repro.core.netlink import NetlinkChannel
+from repro.core.netlink_pm import NetlinkPathManager
+from repro.mptcp.connection import ConnectionInfo
 from repro.net.addressing import FourTuple, ip
 from repro.sim.latency import ConstantLatency
+from repro.tcp.info import TcpInfo
+from tests.helpers import build_dual_homed_rig
 
 TUPLE = FourTuple(ip("10.0.0.1"), 41000, ip("10.0.0.2"), 80)
 
@@ -212,6 +216,12 @@ class TestMessageTable:
             assert callable(getattr(SubflowController, hook))
             assert callable(getattr(ControllerState, hook))
 
+    def test_every_handler_is_a_distinct_kernel_method(self):
+        handlers = [cls.handler for cls in COMMAND_CLASSES.values()]
+        assert len(set(handlers)) == len(handlers)
+        for handler in handlers:
+            assert callable(getattr(NetlinkPathManager, handler))
+
     def test_each_event_reaches_the_hook_it_always_did(self, sim):
         # The hook names are API for controller subclasses: in EVENTS order.
         hooks = [
@@ -227,6 +237,111 @@ class TestMessageTable:
             controller._handle_event(event)
         assert seen == list(zip(hooks, EVENTS))
         assert controller.state.connections[0xAABB].subflows[2].close_reason == 110
+
+
+def _addresses_a_subflow(cls):
+    return "subflow_id" in {field.name for field in dataclasses.fields(cls)}
+
+
+def _command_for(cls, request_id, token, subflow_id):
+    """A well-formed ``cls`` for connection ``token``, naming ``subflow_id``
+    where the command addresses a subflow (every other field defaulted)."""
+    extra = {"subflow_id": subflow_id} if _addresses_a_subflow(cls) else {}
+    return cls(request_id, token, **extra)
+
+
+#: The payload keys of each command's OK reply.
+PAYLOAD_KEYS = {
+    CreateSubflowCommand: {"subflow_id", "local_port"},
+    RemoveSubflowCommand: set(),
+    GetConnInfoCommand: {field.name for field in dataclasses.fields(ConnectionInfo)},
+    GetSubflowInfoCommand: {field.name for field in dataclasses.fields(TcpInfo)}
+    | {"subflow_id", "backup", "closed"},
+    ListSubflowsCommand: {"subflows"},
+    SetBackupCommand: set(),
+}
+SUBFLOW_COMMANDS = [cls for cls in COMMAND_CLASSES.values() if _addresses_a_subflow(cls)]
+
+
+class TestCommandsAgainstTheKernel:
+    """Every command, sent by the library of a live ``SmappManager`` on
+    ``dual_homed`` and executed by its Netlink path manager: the reply's
+    status and payload, and the command's effect on the connection."""
+
+    @pytest.fixture
+    def live(self):
+        rig = build_dual_homed_rig(use_smapp=True)
+        _, conn = rig.connect_bulk(5_000_000, close_when_done=False)
+        rig.sim.run(until=1.0)
+        assert conn.established and not conn.closed
+        return rig, conn
+
+    @staticmethod
+    def ask(rig, cls, token, subflow_id=1):
+        library = rig.smapp.library
+        command = _command_for(cls, library.next_request_id(), token, subflow_id)
+        replies = []
+        library.send_command(command, replies.append)
+        rig.sim.run(until=rig.sim.now + 0.1)
+        (reply,) = replies
+        assert reply.request_id == command.request_id
+        return reply
+
+    @pytest.mark.parametrize("cls", COMMAND_CLASSES.values(), ids=lambda cls: cls.__name__)
+    def test_ok_reply_carries_its_payload(self, live, cls):
+        rig, conn = live
+        initial = conn.initial_subflow
+        reply = self.ask(rig, cls, conn.local_token, initial.id)
+        assert reply.status is ReplyStatus.OK
+        assert set(reply.payload) == PAYLOAD_KEYS[cls]
+        if cls is CreateSubflowCommand:
+            assert conn.subflow_by_id(reply.payload["subflow_id"]) is not None
+        elif cls is RemoveSubflowCommand:
+            assert initial.is_closed
+        elif cls is GetConnInfoCommand:
+            assert reply.payload["token"] == conn.local_token
+        elif cls is GetSubflowInfoCommand:
+            assert reply.payload["subflow_id"] == initial.id
+            assert reply.payload["state"] == "ESTABLISHED"
+        elif cls is ListSubflowsCommand:
+            listed = reply.payload["subflows"]
+            assert [entry["subflow_id"] for entry in listed] == [flow.id for flow in conn.subflows]
+            assert set(listed[0]) == {
+                "subflow_id", "established", "closed", "backup",
+                "local_address", "local_port", "remote_address", "remote_port",
+            }
+        else:
+            assert cls is SetBackupCommand
+            assert initial.backup
+
+    @pytest.mark.parametrize("cls", COMMAND_CLASSES.values(), ids=lambda cls: cls.__name__)
+    def test_unknown_connection(self, live, cls):
+        rig, conn = live
+        reply = self.ask(rig, cls, conn.local_token ^ 1)
+        assert (reply.status, reply.payload) == (ReplyStatus.UNKNOWN_CONNECTION, {})
+
+    @pytest.mark.parametrize("cls", SUBFLOW_COMMANDS, ids=lambda cls: cls.__name__)
+    def test_unknown_subflow(self, live, cls):
+        rig, conn = live
+        reply = self.ask(rig, cls, conn.local_token, subflow_id=99)
+        assert (reply.status, reply.payload) == (ReplyStatus.UNKNOWN_SUBFLOW, {})
+
+    def test_removing_a_closed_subflow_reports_already_closed(self, live):
+        rig, conn = live
+        assert self.ask(rig, RemoveSubflowCommand, conn.local_token).payload == {}
+        reply = self.ask(rig, RemoveSubflowCommand, conn.local_token)
+        assert (reply.status, reply.payload) == (ReplyStatus.OK, {"already_closed": True})
+
+    @pytest.mark.parametrize("cls", COMMAND_CLASSES.values(), ids=lambda cls: cls.__name__)
+    def test_rejected_without_a_stack(self, sim, cls):
+        channel = NetlinkChannel(sim)
+        kernel = NetlinkPathManager(channel)
+        library = PathManagerLibrary(channel)
+        replies = []
+        library.send_command(_command_for(cls, 1, 7, 1), replies.append)
+        sim.run()
+        assert [(reply.status, reply.payload) for reply in replies] == [(ReplyStatus.REJECTED, {})]
+        assert (kernel.commands_executed, kernel.command_errors) == (1, 1)
 
 
 def _header(kind, number, payload):

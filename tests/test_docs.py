@@ -10,13 +10,15 @@ documentation surfaces (and two source-wide rules) part of the test contract:
    subcommand accepts — a removed flag left behind in the docs fails.
 2. Names this repo deleted on purpose (the flat cell cache and its
    flags, the cells/s benchmark stack that ``bench/`` replaced, the
-   calendar-wheel event queue, the ``benchmarks/`` call wrappers) must not
-   creep back into the source, docs, examples, README or CI.
+   calendar-wheel event queue, the ``benchmarks/`` call wrappers, the
+   one-line forwarders) must not creep back into the source, docs,
+   examples, README or CI.
 3. ``docs/ARCHITECTURE.md``'s message table must be, row for row, what the
    event and command classes of ``repro.core`` declare.
-4. The hot accessors that are plain attributes instead of read-only
-   properties (``Simulator.now``, ``CongestionControl.cwnd``, ...) must be
-   assigned nowhere in ``src/repro/`` but in the module that owns them.
+4. Read-only state is a plain attribute, not a property
+   (``Simulator.now``, ``Interface.link``, ...): each may be assigned in
+   ``src/repro/`` only as ``self.<name>`` by the class that owns it, and no
+   property may merely return a private field.
 5. Every module — and every public class and function — of the
    user-facing packages (``repro.workloads``, ``repro.sweep``,
    ``repro.faults``, ``repro.obs``) must carry a docstring.  The check is pure
@@ -141,7 +143,11 @@ class TestRemovedNamesStayRemoved:
     migrator, the cells/s benchmark module with its subcommand, baseline
     file, pytest options and example, the calendar wheel with its
     compaction-threshold parameter, the call-wrapper test directory with
-    its plugin, and four config fields nothing ever set, are gone; nothing shipped or documented may mention them."""
+    its plugin, four config fields nothing ever set, and the one-line
+    forwarders (the stack's path-manager relays, the controller's subflow
+    commands, ``Subflow.info``, ``stack_counters``, ``run_workload`` and the
+    configs' ``with_overrides``) are gone; nothing shipped or documented may
+    mention them."""
 
     REMOVED = ("cache_dir", "--cache-dir", "--from-cache", "CellCache",
                "migrate_legacy_cache",
@@ -153,7 +159,12 @@ class TestRemovedNamesStayRemoved:
                "delayed_ack", "reinject_on_timeout", "reinject_on_close", "announce_addresses",
                "DualHomedScenario", "EcmpScenario", "LanScenario", "MiddleboxPathScenario",
                "NattedScenario", "StrippedAddAddrScenario", "StrippedMpCapableScenario",
-               "FaultedScenario", "scenario_cls")
+               "FaultedScenario", "scenario_cls",
+               "notify_connection_created", "notify_connection_established",
+               "notify_subflow_established", "notify_subflow_closed", "notify_rto_timeout",
+               "notify_add_addr", "notify_rem_addr", "self.create_subflow(",
+               "self.remove_subflow(", "flow.info()", "stack_counters", "run_workload",
+               "with_overrides")
 
     def test_no_removed_name_in_source_docs_examples_or_ci(self):
         files = [REPO_ROOT / ".github" / "workflows" / "ci.yml", REPO_ROOT / "README.md"]
@@ -173,58 +184,157 @@ class TestRemovedNamesStayRemoved:
 
 
 class TestOwnersAreTheOnlyWriters:
-    """The hot read-only accessors are plain attributes, not properties
+    """Read-only state is a plain attribute, not a property
     (docs/ARCHITECTURE.md, *Segment path*), so nothing but this walk stops a
-    stray write: an attribute of one of these names may be assigned only in
-    the module that owns it."""
+    stray write: an attribute of one of these names may be assigned
+    anywhere in ``src/repro/`` only as ``self.<name>``, and its owner (or a
+    subclass of it) must be the class doing so.  None may become a property
+    again, and no new property may merely return a private field."""
 
-    #: attribute -> (the module that may assign it, the class that carries it)
+    #: "module:Class" -> the read-only attributes that class owns.
     OWNERS = {
-        "now": ("sim/engine.py", "Simulator"),
-        "cwnd": ("tcp/congestion.py", "CongestionControl"),
-        "rcv_nxt": ("tcp/buffers.py", "ReceiveReassembly"),
-        "srtt": ("tcp/rtt.py", "RttEstimator"),
-        "socket": ("mptcp/subflow.py", "Subflow"),
-        "is_initial": ("mptcp/subflow.py", "Subflow"),
-        "expiry": ("sim/timers.py", "Timer"),
+        "analysis/cdf.py:Cdf": "samples",
+        "core/controllers/backup.py:SmartBackupController": "rto_threshold",
+        "core/controllers/ndiffports.py:UserspaceNdiffportsController": "subflow_count",
+        "core/library.py:PathManagerLibrary": "channel name",
+        "core/manager.py:SmappManager": "name host",
+        "core/netlink.py:NetlinkChannel": "name sim",
+        "faults/inject.py:FaultInjector": "plan",
+        "faults/models.py:MutationEngine": "label",
+        "mptcp/connection.py:MptcpConnection": (
+            "stack listener subflows live_subflows data_una data_next bytes_received bytes_sent"
+        ),
+        "mptcp/path_manager.py:NdiffportsPathManager": "subflow_count",
+        "mptcp/stack.py:MptcpStack": (
+            "sim host name mptcp_config path_manager connections fallback_connections"
+        ),
+        "mptcp/subflow.py:Subflow": "socket is_initial",
+        "net/host.py:Host": "stack",
+        "net/interface.py:Interface": "node name address link is_up full_name",
+        "net/link.py:Link": "name sim rate_bps delay loss_rate",
+        "net/middlebox.py:NatFirewall": "idle_timeout",
+        "net/middlebox.py:OptionStrippingMiddlebox": "strip_options strip_from",
+        "net/node.py:Node": "sim name interfaces",
+        "net/tracer.py:PacketTracer": "name",
+        "netem/topology.py:Topology": "sim name hosts routers links middleboxes",
+        "obs/events.py:EventLog": "limit",
+        "sim/engine.py:Simulator": "now processed_events",
+        "sim/latency.py:ShiftedLatency": "base shift",
+        "sim/randomness.py:RandomSource": "seed",
+        "sim/timers.py:Timer": "name expiry",
+        "sim/timers.py:PeriodicTimer": "interval running ticks",
+        "store/campaign.py:CampaignStore": "root",
+        "tcp/buffers.py:RetransmissionQueue": "segments",
+        "tcp/buffers.py:ReceiveReassembly": "rcv_nxt duplicate_bytes",
+        "tcp/congestion.py:CongestionControl": "cwnd mss ssthresh",
+        "tcp/congestion.py:CouplingGroup": "members",
+        "tcp/congestion.py:LiaCongestionControl": "group smoothed_rtt",
+        "tcp/rtt.py:RttEstimator": "srtt rttvar min_rtt samples backoff_exponent",
+        "tcp/socket.py:TcpSocket": (
+            "sim name config local_address remote_address local_port remote_port"
+        ),
     }
 
+    #: The properties that do return a private field: an immutable, hashed
+    #: value type, and the event engine's bookkeeping, which each of its
+    #: two classes writes on the other's behalf.
+    KEPT_PROPERTIES = {
+        "net/addressing.py:IPAddress.value",
+        "sim/engine.py:ScheduledEvent.cancelled",
+        "sim/engine.py:ScheduledEvent.executed",
+        "sim/engine.py:Simulator.pending_events",
+    }
+
+    @classmethod
+    def _owners(cls) -> dict[str, list[type]]:
+        """Attribute name -> the classes that own it."""
+        owners: dict[str, list[type]] = {}
+        for qualified, names in cls.OWNERS.items():
+            path, class_name = qualified.split(":")
+            module = importlib.import_module("repro." + path[:-len(".py")].replace("/", "."))
+            for name in names.split():
+                owners.setdefault(name, []).append(getattr(module, class_name))
+        return owners
+
     @staticmethod
-    def _assigned_attributes(tree: ast.AST):
-        for node in ast.walk(tree):
+    def _assignments(tree: ast.AST, class_name=None):
+        """``(enclosing class name, target)`` for every attribute stored to."""
+        for node in ast.iter_child_nodes(tree):
+            if isinstance(node, ast.ClassDef):
+                yield from TestOwnersAreTheOnlyWriters._assignments(node, node.name)
+                continue
             if isinstance(node, ast.Assign):
                 targets = node.targets
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
             else:
-                continue
+                targets = []
             for target in targets:
                 for leaf in ast.walk(target):
                     # Store context: ``a.socket.x = 1`` reads ``socket``.
                     if isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Store):
-                        yield leaf
+                        yield class_name, leaf
+            yield from TestOwnersAreTheOnlyWriters._assignments(node, class_name)
 
-    def test_no_module_but_the_owner_assigns_a_hot_attribute(self):
+    def test_only_the_owner_assigns_and_only_through_self(self):
+        owners = self._owners()
         package = REPO_ROOT / "src" / "repro"
         offenders = []
-        owners_seen = set()
+        seen = set()
         for path in sorted(package.rglob("*.py")):
             relative = path.relative_to(package).as_posix()
+            module_name = "repro." + relative[:-len(".py")].replace("/", ".")
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for target in self._assigned_attributes(tree):
-                owner, _ = self.OWNERS.get(target.attr, (None, None))
-                if owner == relative:
-                    owners_seen.add(target.attr)
-                elif owner is not None:
-                    offenders.append(f"{relative}:{target.lineno} assigns .{target.attr}")
-        assert not offenders, f"only {self.OWNERS} may write these: {offenders}"
-        assert owners_seen == set(self.OWNERS), "an owner no longer assigns its attribute"
+            for class_name, target in self._assignments(tree):
+                if target.attr not in owners:
+                    continue
+                if not (isinstance(target.value, ast.Name) and target.value.id == "self"):
+                    offenders.append(f"{relative}:{target.lineno} assigns {ast.unparse(target)}")
+                    continue
+                for owner in owners[target.attr]:
+                    if owner.__module__ != module_name:
+                        continue
+                    cls = getattr(importlib.import_module(module_name), class_name or "", None)
+                    if isinstance(cls, type) and issubclass(cls, owner):
+                        seen.add((owner, target.attr))
+        assert not offenders, f"only their owners may write these, as self.<name>: {offenders}"
+        expected = {(owner, name) for name, classes in owners.items() for owner in classes}
+        assert seen == expected, f"owners that never assign their attribute: {expected - seen}"
 
-    @pytest.mark.parametrize("name", sorted(OWNERS))
+    @pytest.mark.parametrize(
+        "name", sorted({name for names in OWNERS.values() for name in names.split()})
+    )
     def test_they_are_attributes_not_properties(self, name):
-        path, cls = self.OWNERS[name]
-        module = importlib.import_module("repro." + path[:-len(".py")].replace("/", "."))
-        assert not hasattr(getattr(module, cls), name)
+        for owner in self._owners()[name]:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name} is a class attribute"
+
+    def test_no_property_only_returns_a_private_field(self):
+        package = REPO_ROOT / "src" / "repro"
+        found = set()
+        for path in sorted(package.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for cls in ast.walk(tree):
+                if not isinstance(cls, ast.ClassDef):
+                    continue
+                for function in cls.body:
+                    if not isinstance(function, ast.FunctionDef) or not any(
+                        isinstance(decorator, ast.Name) and decorator.id == "property"
+                        for decorator in function.decorator_list
+                    ):
+                        continue
+                    body = [
+                        statement for statement in function.body
+                        if not (isinstance(statement, ast.Expr) and isinstance(statement.value, ast.Constant))
+                    ]
+                    returned = body[0].value if len(body) == 1 and isinstance(body[0], ast.Return) else None
+                    if (
+                        isinstance(returned, ast.Attribute)
+                        and isinstance(returned.value, ast.Name)
+                        and returned.value.id == "self"
+                        and returned.attr.startswith("_")
+                    ):
+                        found.add(f"{path.relative_to(package).as_posix()}:{cls.name}.{function.name}")
+        assert found == self.KEPT_PROPERTIES
 
 
 class TestArchitectureDoc:
@@ -251,7 +361,7 @@ class TestArchitectureDoc:
             f"| {int(number)} | `{cls.__name__}` | `{cls.hook}` | `{cls.wire}` |"
             for number, cls in EVENT_CLASSES.items()
         } | {
-            f"| {int(number)} | `{cls.__name__}` | `{cls.wire}` |"
+            f"| {int(number)} | `{cls.__name__}` | `{cls.handler}` | `{cls.wire}` |"
             for number, cls in COMMAND_CLASSES.items()
         }
         text = (DOCS / "ARCHITECTURE.md").read_text(encoding="utf-8")

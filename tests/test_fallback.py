@@ -16,7 +16,7 @@ from repro.faults.inject import FaultInjector, faulted
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.mptcp.config import MptcpConfig
 from repro.mptcp.options import MpJoinOption
-from repro.mptcp.path_manager import FullMeshPathManager
+from repro.mptcp.path_manager import FullMeshPathManager, PassivePathManager
 from repro.mptcp.stack import MptcpStack
 from repro.net.link import Link
 from repro.net.packet import Segment, TCPFlags
@@ -32,7 +32,8 @@ from tests.helpers import build_dual_homed_rig
 PORT = 4000
 
 
-def stripped_rig(builder, seed=7, config=None, client_pm=None, expected_bytes=None):
+def stripped_rig(builder, seed=7, config=None, client_pm=None, expected_bytes=None,
+                 server_pm=None):
     """Client/server stacks over an MP_CAPABLE-stripping topology."""
     sim = Simulator(seed=seed)
     scenario = builder(sim)
@@ -43,10 +44,30 @@ def stripped_rig(builder, seed=7, config=None, client_pm=None, expected_bytes=No
         server_apps.append(app)
         return app
 
-    server_stack = MptcpStack(sim, scenario.server, config=config)
+    server_stack = MptcpStack(sim, scenario.server, config=config, path_manager=server_pm)
     server_stack.listen(PORT, factory)
     client_stack = MptcpStack(sim, scenario.client, config=config, path_manager=client_pm)
     return sim, scenario, client_stack, server_stack, server_apps
+
+
+#: The path-manager hooks that concern one connection.
+CONNECTION_HOOKS = (
+    "on_connection_created", "on_connection_established", "on_connection_closed",
+    "on_subflow_established", "on_subflow_closed", "on_rto_timeout",
+    "on_add_addr", "on_rem_addr",
+)
+
+
+def recording(path_manager):
+    """``path_manager`` with every connection hook it hears logged, in
+    order, to ``path_manager.heard`` as ``(connection, hook)``."""
+    path_manager.heard = []
+    for hook in CONNECTION_HOOKS:
+        def record(conn, *args, hook=hook, inner=getattr(path_manager, hook)):
+            path_manager.heard.append((conn, hook))
+            inner(conn, *args)
+        setattr(path_manager, hook, record)
+    return path_manager
 
 
 def send_bulk(client_stack, scenario, total_bytes=50_000):
@@ -99,6 +120,52 @@ class TestHandshakeDowngrade:
         assert conn.is_fallback
         assert conn.subflows_created == 1
         assert sender.completed
+
+    @pytest.mark.parametrize(
+        "builder", [build_mpcapable_stripped, build_mpcapable_stripped_synack],
+        ids=["syn_stripped", "synack_stripped"],
+    )
+    def test_fallen_back_connection_hears_only_created_and_closed(self, builder):
+        """The plain-TCP bypass, exactly: a fallen-back connection reaches its
+        path manager with ``on_connection_created`` and then
+        ``on_connection_closed``, on both ends, and with nothing else."""
+        client_pm = recording(FullMeshPathManager())
+        server_pm = recording(PassivePathManager())
+        sim, scenario, client, server, apps = stripped_rig(
+            builder, client_pm=client_pm, server_pm=server_pm
+        )
+        sender, conn = send_bulk(client, scenario, 50_000)
+        sim.run(until=20.0)
+        (server_conn,) = server.fallback_connections
+        assert conn.is_fallback and server_conn.is_fallback
+        assert conn.closed and server_conn.closed and sender.completed
+        assert client_pm.heard == [(conn, "on_connection_created"), (conn, "on_connection_closed")]
+        assert server_pm.heard == [
+            (server_conn, "on_connection_created"), (server_conn, "on_connection_closed"),
+        ]
+
+    def test_mptcp_connection_hears_its_whole_life_cycle(self):
+        """The same recorder on a clean two-path connection hears every hook
+        in life-cycle order: the bypass is specific to fallback."""
+        client_pm = recording(FullMeshPathManager())
+        server_pm = recording(PassivePathManager())
+        sim, scenario, client, server, apps = stripped_rig(
+            build_dual_homed, client_pm=client_pm, server_pm=server_pm
+        )
+        sender, conn = send_bulk(client, scenario, 50_000)
+        sim.run(until=20.0)
+        (server_conn,) = [c for c, hook in server_pm.heard if hook == "on_connection_created"]
+        assert not conn.is_fallback and conn.closed and sender.completed
+        assert {c for c, _ in client_pm.heard} == {conn}
+        assert {c for c, _ in server_pm.heard} == {server_conn}
+        # Full mesh over two paths: the initial subflow, then three joins.
+        life_cycle = [
+            "on_connection_created", "on_connection_established", "on_subflow_established",
+            "on_add_addr", *["on_subflow_established"] * 3,
+            *["on_subflow_closed"] * 4, "on_connection_closed",
+        ]
+        assert [hook for _, hook in client_pm.heard] == life_cycle
+        assert [hook for _, hook in server_pm.heard] == life_cycle
 
     def test_fallback_refuses_mp_join(self):
         sim, scenario, client, server, apps = stripped_rig(build_mpcapable_stripped)

@@ -1,5 +1,7 @@
 """Unit tests for MPTCP options, tokens, schedulers and configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.mptcp.config import MptcpConfig
@@ -198,7 +200,7 @@ class TestMptcpConfig:
             MptcpConfig(max_subflows=0).validate()
 
     def test_overrides(self):
-        config = MptcpConfig().with_overrides(scheduler="round_robin", tcp=TcpConfig(mss=900))
+        config = dataclasses.replace(MptcpConfig(), scheduler="round_robin", tcp=TcpConfig(mss=900))
         assert config.scheduler == "round_robin"
         assert config.tcp.mss == 900
 
@@ -233,7 +235,7 @@ class TestSubflow:
 
     def test_info_snapshot(self, sim):
         flow = self._subflow(sim)
-        assert flow.info().state == "CLOSED"
+        assert flow.socket.info().state == "CLOSED"
 
 
 class TestRoundRobinChurn:

@@ -181,6 +181,29 @@ class TestNatFirewall:
         assert scenario.middlebox.resets_sent == 1
         assert any(segment.is_rst for segment in client_sink.segments)
 
+    def test_rst_mode_answers_an_ack_by_rfc_793(self, sim):
+        """An ACK-bearing segment is answered ``<SEQ=SEG.ACK><CTL=RST>``."""
+        scenario = build_natted(sim, nat_sends_rst=True)
+        client_sink = SinkStack()
+        scenario.client.install_stack(client_sink)
+        data = Segment(src=scenario.client_addresses[0], dst=scenario.server_addresses[0], sport=5000, dport=80, seq=100, ack=7777, flags=TCPFlags.ACK, payload_len=10)
+        scenario.client.send(data)
+        sim.run()
+        (reset,) = client_sink.segments
+        assert (reset.flags, reset.seq) == (TCPFlags.RST, 7777)
+        assert not reset.is_ack
+
+    def test_rst_mode_never_answers_a_rst(self, sim):
+        scenario = build_natted(sim, nat_sends_rst=True)
+        client_sink = SinkStack()
+        scenario.client.install_stack(client_sink)
+        rst = Segment(src=scenario.client_addresses[0], dst=scenario.server_addresses[0], sport=5000, dport=80, seq=100, flags=TCPFlags.RST)
+        scenario.client.send(rst)
+        sim.run()
+        assert client_sink.segments == []
+        assert scenario.middlebox.resets_sent == 0
+        assert scenario.middlebox.dropped_no_state == 1
+
     def test_invalid_timeout_rejected(self, sim):
         with pytest.raises(ValueError):
             NatFirewall(sim, "nat", idle_timeout=0.0)

@@ -22,11 +22,10 @@ from repro.obs import (
     chrome_trace,
     events_jsonl,
     format_telemetry_report,
-    stack_counters,
     summarize_telemetry,
 )
 from repro.sweep import CampaignGrid, run_campaign
-from repro.workloads import HarnessSpec, run_workload
+from repro.workloads import Harness, HarnessSpec
 from repro.workloads.probes import DEFAULT_PROBES, PROBES
 
 EVENT_METRICS = {"events_recorded", "events_dropped", "event_counts", "event_counters"}
@@ -61,17 +60,17 @@ def downgrade_spec(**params) -> HarnessSpec:
 
 @pytest.fixture(scope="module")
 def traced_run():
-    return run_workload(downgrade_spec(event_log=True))
+    return Harness().run(downgrade_spec(event_log=True))
 
 
 @pytest.fixture(scope="module")
 def traced_rerun():
-    return run_workload(downgrade_spec(event_log=True))
+    return Harness().run(downgrade_spec(event_log=True))
 
 
 @pytest.fixture(scope="module")
 def untraced_run():
-    return run_workload(downgrade_spec())
+    return Harness().run(downgrade_spec())
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +248,7 @@ class TestFaultedDowngradeTrace:
         assert counters["client"]["connections_fallen_back"] == 1
 
     def test_category_filter_param_limits_the_log(self):
-        run = run_workload(
+        run = Harness().run(
             downgrade_spec(event_log=True, event_log_categories="fault,fallback")
         )
         log = run.probe("events").log
@@ -257,7 +256,7 @@ class TestFaultedDowngradeTrace:
         assert len(log) >= 2
 
     def test_limit_param_bounds_the_log(self):
-        run = run_workload(downgrade_spec(event_log=True, event_log_limit=5))
+        run = Harness().run(downgrade_spec(event_log=True, event_log_limit=5))
         log = run.probe("events").log
         assert len(log) == 5
         assert log.dropped > 0
@@ -306,11 +305,6 @@ class TestStackCounters:
             == traced_rerun.client.stack.counters()
         )
 
-    def test_stack_counters_helper_matches_method(self, traced_run):
-        stack = traced_run.client.stack
-        assert stack_counters(stack) == dict(stack.counters())
-
-
 # ----------------------------------------------------------------------
 # PacketTracer.records aliasing regression
 # ----------------------------------------------------------------------
@@ -334,7 +328,7 @@ class TestProbeTimings:
         assert set(DEFAULT_PROBES) == set(PROBES)
 
     def test_timings_cover_every_registered_probe(self):
-        run = run_workload(
+        run = Harness().run(
             HarnessSpec(
                 horizon=10.0,
                 params={"transfer_bytes": 20_000},
@@ -346,7 +340,7 @@ class TestProbeTimings:
         assert run.metrics["probe_overhead_s"] == dict(run.probe_timings)
 
     def test_timings_cover_multi_connection_cells(self):
-        run = run_workload(
+        run = Harness().run(
             HarnessSpec(
                 horizon=10.0,
                 connections=3,
@@ -359,7 +353,7 @@ class TestProbeTimings:
         assert "probe_overhead_s" in run.metrics
 
     def test_overhead_metric_is_opt_in_but_timings_always_exist(self):
-        run = run_workload(HarnessSpec(horizon=10.0, params={"transfer_bytes": 20_000}))
+        run = Harness().run(HarnessSpec(horizon=10.0, params={"transfer_bytes": 20_000}))
         assert "probe_overhead_s" not in run.metrics
         assert set(run.probe_timings) == set(PROBES)
 

@@ -793,7 +793,7 @@ class TestAckPathOracles:
                     sent.sacked = True
                     sent.lost = False
                     if not sent.retransmitted:
-                        newest_sample = sock._sim.now - sent.first_sent_at
+                        newest_sample = sock.sim.now - sent.first_sent_at
                 elif (
                     not sent.sacked
                     and not sent.lost
@@ -1016,19 +1016,19 @@ def _parent_push_data(self):
         return
     while self._unassigned:
         start, end = self._unassigned[0]
-        if end <= self._data_una:
+        if end <= self.data_una:
             self._unassigned.popleft()
             continue
-        if start < self._data_una:
-            start = self._data_una
+        if start < self.data_una:
+            start = self.data_una
         chunk = end - start
         if chunk > self._mss:
             chunk = self._mss
         if self.is_fallback:
             # Scheduler bypass: plain TCP has exactly one path.
-            flow = next((f for f in self._subflows if f.is_usable), None)
+            flow = next((f for f in self.live_subflows if f.is_usable), None)
         else:
-            flow = _parent_select(self._scheduler, self._subflows)
+            flow = _parent_select(self._scheduler, self.live_subflows)
         if flow is None:
             break
         window = flow.socket.available_window()
@@ -1126,21 +1126,21 @@ def _loop_connection(name, flow_states, ranges, acked_share, fallback, cursor, l
         remote_address="10.0.0.2", remote_port=80,
     )
     sent: list = []
-    conn._subflows = [_LoopFlow(*state, sent) for state in flow_states]
+    conn.live_subflows = [_LoopFlow(*state, sent) for state in flow_states]
     position = 0
     for gap, length in ranges:
         conn._unassigned.append((position + gap, position + gap + length))
         position += gap + length
-    conn._data_write_nxt = position
-    conn._data_una = int(position * acked_share)
+    conn.data_next = position
+    conn.data_una = int(position * acked_share)
     conn.is_fallback = fallback
     if name == "round_robin":
         conn._scheduler._last_id = cursor
     loop(conn)
     return {
         "sent": sent,
-        "bytes_scheduled": [(f.id, f.bytes_scheduled, f.fallback_bytes) for f in conn._subflows],
-        "windows": [(f.id, f.socket.available_window()) for f in conn._subflows],
+        "bytes_scheduled": [(f.id, f.bytes_scheduled, f.fallback_bytes) for f in conn.live_subflows],
+        "windows": [(f.id, f.socket.available_window()) for f in conn.live_subflows],
         "unassigned": list(conn._unassigned),
         "cursor": getattr(conn._scheduler, "_last_id", None),
         "fallback_bytes_sent": conn.fallback_bytes_sent,

@@ -1,5 +1,7 @@
 """Unit tests for the TCP building blocks (RTT, congestion, buffers, config)."""
 
+import dataclasses
+
 import pytest
 
 from repro.tcp.buffers import ReceiveReassembly, RetransmissionQueue, SentSegment
@@ -343,7 +345,7 @@ class TestTcpConfig:
         TcpConfig().validate()
 
     def test_overrides(self):
-        config = TcpConfig().with_overrides(mss=9000, rto_min=0.05)
+        config = dataclasses.replace(TcpConfig(), mss=9000, rto_min=0.05)
         assert config.mss == 9000
         assert config.rto_min == 0.05
         assert TcpConfig().mss == 1400

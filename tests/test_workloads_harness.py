@@ -22,7 +22,6 @@ from repro.workloads import (
     TraceProbe,
     Workload,
     get_workload,
-    run_workload,
 )
 
 #: Small per-workload parameters so the full matrix stays fast.
@@ -60,15 +59,15 @@ class TestRegistries:
 
     def test_unknown_axis_values_are_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario"):
-            run_workload(small_spec("bulk_transfer", scenario="atlantis"))
+            Harness().run(small_spec("bulk_transfer", scenario="atlantis"))
         with pytest.raises(ValueError, match="unknown controller"):
-            run_workload(small_spec("bulk_transfer", controller="hal9000"))
+            Harness().run(small_spec("bulk_transfer", controller="hal9000"))
         with pytest.raises(ValueError, match="unknown probe"):
-            run_workload(small_spec("bulk_transfer", probes=("sonar",)))
+            Harness().run(small_spec("bulk_transfer", probes=("sonar",)))
 
     def test_duplicate_probe_rejected(self):
         with pytest.raises(ValueError, match="duplicate probe"):
-            run_workload(small_spec("bulk_transfer", probes=("trace", "trace")))
+            Harness().run(small_spec("bulk_transfer", probes=("trace", "trace")))
 
 
 class TestWorkloadScenarioMatrix:
@@ -101,7 +100,7 @@ class TestHarnessComposition:
         def client_setup(ctx):
             return CONTROLLERS["passive"](ctx)
 
-        run = run_workload(
+        run = Harness().run(
             HarnessSpec(
                 workload="bulk_transfer",
                 scenario=scenario_builder,
@@ -119,7 +118,7 @@ class TestHarnessComposition:
     def test_controller_setup_may_return_a_bare_stack(self):
         from repro.mptcp.stack import MptcpStack
 
-        run = run_workload(
+        run = Harness().run(
             small_spec(
                 "bulk_transfer",
                 controller=lambda ctx: MptcpStack(ctx.sim, ctx.scenario.client, config=ctx.config),
@@ -129,17 +128,17 @@ class TestHarnessComposition:
         assert run.metrics["bytes_delivered"] == 40_000
 
     def test_run_exposes_driver_connection_and_server_apps(self):
-        run = run_workload(small_spec("streaming"))
+        run = Harness().run(small_spec("streaming"))
         assert run.connection is not None
         assert run.server_apps and run.driver.blocks_sent == 3
 
     def test_same_spec_same_metrics(self):
-        first = run_workload(small_spec("http"))
-        second = run_workload(small_spec("http"))
+        first = Harness().run(small_spec("http"))
+        second = Harness().run(small_spec("http"))
         assert first.metrics == second.metrics
 
     def test_scheduler_axis_reaches_the_connection(self):
-        run = run_workload(small_spec("bulk_transfer", scheduler="round_robin"))
+        run = Harness().run(small_spec("bulk_transfer", scheduler="round_robin"))
         assert run.config.scheduler == "round_robin"
         assert run.metrics["subflows_used"] >= 2  # round robin spreads load
 
@@ -150,7 +149,7 @@ class TestProbes:
 
     def test_trace_probe_feeds_both_scalars_and_figures(self):
         probe = TraceProbe(tracer_name="capture")
-        run = run_workload(small_spec("bulk_transfer", probes=(probe,)))
+        run = Harness().run(small_spec("bulk_transfer", probes=(probe,)))
         assert run.probe("trace") is probe
         assert run.metrics["trace_packets"] == len(probe.tracer)
         trace = probe.sequence_trace()
@@ -158,19 +157,19 @@ class TestProbes:
         assert trace.highest_seq_before(run.sim.now) == 40_000
 
     def test_goodput_matches_delivery_accounting(self):
-        run = run_workload(small_spec("bulk_transfer"))
+        run = Harness().run(small_spec("bulk_transfer"))
         elapsed = run.metrics["completion_time"]
         expected = run.metrics["bytes_delivered"] * 8 / elapsed / 1e6
         assert run.metrics["goodput_mbps"] == pytest.approx(expected)
 
     def test_subflow_probe_reports_per_subflow_bytes(self):
-        run = run_workload(small_spec("bulk_transfer"))
+        run = Harness().run(small_spec("bulk_transfer"))
         per_subflow = run.metrics["subflow_bytes"]
         assert sum(per_subflow.values()) >= 40_000  # retransmits may add more
         assert len(per_subflow) == run.metrics["subflows_created"]
 
     def test_app_latency_probe_summarises_workload_samples(self):
-        run = run_workload(small_spec("http"))
+        run = Harness().run(small_spec("http"))
         assert run.metrics["app_samples"] == 2
         assert run.metrics["app_latency_max"] >= run.metrics["app_latency_mean"] > 0
         assert run.metrics["app_latency_mean"] == pytest.approx(
@@ -178,12 +177,12 @@ class TestProbes:
         )
 
     def test_unknown_probe_lookup_raises(self):
-        run = run_workload(small_spec("bulk_transfer", probes=()))
+        run = Harness().run(small_spec("bulk_transfer", probes=()))
         with pytest.raises(KeyError):
             run.probe("trace")
 
     def test_trace_data_bytes_cover_the_delivered_payload(self):
-        run = run_workload(small_spec("bulk_transfer"))
+        run = Harness().run(small_spec("bulk_transfer"))
         # Wire bytes >= delivered bytes (retransmissions only add).
         assert run.metrics["trace_data_bytes"] >= run.metrics["bytes_delivered"]
 
@@ -219,7 +218,7 @@ class TestProbeOverheadAndTraceOptOut:
     """Per-probe overhead accounting and the trace-probe opt-out (ISSUE 3)."""
 
     def test_probe_timings_are_always_recorded(self):
-        run = run_workload(small_spec("bulk_transfer"))
+        run = Harness().run(small_spec("bulk_transfer"))
         assert set(run.probe_timings) == set(run.probes)
         assert all(timing >= 0.0 for timing in run.probe_timings.values())
         # Off by default: wall times must not leak into the deterministic
@@ -227,7 +226,7 @@ class TestProbeOverheadAndTraceOptOut:
         assert "probe_overhead_s" not in run.metrics
 
     def test_overhead_metric_is_opt_in(self):
-        run = run_workload(small_spec("bulk_transfer", measure_probe_overhead=True))
+        run = Harness().run(small_spec("bulk_transfer", measure_probe_overhead=True))
         overhead = run.metrics["probe_overhead_s"]
         assert set(overhead) == {
             "trace", "goodput", "subflows", "app_latency", "faults", "fallback",
@@ -236,7 +235,7 @@ class TestProbeOverheadAndTraceOptOut:
         assert all(value >= 0.0 for value in overhead.values())
 
     def test_trace_opt_out_drops_the_probe_and_its_metrics(self):
-        run = run_workload(small_spec("bulk_transfer", trace_probe=False))
+        run = Harness().run(small_spec("bulk_transfer", trace_probe=False))
         assert "trace" not in run.probes
         for metric in ("trace_packets", "trace_digest", "trace_data_bytes"):
             assert metric not in run.metrics
@@ -246,7 +245,7 @@ class TestProbeOverheadAndTraceOptOut:
 
     def test_trace_opt_out_skips_probe_instances_too(self):
         probe = TraceProbe(tracer_name="capture")
-        run = run_workload(
+        run = Harness().run(
             small_spec("bulk_transfer", probes=(probe,), trace_probe=False)
         )
         assert run.probes == {} and probe.tracer is None
@@ -277,7 +276,7 @@ class TestLossyScenarioApps:
     """The §4.5/§4.1 apps under the loss-heavy scenarios (satellite of ISSUE 2)."""
 
     def test_http_completes_under_asymmetric_loss(self):
-        run = run_workload(
+        run = Harness().run(
             HarnessSpec(
                 workload="http",
                 scenario="asymmetric_loss",
@@ -293,7 +292,7 @@ class TestLossyScenarioApps:
     def test_http_survives_path_blackout_and_recovery(self):
         # The primary path blacks out from t=1.5s to t=3.5s; requests keep
         # completing because the second subflow carries reinjected data.
-        run = run_workload(
+        run = Harness().run(
             HarnessSpec(
                 workload="http",
                 scenario="path_failure_recovery",
@@ -307,7 +306,7 @@ class TestLossyScenarioApps:
         assert run.metrics["request_time_max"] < 40.0
 
     def test_longlived_delivers_every_message_under_asymmetric_loss(self):
-        run = run_workload(
+        run = Harness().run(
             HarnessSpec(
                 workload="longlived",
                 scenario="asymmetric_loss",
@@ -321,7 +320,7 @@ class TestLossyScenarioApps:
         assert run.metrics["messages_delivered"] == run.metrics["messages_sent"]
 
     def test_longlived_rides_out_a_path_blackout(self):
-        run = run_workload(
+        run = Harness().run(
             HarnessSpec(
                 workload="longlived",
                 scenario="path_failure_recovery",
