@@ -14,7 +14,6 @@ _EXPORTS = {
     "syn_join_delays": "repro.analysis.trace",
     "format_table": "repro.analysis.report",
     "format_cdf_table": "repro.analysis.report",
-    "format_comparison_table": "repro.analysis.report",
     "group_cells": "repro.analysis.aggregate",
     "metric_values": "repro.analysis.aggregate",
     "summarize_groups": "repro.analysis.aggregate",

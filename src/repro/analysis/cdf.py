@@ -6,6 +6,7 @@ the common representation the experiments and benchmarks print.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Iterable
 
@@ -39,7 +40,9 @@ class Cdf:
     def percentile(self, fraction: float) -> float:
         """The value below which ``fraction`` of the samples fall.
 
-        Uses the nearest-rank definition; ``fraction`` is in ``[0, 1]``.
+        Uses the nearest-rank definition — the smallest sample with at
+        least ``fraction`` of the samples at or below it; ``fraction`` is in
+        ``[0, 1]``.
         Unlike the interpolating :func:`repro.analysis.stats.percentile`, the
         figure reports that print it always show a delay that was observed.
         """
@@ -47,10 +50,10 @@ class Cdf:
             raise ValueError("cannot evaluate an empty CDF")
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must be within [0, 1], got {fraction!r}")
-        if fraction == 0.0:
-            return self.samples[0]
-        rank = max(1, int(round(fraction * len(self.samples) + 0.5)) - 1)
-        return self.samples[min(rank, len(self.samples) - 1)]
+        # Rank ceil(fraction * n), 1-based; the epsilon absorbs float
+        # artefacts such as 0.07 * 100 == 7.000000000000001.
+        rank = max(1, math.ceil(fraction * len(self.samples) - 1e-9))
+        return self.samples[rank - 1]
 
     @property
     def median(self) -> float:

@@ -42,15 +42,14 @@ def evaluate_cell(
     faulted_metrics: Mapping,
     clean_metrics: Optional[Mapping],
     goodput_floor: float = 0.5,
-    failure_floor: float = FAILURE_FLOOR,
 ) -> dict:
     """Judge one faulted cell against its clean twin.
 
     Returns a dict with the retained-goodput ratio, the survival signals
     and a ``verdict``: ``failed`` when the connection never established or
-    goodput collapsed below ``failure_floor`` of the twin's — downgrading
+    goodput collapsed below :data:`FAILURE_FLOOR` of the twin's — downgrading
     does not excuse a dead cell; ``fallback`` when the cell *survived*
-    (goodput at or above ``failure_floor``) by downgrading at least one
+    (goodput at or above :data:`FAILURE_FLOOR`) by downgrading at least one
     connection to plain TCP, taking precedence over ``degraded`` because
     surviving hostile signalling interference is the interesting fact;
     ``degraded`` below ``goodput_floor``; ``no_twin``/``no_baseline`` when
@@ -73,7 +72,7 @@ def evaluate_cell(
             if established == 0:
                 verdict = "failed"
                 reasons.append("connection never established")
-            elif retained < failure_floor:
+            elif retained < FAILURE_FLOOR:
                 verdict = "failed"
                 reasons.append(
                     f"goodput collapsed to {retained:.1%} of the clean twin"

@@ -6,7 +6,7 @@ these helpers keep that output consistent and readable in a terminal.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.cdf import Cdf
 
@@ -27,20 +27,15 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(output)
 
 
-def format_cdf_table(
-    cdfs: Mapping[str, Cdf],
-    fractions: Sequence[float] = DEFAULT_FRACTIONS,
-    unit: str = "s",
-    scale: float = 1.0,
-) -> str:
-    """Tabulate several CDFs at common cumulative fractions.
+def format_cdf_table(cdfs: Mapping[str, Cdf], unit: str = "s", scale: float = 1.0) -> str:
+    """Tabulate several CDFs at the cumulative fractions of :data:`DEFAULT_FRACTIONS`.
 
     ``scale`` multiplies the sample values before printing (e.g. 1000 to
     print milliseconds for samples stored in seconds).
     """
     headers = ["percentile"] + [label for label in cdfs]
     rows = []
-    for fraction in fractions:
+    for fraction in DEFAULT_FRACTIONS:
         row = [f"p{int(fraction * 100):02d}"]
         for label, cdf in cdfs.items():
             row.append(f"{cdf.percentile(fraction) * scale:.3f}{unit}" if len(cdf) else "-")
@@ -50,16 +45,3 @@ def format_cdf_table(
         mean_row.append(f"{cdf.mean * scale:.3f}{unit}" if len(cdf) else "-")
     rows.append(mean_row)
     return format_table(headers, rows)
-
-
-def format_comparison_table(
-    title: str,
-    rows: Iterable[Sequence[object]],
-    headers: Sequence[str],
-    note: Optional[str] = None,
-) -> str:
-    """A titled table with an optional trailing note."""
-    parts = [title, format_table(headers, rows)]
-    if note:
-        parts.append(note)
-    return "\n".join(parts)

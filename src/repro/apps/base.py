@@ -16,8 +16,9 @@ class Application(ConnectionListener):
     transitions.
     """
 
-    def __init__(self, name: str = "app") -> None:
-        self.name = name
+    name = "app"
+
+    def __init__(self) -> None:
         self.connection: Optional[MptcpConnection] = None
         self.established_at: Optional[float] = None
         self.finished_at: Optional[float] = None

@@ -16,8 +16,10 @@ class BulkSenderApp(Application):
     transfer times in Figure 2c.
     """
 
-    def __init__(self, total_bytes: int, close_when_done: bool = True, name: str = "bulk-sender") -> None:
-        super().__init__(name=name)
+    name = "bulk-sender"
+
+    def __init__(self, total_bytes: int, close_when_done: bool = True) -> None:
+        super().__init__()
         if total_bytes <= 0:
             raise ValueError(f"total_bytes must be positive, got {total_bytes!r}")
         self.total_bytes = total_bytes
@@ -54,8 +56,10 @@ class BulkSenderApp(Application):
 class BulkReceiverApp(Application):
     """Counts received bytes and optionally expects a total."""
 
-    def __init__(self, expected_bytes: Optional[int] = None, name: str = "bulk-receiver") -> None:
-        super().__init__(name=name)
+    name = "bulk-receiver"
+
+    def __init__(self, expected_bytes: Optional[int] = None) -> None:
+        super().__init__()
         self.expected_bytes = expected_bytes
         self.received_bytes = 0
         self.completed_at: Optional[float] = None

@@ -10,7 +10,7 @@ connections sequentially and records per-request timings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.apps.base import Application
 from repro.mptcp.connection import MptcpConnection
@@ -20,8 +20,10 @@ from repro.mptcp.stack import MptcpStack
 class HttpServerApp(Application):
     """Serves a fixed-size object to every connection, then closes it."""
 
-    def __init__(self, object_size: int = 512 * 1024, name: str = "http-server") -> None:
-        super().__init__(name=name)
+    name = "http-server"
+
+    def __init__(self, object_size: int = 512 * 1024) -> None:
+        super().__init__()
         if object_size <= 0:
             raise ValueError(f"object_size must be positive, got {object_size!r}")
         self.object_size = object_size
@@ -65,7 +67,8 @@ class _HttpClientConnection(Application):
     """Listener for one request/response exchange."""
 
     def __init__(self, driver: "HttpClientDriver", record: HttpRequestRecord) -> None:
-        super().__init__(name=f"http-client-{record.index}")
+        super().__init__()
+        self.name = f"http-client-{record.index}"
         self._driver = driver
         self._record = record
 
@@ -109,7 +112,6 @@ class HttpClientDriver:
         object_size: int = 512 * 1024,
         request_size: int = 200,
         think_time: float = 0.0,
-        on_complete: Optional[Callable[["HttpClientDriver"], None]] = None,
     ) -> None:
         if request_count <= 0:
             raise ValueError("request_count must be positive")
@@ -122,7 +124,6 @@ class HttpClientDriver:
         self.think_time = think_time
         self.records: list[HttpRequestRecord] = []
         self.completed_requests = 0
-        self._on_complete = on_complete
         self._started = False
 
     def start(self) -> None:
@@ -167,8 +168,6 @@ class HttpClientDriver:
     def _request_done(self, record: HttpRequestRecord) -> None:
         self.completed_requests += 1
         if self.done:
-            if self._on_complete is not None:
-                self._on_complete(self)
             return
         if self.think_time > 0:
             self.stack.sim.schedule(self.think_time, self._issue_next)

@@ -38,13 +38,10 @@ class MessageRecord:
 class LongLivedApp(Application):
     """Client side of a long-lived connection."""
 
-    def __init__(
-        self,
-        message_bytes: int = 200,
-        message_interval: Optional[float] = None,
-        name: str = "long-lived",
-    ) -> None:
-        super().__init__(name=name)
+    name = "long-lived"
+
+    def __init__(self, message_bytes: int = 200, message_interval: Optional[float] = None) -> None:
+        super().__init__()
         if message_bytes <= 0:
             raise ValueError("message_bytes must be positive")
         self.message_bytes = message_bytes
@@ -102,8 +99,10 @@ class LongLivedApp(Application):
 class LongLivedPeer(Application):
     """Server side: counts the received messages."""
 
-    def __init__(self, message_bytes: int = 200, name: str = "long-lived-peer") -> None:
-        super().__init__(name=name)
+    name = "long-lived-peer"
+
+    def __init__(self, message_bytes: int = 200) -> None:
+        super().__init__()
         self.message_bytes = message_bytes
         self.received_bytes = 0
 

@@ -36,15 +36,16 @@ class BlockRecord:
 class StreamingSourceApp(Application):
     """Writes one block per interval for a fixed number of blocks."""
 
+    name = "stream-source"
+
     def __init__(
         self,
         block_bytes: int = 64 * 1024,
         interval: float = 1.0,
         block_count: int = 30,
         close_when_done: bool = True,
-        name: str = "stream-source",
     ) -> None:
-        super().__init__(name=name)
+        super().__init__()
         if block_bytes <= 0 or block_count <= 0 or interval <= 0:
             raise ValueError("block_bytes, block_count and interval must be positive")
         self.block_bytes = block_bytes
@@ -87,13 +88,10 @@ class StreamingSourceApp(Application):
 class StreamingSinkApp(Application):
     """Receives the stream and records per-block delivery delays."""
 
-    def __init__(
-        self,
-        block_bytes: int = 64 * 1024,
-        interval: float = 1.0,
-        name: str = "stream-sink",
-    ) -> None:
-        super().__init__(name=name)
+    name = "stream-sink"
+
+    def __init__(self, block_bytes: int = 64 * 1024, interval: float = 1.0) -> None:
+        super().__init__()
         self.block_bytes = block_bytes
         self.interval = interval
         self.received_bytes = 0

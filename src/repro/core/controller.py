@@ -155,11 +155,9 @@ class SubflowController:
 
     name = "controller"
 
-    def __init__(self, library: PathManagerLibrary, name: Optional[str] = None) -> None:
+    def __init__(self, library: PathManagerLibrary) -> None:
         self.library = library
         self.state = ControllerState()
-        if name is not None:
-            self.name = name
         self._started = False
         self.events_seen = 0
 

@@ -33,9 +33,8 @@ class SmartBackupController(SubflowController):
         backup_remote_address: Optional[IPAddress | str] = None,
         backup_remote_port: int = 0,
         rto_threshold: float = 1.0,
-        name: Optional[str] = None,
     ) -> None:
-        super().__init__(library, name=name)
+        super().__init__(library)
         self._backup_local = IPAddress(backup_local_address)
         self._backup_remote = IPAddress(backup_remote_address) if backup_remote_address is not None else None
         self._backup_remote_port = backup_remote_port

@@ -13,7 +13,6 @@ blindly sending keep-alives on every path.
 from __future__ import annotations
 
 import errno
-from typing import Optional
 
 from repro.core.controller import ConnectionView, SubflowController
 from repro.core.events import (
@@ -35,7 +34,7 @@ class UserspaceFullMeshController(SubflowController):
 
     #: Back-off (seconds) applied before re-creating a failed subflow,
     #: keyed by the errno reported in the ``sub_closed`` event.
-    DEFAULT_BACKOFFS = {
+    BACKOFFS = {
         errno.ECONNRESET: 0.5,
         errno.ETIMEDOUT: 2.0,
         errno.ENETUNREACH: 10.0,
@@ -44,20 +43,9 @@ class UserspaceFullMeshController(SubflowController):
     }
     DEFAULT_BACKOFF = 2.0
 
-    def __init__(
-        self,
-        library: PathManagerLibrary,
-        reestablish: bool = True,
-        backoffs: Optional[dict[int, float]] = None,
-        max_reestablish_attempts: int = 8,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(library, name=name)
+    def __init__(self, library: PathManagerLibrary, reestablish: bool = True) -> None:
+        super().__init__(library)
         self._reestablish = reestablish
-        self._backoffs = dict(self.DEFAULT_BACKOFFS)
-        if backoffs:
-            self._backoffs.update(backoffs)
-        self._max_attempts = max_reestablish_attempts
         # (token, local address, remote address) -> consecutive failures
         self._failures: dict[tuple[int, IPAddress, IPAddress], int] = {}
         # Pairs for which a create command is in flight: the sub_estab event
@@ -113,9 +101,9 @@ class UserspaceFullMeshController(SubflowController):
         key = (event.token, local, remote)
         attempts = self._failures.get(key, 0) + 1
         self._failures[key] = attempts
-        if attempts > self._max_attempts:
+        if attempts > 8:  # give the pair up after eight consecutive failures
             return
-        backoff = self._backoffs.get(event.reason, self.DEFAULT_BACKOFF)
+        backoff = self.BACKOFFS.get(event.reason, self.DEFAULT_BACKOFF)
         self.sim.schedule(backoff, self._reestablish_subflow, event.token, local, remote, event.four_tuple.dport)
 
     def on_conn_closed(self, event: ConnClosedEvent) -> None:

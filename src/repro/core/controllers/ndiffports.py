@@ -11,8 +11,6 @@ MP_JOIN SYN for the two variants isolates precisely that overhead.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.controller import SubflowController
 from repro.core.events import ConnEstablishedEvent
 from repro.core.library import PathManagerLibrary
@@ -23,13 +21,8 @@ class UserspaceNdiffportsController(SubflowController):
 
     name = "userspace-ndiffports"
 
-    def __init__(
-        self,
-        library: PathManagerLibrary,
-        subflow_count: int = 2,
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(library, name=name)
+    def __init__(self, library: PathManagerLibrary, subflow_count: int = 2) -> None:
+        super().__init__(library)
         if subflow_count < 1:
             raise ValueError(f"subflow_count must be at least 1, got {subflow_count!r}")
         #: Target number of subflows per connection (including the initial one).

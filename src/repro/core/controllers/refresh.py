@@ -35,17 +35,12 @@ class RefreshController(SubflowController):
         library: PathManagerLibrary,
         subflow_count: int = 5,
         refresh_interval: float = 2.5,
-        warmup: float = 2.5,
-        min_rate_ratio: float = 0.8,
-        name: Optional[str] = None,
     ) -> None:
-        super().__init__(library, name=name)
+        super().__init__(library)
         if subflow_count < 2:
             raise ValueError("the refresh controller needs at least two subflows")
         self._subflow_count = subflow_count
         self._refresh_interval = refresh_interval
-        self._warmup = warmup
-        self._min_rate_ratio = min_rate_ratio
         self._timers: dict[int, PeriodicTimer] = {}
         self._pending_rates: dict[int, dict[int, Optional[float]]] = {}
         self.refresh_rounds = 0
@@ -77,7 +72,7 @@ class RefreshController(SubflowController):
             name=f"refresh-{event.token:#x}",
         )
         self._timers[event.token] = timer
-        timer.start(self._warmup)
+        timer.start(2.5)  # first round after a 2.5 s warm-up
 
     def on_conn_closed(self, event: ConnClosedEvent) -> None:
         timer = self._timers.pop(event.token, None)
@@ -123,9 +118,10 @@ class RefreshController(SubflowController):
         slowest_rate = rates[slowest_id]
         others = [rate for sid, rate in rates.items() if sid != slowest_id]
         mean_others = sum(others) / len(others) if others else 0.0
-        if mean_others > 0 and slowest_rate >= self._min_rate_ratio * mean_others:
-            # Every subflow performs comparably: all paths are in use, do
-            # not churn for nothing.
+        if mean_others > 0 and slowest_rate >= 0.8 * mean_others:
+            # Every subflow performs comparably (the slowest within 80 % of
+            # the others' mean): all paths are in use, do not churn for
+            # nothing.
             return
         flow = view.subflows.get(slowest_id)
         if flow is None or flow.closed or flow.four_tuple is None:

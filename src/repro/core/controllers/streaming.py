@@ -38,19 +38,16 @@ class SmartStreamingController(SubflowController):
         secondary_remote_address: Optional[IPAddress | str] = None,
         secondary_remote_port: int = 0,
         block_interval: float = 1.0,
-        check_offset: float = 0.5,
         progress_threshold: int = 32 * 1024,
         rto_limit: float = 1.0,
-        name: Optional[str] = None,
     ) -> None:
-        super().__init__(library, name=name)
+        super().__init__(library)
         self._secondary_local = IPAddress(secondary_local_address)
         self._secondary_remote = (
             IPAddress(secondary_remote_address) if secondary_remote_address is not None else None
         )
         self._secondary_remote_port = secondary_remote_port
         self._block_interval = block_interval
-        self._check_offset = check_offset
         self._progress_threshold = progress_threshold
         self._rto_limit = rto_limit
         self._timers: dict[int, PeriodicTimer] = {}
@@ -111,7 +108,7 @@ class SmartStreamingController(SubflowController):
         if view is None or view.closed:
             return
         self.library.get_conn_info(token, lambda reply: self._record_block_start(token, reply))
-        self.sim.schedule(self._check_offset, self._check_progress, token)
+        self.sim.schedule(0.5, self._check_progress, token)
 
     def _record_block_start(self, token: int, reply: CommandReply) -> None:
         if reply.ok:

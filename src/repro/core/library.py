@@ -24,9 +24,7 @@ from repro.core.commands import (
     CreateSubflowCommand,
     GetConnInfoCommand,
     GetSubflowInfoCommand,
-    ListSubflowsCommand,
     RemoveSubflowCommand,
-    SetBackupCommand,
 )
 from repro.core.events import Event, EventType
 from repro.core.netlink import NetlinkChannel
@@ -169,24 +167,6 @@ class PathManagerLibrary:
         """Query one subflow's ``TCP_INFO`` (rto, pacing_rate, cwnd, ...)."""
         command = GetSubflowInfoCommand(
             request_id=self.next_request_id(), token=token, subflow_id=subflow_id
-        )
-        return self.send_command(command, on_reply)
-
-    def list_subflows(self, token: int, on_reply: ReplyCallback) -> int:
-        """List a connection's subflows."""
-        command = ListSubflowsCommand(request_id=self.next_request_id(), token=token)
-        return self.send_command(command, on_reply)
-
-    def set_backup(
-        self,
-        token: int,
-        subflow_id: int,
-        backup: bool = True,
-        on_reply: Optional[ReplyCallback] = None,
-    ) -> int:
-        """Change a subflow's backup priority."""
-        command = SetBackupCommand(
-            request_id=self.next_request_id(), token=token, subflow_id=subflow_id, backup=backup
         )
         return self.send_command(command, on_reply)
 

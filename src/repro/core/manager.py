@@ -36,10 +36,9 @@ class SmappManager:
         kernel_to_user_latency: Optional[LatencyModel] = None,
         user_to_kernel_latency: Optional[LatencyModel] = None,
         library_processing: Optional[LatencyModel] = None,
-        name: Optional[str] = None,
     ) -> None:
-        #: Manager label (defaults to the host name).
-        self.name = name if name is not None else host.name
+        #: Manager label: the host name.
+        self.name = host.name
         self.channel = NetlinkChannel(
             sim,
             kernel_to_user=kernel_to_user_latency,

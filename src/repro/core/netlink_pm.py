@@ -12,8 +12,6 @@ queries, backup changes) and sends back a reply.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core import codec
 from repro.core.commands import (
     Command,
@@ -43,7 +41,6 @@ from repro.mptcp.path_manager import PathManager
 from repro.mptcp.subflow import Subflow, SubflowOrigin
 from repro.net.addressing import IPAddress
 from repro.net.interface import Interface
-from repro.sim.latency import ConstantLatency, LatencyModel
 
 
 class NetlinkPathManager(PathManager):
@@ -51,19 +48,10 @@ class NetlinkPathManager(PathManager):
 
     name = "netlink"
 
-    def __init__(
-        self,
-        channel: NetlinkChannel,
-        command_processing: Optional[LatencyModel] = None,
-    ) -> None:
+    def __init__(self, channel: NetlinkChannel) -> None:
         super().__init__()
         self._channel = channel
         channel.bind_kernel(self._on_message)
-        # Time the kernel spends executing one command once the message has
-        # crossed the boundary (table lookups, socket creation, ...).
-        self._command_processing = (
-            command_processing if command_processing is not None else ConstantLatency(1.5e-6)
-        )
         self.events_sent = 0
         self.commands_executed = 0
         self.command_errors = 0
@@ -154,8 +142,9 @@ class NetlinkPathManager(PathManager):
     # ------------------------------------------------------------------
     def _on_message(self, message: bytes) -> None:
         command = codec.decode_command(message)
-        delay = self._command_processing.sample(self._channel.sim.random.substream("netlink-pm"))
-        self._channel.sim.schedule(delay, self._execute, command)
+        # The kernel spends 1.5 us executing one command once the message has
+        # crossed the boundary (table lookups, socket creation, ...).
+        self._channel.sim.schedule(1.5e-6, self._execute, command)
 
     def _execute(self, command: Command) -> None:
         reply = self._run_command(command)

@@ -1,17 +1,18 @@
 """Figure 2a — smarter backup: data-sequence progress across the handover.
 
-A bulk transfer starts on the primary path; after ``loss_start`` seconds
-the primary path becomes very lossy (30 % in the paper).  The smart backup
-controller watches the ``timeout`` events and, once the reported RTO
-exceeds its threshold (1 s), closes the primary subflow and creates a
-subflow over the backup path.  The figure plots the data sequence numbers
+A bulk transfer of 8 MB starts on the primary path of a 2 Mbps, 10 ms
+dual-homed topology; after ``LOSS_START`` (1 s) the primary path becomes
+very lossy (30 % in the paper).  The smart backup controller watches the
+``timeout`` events and, once the reported RTO exceeds its threshold
+(1 s), closes the primary subflow and creates a subflow over the backup
+path.  The figure plots the data sequence numbers
 of the segments sent over time, coloured by subflow; the reproduction
 returns exactly that series plus the controller's switch time.
 
 The kernel-only baseline (a backup-flagged subflow that is only used after
-the primary dies from ~15 RTO doublings) can optionally be simulated too;
-the paper reports it takes about 12 minutes with the default Linux
-configuration.
+the primary dies from ~15 RTO doublings) can optionally be simulated too,
+over a 30-minute horizon; the paper reports it takes about 12 minutes
+with the default Linux configuration.
 
 Both variants are presets over the unified workload harness: the bulk
 workload composed with a dual-homed scenario, a smart-backup (or passive)
@@ -33,6 +34,13 @@ from repro.workloads import Harness, HarnessSpec, TraceProbe
 
 SERVER_PORT = 5001
 
+#: When the primary path turns lossy, and how lossy it becomes.
+LOSS_START = 1.0
+LOSS_PERCENT = 30.0
+
+#: Both runs share the §4.2 topology at 2 Mbps per path.
+_build_scenario = partial(build_dual_homed, rate_mbps=2.0)
+
 
 @dataclass
 class Fig2aResult:
@@ -50,7 +58,7 @@ class Fig2aResult:
     baseline_failover_time: Optional[float] = None
     notes: list[str] = field(default_factory=list)
 
-    def format_report(self, bucket: float = 0.5) -> str:
+    def format_report(self) -> str:
         """Text rendering of the sequence-progress series (paper Figure 2a)."""
         rows = []
         time = 0.0
@@ -64,7 +72,7 @@ class Fig2aResult:
                     f"{backup_seq / 1e5:.2f}",
                 ]
             )
-            time += bucket
+            time += 0.5
         lines = [
             self.title,
             format_table(["time (s)", "master seq (1e5 B)", "backup seq (1e5 B)"], rows),
@@ -81,42 +89,28 @@ class Fig2aResult:
         return "\n".join(lines)
 
 
-def _schedule_loss(run, loss_start: float, loss_percent: float) -> None:
-    """Hook: the primary path turns lossy at ``loss_start``."""
+def _schedule_loss(run) -> None:
+    """Hook: the primary path turns lossy at ``LOSS_START``."""
     run.sim.schedule(
-        loss_start, run.scenario.path_links[0].set_loss_rate, loss_percent / 100.0
+        LOSS_START, run.scenario.path_links[0].set_loss_rate, LOSS_PERCENT / 100.0
     )
 
 
-def run_fig2a(
-    seed: int = 1,
-    duration: float = 5.0,
-    loss_start: float = 1.0,
-    loss_percent: float = 30.0,
-    rto_threshold: float = 1.0,
-    rate_mbps: float = 2.0,
-    delay_ms: float = 10.0,
-    transfer_bytes: int = 8_000_000,
-    include_baseline: bool = False,
-    baseline_horizon: float = 1800.0,
-) -> Fig2aResult:
-    """Run the smart-backup handover experiment (Figure 2a)."""
+def run_fig2a(seed: int = 1, duration: float = 5.0, include_baseline: bool = False) -> Fig2aResult:
+    """Run the smart-backup handover experiment (Figure 2a) with the
+    controller's 1 s RTO threshold."""
     trace_probe = TraceProbe(tracer_name="capture")
     run = Harness().run(
         HarnessSpec(
             workload="bulk_transfer",
-            scenario=lambda sim: build_dual_homed(sim, rate_mbps=rate_mbps, delay_ms=delay_ms),
+            scenario=_build_scenario,
             controller="smart_backup",
             seed=seed,
             horizon=duration,
             server_port=SERVER_PORT,
-            params={
-                "transfer_bytes": transfer_bytes,
-                "close_when_done": False,
-                "rto_threshold": rto_threshold,
-            },
+            params={"transfer_bytes": 8_000_000, "close_when_done": False},
             probes=(trace_probe,),
-            hooks=(partial(_schedule_loss, loss_start=loss_start, loss_percent=loss_percent),),
+            hooks=(_schedule_loss,),
         )
     )
 
@@ -137,21 +131,14 @@ def run_fig2a(
 
     baseline_failover = None
     if include_baseline:
-        baseline_failover = _run_kernel_backup_baseline(
-            seed=seed,
-            loss_start=loss_start,
-            loss_percent=loss_percent,
-            rate_mbps=rate_mbps,
-            delay_ms=delay_ms,
-            horizon=baseline_horizon,
-        )
+        baseline_failover = _run_kernel_backup_baseline(seed)
 
     return Fig2aResult(
         title="Figure 2a - smart backup handover (data sequence progress per subflow)",
         trace=trace,
         primary=primary_tuple,
         backup=backup_tuple,
-        loss_start=loss_start,
+        loss_start=LOSS_START,
         switch_time=switch_time,
         bytes_on_primary=bytes_primary,
         bytes_on_backup=bytes_backup,
@@ -180,34 +167,24 @@ def _schedule_kernel_backup(run) -> None:
     sim.schedule(0.2, open_backup)
 
 
-def _run_kernel_backup_baseline(
-    seed: int,
-    loss_start: float,
-    loss_percent: float,
-    rate_mbps: float,
-    delay_ms: float,
-    horizon: float,
-) -> Optional[float]:
+def _run_kernel_backup_baseline(seed: int) -> Optional[float]:
     """Kernel-only semantics: the backup subflow exists from the start but is
     only used once the primary subflow has died from repeated RTO expirations.
 
     Returns the time at which data first flows on the backup subflow, or
-    ``None`` if it never happens within ``horizon``.
+    ``None`` if it never happens within 30 minutes.
     """
     run = Harness().run(
         HarnessSpec(
             workload="bulk_transfer",
-            scenario=lambda sim: build_dual_homed(sim, rate_mbps=rate_mbps, delay_ms=delay_ms),
+            scenario=_build_scenario,
             controller="passive",
             seed=seed + 1000,
-            horizon=horizon,
+            horizon=1800.0,
             server_port=SERVER_PORT,
             params={"transfer_bytes": 50_000_000, "close_when_done": False},
             probes=(),
-            hooks=(
-                _schedule_kernel_backup,
-                partial(_schedule_loss, loss_start=loss_start, loss_percent=loss_percent),
-            ),
+            hooks=(_schedule_kernel_backup, _schedule_loss),
         )
     )
 

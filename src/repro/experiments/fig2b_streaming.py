@@ -17,7 +17,6 @@ or the smart streaming controller as the client stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 from repro.analysis.cdf import Cdf
@@ -30,6 +29,8 @@ from repro.workloads import ClientSetup, Harness, HarnessSpec
 
 SERVER_PORT = 6001
 BLOCK_BYTES = 64 * 1024
+#: One block per second, which is also each block's deadline.
+BLOCK_INTERVAL = 1.0
 
 
 @dataclass
@@ -58,7 +59,7 @@ class Fig2bResult:
         return "\n".join(lines)
 
 
-def _smart_streaming_client(ctx, interval: float) -> ClientSetup:
+def _smart_streaming_client(ctx) -> ClientSetup:
     """Client stack preset: SMAPP manager with the smart streaming controller."""
     manager = SmappManager(ctx.sim, ctx.scenario.client)
     controller = manager.attach_controller(
@@ -66,7 +67,7 @@ def _smart_streaming_client(ctx, interval: float) -> ClientSetup:
         secondary_local_address=ctx.scenario.client_addresses[1],
         secondary_remote_address=ctx.scenario.server_addresses[1],
         secondary_remote_port=SERVER_PORT,
-        block_interval=interval,
+        block_interval=BLOCK_INTERVAL,
         progress_threshold=BLOCK_BYTES // 2,
         rto_limit=1.0,
     )
@@ -78,28 +79,21 @@ def _run_stream(
     loss_percent: float,
     smart: bool,
     block_count: int,
-    rate_mbps: float,
-    delay_ms: float,
-    interval: float,
 ) -> StreamingSinkApp:
     """One streaming run; returns the sink with its per-block records."""
     run = Harness().run(
         HarnessSpec(
             workload="streaming",
-            scenario=lambda sim: build_dual_homed(
-                sim, rate_mbps=rate_mbps, delay_ms=delay_ms, loss_percent=(loss_percent, 0.0)
-            ),
-            controller=(
-                partial(_smart_streaming_client, interval=interval) if smart else "fullmesh"
-            ),
+            scenario=lambda sim: build_dual_homed(sim, loss_percent=(loss_percent, 0.0)),
+            controller=_smart_streaming_client if smart else "fullmesh",
             seed=seed,
             # Leave generous drain time so every block (even badly delayed
             # ones) gets delivered and measured.
-            horizon=block_count * interval + 30.0,
+            horizon=block_count * BLOCK_INTERVAL + 30.0,
             server_port=SERVER_PORT,
             params={
                 "block_bytes": BLOCK_BYTES,
-                "interval": interval,
+                "interval": BLOCK_INTERVAL,
                 "block_count": block_count,
                 "close_when_done": True,
             },
@@ -108,7 +102,7 @@ def _run_stream(
     )
     if run.server_apps:
         return run.server_apps[0]
-    return StreamingSinkApp(block_bytes=BLOCK_BYTES, interval=interval)
+    return StreamingSinkApp(block_bytes=BLOCK_BYTES, interval=BLOCK_INTERVAL)
 
 
 def run_fig2b(
@@ -117,9 +111,6 @@ def run_fig2b(
     smart_loss_percent: float = 30.0,
     block_count: int = 40,
     repetitions: int = 3,
-    rate_mbps: float = 5.0,
-    delay_ms: float = 10.0,
-    interval: float = 1.0,
     include_smart_sweep: bool = False,
 ) -> Fig2bResult:
     """Run the streaming experiment (Figure 2b).
@@ -146,12 +137,9 @@ def run_fig2b(
                 loss_percent=loss,
                 smart=smart,
                 block_count=block_count,
-                rate_mbps=rate_mbps,
-                delay_ms=delay_ms,
-                interval=interval,
             )
             delays.extend(sink.completion_times())
-            late_count += sink.late_blocks(interval)
+            late_count += sink.late_blocks(BLOCK_INTERVAL)
         return delays, late_count
 
     for loss in loss_percents:
@@ -172,7 +160,7 @@ def run_fig2b(
         cdfs=cdfs,
         late_blocks=late,
         block_count=block_count * repetitions,
-        deadline=interval,
+        deadline=BLOCK_INTERVAL,
         notes=[
             "expectation: full-mesh tails grow with the loss rate; the smart stream curve stays "
             "close to the low-loss curves"

@@ -98,14 +98,7 @@ def _distinct_paths(scenario: Scenario, conn) -> int:
     return len(indices)
 
 
-def _run_once(
-    seed: int,
-    variant: str,
-    file_bytes: int,
-    subflow_count: int,
-    refresh_interval: float,
-    horizon: float,
-) -> RunRecord:
+def _run_once(seed: int, variant: str, file_bytes: int, horizon: float) -> RunRecord:
     run = Harness().run(
         HarnessSpec(
             workload="bulk_transfer",
@@ -120,8 +113,7 @@ def _run_once(
                 # Single-homed client: let the routing table pick the
                 # egress interface, like the original script did.
                 "bind_local": False,
-                "subflow_count": subflow_count,
-                "refresh_interval": refresh_interval,
+                "subflow_count": 5,
             },
             probes=(),
         )
@@ -140,9 +132,6 @@ def run_fig2c(
     seed: int = 1,
     seeds: int = 10,
     scale: float = 0.1,
-    subflow_count: int = 5,
-    refresh_interval: float = 2.5,
-    horizon: Optional[float] = None,
 ) -> Fig2cResult:
     """Run the load-balancing experiment (Figure 2c) over several seeds:
     run ``index`` is seeded ``999 + seed + index``."""
@@ -151,20 +140,13 @@ def run_fig2c(
     file_bytes = int(FULL_FILE_BYTES * scale)
     # Worst case in the paper is ~112 s at full size (everything on one
     # path); scale the safety horizon accordingly.
-    run_horizon = horizon if horizon is not None else max(60.0, 130.0 * scale + 30.0)
+    horizon = max(60.0, 130.0 * scale + 30.0)
 
     runs: list[RunRecord] = []
     for index in range(seeds):
         for variant in ("ndiffports", "refresh"):
             runs.append(
-                _run_once(
-                    seed=999 + seed + index,
-                    variant=variant,
-                    file_bytes=file_bytes,
-                    subflow_count=subflow_count,
-                    refresh_interval=refresh_interval,
-                    horizon=run_horizon,
-                )
+                _run_once(seed=999 + seed + index, variant=variant, file_bytes=file_bytes, horizon=horizon)
             )
 
     ndiff_times = [run.completion_time for run in runs if run.variant == "ndiffports" and run.completion_time]

@@ -106,13 +106,7 @@ def _calibrated_client(ctx, userspace: bool, stressed: bool) -> ClientSetup:
     )
 
 
-def _run_variant(
-    seed: int,
-    userspace: bool,
-    request_count: int,
-    object_size: int,
-    stressed: bool,
-) -> list[float]:
+def _run_variant(seed: int, userspace: bool, request_count: int, stressed: bool) -> list[float]:
     """Run one variant and return the measured SYN-to-JOIN delays."""
     trace_probe = TraceProbe(tracer_name="capture", links=["lan"])
     Harness().run(
@@ -126,7 +120,7 @@ def _run_variant(
             server_port=SERVER_PORT,
             params={
                 "request_count": request_count,
-                "object_size": object_size,
+                "object_size": 512 * 1024,
                 "request_size": 200,
                 "think_time": 0.0,
             },
@@ -136,15 +130,10 @@ def _run_variant(
     return trace_probe.syn_join_delays()
 
 
-def run_fig3(
-    seed: int = 1,
-    request_count: int = 200,
-    object_size: int = 512 * 1024,
-    stressed: bool = False,
-) -> Fig3Result:
+def run_fig3(seed: int = 1, request_count: int = 200, stressed: bool = False) -> Fig3Result:
     """Run the path-manager overhead experiment (Figure 3)."""
-    kernel_delays = _run_variant(seed, False, request_count, object_size, stressed)
-    user_delays = _run_variant(seed, True, request_count, object_size, stressed)
+    kernel_delays = _run_variant(seed, False, request_count, stressed)
+    user_delays = _run_variant(seed, True, request_count, stressed)
     return Fig3Result(
         title="Figure 3 - delay between the MP_CAPABLE SYN and the MP_JOIN SYN",
         cdf_kernel=Cdf(kernel_delays, label="kernel"),

@@ -10,19 +10,21 @@ per-path keep-alive traffic.
 
 The run is a preset over the unified workload harness: the long-lived
 workload on the NAT scenario under the userspace full-mesh controller,
-with an interface-flap hook exercising the address up/down reactions.
+with an interface-flap hook exercising the address up/down reactions: the
+secondary interface goes down at ``FLAP_AT`` (400 s) and comes back 60 s
+later.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.analysis.report import format_table
 from repro.netem.scenarios import build_natted
 from repro.workloads import Harness, HarnessSpec
 
 SERVER_PORT = 9001
+FLAP_AT = 400.0
 
 
 @dataclass
@@ -63,15 +65,15 @@ class LongLivedResult:
         return "\n".join(lines)
 
 
-def _schedule_interface_flap(run, flap_at: float, recover_after: float) -> None:
+def _schedule_interface_flap(run) -> None:
     """Hook: take the secondary interface down once, then bring it back.
 
     Exercises the new_local_addr / del_local_addr reaction of the
     controller on top of the NAT expiries.
     """
     iface = run.scenario.client.interface("if1")
-    run.sim.schedule(flap_at, iface.set_down)
-    run.sim.schedule(flap_at + recover_after, iface.set_up)
+    run.sim.schedule(FLAP_AT, iface.set_down)
+    run.sim.schedule(FLAP_AT + 60.0, iface.set_up)
 
 
 def run_longlived(
@@ -79,20 +81,10 @@ def run_longlived(
     duration: float = 900.0,
     nat_timeout: float = 60.0,
     message_interval: float = 150.0,
-    interface_flap_at: float = 400.0,
-    interface_recover_after: float = 60.0,
 ) -> LongLivedResult:
     """Run the long-lived-connection experiment."""
-    flaps = 1 if 0 < interface_flap_at < duration else 0
-    hooks = ()
-    if flaps:
-        hooks = (
-            partial(
-                _schedule_interface_flap,
-                flap_at=interface_flap_at,
-                recover_after=interface_recover_after,
-            ),
-        )
+    flaps = 1 if FLAP_AT < duration else 0
+    hooks = (_schedule_interface_flap,) if flaps else ()
 
     run = Harness().run(
         HarnessSpec(

@@ -186,14 +186,6 @@ def _harness_spec(args: argparse.Namespace, params: dict):
     )
 
 
-def _cell_key(args: argparse.Namespace) -> str:
-    """The grid-key spelling of the ``cell``/``trace`` coordinates."""
-    key = f"{args.workload}/{args.scenario}/{args.scheduler}/{args.controller}/seed{args.seed}"
-    if args.connections != 1:
-        key += f"/conn{args.connections}"
-    return key
-
-
 def _sweep_progress_printer(total: int) -> Callable:
     """A live ``cells done/total + ETA`` line for ``sweep --progress``.
 
@@ -246,6 +238,7 @@ def _run_sweep(args: argparse.Namespace) -> str:
 def _run_trace(args: argparse.Namespace) -> str:
     """Run one traced harness cell and export its structured event log."""
     from repro.obs import chrome_trace, events_jsonl
+    from repro.sweep.grid import CellSpec
     from repro.workloads import Harness
 
     params = dict(args.params or {}, event_log=True)
@@ -263,8 +256,12 @@ def _run_trace(args: argparse.Namespace) -> str:
             f"{category}={count}"
             for category, count in log.counts_by_category().items()
         )
+        key = CellSpec(
+            args.workload, args.scenario, args.scheduler, args.controller, args.seed,
+            connections=args.connections,
+        ).key
         return (
-            f"trace {_cell_key(args)}: {len(log)} events ({counts}), {log.dropped} dropped\n"
+            f"trace {key}: {len(log)} events ({counts}), {log.dropped} dropped\n"
             f"wrote {args.format} timeline to {args.out}"
         )
     return payload.rstrip("\n")
@@ -538,10 +535,15 @@ def _run_store(args: argparse.Namespace) -> HandlerResult:
 
 def _run_cell(args: argparse.Namespace) -> str:
     """Run one harness cell named entirely by registry entries."""
+    from repro.sweep.grid import CellSpec
     from repro.workloads import Harness
 
     run = Harness().run(_harness_spec(args, args.params or {}))
-    lines = [f"cell {_cell_key(args)}:"]
+    spec = CellSpec(
+        args.workload, args.scenario, args.scheduler, args.controller, args.seed,
+        connections=args.connections,
+    )
+    lines = [f"cell {spec.key}:"]
     for metric, value in sorted(run.metrics.items()):
         lines.append(f"  {metric} = {value}")
     return "\n".join(lines)

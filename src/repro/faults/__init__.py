@@ -44,7 +44,6 @@ _EXPORTS = {
     "named_plan": "repro.faults.plans",
     "FAULTED_SCENARIOS": "repro.faults.catalog",
     "build_faulted_path": "repro.faults.catalog",
-    "register_faulted_variant": "repro.faults.catalog",
     "ShrinkResult": "repro.faults.shrink",
     "shrink_plan": "repro.faults.shrink",
     "cell_failure_predicate": "repro.faults.shrink",

@@ -13,7 +13,6 @@ here) records each variant's *clean twin*, which is what
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from repro.faults.inject import DEFAULT_FAULT_HORIZON, FaultInjector, faulted
 from repro.faults.middlebox import FaultingMiddlebox
@@ -27,14 +26,10 @@ from repro.netem.scenarios import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.randomness import derive_seed
-from repro.workloads.registry import FAULTED_SCENARIOS, SCENARIOS, register_scenario
+from repro.workloads.registry import FAULTED_SCENARIOS  # re-exported
 
-
-def register_faulted_variant(name: str, base_name: str, profile: str = "default") -> None:
-    """Register ``faulted(<base>)`` as a scenario with a recorded clean twin."""
-    base_builder = SCENARIOS[base_name]
-    register_scenario(name, faulted(base_builder, base_name, profile=profile))
-    FAULTED_SCENARIOS[name] = base_name
+#: The fault profile of ``faulted_path``'s plans: segment mutations only.
+PATH_FAULT_PROFILE = "segment"
 
 
 #: The link-level variants: the clean topology under a plan derived from
@@ -44,19 +39,14 @@ build_faulted_lan = faulted(build_lan, "lan")
 build_faulted_natted = faulted(build_natted, "natted")
 
 
-def build_faulted_path(
-    sim: Simulator,
-    plan: Optional[FaultPlan] = None,
-    fault_seed: Optional[int] = None,
-    profile: str = "segment",
-    horizon: float = DEFAULT_FAULT_HORIZON,
-) -> Scenario:
+def build_faulted_path(sim: Simulator) -> Scenario:
     """Dual-homed topology with a plan-driven FaultingMiddlebox on path 0.
 
     Unlike the link-level ``faulted_*`` variants, the adversary here is a
     single device on the primary path (the paper's §3 middlebox), so
     segment mutations happen in the middle of one path while the secondary
-    path stays honest.  The plan's only target is the middlebox.
+    path stays honest.  The plan's only target is the middlebox; it is a
+    ``segment``-profile plan (no link flaps) derived from the cell seed.
     """
     base = build_middlebox_path(
         sim,
@@ -65,15 +55,12 @@ def build_faulted_path(
         leg_prefix="mbox",
     )
     box = base.middlebox
-    if plan is None:
-        seed = (
-            fault_seed
-            if fault_seed is not None
-            else derive_seed(sim.random.seed, "fault-plan", "faulted_path", profile)
-        )
-        plan = FaultPlan.generate(
-            seed, targets=[box.target_name], profile=profile, horizon=horizon
-        )
+    plan = FaultPlan.generate(
+        derive_seed(sim.random.seed, "fault-plan", "faulted_path", PATH_FAULT_PROFILE),
+        targets=[box.target_name],
+        profile=PATH_FAULT_PROFILE,
+        horizon=DEFAULT_FAULT_HORIZON,
+    )
     injector = FaultInjector(sim, {box.target_name: box.engine}, plan)
     injector.install()
     return replace(base, fault_injector=injector, fault_plan=plan)

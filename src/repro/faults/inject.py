@@ -6,7 +6,7 @@ one :class:`~repro.faults.models.MutationEngine` per targeted choke point;
 builder so the whole thing plugs into the workload harness as just another
 registry entry.  When no explicit plan is given, the combinator derives the
 plan seed from the simulator's own seed (``derive_seed(sim_seed,
-"fault-plan", base, profile)``), so the sweep's ordinary seed axis doubles
+"fault-plan", base, "default")``), so the sweep's ordinary seed axis doubles
 as the fault-plan axis: sweep seeds and you sweep adversaries.
 """
 
@@ -51,7 +51,9 @@ class FaultInjector:
 
     ``targets`` maps target names to either a :class:`Link` (a
     :class:`LinkFaultFilter` is installed) or a ready
-    :class:`MutationEngine` (the :class:`FaultingMiddlebox` path).
+    :class:`MutationEngine` (the :class:`FaultingMiddlebox` path).  A
+    link-kind event (a flap) needs a link: aiming one at an engine raises
+    :class:`ValueError`.
     """
 
     def __init__(
@@ -61,6 +63,11 @@ class FaultInjector:
         plan: FaultPlan,
     ) -> None:
         plan.validate(list(targets))
+        for event in plan.events:
+            if FAULT_MODELS[event.mutation].kind == "link" and isinstance(
+                targets[event.target], MutationEngine
+            ):
+                raise ValueError(f"link fault event needs a link target: {event.describe()}")
         self._sim = sim
         #: The schedule this injector replays.
         self.plan = plan
@@ -110,11 +117,7 @@ class FaultInjector:
             self._sim.schedule(duration, engine.deactivate, event)
 
     def _flap(self, event) -> None:
-        link = self._links.get(event.target)
-        if link is None:
-            # A link-kind event aimed at a middlebox engine has no link to
-            # act on; count it as fired but otherwise ignore it.
-            return
+        link = self._links[event.target]
         self.link_flaps += 1
         state = self._flap_state.get(event.target)
         if state is None:
@@ -153,21 +156,14 @@ def fault_targets(scenario: Scenario) -> dict[str, Link]:
     return {link.name: link for link in scenario.path_links}
 
 
-def faulted(
-    base_builder: Callable,
-    base_name: str,
-    plan: Optional[FaultPlan] = None,
-    profile: str = "default",
-    fault_seed: Optional[int] = None,
-    horizon: float = DEFAULT_FAULT_HORIZON,
-) -> Callable:
+def faulted(base_builder: Callable, base_name: str, plan: Optional[FaultPlan] = None) -> Callable:
     """Wrap a scenario builder so its runs happen under a fault plan.
 
     With an explicit ``plan`` the wrapped builder replays exactly that
-    schedule (the shrink/counterexample path).  Otherwise the plan is
-    generated from ``fault_seed``, or — the sweep path — from the
-    simulator's own seed, so each sweep cell gets its own deterministic
-    adversary.
+    schedule (the shrink/counterexample path).  Otherwise — the sweep path
+    — a ``default``-profile plan over :data:`DEFAULT_FAULT_HORIZON` is
+    generated from the simulator's own seed, so each sweep cell gets its
+    own deterministic adversary.
     """
     def build(sim: Simulator) -> Scenario:
         """Build the base scenario and install its fault plan (see :func:`faulted`)."""
@@ -175,13 +171,10 @@ def faulted(
         targets = fault_targets(scenario)
         the_plan = plan
         if the_plan is None:
-            seed = (
-                fault_seed
-                if fault_seed is not None
-                else derive_seed(sim.random.seed, "fault-plan", base_name, profile)
-            )
             the_plan = FaultPlan.generate(
-                seed, targets=sorted(targets), profile=profile, horizon=horizon
+                derive_seed(sim.random.seed, "fault-plan", base_name, "default"),
+                targets=sorted(targets),
+                horizon=DEFAULT_FAULT_HORIZON,
             )
         injector = FaultInjector(sim, targets, the_plan)
         injector.install()

@@ -31,18 +31,14 @@ class ShrinkResult:
     steps: list[dict] = field(default_factory=list)
 
 
-def shrink_plan(
-    plan: FaultPlan,
-    failing: Callable[[FaultPlan], bool],
-    max_evaluations: int = 200,
-) -> ShrinkResult:
+def shrink_plan(plan: FaultPlan, failing: Callable[[FaultPlan], bool]) -> ShrinkResult:
     """Reduce ``plan`` to a minimal failing event subsequence (ddmin).
 
     ``failing(plan)`` must be deterministic; results are memoised by event
     subset, so re-testing a subset costs nothing.  The returned plan is
     1-minimal: removing any single remaining event makes the failure
-    disappear (unless ``max_evaluations`` was exhausted first, which the
-    step log records).
+    disappear (unless its budget of 200 predicate calls ran out first,
+    which the step log records).
     """
     if not failing(plan):
         raise ValueError("plan does not fail: nothing to shrink")
@@ -55,7 +51,7 @@ def shrink_plan(
         nonlocal evaluations
         if indices in cache:
             return cache[indices]
-        if evaluations >= max_evaluations:
+        if evaluations >= 200:
             cache[indices] = False
             return False
         evaluations += 1

@@ -13,8 +13,11 @@ class MptcpConfig:
 
     The defaults mirror the Linux MPTCP kernel used in the paper: the
     lowest-RTT scheduler, coupled (LIA) congestion control, announcement of
-    additional local addresses with ADD_ADDR, and opportunistic reinjection
-    of data stranded on a subflow whose retransmission timer expired.
+    additional local addresses with ADD_ADDR, opportunistic reinjection
+    of data stranded on a subflow whose retransmission timer expired, and
+    fallback to plain TCP at both downgrade points of RFC 6824 §3.6 (a
+    stripped MP_CAPABLE handshake, corrupted DSS options on a
+    single-subflow connection).
     """
 
     tcp: TcpConfig = field(default_factory=TcpConfig)
@@ -22,16 +25,6 @@ class MptcpConfig:
 
     scheduler: str = "lowest_rtt"
     """Packet scheduler: ``"lowest_rtt"``, ``"round_robin"`` or ``"redundant"``."""
-
-    allow_fallback: bool = True
-    """Fall back to plain TCP when MPTCP signalling is broken in transit.
-
-    Covers both downgrade points of RFC 6824 §3.6: a handshake whose
-    MP_CAPABLE was stripped by a middlebox establishes a single-subflow
-    plain-TCP connection, and a single-subflow connection whose DSS options
-    are corrupted mid-stream degrades to an infinite mapping instead of
-    stalling.  With ``False`` the stack keeps the pre-fallback behaviour:
-    plain SYNs are reset and mapping-less data is ignored."""
 
     max_subflows: int = 32
     """Safety cap on concurrent subflows per connection."""

@@ -422,13 +422,11 @@ class MptcpConnection(SubflowObserver):
         """Create the server-side initial subflow from a received SYN.
 
         A SYN without MP_CAPABLE (stripped in transit by a middlebox) is
-        served as a plain-TCP fallback connection when the configuration
-        allows it; the SYN/ACK then carries no MPTCP options at all.
+        served as a plain-TCP fallback connection; the SYN/ACK then carries
+        no MPTCP options at all.
         """
         capable = segment.find_option(MpCapableOption)
         if capable is None:
-            if not self._config.allow_fallback:
-                raise ValueError("initial SYN carries no MP_CAPABLE option")
             self._enter_fallback("mp_capable_stripped")
         else:
             self._learn_remote_key(capable.sender_key)
@@ -656,7 +654,6 @@ class MptcpConnection(SubflowObserver):
             self._learn_remote_key(capable.sender_key)
         if (
             not self.is_fallback
-            and self._config.allow_fallback
             and flow is not None
             and flow.is_initial
             and capable is None
@@ -682,7 +679,7 @@ class MptcpConnection(SubflowObserver):
                 # emits carries at least a DSS).
                 self._enter_fallback("mp_capable_stripped", flow)
         fail = options.get(MpFailOption)
-        if fail is not None and not self.is_fallback and self._config.allow_fallback:
+        if fail is not None and not self.is_fallback:
             # The peer failed our DSS checksums: infinite-mapping fallback.
             self._enter_fallback("dss_checksum_fail", flow)
         if self.is_fallback:
@@ -725,7 +722,6 @@ class MptcpConnection(SubflowObserver):
         if dss is None or not dss.has_mapping:
             if (
                 segment.payload_len > 0
-                and self._config.allow_fallback
                 and len(self.subflows) == 1
                 and flow is not None
                 and flow.is_initial

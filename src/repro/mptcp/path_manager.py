@@ -98,10 +98,6 @@ class FullMeshPathManager(PathManager):
 
     name = "fullmesh"
 
-    def __init__(self, processing_latency: Optional[LatencyModel] = None) -> None:
-        super().__init__()
-        self._latency = processing_latency if processing_latency is not None else ConstantLatency(2e-6)
-
     # -- hooks ---------------------------------------------------------------
     def on_connection_established(self, conn: "MptcpConnection") -> None:
         if conn.is_client:
@@ -130,8 +126,8 @@ class FullMeshPathManager(PathManager):
     def _schedule(self, action) -> None:
         if self.stack is None:
             return
-        delay = self._latency.sample(self.stack.sim.random.substream("pm:fullmesh"))
-        self.stack.sim.schedule(delay, action)
+        # The in-kernel strategy reacts after 2 us of processing.
+        self.stack.sim.schedule(2e-6, action)
 
     def _build_mesh(self, conn: "MptcpConnection") -> None:
         if self.stack is None or conn.closed or not conn.established:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from repro.mptcp.config import MptcpConfig
 from repro.mptcp.connection import ConnectionListener, MptcpConnection
-from repro.mptcp.options import MpCapableOption, MpJoinOption
+from repro.mptcp.options import MpJoinOption
 from repro.mptcp.path_manager import PassivePathManager, PathManager
 from repro.mptcp.scheduler import make_scheduler
 from repro.mptcp.token import derive_token, generate_key
@@ -25,6 +25,7 @@ from repro.net.host import Host
 from repro.net.interface import Interface
 from repro.net.packet import Segment, reset_for
 from repro.sim.engine import Simulator
+from repro.tcp.config import INITIAL_SSTHRESH_BYTES
 from repro.tcp.congestion import CouplingGroup, make_congestion_control
 from repro.tcp.socket import TcpSocket
 
@@ -186,7 +187,7 @@ class MptcpStack:
             self.mptcp_config.tcp.congestion_control,
             self.mptcp_config.tcp.mss,
             self.mptcp_config.tcp.initial_cwnd_segments,
-            self.mptcp_config.tcp.initial_ssthresh_bytes,
+            INITIAL_SSTHRESH_BYTES,
             group=group,
         )
         self._used_ports.add(local_port)
@@ -257,12 +258,6 @@ class MptcpStack:
                 self._send_reset(segment)
             return
         if factory is None:
-            self.segments_unmatched += 1
-            self._send_reset(segment)
-            return
-        capable = segment.find_option(MpCapableOption)
-        if capable is None and not self.mptcp_config.allow_fallback:
-            # Fallback disabled: plain TCP SYNs are not served.
             self.segments_unmatched += 1
             self._send_reset(segment)
             return

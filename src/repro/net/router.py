@@ -23,11 +23,10 @@ from repro.sim.engine import Simulator
 class EcmpGroup:
     """An ordered set of outgoing interfaces sharing equal-cost routes."""
 
-    def __init__(self, iface_names: list[str], salt: int = 0) -> None:
+    def __init__(self, iface_names: list[str]) -> None:
         if not iface_names:
             raise ValueError("an ECMP group needs at least one interface")
         self._iface_names = list(iface_names)
-        self._salt = salt
 
     @property
     def interfaces(self) -> list[str]:
@@ -42,13 +41,13 @@ class EcmpGroup:
     def select(self, segment: Segment) -> str:
         """Pick the member interface for this segment's flow."""
         key = segment.four_tuple.ecmp_key()
-        digest = zlib.crc32(key, self._salt)
+        digest = zlib.crc32(key)
         return self._iface_names[digest % len(self._iface_names)]
 
     def path_index(self, segment: Segment) -> int:
         """Index of the path this segment's flow hashes onto."""
         key = segment.four_tuple.ecmp_key()
-        return zlib.crc32(key, self._salt) % len(self._iface_names)
+        return zlib.crc32(key) % len(self._iface_names)
 
 
 class Router(Node):

@@ -96,17 +96,12 @@ class PacketTracer:
     # ------------------------------------------------------------------
     # convenience filters used by the experiments
     # ------------------------------------------------------------------
-    def syn_records(self, with_option: Optional[type] = None) -> list[PacketRecord]:
-        """SYN segments (not SYN+ACK), optionally filtered by an option class."""
-        out = []
-        for record in self._records:
-            seg = record.segment
-            if not seg.is_syn or seg.is_ack:
-                continue
-            if with_option is not None and not seg.has_option(with_option):
-                continue
-            out.append(record)
-        return out
+    def syn_records(self) -> list[PacketRecord]:
+        """SYN segments (not SYN+ACK)."""
+        return [
+            record for record in self._records
+            if record.segment.is_syn and not record.segment.is_ack
+        ]
 
     def data_records(self) -> list[PacketRecord]:
         """Segments carrying payload bytes."""

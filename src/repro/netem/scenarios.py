@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # repro.faults stays unloaded on clean cells
     from repro.faults.plan import FaultPlan
 
 
+#: Line rate of every link of the middlebox topologies.
+MIDDLEBOX_PATH_RATE_MBPS = 10.0
+
+
 @dataclass
 class Scenario:
     """A built topology and the objects experiments need from it.
@@ -107,19 +111,10 @@ def build_dual_homed(
     )
 
 
-def build_ecmp(
-    sim: Simulator,
-    path_count: int = 4,
-    path_rate_mbps: float = 8.0,
-    path_delays_ms: tuple[float, ...] = (10.0, 20.0, 30.0, 40.0),
-    access_rate_mbps: float = 1000.0,
-    access_delay_ms: float = 0.1,
-    queue_packets: int = 100,
-) -> Scenario:
+def build_ecmp(sim: Simulator) -> Scenario:
     """Build the ECMP topology of §4.4: routers ``r1`` and ``r2`` hash the
-    four-tuple of every subflow onto one of the parallel paths."""
-    if len(path_delays_ms) < path_count:
-        raise ValueError("need one delay per path")
+    four-tuple of every subflow onto one of four parallel 8 Mbps paths
+    (10, 20, 30 and 40 ms), behind gigabit access links."""
     topo = Topology(sim, name="ecmp")
     client = topo.add_host("client")
     server = topo.add_host("server")
@@ -132,32 +127,25 @@ def build_ecmp(
         "client-access",
         (client, "eth0", client_address),
         (left, "to-client", "10.0.0.254"),
-        rate_mbps=access_rate_mbps,
-        delay_ms=access_delay_ms,
-        queue_packets=queue_packets,
     )
     topo.add_link(
         "server-access",
         (server, "eth0", server_address),
         (right, "to-server", "10.9.0.254"),
-        rate_mbps=access_rate_mbps,
-        delay_ms=access_delay_ms,
-        queue_packets=queue_packets,
     )
 
     path_links = []
     left_ports = []
     right_ports = []
-    for index in range(path_count):
+    for index, delay_ms in enumerate((10.0, 20.0, 30.0, 40.0)):
         left_name = f"path{index}-left"
         right_name = f"path{index}-right"
         link = topo.add_link(
             f"path{index}",
             (left, left_name, f"10.{10 + index}.0.1"),
             (right, right_name, f"10.{10 + index}.0.2"),
-            rate_mbps=path_rate_mbps,
-            delay_ms=path_delays_ms[index],
-            queue_packets=queue_packets,
+            rate_mbps=8.0,
+            delay_ms=delay_ms,
         )
         path_links.append(link)
         left_ports.append(left_name)
@@ -170,12 +158,7 @@ def build_ecmp(
     return Scenario(topo, client, server, [client_address], [server_address], path_links)
 
 
-def build_lan(
-    sim: Simulator,
-    rate_mbps: float = 1000.0,
-    delay_ms: float = 0.05,
-    queue_packets: int = 1000,
-) -> Scenario:
+def build_lan(sim: Simulator) -> Scenario:
     """Two hosts on a direct gigabit link (the §4.5 lab measurement)."""
     topo = Topology(sim, name="lan")
     client = topo.add_host("client")
@@ -186,9 +169,8 @@ def build_lan(
         "lan",
         (client, "eth0", client_address),
         (server, "eth0", server_address),
-        rate_mbps=rate_mbps,
-        delay_ms=delay_ms,
-        queue_packets=queue_packets,
+        delay_ms=0.05,
+        queue_packets=1000,
     )
     return Scenario(topo, client, server, [client_address], [server_address], [link])
 
@@ -198,16 +180,15 @@ def build_middlebox_path(
     name: str,
     attach_middlebox,
     leg_prefix: str,
-    rate_mbps: float = 10.0,
     delay_ms: float = 10.0,
-    direct_delay_ms: float = 30.0,
 ) -> Scenario:
     """Dual-homed client whose primary path crosses a two-legged middlebox.
 
     The shared shape behind the §4.1 NAT topology, the §3 option-stripper
     topologies and the fault-injection topologies of :mod:`repro.faults`:
-    path 0 runs client → middlebox → server, path 1 is a slower direct
-    link so the scheduler prefers the middlebox path.
+    path 0 runs client → middlebox → server, path 1 is a slower (30 ms)
+    direct link so the scheduler prefers the middlebox path; every link
+    runs at 10 Mbps.
     ``attach_middlebox(topology)`` creates (and registers) the middlebox;
     ``leg_prefix`` names the two primary-path legs (``client-<prefix>``
     and ``<prefix>-server``), preserved per concrete scenario so packet
@@ -227,25 +208,25 @@ def build_middlebox_path(
             f"client-{leg_prefix}",
             (client, "if0", client_addresses[0]),
             box.interface(box.INSIDE),
-            rate_mbps=rate_mbps,
+            rate_mbps=MIDDLEBOX_PATH_RATE_MBPS,
             delay_ms=delay_ms / 2,
         ),
         topo.add_link(
             f"{leg_prefix}-server",
             box.interface(box.OUTSIDE),
             (server, "if0", server_addresses[0]),
-            rate_mbps=rate_mbps,
+            rate_mbps=MIDDLEBOX_PATH_RATE_MBPS,
             delay_ms=delay_ms / 2,
         ),
         topo.add_link(
             "direct",
             (client, "if1", client_addresses[1]),
             (server, "if1", server_addresses[1]),
-            rate_mbps=rate_mbps,
+            rate_mbps=MIDDLEBOX_PATH_RATE_MBPS,
             # The backup path is slower (higher RTT) so that the scheduler
             # prefers the middlebox path, which is what makes the failure /
             # repair cycle observable.
-            delay_ms=direct_delay_ms,
+            delay_ms=30.0,
         ),
     ]
     client.add_route(server_addresses[0], "if0")
@@ -261,9 +242,7 @@ def build_natted(
     sim: Simulator,
     nat_idle_timeout: float = 60.0,
     nat_sends_rst: bool = False,
-    rate_mbps: float = 10.0,
     delay_ms: float = 10.0,
-    direct_delay_ms: float = 30.0,
 ) -> Scenario:
     """Build the NAT-on-the-primary-path topology of §4.1.
 
@@ -275,31 +254,25 @@ def build_natted(
         "natted",
         lambda topo: topo.add_nat("nat", idle_timeout=nat_idle_timeout, send_rst=nat_sends_rst),
         leg_prefix="nat",
-        rate_mbps=rate_mbps,
         delay_ms=delay_ms,
-        direct_delay_ms=direct_delay_ms,
     )
 
 
 def build_wifi_lte_handover(
     sim: Simulator,
-    wifi_rate_mbps: float = 20.0,
-    wifi_delay_ms: float = 5.0,
-    lte_rate_mbps: float = 8.0,
-    lte_delay_ms: float = 35.0,
     degrade_at: Optional[float] = 1.0,
-    degrade_loss_percent: float = 25.0,
     down_at: Optional[float] = 2.5,
     recover_at: Optional[float] = None,
 ) -> Scenario:
     """A phone walking out of WiFi coverage onto LTE.
 
-    Path 0 is the WiFi interface: it starts clean, becomes lossy at
-    ``degrade_at`` (edge-of-coverage) and the interface goes down entirely
-    at ``down_at``.  Path 1 is LTE: slower and with a much higher RTT, but
-    stable throughout.  With ``recover_at`` set, WiFi comes back (clean) at
-    that time — the walk-back-indoors case.  Any of the three times may be
-    ``None`` to skip that phase.
+    Path 0 is the WiFi interface (20 Mbps, 5 ms): it starts clean, loses
+    25 % of its packets from ``degrade_at`` (edge-of-coverage) and the
+    interface goes down entirely at ``down_at``.  Path 1 is LTE (8 Mbps,
+    35 ms): slower and with a much higher RTT, but stable throughout.
+    With ``recover_at`` set, WiFi comes back (clean) at that time — the
+    walk-back-indoors case.  Any of the three times may be ``None`` to
+    skip that phase.
     """
     for label, value in (("degrade_at", degrade_at), ("down_at", down_at), ("recover_at", recover_at)):
         if value is not None and value < 0:
@@ -312,14 +285,14 @@ def build_wifi_lte_handover(
         sim,
         "wifi-lte-handover",
         [
-            dict(rate_mbps=wifi_rate_mbps, delay_ms=wifi_delay_ms),
-            dict(rate_mbps=lte_rate_mbps, delay_ms=lte_delay_ms),
+            dict(rate_mbps=20.0, delay_ms=5.0),
+            dict(rate_mbps=8.0, delay_ms=35.0),
         ],
     )
     wifi_link = scenario.path_links[0]
     wifi_iface = scenario.client.interface("if0")
     if degrade_at is not None:
-        sim.schedule(degrade_at, wifi_link.set_loss_rate, degrade_loss_percent / 100.0)
+        sim.schedule(degrade_at, wifi_link.set_loss_rate, 0.25)
     if down_at is not None:
         sim.schedule(down_at, wifi_iface.set_down)
     if recover_at is not None:
@@ -331,43 +304,28 @@ def build_wifi_lte_handover(
 def build_asymmetric_loss(
     sim: Simulator,
     loss_percents: tuple[float, float] = (5.0, 0.5),
-    rate_mbps: float = 10.0,
-    delays_ms: tuple[float, float] = (10.0, 25.0),
-    queue_packets: int = 100,
 ) -> Scenario:
-    """Two always-up paths with very different loss characteristics.
+    """Two always-up 10 Mbps paths with very different loss characteristics.
 
-    The low-delay path is the lossy one, so a pure lowest-RTT scheduler
-    keeps being pulled towards the path that hurts it — the trade-off the
-    smart-streaming controller of §4.3 is built around.
+    The low-delay path (10 ms against 25 ms) is the lossy one, so a pure
+    lowest-RTT scheduler keeps being pulled towards the path that hurts it
+    — the trade-off the smart-streaming controller of §4.3 is built around.
     """
     return _build_two_path(
         sim,
         "asymmetric-loss",
         [
-            dict(
-                rate_mbps=rate_mbps,
-                delay_ms=delays_ms[index],
-                loss_percent=loss_percents[index],
-                queue_packets=queue_packets,
-            )
-            for index in range(2)
+            dict(rate_mbps=10.0, delay_ms=delay_ms, loss_percent=loss_percent)
+            for delay_ms, loss_percent in zip((10.0, 25.0), loss_percents)
         ],
     )
 
 
-def build_bufferbloat_cellular(
-    sim: Simulator,
-    wifi_rate_mbps: float = 10.0,
-    wifi_delay_ms: float = 10.0,
-    wifi_loss_percent: float = 1.0,
-    cell_rate_mbps: float = 3.0,
-    cell_delay_ms: float = 40.0,
-    cell_queue_packets: int = 2000,
-) -> Scenario:
+def build_bufferbloat_cellular(sim: Simulator) -> Scenario:
     """A clean-but-slow cellular path behind a grossly oversized buffer.
 
-    The cellular link never drops a packet — it queues it instead, so its
+    Path 0 is WiFi (10 Mbps, 10 ms, 1 % loss); path 1 is cellular (3 Mbps,
+    40 ms) with a 2000-packet queue.  The cellular link never drops a packet — it queues it instead, so its
     observed RTT balloons under load (bufferbloat).  RTT-based schedulers
     drift away from it once they have filled the buffer; loss-based
     congestion control keeps pushing.
@@ -376,8 +334,8 @@ def build_bufferbloat_cellular(
         sim,
         "bufferbloat-cellular",
         [
-            dict(rate_mbps=wifi_rate_mbps, delay_ms=wifi_delay_ms, loss_percent=wifi_loss_percent),
-            dict(rate_mbps=cell_rate_mbps, delay_ms=cell_delay_ms, queue_packets=cell_queue_packets),
+            dict(rate_mbps=10.0, delay_ms=10.0, loss_percent=1.0),
+            dict(rate_mbps=3.0, delay_ms=40.0, queue_packets=2000),
         ],
     )
 
@@ -386,12 +344,11 @@ def build_path_failure_recovery(
     sim: Simulator,
     fail_at: float = 1.5,
     recover_at: float = 3.5,
-    rate_mbps: float = 8.0,
-    delays_ms: tuple[float, float] = (10.0, 30.0),
 ) -> Scenario:
     """Mid-transfer blackout of the primary path, then full recovery.
 
-    Between ``fail_at`` and ``recover_at`` the primary path drops every
+    Both paths run at 8 Mbps; the primary has 10 ms of delay, the
+    secondary 30 ms.  Between ``fail_at`` and ``recover_at`` the primary path drops every
     packet (a blackout, not a down interface: the host keeps believing the
     path exists, exactly what RTO-based failure detection has to handle).
     """
@@ -400,10 +357,7 @@ def build_path_failure_recovery(
     scenario = _build_two_path(
         sim,
         "path-failure-recovery",
-        [
-            dict(rate_mbps=rate_mbps, delay_ms=delays_ms[0]),
-            dict(rate_mbps=rate_mbps, delay_ms=delays_ms[1]),
-        ],
+        [dict(rate_mbps=8.0, delay_ms=delay_ms) for delay_ms in (10.0, 30.0)],
     )
     primary = scenario.path_links[0]
     sim.schedule(fail_at, primary.set_loss_rate, 1.0)
@@ -411,12 +365,7 @@ def build_path_failure_recovery(
     return scenario
 
 
-def build_addaddr_stripped(
-    sim: Simulator,
-    rate_mbps: float = 10.0,
-    delay_ms: float = 10.0,
-    secondary_delay_ms: float = 30.0,
-) -> Scenario:
+def build_addaddr_stripped(sim: Simulator) -> Scenario:
     """Dual-path topology whose primary path strips ADD_ADDR options.
 
     The middlebox forwards everything else untouched, so the connection
@@ -431,19 +380,10 @@ def build_addaddr_stripped(
         "addaddr-stripped",
         lambda topo: topo.add_option_stripper("stripper", strip_options=(AddAddrOption,)),
         leg_prefix="stripper",
-        rate_mbps=rate_mbps,
-        delay_ms=delay_ms,
-        direct_delay_ms=secondary_delay_ms,
     )
 
 
-def build_mpcapable_stripped(
-    sim: Simulator,
-    strip_from: Optional[str] = None,
-    rate_mbps: float = 10.0,
-    delay_ms: float = 10.0,
-    secondary_delay_ms: float = 30.0,
-) -> Scenario:
+def build_mpcapable_stripped(sim: Simulator, strip_from: Optional[str] = None) -> Scenario:
     """Dual-path topology whose primary path strips MP_CAPABLE options.
 
     The harshest §3 interference short of dropping the SYN outright: the
@@ -464,24 +404,10 @@ def build_mpcapable_stripped(
             "stripper", strip_options=(MpCapableOption,), strip_from=strip_from
         ),
         leg_prefix="stripper",
-        rate_mbps=rate_mbps,
-        delay_ms=delay_ms,
-        direct_delay_ms=secondary_delay_ms,
     )
     return replace(scenario, fallback_prone=True)
 
 
-def build_mpcapable_stripped_synack(
-    sim: Simulator,
-    rate_mbps: float = 10.0,
-    delay_ms: float = 10.0,
-    secondary_delay_ms: float = 30.0,
-) -> Scenario:
+def build_mpcapable_stripped_synack(sim: Simulator) -> Scenario:
     """The SYN/ACK-only MP_CAPABLE stripper (asymmetric downgrade)."""
-    return build_mpcapable_stripped(
-        sim,
-        strip_from="outside",
-        rate_mbps=rate_mbps,
-        delay_ms=delay_ms,
-        secondary_delay_ms=secondary_delay_ms,
-    )
+    return build_mpcapable_stripped(sim, strip_from="outside")

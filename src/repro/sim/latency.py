@@ -84,19 +84,18 @@ class LogNormalLatency(LatencyModel):
     code can say "about 20 microseconds, skewed".
     """
 
-    def __init__(self, mean: float, sigma: float = 0.5, floor: float = 0.0) -> None:
+    def __init__(self, mean: float, sigma: float = 0.5) -> None:
         if mean <= 0:
             raise ValueError(f"log-normal mean must be positive, got {mean!r}")
         if sigma <= 0:
             raise ValueError(f"log-normal sigma must be positive, got {sigma!r}")
         self._target_mean = float(mean)
         self._sigma = float(sigma)
-        self._floor = float(floor)
         # mean of lognormal = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2
         self._mu = math.log(mean) - (sigma * sigma) / 2.0
 
     def sample(self, rng: RandomSource) -> float:
-        return max(self._floor, rng.lognormal(self._mu, self._sigma))
+        return rng.lognormal(self._mu, self._sigma)
 
     def mean(self) -> float:
         return self._target_mean

@@ -115,6 +115,6 @@ class RandomSource:
             return True
         return self._rng.random() < probability
 
-    def ephemeral_port(self, low: int = 32768, high: int = 60999) -> int:
+    def ephemeral_port(self) -> int:
         """Draw an ephemeral source port from the Linux default range."""
-        return self._rng.randint(low, high)
+        return self._rng.randint(32768, 60999)

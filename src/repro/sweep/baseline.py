@@ -156,12 +156,9 @@ class IncompleteStoreError(ValueError):
     """A store does not hold every cell of the grid asked of it."""
 
 
-def baseline_from_store(
-    grid: CampaignGrid,
-    store: Union[str, CampaignStore],
-    name: Optional[str] = None,
-) -> Baseline:
-    """Assemble a baseline purely from a campaign store's cell objects.
+def baseline_from_store(grid: CampaignGrid, store: Union[str, CampaignStore]) -> Baseline:
+    """Assemble a baseline, named after ``grid``, purely from a campaign
+    store's cell objects.
 
     ``store`` is a :class:`~repro.store.CampaignStore` or a path to one.
     Every cell of ``grid`` must already be stored (a previous run with the
@@ -194,7 +191,7 @@ def baseline_from_store(
             f"{grid.cell_count} cells for grid {grid.name!r}: {shown}{more}"
         )
     return Baseline(
-        name=name if name is not None else grid.name,
+        name=grid.name,
         campaign_seed=grid.campaign_seed,
         cells=cells,
         source=store.root,

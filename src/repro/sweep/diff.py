@@ -362,12 +362,8 @@ class CampaignDiff:
         )
 
 
-def diff_campaigns(
-    left,
-    right,
-    tolerances: Optional[Mapping[str, Tolerance]] = None,
-) -> CampaignDiff:
-    """Align and compare two campaigns cell by cell.
+def diff_campaigns(left, right) -> CampaignDiff:
+    """Align and compare two campaigns cell by cell under :data:`DEFAULT_TOLERANCES`.
 
     ``left`` is the reference (usually the committed baseline), ``right``
     the candidate.  Both sides accept a :class:`Baseline`, a live
@@ -377,8 +373,6 @@ def diff_campaigns(
     """
     left_base = _normalise(left)
     right_base = _normalise(right)
-    if tolerances is None:
-        tolerances = DEFAULT_TOLERANCES
 
     left_cells = left_base.cell_by_key()
     right_cells = right_base.cell_by_key()
@@ -389,7 +383,7 @@ def diff_campaigns(
             spec=left_cells[key].spec,
             left_metrics=left_cells[key].metrics,
             right_metrics=right_cells[key].metrics,
-            tolerances=tolerances,
+            tolerances=DEFAULT_TOLERANCES,
             config_match=left_cells[key].config_hash == right_cells[key].config_hash,
         )
         for key in shared
@@ -397,7 +391,7 @@ def diff_campaigns(
     return CampaignDiff(
         left=left_base,
         right=right_base,
-        tolerances=tolerances,
+        tolerances=DEFAULT_TOLERANCES,
         matched=matched,
         left_only=sorted(set(left_cells) - set(right_cells)),
         right_only=sorted(set(right_cells) - set(left_cells)),

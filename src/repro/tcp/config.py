@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: Initial slow-start threshold (effectively unbounded, like Linux).
+INITIAL_SSTHRESH_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class TcpConfig:
@@ -20,9 +23,6 @@ class TcpConfig:
 
     initial_cwnd_segments: int = 10
     """Initial congestion window, in segments (RFC 6928)."""
-
-    initial_ssthresh_bytes: int = 1 << 30
-    """Initial slow-start threshold (effectively unbounded, like Linux)."""
 
     rto_min: float = 0.2
     """Minimum retransmission timeout in seconds (Linux default)."""
@@ -46,20 +46,11 @@ class TcpConfig:
     syn_timeout: float = 1.0
     """Initial SYN retransmission timeout in seconds."""
 
-    receive_window: int = 4 << 20
-    """Advertised receive window in bytes (large enough to never bind)."""
-
     dupack_threshold: int = 3
     """Duplicate ACKs that trigger a fast retransmit."""
 
     congestion_control: str = "lia"
     """Default congestion controller: ``"reno"`` or the coupled ``"lia"``."""
-
-    pacing_ss_factor: float = 2.0
-    """Pacing-rate multiplier applied in slow start (Linux uses 2.0)."""
-
-    pacing_ca_factor: float = 1.2
-    """Pacing-rate multiplier applied in congestion avoidance (Linux uses 1.2)."""
 
     def validate(self) -> None:
         """Raise ``ValueError`` for obviously inconsistent settings."""
@@ -73,5 +64,3 @@ class TcpConfig:
             raise ValueError("max_rto_doublings must be at least 1")
         if self.dupack_threshold < 1:
             raise ValueError("dupack_threshold must be at least 1")
-        if self.receive_window <= 0:
-            raise ValueError("receive_window must be positive")

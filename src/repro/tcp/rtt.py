@@ -23,20 +23,20 @@ class RttEstimator:
     ALPHA = 1.0 / 8.0
     BETA = 1.0 / 4.0
     K = 4.0
+    #: Clock granularity (seconds).
+    G = 0.001
 
     def __init__(
         self,
         rto_initial: float = 1.0,
         rto_min: float = 0.2,
         rto_max: float = 120.0,
-        clock_granularity: float = 0.001,
     ) -> None:
         if rto_min <= 0 or rto_max < rto_min:
             raise ValueError("require 0 < rto_min <= rto_max")
         self._rto_initial = rto_initial
         self._rto_min = rto_min
         self._rto_max = rto_max
-        self._granularity = clock_granularity
         self.srtt: Optional[float] = None
         #: RTT variance in seconds (``None`` before the first sample).
         self.rttvar: Optional[float] = None
@@ -83,7 +83,7 @@ class RttEstimator:
 
     def _recompute(self) -> None:
         assert self.srtt is not None and self.rttvar is not None
-        base = self.srtt + max(self._granularity, self.K * self.rttvar)
+        base = self.srtt + max(self.G, self.K * self.rttvar)
         self._rto = min(self._rto_max, max(self._rto_min, base))
 
     # ------------------------------------------------------------------

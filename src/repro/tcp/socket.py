@@ -26,7 +26,7 @@ from repro.net.packet import Segment, TCPFlags
 from repro.sim.engine import Simulator
 from repro.sim.timers import Timer
 from repro.tcp.buffers import ReceiveReassembly, RetransmissionQueue, SentSegment
-from repro.tcp.config import TcpConfig
+from repro.tcp.config import INITIAL_SSTHRESH_BYTES, TcpConfig
 from repro.tcp.congestion import CongestionControl, LiaCongestionControl
 from repro.tcp.info import TcpInfo
 from repro.tcp.options import SackOption
@@ -40,6 +40,9 @@ _SYN_BIT = 0x02
 _RST_BIT = 0x04
 _ACK_BIT = 0x10
 _ACK_PSH_FLAGS = TCPFlags.ACK | TCPFlags.PSH
+
+#: Advertised receive window in bytes (large enough to never bind).
+RECEIVE_WINDOW = 4 << 20
 
 
 class TcpState(enum.Enum):
@@ -147,7 +150,7 @@ class TcpSocket:
         self._iss = 0
         self.snd_una = 0
         self.snd_nxt = 0
-        self._peer_window = self.config.receive_window
+        self._peer_window = RECEIVE_WINDOW
         self._pending_close = False
         self._fin_seq: Optional[int] = None
 
@@ -168,7 +171,7 @@ class TcpSocket:
             congestion = RenoCongestionControl(
                 self.config.mss,
                 self.config.initial_cwnd_segments,
-                self.config.initial_ssthresh_bytes,
+                INITIAL_SSTHRESH_BYTES,
             )
         self.congestion = congestion
         self._rtx_queue = RetransmissionQueue()
@@ -258,11 +261,7 @@ class TcpSocket:
         srtt = self.rtt.srtt
         if srtt is None or srtt <= 0:
             return 0.0
-        factor = (
-            self.config.pacing_ss_factor
-            if self.congestion.in_slow_start
-            else self.config.pacing_ca_factor
-        )
+        factor = 2.0 if self.congestion.in_slow_start else 1.2
         return factor * self.congestion.cwnd / srtt
 
     def info(self) -> TcpInfo:
@@ -831,7 +830,7 @@ class TcpSocket:
             flags,
             payload_len,
             options,
-            self.config.receive_window,
+            RECEIVE_WINDOW,
             64,
             self.sim.now,
         )

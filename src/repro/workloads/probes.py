@@ -117,10 +117,10 @@ class TraceProbe(Probe):
         }
 
     # -- figure-facing views -------------------------------------------
-    def sequence_trace(self, source_address=None) -> SubflowSequenceTrace:
+    def sequence_trace(self) -> SubflowSequenceTrace:
         """The Figure 2a data set (sequence progress per subflow)."""
         assert self.tracer is not None, "TraceProbe used before attach"
-        return extract_sequence_trace(self.tracer, source_address)
+        return extract_sequence_trace(self.tracer)
 
     def syn_join_delays(self) -> list[float]:
         """The Figure 3 data set (MP_CAPABLE-SYN to MP_JOIN-SYN delays)."""

@@ -4,12 +4,13 @@ scaled-down experiment harness."""
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from tests.helpers import SERVER_PORT, build_dual_homed_rig, child_env
 from repro.analysis.cdf import Cdf
-from repro.analysis.report import format_cdf_table, format_table
+from repro.analysis.report import DEFAULT_FRACTIONS, format_cdf_table, format_table
 from repro.analysis.stats import summarize
 from repro.analysis.trace import extract_sequence_trace, syn_join_delays
 from repro.apps.http import HttpClientDriver, HttpServerApp
@@ -97,6 +98,22 @@ class TestAnalysis:
             Cdf([]).percentile(0.5)
         with pytest.raises(ValueError):
             cdf.percentile(1.5)
+
+    def test_cdf_percentile_is_nearest_rank(self):
+        """``percentile(f)`` is the smallest sample with at least ``f`` of
+        the samples at or below it, checked in exact arithmetic."""
+        for count in range(1, 41):
+            samples = [float(value * value) for value in range(1, count + 1)]
+            cdf = Cdf(reversed(samples))
+            for fraction in DEFAULT_FRACTIONS:
+                expected = next(
+                    value for rank, value in enumerate(samples, start=1)
+                    if Fraction(rank, count) >= Fraction(repr(fraction))
+                )
+                assert cdf.percentile(fraction) == expected, (count, fraction)
+        ten = Cdf(range(1, 11))
+        assert [ten.percentile(f) for f in (0.05, 0.10, 0.50, 0.90)] == [1, 1, 5, 9]
+        assert Cdf([1, 2, 3]).percentile(0.05) == 1
 
     def test_summary(self):
         stats = summarize([1, 2, 3, 4, 5])

@@ -164,7 +164,14 @@ class TestRemovedNamesStayRemoved:
                "notify_subflow_established", "notify_subflow_closed", "notify_rto_timeout",
                "notify_add_addr", "notify_rem_addr", "self.create_subflow(",
                "self.remove_subflow(", "flow.info()", "stack_counters", "run_workload",
-               "with_overrides")
+               "with_overrides",
+               "allow_fallback", "format_comparison_table", "register_faulted_variant",
+               "clock_granularity", "max_reestablish_attempts", "DEFAULT_BACKOFFS",
+               "min_rate_ratio", "check_offset", "command_processing",
+               "initial_ssthresh_bytes", "pacing_ss_factor", "pacing_ca_factor",
+               "receive_window", "baseline_horizon", "interface_flap_at",
+               "degrade_loss_percent", "fault_seed", "max_evaluations", "failure_floor",
+               "_cell_key", "path_delays_ms")
 
     def test_no_removed_name_in_source_docs_examples_or_ci(self):
         files = [REPO_ROOT / ".github" / "workflows" / "ci.yml", REPO_ROOT / "README.md"]

@@ -14,7 +14,6 @@ import pytest
 from repro.apps.bulk import BulkReceiverApp, BulkSenderApp
 from repro.faults.inject import FaultInjector, faulted
 from repro.faults.plan import FaultEvent, FaultPlan
-from repro.mptcp.config import MptcpConfig
 from repro.mptcp.options import MpJoinOption
 from repro.mptcp.path_manager import FullMeshPathManager, PassivePathManager
 from repro.mptcp.stack import MptcpStack
@@ -186,17 +185,16 @@ class TestHandshakeDowngrade:
         assert server.segments_unmatched == unmatched_before + 1
         assert server.resets_sent == resets_before + 1
 
-    def test_allow_fallback_false_keeps_reset_behaviour(self):
-        config = MptcpConfig(allow_fallback=False)
-        sim, scenario, client, server, apps = stripped_rig(
-            build_mpcapable_stripped, config=config
-        )
+    def test_stripped_handshake_is_served_without_a_reset(self):
+        """Fallback is unconditional: a SYN that lost MP_CAPABLE is accepted
+        as plain TCP, so the server never resets it or counts it unmatched."""
+        sim, scenario, client, server, apps = stripped_rig(build_mpcapable_stripped)
         sender, conn = send_bulk(client, scenario, 50_000)
         sim.run(until=20.0)
-        assert not conn.established
-        assert server.connections_accepted == 0
-        assert server.resets_sent >= 1
-        assert server.segments_unmatched >= 1
+        assert conn.established and conn.is_fallback
+        assert server.connections_accepted == 1
+        assert server.resets_sent == 0
+        assert server.segments_unmatched == 0
 
     def test_clean_dual_homed_never_falls_back(self):
         rig = build_dual_homed_rig(client_pm=FullMeshPathManager())
@@ -253,13 +251,12 @@ class TestInfiniteMappingFallback:
         assert "fallback_connections" not in run.metrics
         assert "fallback_bytes" not in run.metrics
 
-    def test_fallback_disabled_keeps_the_old_stall(self):
-        """With ``allow_fallback=False`` the mapping-less data stays
-        ignored and the transfer stalls inside the corruption window — the
-        pre-fallback behaviour, kept reachable for comparison."""
+    def test_default_stacks_fall_back_instead_of_stalling(self):
+        """Two stacks built with the default configuration, no harness: the
+        mapping-less data inside the corruption window is delivered through
+        the downgrade rather than ignored until the transfer stalls."""
         sim = Simulator(seed=3)
         scenario = faulted(build_dual_homed, "dual_homed", plan=corrupt_plan())(sim)
-        config = MptcpConfig(allow_fallback=False)
         apps = []
 
         def factory():
@@ -267,18 +264,18 @@ class TestInfiniteMappingFallback:
             apps.append(app)
             return app
 
-        server = MptcpStack(sim, scenario.server, config=config)
+        server = MptcpStack(sim, scenario.server)
         server.listen(PORT, factory)
-        client = MptcpStack(sim, scenario.client, config=config)
+        client = MptcpStack(sim, scenario.client)
         sender = BulkSenderApp(400_000)
         conn = client.connect(
             scenario.server_addresses[0], PORT,
             listener=sender, local_address=scenario.client_addresses[0],
         )
         sim.run(until=15.0)
-        assert not conn.is_fallback
-        assert not sender.completed
-        assert apps[0].received_bytes < 400_000
+        assert conn.is_fallback and conn.fallback_reason == "dss_checksum_fail"
+        assert sender.completed
+        assert apps[0].received_bytes == 400_000
 
     def test_longlived_bidirectional_fallback(self):
         run = Harness().run(HarnessSpec(
@@ -318,16 +315,20 @@ class TestDemuxAccounting:
         assert rig.server_stack.segments_unmatched == 1
         assert rig.server_stack.resets_sent == 1
 
-    def test_plain_syn_with_fallback_disabled_counts(self):
-        rig = build_dual_homed_rig(config=MptcpConfig(allow_fallback=False))
+    def test_plain_syn_is_served_and_not_counted(self):
+        """A SYN without MP_CAPABLE on a listened port is no demux miss: it
+        opens a plain-TCP fallback connection and draws no reset."""
+        rig = build_dual_homed_rig()
         syn = Segment(
             src=rig.client_addresses[0], dst=rig.server_addresses[0],
             sport=7777, dport=4000, seq=0, flags=TCPFlags.SYN,
         )
         rig.server_stack.on_segment(syn, None)
-        assert rig.server_stack.segments_unmatched == 1
-        assert rig.server_stack.resets_sent == 1
-        assert rig.server_stack.connections_accepted == 0
+        assert rig.server_stack.segments_unmatched == 0
+        assert rig.server_stack.resets_sent == 0
+        assert rig.server_stack.connections_accepted == 1
+        (conn,) = rig.server_stack.fallback_connections
+        assert conn.is_fallback and conn.fallback_reason == "mp_capable_stripped"
 
     def test_stray_non_syn_counts(self):
         rig = build_dual_homed_rig()

@@ -20,6 +20,7 @@ from repro.faults import (
     FaultingMiddlebox,
     FaultInjector,
     FaultPlan,
+    MutationEngine,
     cell_failure_predicate,
     counterexample_artifact,
     counterexample_json,
@@ -379,14 +380,13 @@ class TestFaultingMiddlebox:
         assert box.forwarded == 1
         assert injector.stats()["options_stripped"] == 1
 
-    def test_link_flap_aimed_at_middlebox_is_ignored(self, sim):
-        box = FaultingMiddlebox(sim, "mbox")
-        plan = plan_of(FaultEvent(1.0, box.target_name, "link_flap", (("duration", 1.0),)))
-        injector = FaultInjector(sim, {box.target_name: box.engine}, plan)
-        injector.install()
-        sim.run()
-        assert injector.events_fired == 1
-        assert injector.link_flaps == 0
+    def test_link_flap_aimed_at_an_engine_is_rejected(self, sim):
+        """A flap needs a link: a plan aiming one at a mutation engine is
+        refused up front instead of being counted and logged as fired."""
+        engine = MutationEngine(sim, "mbox:m", lambda segment, iface: None)
+        plan = plan_of(FaultEvent(1.0, "mbox:m", "link_flap", (("duration", 1.0),)))
+        with pytest.raises(ValueError, match=r"t=1 mbox:m: link_flap"):
+            FaultInjector(sim, {"mbox:m": engine}, plan)
 
 
 class TestFaultedScenarios:
