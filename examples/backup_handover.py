@@ -7,9 +7,7 @@ the primary becomes 30 % lossy.  The SmartBackupController watches the
 closes the primary subflow and continues on the backup path
 (break-before-make).  Prints the sequence-progress table of Figure 2a.
 
-Run with:  python examples/backup_handover.py [--baseline]
-           --baseline also simulates how long the kernel-only backup
-           semantics would take to fail over (the paper reports ~12 minutes).
+Run with:  python examples/backup_handover.py [--seed N]
 """
 
 import argparse
@@ -19,12 +17,10 @@ from repro.experiments.fig2a_backup import run_fig2a
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", action="store_true",
-                        help="also run the kernel-only backup baseline (slow)")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    result = run_fig2a(seed=args.seed, include_baseline=args.baseline)
+    result = run_fig2a(seed=args.seed)
     print(result.format_report())
     if result.switch_time is not None:
         print(f"\nThe controller abandoned the primary path "

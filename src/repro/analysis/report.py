@@ -27,21 +27,17 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(output)
 
 
-def format_cdf_table(cdfs: Mapping[str, Cdf], unit: str = "s", scale: float = 1.0) -> str:
-    """Tabulate several CDFs at the cumulative fractions of :data:`DEFAULT_FRACTIONS`.
-
-    ``scale`` multiplies the sample values before printing (e.g. 1000 to
-    print milliseconds for samples stored in seconds).
-    """
+def format_cdf_table(cdfs: Mapping[str, Cdf], unit: str = "s") -> str:
+    """Tabulate several CDFs at the cumulative fractions of :data:`DEFAULT_FRACTIONS`."""
     headers = ["percentile"] + [label for label in cdfs]
     rows = []
     for fraction in DEFAULT_FRACTIONS:
         row = [f"p{int(fraction * 100):02d}"]
         for label, cdf in cdfs.items():
-            row.append(f"{cdf.percentile(fraction) * scale:.3f}{unit}" if len(cdf) else "-")
+            row.append(f"{cdf.percentile(fraction):.3f}{unit}" if len(cdf) else "-")
         rows.append(row)
     mean_row = ["mean"]
     for label, cdf in cdfs.items():
-        mean_row.append(f"{cdf.mean * scale:.3f}{unit}" if len(cdf) else "-")
+        mean_row.append(f"{cdf.mean:.3f}{unit}" if len(cdf) else "-")
     rows.append(mean_row)
     return format_table(headers, rows)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.mptcp.options import DssOption, MpCapableOption, MpJoinOption
+from repro.mptcp.token import derive_token
 from repro.net.addressing import FourTuple
 from repro.net.tracer import PacketTracer
 
@@ -112,37 +113,34 @@ def payload_byte_totals(tracer: PacketTracer) -> dict[FourTuple, int]:
 def syn_join_delays(tracer: PacketTracer) -> list[float]:
     """Per-connection delay between the MP_CAPABLE SYN and the first MP_JOIN SYN.
 
-    This is the quantity Figure 3 plots.  Connections whose MP_JOIN never
-    appears in the capture are skipped.
+    This is the quantity Figure 3 plots.  Each MP_JOIN SYN names its
+    connection by ``token``, the token of the key the MP_CAPABLE SYN/ACK
+    returned on the reverse four-tuple of the connection's first SYN, so
+    overlapping connections pair up correctly and a JOIN seen on several
+    links counts once.  Connections whose MP_JOIN never appears in the
+    capture are skipped.
     """
-    capable_times: dict[int, float] = {}
-    join_delays: list[float] = []
-    joined: set[int] = set()
+    syn_times: dict[int, float] = {}  # client key -> first MP_CAPABLE SYN
+    key_by_tuple: dict[FourTuple, int] = {}  # latest client key per four-tuple
+    start_by_token: dict[int, float] = {}
+    delays: dict[int, float] = {}  # token -> delay, in JOIN order
     for record in tracer.records:
         segment = record.segment
-        if not segment.is_syn or segment.is_ack:
+        if not segment.is_syn:
             continue
         capable = segment.find_option(MpCapableOption)
-        if capable is not None:
-            capable_times.setdefault(capable.sender_key, record.time)
-            continue
-        join = segment.find_option(MpJoinOption)
-        if join is None:
-            continue
-        # Correlate by sender: the MP_JOIN of a connection comes from the
-        # same source address as its MP_CAPABLE and carries the peer's
-        # token.  In these experiments a client runs one connection at a
-        # time, so the most recent un-joined MP_CAPABLE from that source is
-        # the right one.
-        best_key = None
-        best_time = None
-        for key, time in capable_times.items():
-            if key in joined or time > record.time:
+        if capable is None:
+            join = segment.find_option(MpJoinOption)
+            if join is None or segment.is_ack or join.token in delays:
                 continue
-            if best_time is None or time > best_time:
-                best_key, best_time = key, time
-        if best_key is None:
-            continue
-        joined.add(best_key)
-        join_delays.append(record.time - best_time)
-    return join_delays
+            start = start_by_token.get(join.token)
+            if start is not None:
+                delays[join.token] = record.time - start
+        elif segment.is_ack:
+            client_key = key_by_tuple.get(segment.four_tuple.reversed())
+            if client_key is not None:
+                start_by_token.setdefault(derive_token(capable.sender_key), syn_times[client_key])
+        else:
+            syn_times.setdefault(capable.sender_key, record.time)
+            key_by_tuple[segment.four_tuple] = capable.sender_key
+    return list(delays.values())

@@ -9,19 +9,14 @@ path.  The figure plots the data sequence numbers
 of the segments sent over time, coloured by subflow; the reproduction
 returns exactly that series plus the controller's switch time.
 
-The kernel-only baseline (a backup-flagged subflow that is only used after
-the primary dies from ~15 RTO doublings) can optionally be simulated too,
-over a 30-minute horizon; the paper reports it takes about 12 minutes
-with the default Linux configuration.
-
-Both variants are presets over the unified workload harness: the bulk
-workload composed with a dual-homed scenario, a smart-backup (or passive)
-client stack, a trace probe and a scheduled loss-onset hook.
+The run is a preset over the unified workload harness: the bulk workload
+composed with a dual-homed scenario, a smart-backup client stack, a trace
+probe and a scheduled loss-onset hook.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -38,7 +33,7 @@ SERVER_PORT = 5001
 LOSS_START = 1.0
 LOSS_PERCENT = 30.0
 
-#: Both runs share the §4.2 topology at 2 Mbps per path.
+#: The §4.2 topology at 2 Mbps per path.
 _build_scenario = partial(build_dual_homed, rate_mbps=2.0)
 
 
@@ -55,8 +50,6 @@ class Fig2aResult:
     bytes_on_primary: int
     bytes_on_backup: int
     duration: float
-    baseline_failover_time: Optional[float] = None
-    notes: list[str] = field(default_factory=list)
 
     def format_report(self) -> str:
         """Text rendering of the sequence-progress series (paper Figure 2a)."""
@@ -80,12 +73,6 @@ class Fig2aResult:
             + (f"t={self.switch_time:.2f}s" if self.switch_time is not None else "never"),
             f"bytes sent on primary={self.bytes_on_primary}  backup={self.bytes_on_backup}",
         ]
-        if self.baseline_failover_time is not None:
-            lines.append(
-                f"kernel-only backup baseline failover after {self.baseline_failover_time:.0f}s "
-                f"({self.baseline_failover_time / 60:.1f} minutes)"
-            )
-        lines.extend(self.notes)
         return "\n".join(lines)
 
 
@@ -96,7 +83,7 @@ def _schedule_loss(run) -> None:
     )
 
 
-def run_fig2a(seed: int = 1, duration: float = 5.0, include_baseline: bool = False) -> Fig2aResult:
+def run_fig2a(seed: int = 1, duration: float = 5.0) -> Fig2aResult:
     """Run the smart-backup handover experiment (Figure 2a) with the
     controller's 1 s RTO threshold."""
     trace_probe = TraceProbe(tracer_name="capture")
@@ -129,10 +116,6 @@ def run_fig2a(seed: int = 1, duration: float = 5.0, include_baseline: bool = Fal
 
     switch_time = run.client.controller.switch_times.get(run.connection.local_token)
 
-    baseline_failover = None
-    if include_baseline:
-        baseline_failover = _run_kernel_backup_baseline(seed)
-
     return Fig2aResult(
         title="Figure 2a - smart backup handover (data sequence progress per subflow)",
         trace=trace,
@@ -143,60 +126,5 @@ def run_fig2a(seed: int = 1, duration: float = 5.0, include_baseline: bool = Fal
         bytes_on_primary=bytes_primary,
         bytes_on_backup=bytes_backup,
         duration=duration,
-        baseline_failover_time=baseline_failover,
     )
 
-
-def _schedule_kernel_backup(run) -> None:
-    """Hook: open a backup-flagged subflow shortly after establishment."""
-    conn = run.connection
-    scenario = run.scenario
-    sim = run.sim
-
-    def open_backup() -> None:
-        if conn.established:
-            conn.create_subflow(
-                scenario.client_addresses[1],
-                remote_address=scenario.server_addresses[1],
-                remote_port=SERVER_PORT,
-                backup=True,
-            )
-        else:
-            sim.schedule(0.1, open_backup)
-
-    sim.schedule(0.2, open_backup)
-
-
-def _run_kernel_backup_baseline(seed: int) -> Optional[float]:
-    """Kernel-only semantics: the backup subflow exists from the start but is
-    only used once the primary subflow has died from repeated RTO expirations.
-
-    Returns the time at which data first flows on the backup subflow, or
-    ``None`` if it never happens within 30 minutes.
-    """
-    run = Harness().run(
-        HarnessSpec(
-            workload="bulk_transfer",
-            scenario=_build_scenario,
-            controller="passive",
-            seed=seed + 1000,
-            horizon=1800.0,
-            server_port=SERVER_PORT,
-            params={"transfer_bytes": 50_000_000, "close_when_done": False},
-            probes=(),
-            hooks=(_schedule_kernel_backup, _schedule_loss),
-        )
-    )
-
-    conn = run.connection
-    backup_flow = None
-    for flow in conn.subflows:
-        if flow.backup:
-            backup_flow = flow
-    if backup_flow is None or backup_flow.bytes_scheduled == 0:
-        return None
-    # The initial subflow's death is what unlocks the backup subflow.
-    initial = conn.initial_subflow
-    if initial is not None and initial.closed_at is not None:
-        return initial.closed_at
-    return None

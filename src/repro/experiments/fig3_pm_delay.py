@@ -10,138 +10,69 @@ paper's Figure 3 plots.  The userspace variant pays two Netlink crossings
 plus the controller's processing time, which showed up as ~23 µs of extra
 delay on the paper's hardware (and stayed below 37 µs under CPU stress).
 
-Each variant is a preset over the unified workload harness: the HTTP
-workload on the LAN scenario with a latency-calibrated client stack and a
-trace probe whose SYN-to-JOIN extraction yields the figure's data set.
+The figure is the ``fig3`` named grid: one ``http``/``lan`` cell per path
+manager, whose trace probe stores the delays as ``mp_join_samples`` and
+``join_delay_us_*``.  This module runs that campaign and formats the pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from typing import Any
 
-from repro.analysis.cdf import Cdf
-from repro.analysis.report import format_cdf_table
-from repro.core.controllers import UserspaceNdiffportsController
-from repro.core.manager import SmappManager
-from repro.mptcp.path_manager import NdiffportsPathManager
-from repro.mptcp.stack import MptcpStack
-from repro.sim.latency import LogNormalLatency, ShiftedLatency
-from repro.workloads import ClientSetup, Harness, HarnessSpec, TraceProbe
+from repro.analysis.report import format_table
+from repro.experiments.grids import named_grid
+from repro.sweep.engine import run_campaign
 
-SERVER_PORT = 80
+#: The delay statistics the report prints per path manager, in µs.
+_STATS = ("mean", "p50", "p95", "min", "max")
 
 
 @dataclass
 class Fig3Result:
-    """CDFs of the MP_CAPABLE-SYN to MP_JOIN-SYN delay."""
+    """The stored metrics of the in-kernel and the userspace ndiffports cell."""
 
-    title: str
-    cdf_kernel: Cdf
-    cdf_userspace: Cdf
+    kernel: dict[str, Any]
+    userspace: dict[str, Any]
     requests: int
     stressed: bool
-    notes: list[str] = field(default_factory=list)
 
     @property
     def mean_overhead(self) -> float:
         """Mean extra delay of the userspace path manager, in seconds."""
-        return self.cdf_userspace.mean - self.cdf_kernel.mean
+        return (self.userspace["join_delay_us_mean"] - self.kernel["join_delay_us_mean"]) * 1e-6
 
     @property
     def median_overhead(self) -> float:
         """Median extra delay of the userspace path manager, in seconds."""
-        return self.cdf_userspace.median - self.cdf_kernel.median
+        return (self.userspace["join_delay_us_p50"] - self.kernel["join_delay_us_p50"]) * 1e-6
 
     def format_report(self) -> str:
-        """Text rendering of the two delay CDFs (paper Figure 3)."""
-        lines = [
-            self.title,
-            format_cdf_table(
-                {"kernel PM": self.cdf_kernel, "userspace PM": self.cdf_userspace},
-                unit="ms",
-                scale=1000.0,
-            ),
+        """The two cells' delay summaries (paper Figure 3) and the overhead."""
+        rows = [
+            [label, metrics["mp_join_samples"]]
+            + [f"{metrics[f'join_delay_us_{stat}']:.2f}" for stat in _STATS]
+            for label, metrics in (("kernel PM", self.kernel), ("userspace PM", self.userspace))
+        ]
+        return "\n".join([
+            "Figure 3 - delay between the MP_CAPABLE SYN and the MP_JOIN SYN (us)",
+            format_table(["path manager", "n", *_STATS], rows),
             f"mean userspace overhead: {self.mean_overhead * 1e6:.1f} us "
             f"(median {self.median_overhead * 1e6:.1f} us) over {self.requests} requests"
             + (" [CPU stressed]" if self.stressed else ""),
-        ]
-        lines.extend(self.notes)
-        return "\n".join(lines)
-
-
-def _calibrated_client(ctx, userspace: bool, stressed: bool) -> ClientSetup:
-    """Client stack preset with the paper's latency calibration.
-
-    The in-kernel path manager reacts within a few microseconds; the
-    userspace one pays one Netlink crossing per direction plus
-    library/controller processing.  CPU stress adds scheduling delay to
-    both (slightly more to the userspace process).
-    """
-    kernel_processing = LogNormalLatency(2.5e-6, sigma=0.35)
-    crossing = LogNormalLatency(8e-6, sigma=0.4)
-    library_processing = LogNormalLatency(2.5e-6, sigma=0.35)
-    if stressed:
-        kernel_processing = ShiftedLatency(LogNormalLatency(4e-6, sigma=0.6), 4e-6)
-        crossing = ShiftedLatency(LogNormalLatency(10e-6, sigma=0.6), 4e-6)
-        library_processing = ShiftedLatency(LogNormalLatency(4e-6, sigma=0.6), 4e-6)
-
-    if userspace:
-        manager = SmappManager(
-            ctx.sim,
-            ctx.scenario.client,
-            kernel_to_user_latency=crossing,
-            user_to_kernel_latency=crossing,
-            library_processing=library_processing,
-        )
-        controller = manager.attach_controller(UserspaceNdiffportsController, subflow_count=2)
-        return ClientSetup(manager.stack, manager=manager, controller=controller)
-    return ClientSetup(
-        MptcpStack(
-            ctx.sim,
-            ctx.scenario.client,
-            config=ctx.config,
-            path_manager=NdiffportsPathManager(subflow_count=2, processing_latency=kernel_processing),
-        )
-    )
-
-
-def _run_variant(seed: int, userspace: bool, request_count: int, stressed: bool) -> list[float]:
-    """Run one variant and return the measured SYN-to-JOIN delays."""
-    trace_probe = TraceProbe(tracer_name="capture", links=["lan"])
-    Harness().run(
-        HarnessSpec(
-            workload="http",
-            scenario="lan",
-            controller=partial(_calibrated_client, userspace=userspace, stressed=stressed),
-            seed=seed,
-            # 512 KB at 1 Gbps is ~4.5 ms per request; leave ample room.
-            horizon=request_count * 0.1 + 10.0,
-            server_port=SERVER_PORT,
-            params={
-                "request_count": request_count,
-                "object_size": 512 * 1024,
-                "request_size": 200,
-                "think_time": 0.0,
-            },
-            probes=(trace_probe,),
-        )
-    )
-    return trace_probe.syn_join_delays()
+        ])
 
 
 def run_fig3(seed: int = 1, request_count: int = 200, stressed: bool = False) -> Fig3Result:
-    """Run the path-manager overhead experiment (Figure 3)."""
-    kernel_delays = _run_variant(seed, False, request_count, stressed)
-    user_delays = _run_variant(seed, True, request_count, stressed)
-    return Fig3Result(
-        title="Figure 3 - delay between the MP_CAPABLE SYN and the MP_JOIN SYN",
-        cdf_kernel=Cdf(kernel_delays, label="kernel"),
-        cdf_userspace=Cdf(user_delays, label="userspace"),
-        requests=request_count,
-        stressed=stressed,
-        notes=[
-            "expectation: both CDFs sit in the sub-millisecond range; the userspace curve is shifted "
-            "right by a few tens of microseconds",
-        ],
-    )
+    """Run the ``fig3`` grid under campaign seed ``seed`` (Figure 3).
+
+    ``request_count`` overrides the grid's 200 requests with a horizon of
+    0.1 s per request plus 10 s; ``stressed`` adds ``cpu_stress`` to both
+    cells.  At the defaults this is ``runner sweep --grid fig3``'s plan.
+    """
+    grid = named_grid("fig3", seed)
+    grid.params.update(request_count=request_count, horizon=request_count / 10 + 10.0)
+    if stressed:
+        grid.params["cpu_stress"] = True
+    cells = {cell.spec.controller: cell.result for cell in run_campaign(grid).cells}
+    return Fig3Result(cells["ndiffports"], cells["userspace_ndiffports"], request_count, stressed)

@@ -30,12 +30,12 @@ sweep the same matrices.  :func:`named_grid` is the one way to get one:
   come up as a fallback with nonzero goodput (triage verdict
   ``fallback``), which the determinism suite and CI pin.
 
-Plus one single-cell campaign per paper figure, the sweep twin of each
-evaluation.  The fig3 and longlived twins run the paper's actual
-workloads; the twins remain approximations of the full evaluations — the
-faithful reproductions stay in the ``repro.experiments.fig*`` modules —
-but give every figure a cached, regression-tracked data point inside the
-campaign format.
+Plus one campaign per paper figure.  ``fig3`` *is* Figure 3: its
+in-kernel / userspace ndiffports cell pair is what ``runner fig3``
+formats.  The fig2a, fig2b, fig2c and longlived rows are one-cell sweep
+twins that approximate presets still living in their
+``repro.experiments`` modules, but give every figure a cached,
+regression-tracked data point inside the campaign format.
 """
 
 from __future__ import annotations
@@ -158,13 +158,15 @@ GRIDS: dict[str, dict] = {
         controllers=["refresh"],
         params={"transfer_bytes": 1_000_000, "subflow_count": 5, "horizon": 40.0},
     ),
-    # Fig 3: path-manager signalling delay — consecutive HTTP requests on
-    # the LAN under the userspace ndiffports controller (§4.5).
+    # Fig 3: path-manager signalling delay — 200 consecutive 512 KB HTTP
+    # requests on the LAN under the in-kernel and the userspace ndiffports
+    # path manager (§4.5); the trace probe stores each cell's SYN→MP_JOIN
+    # delays as ``join_delay_us_*``.
     "fig3": dict(
         experiments=["http"],
         scenarios=["lan"],
-        controllers=["userspace_ndiffports"],
-        params={"request_count": 20, "object_size": 512 * 1024, "horizon": 12.0},
+        controllers=["ndiffports", "userspace_ndiffports"],
+        params={"request_count": 200, "object_size": 524288, "horizon": 30.0},
     ),
     # §4.1: a long-lived connection through an aggressive NAT, repaired by
     # the userspace full-mesh controller.  Message gaps beyond the NAT's

@@ -134,10 +134,7 @@ def _existing_directory(path: str) -> str:
 #: ``"module:attribute"`` of its ``run`` function and its flags.  Each flag's
 #: ``dest`` is the ``run`` keyword it feeds; ``--seed`` feeds ``seed``.
 FIGURES: dict[str, tuple[str, tuple[Flag, ...]]] = {
-    "fig2a": ("repro.experiments.fig2a_backup:run_fig2a", (
-        ("--baseline", dict(dest="include_baseline", action="store_true",
-                            help="fig2a: also simulate the kernel-only backup baseline")),
-    )),
+    "fig2a": ("repro.experiments.fig2a_backup:run_fig2a", ()),
     "fig2b": ("repro.experiments.fig2b_streaming:run_fig2b", (
         ("--blocks", dict(dest="block_count", metavar="BLOCKS", type=_positive_int, default=60,
                           help="fig2b: number of 64 KB blocks per run")),

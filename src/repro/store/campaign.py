@@ -46,8 +46,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 #: into every config hash (a bump renames every object) and stamped into
 #: every object (a stale one is rejected).  Version 2: cells run through
 #: the unified workload harness (probe-based metrics, http/longlived
-#: experiments).
-SWEEP_FORMAT_VERSION = 2
+#: experiments).  Version 3: cells that join a subflow store their
+#: SYN→MP_JOIN delays (``mp_join_samples``, ``join_delay_us_*``).
+SWEEP_FORMAT_VERSION = 3
 
 #: Bump when the manifest schema changes incompatibly.
 MANIFEST_FORMAT_VERSION = 1

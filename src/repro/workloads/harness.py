@@ -10,8 +10,8 @@ both.
 
 Axis values may be registry names (the sweep path: everything stays
 picklable) or ready callables/instances (the figure path: presets inject
-bespoke scenario parameters, latency-calibrated managers and hooks without
-losing the shared assembly).
+bespoke scenario parameters, client stacks and hooks without losing the
+shared assembly).
 """
 
 from __future__ import annotations

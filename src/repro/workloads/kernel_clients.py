@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from repro.mptcp.path_manager import FullMeshPathManager, NdiffportsPathManager
 from repro.mptcp.stack import MptcpStack
+from repro.sim.latency import LogNormalLatency, ShiftedLatency
 from repro.workloads.base import ClientSetup, HarnessContext
+
+#: Fig. 3's CPU-stress models, used when a cell's params carry a truthy
+#: ``cpu_stress``: a heavier-tailed log-normal plus 4 µs of scheduling
+#: delay, for in-kernel or library processing and for one Netlink crossing.
+STRESSED_PROCESSING = ShiftedLatency(LogNormalLatency(4e-6, sigma=0.6), 4e-6)
+STRESSED_CROSSING = ShiftedLatency(LogNormalLatency(10e-6, sigma=0.6), 4e-6)
 
 
 def passive(ctx: HarnessContext) -> ClientSetup:
@@ -28,13 +35,15 @@ def fullmesh(ctx: HarnessContext) -> ClientSetup:
 
 
 def ndiffports(ctx: HarnessContext) -> ClientSetup:
-    """The in-kernel ndiffports path manager (``subflow_count`` param, default 2)."""
+    """The in-kernel ndiffports path manager (``subflow_count`` param, default
+    2; ``cpu_stress`` slows its reaction as in Fig. 3's stressed run)."""
     count = int(ctx.params.get("subflow_count", 2))
+    latency = STRESSED_PROCESSING if ctx.params.get("cpu_stress") else None
     return ClientSetup(
         MptcpStack(
             ctx.sim,
             ctx.scenario.client,
             config=ctx.config,
-            path_manager=NdiffportsPathManager(subflow_count=count),
+            path_manager=NdiffportsPathManager(subflow_count=count, processing_latency=latency),
         )
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from abc import ABC
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.analysis.trace import (
     SubflowSequenceTrace,
@@ -87,34 +87,41 @@ class TraceProbe(Probe):
     """Packet capture: digest + packet count, plus rich per-figure views.
 
     The scalar side (``trace_packets``, ``trace_digest``) is what the sweep
-    determinism suite compares across worker counts; the rich side
-    (:meth:`sequence_trace`, :meth:`syn_join_delays`) is what Figures 2a
-    and 3 are drawn from.
+    determinism suite compares across worker counts.  Cells that joined a
+    subflow also store Figure 3's SYN→MP_JOIN delays: ``mp_join_samples``
+    and their ``join_delay_us_*`` summary.  The rich side
+    (:meth:`sequence_trace`, :meth:`syn_join_delays`) is what Figure 2a
+    and the benchmark read.
     """
 
     name = "trace"
 
-    def __init__(
-        self,
-        tracer_name: str = "sweep",
-        links: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, tracer_name: str = "sweep") -> None:
         self._tracer_name = tracer_name
-        self._links = list(links) if links is not None else None
         self.tracer: Optional[PacketTracer] = None
 
     def attach(self, ctx: HarnessContext) -> None:
-        self.tracer = ctx.scenario.topology.add_tracer(self._tracer_name, self._links)
+        self.tracer = ctx.scenario.topology.add_tracer(self._tracer_name)
 
     def collect(self, run: "HarnessRun") -> dict[str, Any]:
+        from repro.analysis.aggregate import fold_series
+
         assert self.tracer is not None, "TraceProbe.collect before attach"
-        return {
+        metrics: dict[str, Any] = {
             "trace_packets": len(self.tracer),
             "trace_digest": trace_digest(self.tracer),
             # Wire-level payload bytes; against the workload's delivered
             # bytes this exposes the retransmission overhead of the run.
             "trace_data_bytes": sum(payload_byte_totals(self.tracer).values()),
         }
+        # Figure 3's quantity, only in cells that joined a subflow.  In µs:
+        # the latency family's absolute tolerance (0.01) would swallow any
+        # drift measured in seconds.
+        delays = syn_join_delays(self.tracer)
+        if delays:
+            metrics["mp_join_samples"] = len(delays)
+            metrics.update(fold_series([delay * 1e6 for delay in delays], "join_delay_us"))
+        return metrics
 
     # -- figure-facing views -------------------------------------------
     def sequence_trace(self) -> SubflowSequenceTrace:

@@ -17,6 +17,7 @@ from repro.core.controllers import (
 )
 from repro.core.manager import SmappManager
 from repro.workloads.base import ClientSetup, HarnessContext
+from repro.workloads.kernel_clients import STRESSED_CROSSING, STRESSED_PROCESSING
 
 
 def smart_backup(ctx: HarnessContext) -> ClientSetup:
@@ -61,8 +62,16 @@ def userspace_fullmesh(ctx: HarnessContext) -> ClientSetup:
 
 
 def userspace_ndiffports(ctx: HarnessContext) -> ClientSetup:
-    """§4.5: the ndiffports path manager as a userspace controller."""
-    manager = SmappManager(ctx.sim, ctx.scenario.client, config=ctx.config)
+    """§4.5: the ndiffports path manager as a userspace controller
+    (``cpu_stress`` slows both Netlink crossings and the library)."""
+    latencies = {}
+    if ctx.params.get("cpu_stress"):
+        latencies = dict(
+            kernel_to_user_latency=STRESSED_CROSSING,
+            user_to_kernel_latency=STRESSED_CROSSING,
+            library_processing=STRESSED_PROCESSING,
+        )
+    manager = SmappManager(ctx.sim, ctx.scenario.client, config=ctx.config, **latencies)
     controller = manager.attach_controller(
         UserspaceNdiffportsController,
         subflow_count=int(ctx.params.get("subflow_count", 2)),

@@ -154,6 +154,39 @@ class TestAnalysis:
         assert len(delays) == 3
         assert all(0 < delay < 0.01 for delay in delays)
 
+    def test_syn_join_delays_pair_overlapping_connections_by_token(self):
+        """Two connections interleave (SYN A, SYN B, JOIN A, JOIN B): each
+        JOIN pairs with its own connection through the token of the key its
+        SYN/ACK returned, and a JOIN captured on two links counts once."""
+        from types import SimpleNamespace
+
+        from repro.mptcp.options import MpCapableOption, MpJoinOption
+        from repro.mptcp.token import derive_token
+        from repro.net.addressing import IPAddress
+        from repro.net.packet import Segment, TCPFlags
+        from repro.net.tracer import PacketRecord
+
+        client, server = IPAddress("10.0.0.1"), IPAddress("10.0.0.2")
+        syn, synack = TCPFlags.SYN, TCPFlags.SYN | TCPFlags.ACK
+        records = []
+
+        def capture(time, segment, link="lan"):
+            records.append(PacketRecord(time, segment, "client:eth0", "server:eth0", link))
+
+        for time, port, client_key, server_key in ((0.0, 40001, 11, 21), (0.001, 40002, 12, 22)):
+            capture(time, Segment(client, server, port, 80, flags=syn,
+                                  options=(MpCapableOption(sender_key=client_key),)))
+            capture(time + 0.0002, Segment(server, client, 80, port, flags=synack,
+                                           options=(MpCapableOption(sender_key=server_key),)))
+        for time, port, server_key in ((0.020, 41001, 21), (0.021, 41002, 22)):
+            join = Segment(client, server, port, 80, flags=syn,
+                           options=(MpJoinOption(token=derive_token(server_key)),))
+            capture(time, join)
+            capture(time + 0.0001, join, link="wan")
+
+        delays = syn_join_delays(SimpleNamespace(records=records))
+        assert delays == pytest.approx([0.020, 0.020])
+
 
 class TestTopologyBuilder:
     def test_duplicate_names_rejected(self, sim):
@@ -211,7 +244,29 @@ class TestExperimentsSmall:
 
         result = run_fig3(seed=2, request_count=20)
         assert result.mean_overhead > 0
+        assert result.kernel["mp_join_samples"] == result.userspace["mp_join_samples"] == 20
         assert "Figure 3" in result.format_report()
+
+    def test_fig3_plans_the_fig3_grid(self, monkeypatch):
+        """At its defaults ``run_fig3`` plans exactly the two cells of
+        ``runner sweep --grid fig3``, so the figure and the stored grid
+        share their config hashes (checked without simulating)."""
+        from repro.experiments import fig3_pm_delay
+        from repro.experiments.grids import named_grid
+        from repro.sweep.engine import plan_campaign
+
+        planned = []
+
+        def plan_only(grid):
+            planned.append(plan_campaign(grid).hashes)
+            raise StopIteration
+
+        monkeypatch.setattr(fig3_pm_delay, "run_campaign", plan_only)
+        for seed in (1, 2):
+            with pytest.raises(StopIteration):
+                fig3_pm_delay.run_fig3(seed=seed)
+            assert planned[-1] == plan_campaign(named_grid("fig3", seed)).hashes
+            assert len(planned[-1]) == 2
 
     def test_longlived_small(self):
         from repro.experiments import run_longlived

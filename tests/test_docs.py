@@ -171,7 +171,9 @@ class TestRemovedNamesStayRemoved:
                "initial_ssthresh_bytes", "pacing_ss_factor", "pacing_ca_factor",
                "receive_window", "baseline_horizon", "interface_flap_at",
                "degrade_loss_percent", "fault_seed", "max_evaluations", "failure_floor",
-               "_cell_key", "path_delays_ms")
+               "_cell_key", "path_delays_ms",
+               "_calibrated_client", "_run_variant", "include_baseline",
+               "_run_kernel_backup_baseline")
 
     def test_no_removed_name_in_source_docs_examples_or_ci(self):
         files = [REPO_ROOT / ".github" / "workflows" / "ci.yml", REPO_ROOT / "README.md"]
