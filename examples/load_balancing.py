@@ -4,7 +4,9 @@
 A file transfer crosses two routers that ECMP-hash every subflow onto one of
 four 8 Mbps paths.  Compares the in-kernel ndiffports strategy (five random
 subflows, collisions and all) against the RefreshController, which polls each
-subflow's pacing rate every 2.5 s and replaces the slowest one.
+subflow's pacing rate every 2.5 s and replaces the slowest one.  Runs the
+``fig2c`` campaign grid at the given size: one ``bulk_transfer``/``ecmp``
+cell per seed and controller.
 
 Run with:  python examples/load_balancing.py [--runs 4] [--scale 0.05]
            --scale is the fraction of the paper's 100 MB transfer.

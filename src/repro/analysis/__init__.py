@@ -10,7 +10,6 @@ _EXPORTS = {
     "SubflowSequenceTrace": "repro.analysis.trace",
     "SequencePoint": "repro.analysis.trace",
     "extract_sequence_trace": "repro.analysis.trace",
-    "payload_byte_totals": "repro.analysis.trace",
     "syn_join_delays": "repro.analysis.trace",
     "format_table": "repro.analysis.report",
     "format_cdf_table": "repro.analysis.report",

@@ -94,22 +94,6 @@ def extract_sequence_trace(
     return trace
 
 
-def payload_byte_totals(tracer: PacketTracer) -> dict[FourTuple, int]:
-    """Total TCP payload bytes observed on the wire, per four-tuple.
-
-    This is the wire view of the transfer: comparing it against the
-    application-level delivered bytes exposes retransmission overhead,
-    which is why the trace probe reports the total alongside the digest.
-    """
-    totals: dict[FourTuple, int] = {}
-    for record in tracer.records:
-        segment = record.segment
-        if segment.payload_len:
-            key = segment.four_tuple
-            totals[key] = totals.get(key, 0) + segment.payload_len
-    return totals
-
-
 def syn_join_delays(tracer: PacketTracer) -> list[float]:
     """Per-connection delay between the MP_CAPABLE SYN and the first MP_JOIN SYN.
 

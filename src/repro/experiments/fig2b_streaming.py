@@ -16,7 +16,7 @@ or the smart streaming controller as the client stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.cdf import Cdf
@@ -42,7 +42,6 @@ class Fig2bResult:
     late_blocks: dict[str, int]
     block_count: int
     deadline: float
-    notes: list[str] = field(default_factory=list)
 
     def format_report(self) -> str:
         """Text rendering of the per-configuration CDFs (paper Figure 2b)."""
@@ -55,7 +54,10 @@ class Fig2bResult:
                 ", ".join(f"{label}={count}" for label, count in self.late_blocks.items()),
             )
         )
-        lines.extend(self.notes)
+        lines.append(
+            "expectation: full-mesh tails grow with the loss rate; the smart stream curve stays "
+            "close to the low-loss curves"
+        )
         return "\n".join(lines)
 
 
@@ -161,8 +163,4 @@ def run_fig2b(
         late_blocks=late,
         block_count=block_count * repetitions,
         deadline=BLOCK_INTERVAL,
-        notes=[
-            "expectation: full-mesh tails grow with the loss rate; the smart stream curve stays "
-            "close to the low-loss curves"
-        ],
     )

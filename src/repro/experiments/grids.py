@@ -30,10 +30,11 @@ sweep the same matrices.  :func:`named_grid` is the one way to get one:
   come up as a fallback with nonzero goodput (triage verdict
   ``fallback``), which the determinism suite and CI pin.
 
-Plus one campaign per paper figure.  ``fig3`` *is* Figure 3: its
-in-kernel / userspace ndiffports cell pair is what ``runner fig3``
-formats.  The fig2a, fig2b, fig2c and longlived rows are one-cell sweep
-twins that approximate presets still living in their
+Plus one campaign per paper figure.  ``fig2c`` and ``fig3`` *are*
+Figures 2c and 3: ``runner fig2c`` formats the ten ``ndiffports`` and ten
+``refresh`` cells on ``ecmp``, and ``runner fig3`` the in-kernel /
+userspace ndiffports cell pair.  The fig2a, fig2b and longlived rows are
+one-cell sweep twins that approximate presets still living in their
 ``repro.experiments`` modules, but give every figure a cached,
 regression-tracked data point inside the campaign format.
 """
@@ -150,13 +151,16 @@ GRIDS: dict[str, dict] = {
         controllers=["passive"],
         params={"block_count": 10, "horizon": 25.0},
     ),
-    # Fig 2c: bulk transfer across ECMP paths with the refresh controller
-    # replacing slow subflows (§4.4).
+    # Fig 2c: a 10 MB transfer (a tenth of the paper's 100 MB) over the
+    # four ECMP paths, ten seeds each under in-kernel ndiffports and under
+    # the refresh controller, which replaces the slowest subflow (§4.4);
+    # the trace probe stores how many paths carried data as ``paths_used``.
     "fig2c": dict(
         experiments=["bulk_transfer"],
         scenarios=["ecmp"],
-        controllers=["refresh"],
-        params={"transfer_bytes": 1_000_000, "subflow_count": 5, "horizon": 40.0},
+        controllers=["ndiffports", "refresh"],
+        seeds=10,
+        params={"transfer_bytes": 10_485_760, "subflow_count": 5, "horizon": 60.0},
     ),
     # Fig 3: path-manager signalling delay — 200 consecutive 512 KB HTTP
     # requests on the LAN under the in-kernel and the userspace ndiffports

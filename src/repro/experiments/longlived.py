@@ -17,7 +17,7 @@ later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.analysis.report import format_table
 from repro.netem.scenarios import build_natted
@@ -41,7 +41,6 @@ class LongLivedResult:
     reestablishments: int
     nat_expired_flows: int
     interface_flaps: int
-    notes: list[str] = field(default_factory=list)
 
     @property
     def all_messages_delivered(self) -> bool:
@@ -60,9 +59,12 @@ class LongLivedResult:
             ["NAT state expiries", str(self.nat_expired_flows)],
             ["interface down/up cycles", str(self.interface_flaps)],
         ]
-        lines = [self.title, format_table(["metric", "value"], rows)]
-        lines.extend(self.notes)
-        return "\n".join(lines)
+        return "\n".join([
+            self.title,
+            format_table(["metric", "value"], rows),
+            "expectation: every message is delivered although the NAT keeps expiring the idle "
+            "subflow's state; the controller repairs failed subflows instead of keep-alives",
+        ])
 
 
 def _schedule_interface_flap(run) -> None:
@@ -120,8 +122,4 @@ def run_longlived(
         reestablishments=controller.reestablishments,
         nat_expired_flows=run.scenario.middlebox.expired_flows,
         interface_flaps=flaps,
-        notes=[
-            "expectation: every message is delivered although the NAT keeps expiring the idle "
-            "subflow's state; the controller repairs failed subflows instead of keep-alives",
-        ],
     )

@@ -33,21 +33,11 @@ class EcmpGroup:
         """The member interface names, in hashing order."""
         return list(self._iface_names)
 
-    @property
-    def width(self) -> int:
-        """Number of equal-cost paths in the group."""
-        return len(self._iface_names)
-
     def select(self, segment: Segment) -> str:
         """Pick the member interface for this segment's flow."""
         key = segment.four_tuple.ecmp_key()
         digest = zlib.crc32(key)
         return self._iface_names[digest % len(self._iface_names)]
-
-    def path_index(self, segment: Segment) -> int:
-        """Index of the path this segment's flow hashes onto."""
-        key = segment.four_tuple.ecmp_key()
-        return zlib.crc32(key) % len(self._iface_names)
 
 
 class Router(Node):

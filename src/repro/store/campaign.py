@@ -48,7 +48,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 #: the unified workload harness (probe-based metrics, http/longlived
 #: experiments).  Version 3: cells that join a subflow store their
 #: SYN→MP_JOIN delays (``mp_join_samples``, ``join_delay_us_*``).
-SWEEP_FORMAT_VERSION = 3
+#: Version 4: cells on multi-path scenarios store ``paths_used``.
+SWEEP_FORMAT_VERSION = 4
 
 #: Bump when the manifest schema changes incompatibly.
 MANIFEST_FORMAT_VERSION = 1

@@ -22,22 +22,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.harness import HarnessRun
 
 
-def _connect_kwargs(ctx: HarnessContext) -> dict[str, Any]:
-    """The client-side connect keywords shared by single-connection workloads.
-
-    ``bind_local=False`` lets the host's routing table pick the egress
-    interface instead (the Figure 2c single-homed configuration).
-    """
-    if ctx.params.get("bind_local", True):
-        return {"local_address": ctx.scenario.client_addresses[0]}
-    return {}
-
-
 class BulkTransferWorkload(Workload):
     """Fixed-size upload; the §4.4 file transfer."""
 
     name = "bulk_transfer"
-    default_params = {"transfer_bytes": 200_000, "close_when_done": True, "bind_local": True}
+    default_params = {"transfer_bytes": 200_000, "close_when_done": True}
 
     def server_app(self, ctx: HarnessContext) -> ConnectionListener:
         return BulkReceiverApp(expected_bytes=int(ctx.params["transfer_bytes"]))
@@ -53,7 +42,7 @@ class BulkTransferWorkload(Workload):
             ctx.scenario.server_addresses[0],
             ctx.server_port,
             listener=sender,
-            **_connect_kwargs(ctx),
+            local_address=ctx.scenario.client_addresses[0],
         )
         return sender, conn
 
@@ -101,7 +90,6 @@ class StreamingWorkload(Workload):
         "interval": 0.5,
         "block_count": 10,
         "close_when_done": True,
-        "bind_local": True,
     }
 
     def server_app(self, ctx: HarnessContext) -> ConnectionListener:
@@ -123,7 +111,7 @@ class StreamingWorkload(Workload):
             ctx.scenario.server_addresses[0],
             ctx.server_port,
             listener=source,
-            **_connect_kwargs(ctx),
+            local_address=ctx.scenario.client_addresses[0],
         )
         return source, conn
 
@@ -208,7 +196,7 @@ class LongLivedWorkload(Workload):
     """Mostly idle connection exchanging small periodic messages (§4.1)."""
 
     name = "longlived"
-    default_params = {"message_bytes": 400, "message_interval": 2.0, "bind_local": True}
+    default_params = {"message_bytes": 400, "message_interval": 2.0}
 
     def server_app(self, ctx: HarnessContext) -> ConnectionListener:
         return LongLivedPeer(message_bytes=int(ctx.params["message_bytes"]))
@@ -224,7 +212,7 @@ class LongLivedWorkload(Workload):
             ctx.scenario.server_addresses[0],
             ctx.server_port,
             listener=app,
-            **_connect_kwargs(ctx),
+            local_address=ctx.scenario.client_addresses[0],
         )
         return app, conn
 

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.analysis.trace import (
     SubflowSequenceTrace,
     extract_sequence_trace,
-    payload_byte_totals,
     syn_join_delays,
 )
 from repro.net.tracer import PacketTracer
@@ -87,9 +86,11 @@ class TraceProbe(Probe):
     """Packet capture: digest + packet count, plus rich per-figure views.
 
     The scalar side (``trace_packets``, ``trace_digest``) is what the sweep
-    determinism suite compares across worker counts.  Cells that joined a
-    subflow also store Figure 3's SYN→MP_JOIN delays: ``mp_join_samples``
-    and their ``join_delay_us_*`` summary.  The rich side
+    determinism suite compares across worker counts.  Cells on a scenario
+    with several path links store Figure 2c's ``paths_used``, the number of
+    path links that carried payload; cells that joined a subflow also store
+    Figure 3's SYN→MP_JOIN delays: ``mp_join_samples`` and their
+    ``join_delay_us_*`` summary.  The rich side
     (:meth:`sequence_trace`, :meth:`syn_join_delays`) is what Figure 2a
     and the benchmark read.
     """
@@ -107,13 +108,27 @@ class TraceProbe(Probe):
         from repro.analysis.aggregate import fold_series
 
         assert self.tracer is not None, "TraceProbe.collect before attach"
+        # Wire-level payload bytes, and the links that carried any.
+        data_bytes = 0
+        data_links = set()
+        for record in self.tracer.records:
+            length = record.segment.payload_len
+            if length:
+                data_bytes += length
+                data_links.add(record.link)
         metrics: dict[str, Any] = {
             "trace_packets": len(self.tracer),
             "trace_digest": trace_digest(self.tracer),
-            # Wire-level payload bytes; against the workload's delivered
-            # bytes this exposes the retransmission overhead of the run.
-            "trace_data_bytes": sum(payload_byte_totals(self.tracer).values()),
+            # Against the workload's delivered bytes this exposes the
+            # retransmission overhead of the run.
+            "trace_data_bytes": data_bytes,
         }
+        # Figure 2c's quantity, only on multi-path scenarios: how many path
+        # links carried data (the middlebox topologies list both legs of
+        # their middlebox path, so there it counts legs, not paths).
+        path_links = run.scenario.path_links
+        if len(path_links) > 1:
+            metrics["paths_used"] = sum(1 for link in path_links if link.name in data_links)
         # Figure 3's quantity, only in cells that joined a subflow.  In µs:
         # the latency family's absolute tolerance (0.01) would swallow any
         # drift measured in seconds.
@@ -133,11 +148,6 @@ class TraceProbe(Probe):
         """The Figure 3 data set (MP_CAPABLE-SYN to MP_JOIN-SYN delays)."""
         assert self.tracer is not None, "TraceProbe used before attach"
         return syn_join_delays(self.tracer)
-
-    def payload_byte_totals(self):
-        """Wire payload bytes per four-tuple (see analysis.trace)."""
-        assert self.tracer is not None, "TraceProbe used before attach"
-        return payload_byte_totals(self.tracer)
 
 
 class GoodputProbe(Probe):

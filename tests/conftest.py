@@ -32,3 +32,12 @@ def make_sim():
         return Simulator(seed=seed)
 
     return factory
+
+
+@pytest.fixture(scope="session")
+def fig2c():
+    """One ten-seed ``fig2c`` campaign at 4 % of the paper's transfer,
+    shared by every Figure 2c test."""
+    from repro.experiments.fig2c_loadbalance import run_fig2c
+
+    return run_fig2c(seed=1, seeds=10, scale=0.04)

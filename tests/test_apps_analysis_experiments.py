@@ -224,20 +224,32 @@ class TestExperimentsSmall:
         assert len(result.cdfs) == 2
         assert "Figure 2b" in result.format_report()
 
-    def test_fig2c_small(self):
-        from repro.experiments import run_fig2c
+    def test_fig2c_small(self, fig2c):
+        assert len(fig2c.cdf_refresh) == 10
+        assert len(fig2c.cdf_ndiffports) == 10
+        assert "Figure 2c" in fig2c.format_report()
 
-        result = run_fig2c(seeds=1, scale=0.02)
-        assert len(result.cdf_refresh) == 1
-        assert len(result.cdf_ndiffports) == 1
-        assert "Figure 2c" in result.format_report()
+    def test_fig2c_plans_the_fig2c_grid(self, monkeypatch):
+        """At its defaults ``run_fig2c`` plans exactly the twenty cells of
+        ``runner sweep --grid fig2c``, and ``--seed`` is the campaign seed:
+        seeds 1 and 2 plan different cells (checked without simulating)."""
+        from repro.experiments import fig2c_loadbalance
+        from repro.experiments.grids import named_grid
+        from repro.sweep.engine import plan_campaign
 
-    def test_fig2c_seed_reaches_the_runs(self):
-        """``fig2c --seed`` (and ``all --seed``) moves every run: run ``index``
-        is seeded ``999 + seed + index``, so ``--seed 1`` keeps 1000, 1001, ..."""
-        from repro.experiments import run_fig2c
+        planned = []
 
-        assert run_fig2c(seed=2, seeds=1, scale=0.02).runs[0].seed == 1001
+        def plan_only(grid):
+            planned.append(plan_campaign(grid).hashes)
+            raise StopIteration
+
+        monkeypatch.setattr(fig2c_loadbalance, "run_campaign", plan_only)
+        for seed in (1, 2):
+            with pytest.raises(StopIteration):
+                fig2c_loadbalance.run_fig2c(seed=seed)
+            assert planned[-1] == plan_campaign(named_grid("fig2c", seed)).hashes
+            assert len(planned[-1]) == 20
+        assert planned[0] != planned[1]
 
     def test_fig3_small(self):
         from repro.experiments import run_fig3

@@ -146,8 +146,10 @@ class TestRemovedNamesStayRemoved:
     its plugin, four config fields nothing ever set, and the one-line
     forwarders (the stack's path-manager relays, the controller's subflow
     commands, ``Subflow.info``, ``stack_counters``, ``run_workload`` and the
-    configs' ``with_overrides``) are gone; nothing shipped or documented may
-    mention them."""
+    configs' ``with_overrides``) are gone, and so is everything the
+    Figure 2c preset alone used (its run records, router lookup, ECMP path
+    index and ``bind_local``); nothing shipped or documented may mention
+    them."""
 
     REMOVED = ("cache_dir", "--cache-dir", "--from-cache", "CellCache",
                "migrate_legacy_cache",
@@ -173,7 +175,9 @@ class TestRemovedNamesStayRemoved:
                "degrade_loss_percent", "fault_seed", "max_evaluations", "failure_floor",
                "_cell_key", "path_delays_ms",
                "_calibrated_client", "_run_variant", "include_baseline",
-               "_run_kernel_backup_baseline")
+               "_run_kernel_backup_baseline",
+               "_distinct_paths", "RunRecord", "bind_local", "_connect_kwargs",
+               "path_index")
 
     def test_no_removed_name_in_source_docs_examples_or_ci(self):
         files = [REPO_ROOT / ".github" / "workflows" / "ci.yml", REPO_ROOT / "README.md"]

@@ -36,15 +36,15 @@ class TestEcmpGroup:
         group = EcmpGroup(["p0", "p1", "p2", "p3"])
         forward = Segment(src=ip("10.0.0.1"), dst=ip("10.9.0.1"), sport=1234, dport=80)
         backward = Segment(src=ip("10.9.0.1"), dst=ip("10.0.0.1"), sport=80, dport=1234)
-        assert group.path_index(forward) == group.path_index(backward)
+        assert group.select(forward) == group.select(backward)
 
     def test_different_ports_spread_over_paths(self):
         group = EcmpGroup(["p0", "p1", "p2", "p3"])
-        indices = {
-            group.path_index(Segment(src=ip("10.0.0.1"), dst=ip("10.9.0.1"), sport=port, dport=80))
+        paths = {
+            group.select(Segment(src=ip("10.0.0.1"), dst=ip("10.9.0.1"), sport=port, dport=80))
             for port in range(33000, 33200)
         }
-        assert len(indices) == 4
+        assert len(paths) == 4
 
 
 class TestRouterForwarding:
@@ -112,11 +112,11 @@ class TestEcmpScenarioRouting:
         sim.run()
         assert len(sink.segments) == 6
         group = scenario.topology.router("r1").lookup(scenario.server_addresses[0])
-        indices = {
-            group.path_index(Segment(src=scenario.client_addresses[0], dst=scenario.server_addresses[0], sport=port, dport=80))
+        paths = {
+            group.select(Segment(src=scenario.client_addresses[0], dst=scenario.server_addresses[0], sport=port, dport=80))
             for port in (33001, 33002, 33003, 33004, 33005, 33006)
         }
-        assert len(indices) >= 2
+        assert len(paths) >= 2
 
     def test_reverse_path_works(self, sim):
         scenario = build_ecmp(sim)

@@ -10,7 +10,6 @@ import pytest
 from repro.apps.bulk import BulkReceiverApp, BulkSenderApp
 from repro.experiments.fig2a_backup import run_fig2a
 from repro.experiments.fig2b_streaming import run_fig2b
-from repro.experiments.fig2c_loadbalance import run_fig2c
 from repro.experiments.fig3_pm_delay import run_fig3
 from repro.experiments.longlived import run_longlived
 from repro.mptcp.config import MptcpConfig
@@ -72,17 +71,18 @@ def test_fig2b_streaming_block_delays():
     assert result.late_blocks["smart stream"] <= result.late_blocks["fullmesh 30% loss"]
 
 
-def test_fig2c_refresh_vs_ndiffports():
+def test_fig2c_refresh_vs_ndiffports(fig2c):
     """Figure 2c: over the four-path ECMP topology the Refresh controller
     ends up using (almost) all paths and beats ndiffports, whose completion
     times spread out according to how many distinct paths its five random
-    subflows happened to hash onto."""
-    result = run_fig2c(seeds=3, scale=0.04)
+    subflows happened to hash onto.  Ten cells per controller (the
+    ``--runs`` default), from the session's shared ``fig2c`` campaign."""
+    result = fig2c
     print()
     print(result.format_report())
 
-    assert len(result.cdf_refresh) == 3
-    assert len(result.cdf_ndiffports) == 3
+    assert len(result.cdf_refresh) == 10
+    assert len(result.cdf_ndiffports) == 10
 
     # The refresh controller wins on average and at the median.
     assert result.cdf_refresh.mean < result.cdf_ndiffports.mean
@@ -90,12 +90,12 @@ def test_fig2c_refresh_vs_ndiffports():
 
     # The refresh controller converges onto more distinct paths than
     # ndiffports does on average.
-    refresh_paths = [run.distinct_paths for run in result.runs if run.variant == "refresh"]
-    ndiff_paths = [run.distinct_paths for run in result.runs if run.variant == "ndiffports"]
+    refresh_paths = [cell["paths_used"] for cell in result.refresh]
+    ndiff_paths = [cell["paths_used"] for cell in result.ndiffports]
+    assert len(refresh_paths) == len(ndiff_paths) == 10
     assert sum(refresh_paths) / len(refresh_paths) >= sum(ndiff_paths) / len(ndiff_paths)
     # At this reduced scale the transfer only spans a couple of refresh
-    # rounds; full-length runs (see EXPERIMENTS.md) converge to all four
-    # paths.
+    # rounds; full-length runs converge to all four paths.
     assert max(refresh_paths) >= 3
 
 
