@@ -583,7 +583,10 @@ def _list_registries(args: argparse.Namespace) -> str:
 
     backends = [
         f"{name} — {BACKENDS[name].description}" for name in sorted(BACKENDS)
-    ] + ["auto — process pool when --workers > 1, serial otherwise (the default)"]
+    ] + [
+        "auto — process pool when more than one worker has cells to run, "
+        "serial otherwise (the default)"
+    ]
     sections = [
         ("workloads (sweep experiments)", sorted(WORKLOADS)),
         ("scenarios", sorted(SCENARIOS)),
@@ -615,7 +618,7 @@ def _list_registries(args: argparse.Namespace) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser from the command table (exposed for tests)."""
-    from repro.sweep.backends import BACKENDS
+    from repro.sweep.backends import BACKENDS, usable_cpus
 
     def like(flag: Flag, option: Optional[str] = None, **changes) -> Flag:
         """``flag`` (renamed to ``option``) with some ``add_argument`` keywords changed."""
@@ -640,12 +643,17 @@ def build_parser() -> argparse.ArgumentParser:
         "manifests; resumes partial campaigns)",
     ))
     campaign = (
-        ("--workers", dict(type=_positive_int, default=1, help="worker processes")),
+        ("--workers", dict(
+            type=_positive_int, default=usable_cpus(),
+            help="worker processes for fresh cells (default: the %(default)s usable "
+            "CPUs; never more than the cells left to run); results are "
+            "byte-identical at any count",
+        )),
         ("--backend", dict(
             default=None, choices=sorted(BACKENDS) + ["auto"],
             help="execution backend for fresh cells (default auto: process pool "
-            "when --workers > 1, serial otherwise); results are byte-identical "
-            "across backends",
+            "when more than one worker has cells to run, serial otherwise); "
+            "results are byte-identical across backends",
         )),
         store,
     )

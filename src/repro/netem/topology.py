@@ -158,7 +158,3 @@ class Topology:
             return side
         node, iface_name, address = side
         return node.add_interface(iface_name, IPAddress(address))
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Convenience wrapper around the simulator's run loop."""
-        return self.sim.run(until=until)

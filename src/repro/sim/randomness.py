@@ -79,10 +79,6 @@ class RandomSource:
         """Uniform integer in ``[low, high]`` (both inclusive)."""
         return self._rng.randint(low, high)
 
-    def expovariate(self, rate: float) -> float:
-        """Exponentially distributed value with the given rate."""
-        return self._rng.expovariate(rate)
-
     def gauss(self, mean: float, stddev: float) -> float:
         """Normally distributed value."""
         return self._rng.gauss(mean, stddev)
@@ -98,10 +94,6 @@ class RandomSource:
     def sample(self, options: Sequence[T], count: int) -> list[T]:
         """Sample ``count`` distinct elements."""
         return self._rng.sample(options, count)
-
-    def shuffle(self, items: list) -> None:
-        """Shuffle a list in place."""
-        self._rng.shuffle(items)
 
     def chance(self, probability: float) -> bool:
         """Return True with the given probability.

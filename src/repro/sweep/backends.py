@@ -118,26 +118,60 @@ class ProcessPoolBackend(ExecutionBackend):
     ) -> None:
         """Fan cells out to pool workers; ``on_cell`` fires as they finish."""
         import concurrent.futures
+        import multiprocessing
 
         # Imported here, in the parent, before the pool forks: the workers
         # inherit the loaded protocol stack instead of importing it each.
         from repro.sweep.cells import run_cell_with_telemetry
 
         try:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+            abort = multiprocessing.Event()
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_pool_abort, initargs=(abort,)
+            )
         except (OSError, ImportError, NotImplementedError) as error:
             raise PoolUnavailableError(f"cannot start a worker pool: {error}") from error
         with pool:
             futures = {
-                pool.submit(run_cell_with_telemetry, spec.as_dict(), campaign_seed): index
+                pool.submit(
+                    _pool_cell, run_cell_with_telemetry, spec.as_dict(), campaign_seed
+                ): index
                 for index, spec in pending
             }
-            for future in concurrent.futures.as_completed(futures):
-                try:
-                    result = future.result()
-                except concurrent.futures.BrokenExecutor as error:
-                    raise PoolUnavailableError(f"worker pool died: {error}") from error
-                on_cell(futures[future], result)
+            try:
+                for future in concurrent.futures.as_completed(futures):
+                    try:
+                        result = future.result()
+                    except concurrent.futures.BrokenExecutor as error:
+                        raise PoolUnavailableError(f"worker pool died: {error}") from error
+                    on_cell(futures[future], result)
+            except BaseException:
+                # The campaign is aborted: nobody will read the queued
+                # cells' results.  cancel_futures drops the cells still
+                # waiting in the parent; the flag drops the ones the pool
+                # already handed to its call queue.
+                abort.set()
+                pool.shutdown(wait=True, cancel_futures=True)
+                raise
+
+
+#: In a pool worker: the parent's abort flag (set by :func:`_set_pool_abort`).
+_pool_abort = None
+
+
+def _set_pool_abort(abort) -> None:
+    """Pool-worker initializer: remember the parent's abort flag."""
+    global _pool_abort
+    _pool_abort = abort
+
+
+def _pool_cell(
+    run: Callable[[dict, int], dict], spec: dict, campaign_seed: int
+) -> Optional[dict]:
+    """``run(spec, campaign_seed)`` in a pool worker, unless the campaign was aborted."""
+    if _pool_abort.is_set():
+        return None
+    return run(spec, campaign_seed)
 
 
 class SubprocessShardBackend(ExecutionBackend):
@@ -339,6 +373,17 @@ BACKENDS: dict[str, type[ExecutionBackend]] = {
     backend.name: backend
     for backend in (SerialBackend, ProcessPoolBackend, SubprocessShardBackend)
 }
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (``runner``'s ``--workers`` default).
+
+    The affinity mask where the platform has one (a container or
+    ``taskset`` limit is what counts), else the machine's CPU count.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def resolve_backend(

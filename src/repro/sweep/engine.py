@@ -164,7 +164,8 @@ class ExecutionState:
     cached_flags: dict[int, bool] = field(default_factory=dict)
     telemetries: dict[int, CellTelemetry] = field(default_factory=dict)
     workers_used: int = 0
-    parallel_fallback: bool = False
+    #: Why a parallel backend gave way to a serial run (``None``: it did not).
+    fallback_reason: Optional[str] = None
     backend: str = "serial"
 
 
@@ -282,8 +283,8 @@ def execute_plan(
                 backend_obj.run_cells(
                     pending, campaign_seed, max(workers_used, 1), on_cell, store=store
                 )
-            except PoolUnavailableError:
-                state.parallel_fallback = True
+            except PoolUnavailableError as error:
+                state.fallback_reason = str(error)
                 workers_used = 1
         # Serial path — the serial backend itself, and, after a backend
         # failure, whatever cells the backend did not get to.
@@ -329,16 +330,17 @@ def merge_campaign(
         cells=cells,
         workers_requested=workers_requested,
         workers_used=state.workers_used,
-        parallel_fallback=state.parallel_fallback,
+        parallel_fallback=state.fallback_reason is not None,
         cache_hits=sum(1 for cached in state.cached_flags.values() if cached),
         cache_misses=sum(1 for cached in state.cached_flags.values() if not cached),
         wall_time=wall_time,
         backend=state.backend,
         campaign_id=plan.campaign_id,
     )
-    if state.parallel_fallback:
+    if outcome.parallel_fallback:
         outcome.notes.append(
-            "process pool unavailable on this platform; cells ran serially instead"
+            f"process pool unavailable on this platform ({state.fallback_reason}); "
+            "cells ran serially instead"
         )
     return outcome
 

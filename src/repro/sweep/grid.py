@@ -163,11 +163,8 @@ class CampaignGrid:
             raise ValueError(f"axis 'connections' contains duplicates: {self.connections!r}")
 
     def as_dict(self) -> dict:
-        """Plain-dict form of the grid (stored inside snapshot manifests).
-
-        A manifest that records its grid can be re-expanded to resume a
-        partial campaign without the caller re-supplying the axes.
-        """
+        """Plain-dict form of the grid (stored inside snapshot manifests,
+        so each manifest names the axes its cells came from)."""
         return {
             "name": self.name,
             "campaign_seed": self.campaign_seed,
@@ -179,21 +176,6 @@ class CampaignGrid:
             "seeds": self.seeds,
             "params": dict(self.params),
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CampaignGrid":
-        """Inverse of :meth:`as_dict`."""
-        return cls(
-            name=str(data["name"]),
-            campaign_seed=int(data["campaign_seed"]),
-            experiments=list(data["experiments"]),
-            scenarios=list(data["scenarios"]),
-            schedulers=list(data["schedulers"]),
-            controllers=list(data["controllers"]),
-            connections=[int(count) for count in data.get("connections", (1,))],
-            seeds=int(data["seeds"]),
-            params=dict(data.get("params", {})),
-        )
 
     @property
     def cell_count(self) -> int:

@@ -34,6 +34,10 @@ STACK = (
     "repro.netem.scenarios",
 )
 
+#: The process-pool machinery; only a run with fresh cells on more than one
+#: worker may load it.
+POOL = ("concurrent.futures", "multiprocessing")
+
 _CHILD = """
 import contextlib, io, json, sys
 from repro.experiments import runner
@@ -77,11 +81,14 @@ class TestImportGraph:
     def test_paths_that_run_no_cell_load_no_protocol_stack(self, command, full_store):
         loaded = modules_after([word.format(store=full_store) for word in command])
         assert not loaded.intersection(STACK)
+        # Nor a pool: the default worker count is capped at the pending cells.
+        assert not loaded.intersection(POOL)
 
     def test_a_cold_run_loads_what_its_cells_resolve(self):
         """``scale`` is passive bulk transfers: the stack, but no userspace
         control plane and no fault machinery."""
-        loaded = modules_after(["sweep", "--grid", "scale"])
+        # One worker: the cells run in this process, whose imports are watched.
+        loaded = modules_after(["sweep", "--grid", "scale", "--workers", "1"])
         assert {"repro.tcp.socket", "repro.apps.bulk", "repro.netem.scenarios"} <= loaded
         assert not {name for name in loaded if name.startswith(("repro.core", "repro.faults"))}
 

@@ -1,6 +1,8 @@
 """Unit tests for the sweep subsystem: grids, cells, engine, report."""
 
 import json
+import os
+import time
 
 import pytest
 
@@ -30,6 +32,17 @@ def tiny_grid(**overrides) -> CampaignGrid:
     )
     defaults.update(overrides)
     return CampaignGrid(**defaults)
+
+
+def failing_first_cell(spec: dict, campaign_seed: int) -> dict:
+    """Pool stand-in for ``run_cell_with_telemetry``: cell 0 raises at once;
+    every other cell takes 0.2 s, then leaves a marker file named after it."""
+    if spec["seed_index"] == 0:
+        raise ValueError("cell 0 failed")
+    time.sleep(0.2)
+    open(os.path.join(spec["params"]["marker_dir"], str(spec["seed_index"])), "w").close()
+    telemetry = {"wall_time_s": 0.2, "sim_events": 0, "events_per_s": 0.0}
+    return {"result": {}, "telemetry": telemetry}
 
 
 class TestGrid:
@@ -151,8 +164,25 @@ class TestEngine:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", broken_pool)
         fallen_back = run_campaign(grid, workers=4)
         assert fallen_back.parallel_fallback
-        assert fallen_back.notes
+        assert fallen_back.notes == [
+            "process pool unavailable on this platform (cannot start a worker pool: "
+            "no process pool in this sandbox); cells ran serially instead"
+        ]
         assert fallen_back.to_canonical_json() == serial.to_canonical_json()
+
+    def test_a_failing_cell_stops_the_pool(self, monkeypatch, tmp_path):
+        """The first failure aborts the campaign: the cells still queued are
+        dropped, not computed for nobody, and the cell's own error
+        propagates (no serial re-run)."""
+        from repro.sweep import cells
+
+        monkeypatch.setattr(cells, "run_cell_with_telemetry", failing_first_cell)
+        grid = tiny_grid(seeds=12, params={"marker_dir": str(tmp_path)})
+        workers = 2
+        with pytest.raises(ValueError, match="^cell 0 failed$"):
+            run_campaign(grid, workers=workers, backend="pool")
+        computed = os.listdir(tmp_path)
+        assert len(computed) <= workers, sorted(computed, key=int)
 
     def test_metric_values_skip_incomplete_cells(self):
         grid = tiny_grid()
@@ -207,6 +237,8 @@ class TestRunnerIntegration:
         result = run_campaign(grid, workers=4)
         assert result.parallel_fallback
         assert result.cell_count == 2
+        [note] = result.notes
+        assert "lacks a functioning sem_open implementation" in note
 
     def test_cell_error_aborts_instead_of_falling_back(self):
         """An exception from a cell's own code must propagate, not be

@@ -3,15 +3,22 @@
 Two guarantees are pinned here:
 
 1. A campaign's aggregated output is byte-identical whether cells run
-   serially, on 2 workers, or on 4 workers — and whether results come from
-   the on-disk cache or fresh runs.
+   serially, on 2 workers, on 4 workers or at ``runner``'s default worker
+   count — and whether results come from the on-disk cache or fresh runs.
 2. Every netem scenario is trace-deterministic: two simulators built with
    the same seed produce identical packet traces, packet for packet.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+from tests.helpers import child_env
+from repro.store import CampaignStore
 from repro.sweep import SCENARIOS, CampaignGrid, run_campaign, run_cell
+from repro.sweep.backends import usable_cpus
 
 
 def acceptance_grid() -> CampaignGrid:
@@ -100,7 +107,47 @@ def scale_acceptance_grid() -> CampaignGrid:
     )
 
 
+def runner_sweep(store, *flags: str) -> tuple[str, list[str]]:
+    """``runner sweep --grid quick --store STORE FLAGS`` as a fresh process:
+    its header line and the report body below it, wall-clock footer dropped."""
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.experiments.runner", "sweep", "--grid", "quick",
+         "--store", str(store), *flags],
+        capture_output=True, text=True, timeout=120, env=child_env(),
+    )
+    assert done.returncode == 0, done.stderr
+    header, *body = done.stdout.splitlines()
+    return header, [line for line in body if not line.startswith("[sweep completed in ")]
+
+
+def store_files(store: CampaignStore) -> dict[str, bytes]:
+    """Every object file of a store, by name, plus its final manifest."""
+    files = {}
+    for name in os.listdir(store.objects_dir):
+        with open(os.path.join(store.objects_dir, name), "rb") as handle:
+            files[name] = handle.read()
+    # One campaign, zero-padded sequence numbers: the last name is the final commit.
+    final_manifest = max(os.listdir(store.manifests_dir))
+    with open(os.path.join(store.manifests_dir, final_manifest), "rb") as handle:
+        files[final_manifest] = handle.read()
+    return files
+
+
 class TestCampaignWorkerIndependence:
+    def test_runner_default_workers_store_what_one_worker_stores(self, tmp_path):
+        """``runner`` campaign commands default to every usable CPU, capped
+        at the cells left to run; the store and the report body are the
+        same bytes as ``--workers 1``."""
+        default_header, default_body = runner_sweep(tmp_path / "default")
+        serial_header, serial_body = runner_sweep(tmp_path / "serial", "--workers", "1")
+        assert f"workers={min(usable_cpus(), 4)}," in default_header
+        assert "workers=1," in serial_header
+        assert default_body == serial_body
+        default_store = CampaignStore(str(tmp_path / "default"))
+        serial_store = CampaignStore(str(tmp_path / "serial"))
+        assert len(default_store) == 4
+        assert store_files(default_store) == store_files(serial_store)
+
     def test_serial_two_and_four_workers_are_byte_identical(self):
         grid = acceptance_grid()
         assert grid.cell_count == 24
