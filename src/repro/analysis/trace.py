@@ -14,12 +14,12 @@ captures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.mptcp.options import DssOption, MpCapableOption, MpJoinOption
 from repro.mptcp.token import derive_token
 from repro.net.addressing import FourTuple
-from repro.net.tracer import PacketTracer
+from repro.net.tracer import PacketRecord, PacketTracer
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def extract_sequence_trace(
     return trace
 
 
-def syn_join_delays(tracer: PacketTracer) -> list[float]:
+def syn_join_delays(records: Iterable[PacketRecord]) -> list[float]:
     """Per-connection delay between the MP_CAPABLE SYN and the first MP_JOIN SYN.
 
     This is the quantity Figure 3 plots.  Each MP_JOIN SYN names its
@@ -102,13 +102,16 @@ def syn_join_delays(tracer: PacketTracer) -> list[float]:
     returned on the reverse four-tuple of the connection's first SYN, so
     overlapping connections pair up correctly and a JOIN seen on several
     links counts once.  Connections whose MP_JOIN never appears in the
-    capture are skipped.
+    capture are skipped.  ``records`` is a capture in order
+    (``tracer.records``); only its SYN and SYN/ACK records are read.
     """
     syn_times: dict[int, float] = {}  # client key -> first MP_CAPABLE SYN
-    key_by_tuple: dict[FourTuple, int] = {}  # latest client key per four-tuple
+    # Latest client key per four-tuple, keyed by the plain ints that
+    # identify a FourTuple (no FourTuple is built per SYN).
+    key_by_tuple: dict[tuple[int, int, int, int], int] = {}
     start_by_token: dict[int, float] = {}
     delays: dict[int, float] = {}  # token -> delay, in JOIN order
-    for record in tracer.records:
+    for record in records:
         segment = record.segment
         if not segment.is_syn:
             continue
@@ -121,10 +124,12 @@ def syn_join_delays(tracer: PacketTracer) -> list[float]:
             if start is not None:
                 delays[join.token] = record.time - start
         elif segment.is_ack:
-            client_key = key_by_tuple.get(segment.four_tuple.reversed())
+            reverse = (segment.dst._value, segment.dport, segment.src._value, segment.sport)
+            client_key = key_by_tuple.get(reverse)
             if client_key is not None:
                 start_by_token.setdefault(derive_token(capable.sender_key), syn_times[client_key])
         else:
             syn_times.setdefault(capable.sender_key, record.time)
-            key_by_tuple[segment.four_tuple] = capable.sender_key
+            forward = (segment.src._value, segment.sport, segment.dst._value, segment.dport)
+            key_by_tuple[forward] = capable.sender_key
     return list(delays.values())

@@ -90,11 +90,6 @@ class LongLivedApp(Application):
             if record.delivery_time is not None
         ]
 
-    def stop(self) -> None:
-        """Stop the periodic message timer (the connection stays open)."""
-        if self._timer is not None:
-            self._timer.stop()
-
 
 class LongLivedPeer(Application):
     """Server side: counts the received messages."""

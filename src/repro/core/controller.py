@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.core.events import Event, EventType
+from repro.core.events import Event
 from repro.core.library import PathManagerLibrary
 from repro.net.addressing import FourTuple, IPAddress
 
@@ -170,14 +170,6 @@ class SubflowController:
             return
         self._started = True
         self.library.register_all(self._handle_event)
-
-    def stop(self) -> None:
-        """Stop receiving events (registered callbacks are removed)."""
-        if not self._started:
-            return
-        self._started = False
-        for event_type in EventType:
-            self.library.unregister(event_type, self._handle_event)
 
     @property
     def sim(self):

@@ -48,10 +48,12 @@ class UserspaceFullMeshController(SubflowController):
         self._reestablish = reestablish
         # (token, local address, remote address) -> consecutive failures
         self._failures: dict[tuple[int, IPAddress, IPAddress], int] = {}
-        # Pairs for which a create command is in flight: the sub_estab event
-        # has not arrived yet, so the view alone cannot prevent duplicates
-        # when estab and add_addr events arrive back to back.
-        self._requested: set[tuple[int, IPAddress, IPAddress]] = set()
+        # Per token, the (local, remote) pairs for which a create command is
+        # in flight: the sub_estab event has not arrived yet, so the view
+        # alone cannot prevent duplicates when estab and add_addr events
+        # arrive back to back.  Keyed by token so that a closing connection
+        # drops its own pairs without touching anyone else's.
+        self._requested: dict[int, set[tuple[IPAddress, IPAddress]]] = {}
         self.subflows_requested = 0
         self.reestablishments = 0
 
@@ -86,7 +88,9 @@ class UserspaceFullMeshController(SubflowController):
     def on_subflow_closed(self, event: SubflowClosedEvent) -> None:
         if event.four_tuple is not None:
             # Allow the pair to be created again after a failure.
-            self._requested.discard((event.token, event.four_tuple.src, event.four_tuple.dst))
+            requested = self._requested.get(event.token)
+            if requested is not None:
+                requested.discard((event.four_tuple.src, event.four_tuple.dst))
         if not self._reestablish:
             return
         view = self.state.connection(event.token)
@@ -110,19 +114,20 @@ class UserspaceFullMeshController(SubflowController):
         stale = [key for key in self._failures if key[0] == event.token]
         for key in stale:
             del self._failures[key]
-        self._requested = {key for key in self._requested if key[0] != event.token}
+        self._requested.pop(event.token, None)
 
     # ------------------------------------------------------------------
     # actions
     # ------------------------------------------------------------------
     def _build_mesh(self, view: ConnectionView) -> None:
         remote_targets = self._remote_targets(view)
+        requested = self._requested.setdefault(view.token, set())
         for local_address in self.local_address_list():
             for remote_address, remote_port in remote_targets:
-                key = (view.token, local_address, remote_address)
-                if key in self._requested or self._have_subflow(view, local_address, remote_address):
+                pair = (local_address, remote_address)
+                if pair in requested or self._have_subflow(view, local_address, remote_address):
                     continue
-                self._requested.add(key)
+                requested.add(pair)
                 self.subflows_requested += 1
                 self.library.create_subflow(
                     view.token,

@@ -65,19 +65,18 @@ class NetlinkPathManager(PathManager):
             ConnCreatedEvent(
                 time=self._now(),
                 token=conn.local_token,
-                four_tuple=initial.four_tuple if initial is not None else self._fallback_tuple(conn),
-                initial_subflow_id=initial.id if initial is not None else 0,
+                four_tuple=initial.four_tuple,
+                initial_subflow_id=initial.id,
                 is_client=conn.is_client,
             )
         )
 
     def on_connection_established(self, conn: MptcpConnection) -> None:
-        initial = conn.initial_subflow
         self._emit(
             ConnEstablishedEvent(
                 time=self._now(),
                 token=conn.local_token,
-                four_tuple=initial.four_tuple if initial is not None else self._fallback_tuple(conn),
+                four_tuple=conn.initial_subflow.four_tuple,
             )
         )
 
@@ -238,9 +237,3 @@ class NetlinkPathManager(PathManager):
 
     def _now(self) -> float:
         return self._channel.sim.now
-
-    @staticmethod
-    def _fallback_tuple(conn: MptcpConnection):
-        from repro.net.addressing import FourTuple
-
-        return FourTuple(IPAddress("0.0.0.0"), 0, conn.remote_address, conn.remote_port)

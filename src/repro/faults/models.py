@@ -168,12 +168,12 @@ def profile_models(profile: str) -> tuple[str, ...]:
 
 
 def _directed_flow(segment: Segment) -> tuple:
-    return (segment.src.value, segment.sport, segment.dst.value, segment.dport)
+    return (segment.src._value, segment.sport, segment.dst._value, segment.dport)
 
 
 def _canonical_flow(segment: Segment) -> tuple:
-    key = (segment.src.value, segment.sport, segment.dst.value, segment.dport)
-    reverse = (segment.dst.value, segment.dport, segment.src.value, segment.sport)
+    key = (segment.src._value, segment.sport, segment.dst._value, segment.dport)
+    reverse = (segment.dst._value, segment.dport, segment.src._value, segment.sport)
     return key if key <= reverse else reverse
 
 
@@ -311,7 +311,9 @@ class MutationEngine:
         # SYN's direction, acks shifted back in the reverse one, so the
         # rewrite is self-consistent end to end (the transparency a real
         # sequence-randomizing firewall maintains).
-        offset_entry = self._flow_offsets.get(_canonical_flow(segment))
+        offset_entry = (
+            self._flow_offsets.get(_canonical_flow(segment)) if self._flow_offsets else None
+        )
         if offset_entry is not None:
             syn_direction, offset = offset_entry
             if _directed_flow(segment) == syn_direction:

@@ -55,12 +55,21 @@ _SYN_BIT = 0x02
 _BYPASSED = PathManager()
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class DssMapping:
-    """A data-sequence mapping attached to one transmitted segment."""
+    """A data-sequence mapping attached to one transmitted segment.
+
+    Built once per scheduled chunk, so slotted with a hand-written
+    ``__init__`` like :class:`DssOption`; equality, hashing and ``repr``
+    are the generated ones.  Treat instances as immutable.
+    """
 
     data_seq: int
     length: int
+
+    def __init__(self, data_seq: int, length: int) -> None:
+        self.data_seq = data_seq
+        self.length = length
 
     @property
     def end(self) -> int:
@@ -173,9 +182,9 @@ class MptcpConnection(SubflowObserver):
 
         # Receive side.
         self._data_reassembly = ReceiveReassembly(0)
-        # (data_ack, (DssOption,)) pair reused across pure acks: the option
-        # is frozen and options tuples are immutable, so one instance can
-        # ride many segments until the data-level ack advances.
+        # (data_ack, (DssOption,)) pair reused across pure acks: options are
+        # never mutated and options tuples are immutable, so one instance
+        # can ride many segments until the data-level ack advances.
         self._dss_ack_cache: tuple = (None, None)
         #: In-order connection-level bytes delivered to the application.
         self.bytes_received = 0
@@ -529,14 +538,11 @@ class MptcpConnection(SubflowObserver):
             pass
         self._subflow_by_socket.pop(id(flow.socket), None)
 
-    def _subflow_for(self, socket: TcpSocket) -> Optional[Subflow]:
-        return self._subflow_by_socket.get(id(socket))
-
     # ------------------------------------------------------------------
     # SubflowObserver: options supplied to outgoing segments
     # ------------------------------------------------------------------
     def handshake_options(self, sock: TcpSocket, kind: str) -> tuple:
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))
         if flow is None:
             return ()
         if self.is_fallback:
@@ -616,8 +622,8 @@ class MptcpConnection(SubflowObserver):
     def _ack_only_dss(self) -> tuple:
         """A 1-tuple ``(DssOption(data_ack=...),)`` for the current data ack.
 
-        Pure acks dominate the option traffic; the frozen option (and the
-        options tuple wrapping it) is cached until the ack value advances.
+        Pure acks dominate the option traffic; the option (and the options
+        tuple wrapping it) is cached until the ack value advances.
         """
         ack = self._data_reassembly.rcv_nxt
         if self._remote_fin_consumed:
@@ -646,9 +652,9 @@ class MptcpConnection(SubflowObserver):
                 if dss.data_ack is not None:
                     self._process_data_ack(dss.data_ack)
                 if dss.data_fin and dss.data_seq is not None:
-                    self._process_data_fin(dss, self._subflow_for(sock))
+                    self._process_data_fin(dss, self._subflow_by_socket.get(id(sock)))
             return
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))
         capable = options.get(MpCapableOption)
         if capable is not None and self.remote_key is None and not self.is_fallback:
             self._learn_remote_key(capable.sender_key)
@@ -714,7 +720,7 @@ class MptcpConnection(SubflowObserver):
         self._check_remote_data_fin(flow)
 
     def on_data(self, sock: TcpSocket, segment: Segment, new_bytes: int) -> None:
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))
         if self.is_fallback:
             self._fallback_receive(sock, segment, flow)
             return
@@ -808,7 +814,7 @@ class MptcpConnection(SubflowObserver):
     # SubflowObserver: life-cycle events
     # ------------------------------------------------------------------
     def on_established(self, sock: TcpSocket) -> None:
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))
         if flow is None:
             return
         flow.mark_established(self._sim.now)
@@ -834,7 +840,7 @@ class MptcpConnection(SubflowObserver):
         self._push_data()
 
     def on_rto_expired(self, sock: TcpSocket, rto: float, consecutive: int) -> None:
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))
         if flow is None:
             return
         self._path_manager.on_rto_timeout(self, flow, rto, consecutive)
@@ -851,7 +857,7 @@ class MptcpConnection(SubflowObserver):
         # plain-TCP semantics make the subflow FIN the end-of-stream signal.
         if not self.is_fallback:
             return
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))
         if flow is None or not flow.is_initial:
             return
         # Absorb the FIN's sequence slot so late duplicates cannot be
@@ -862,7 +868,7 @@ class MptcpConnection(SubflowObserver):
             self.listener.on_connection_finished(self)
 
     def on_closed(self, sock: TcpSocket, reason: int) -> None:
-        flow = self._subflow_for(sock)
+        flow = self._subflow_by_socket.get(id(sock))
         if flow is None:
             return
         # "Already closed" must look at the subflow-level mark only: the
@@ -945,9 +951,13 @@ class MptcpConnection(SubflowObserver):
                 self._unassigned.popleft()
             else:
                 self._unassigned[0] = (new_start, end)
-        if not self._meta_rtx_timer.armed:
+        # Both calls below are no-ops unless data is outstanding (an idle
+        # timer to arm) or a close is pending; an ack-clocked connection
+        # mostly has neither, so the cheap tests stay inline.
+        if not self._meta_rtx_timer.armed and self.data_una < self.data_next:
             self._restart_meta_timer()
-        self._maybe_send_data_fin()
+        if self._close_requested:
+            self._maybe_send_data_fin()
 
     # -- connection-level retransmission timer --------------------------
     def _restart_meta_timer(self) -> None:
@@ -1075,7 +1085,7 @@ class MptcpConnection(SubflowObserver):
         capable = []
         for flow in self.live_subflows:
             sock = flow.socket
-            if sock.closed_at is None and sock.state.value != "CLOSED":
+            if sock.closed_at is None and sock.state is not TcpState.CLOSED:
                 capable.append(flow)
         return capable
 

@@ -14,7 +14,15 @@ from typing import Optional
 from repro.net.addressing import IPAddress
 
 
-@dataclass(frozen=True)
+# The options built per segment or per handshake (MP_CAPABLE, MP_JOIN, DSS)
+# are slotted with a hand-written ``__init__`` rather than frozen: the
+# frozen machinery (a guarded ``object.__setattr__`` per field) costs three
+# times the rest of construction.  Equality, hashing and ``repr`` are the
+# generated ones over every field, exactly as the frozen classes had them.
+# Treat instances as immutable.  The rarer options stay frozen dataclasses.
+
+
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class MpCapableOption:
     """MP_CAPABLE: negotiates MPTCP on the initial subflow.
 
@@ -25,19 +33,28 @@ class MpCapableOption:
     """
 
     sender_key: int
-    receiver_key: Optional[int] = None
-    version: int = 0
+    receiver_key: Optional[int]
+    version: int
+    wire_length: int
 
-    wire_length: int = 12
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.sender_key < (1 << 64):
+    def __init__(
+        self,
+        sender_key: int,
+        receiver_key: Optional[int] = None,
+        version: int = 0,
+        wire_length: int = 12,
+    ) -> None:
+        if not 0 <= sender_key < (1 << 64):
             raise ValueError("MP_CAPABLE sender key must fit in 64 bits")
-        if self.receiver_key is not None and not 0 <= self.receiver_key < (1 << 64):
+        if receiver_key is not None and not 0 <= receiver_key < (1 << 64):
             raise ValueError("MP_CAPABLE receiver key must fit in 64 bits")
+        self.sender_key = sender_key
+        self.receiver_key = receiver_key
+        self.version = version
+        self.wire_length = wire_length
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class MpJoinOption:
     """MP_JOIN: attaches an additional subflow to an existing connection.
 
@@ -47,20 +64,31 @@ class MpJoinOption:
     """
 
     token: int
-    address_id: int = 0
-    backup: bool = False
-    nonce: int = 0
+    address_id: int
+    backup: bool
+    nonce: int
+    wire_length: int
 
-    wire_length: int = 12
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.token < (1 << 32):
+    def __init__(
+        self,
+        token: int,
+        address_id: int = 0,
+        backup: bool = False,
+        nonce: int = 0,
+        wire_length: int = 12,
+    ) -> None:
+        if not 0 <= token < (1 << 32):
             raise ValueError("MP_JOIN token must fit in 32 bits")
-        if not 0 <= self.address_id < 256:
+        if not 0 <= address_id < 256:
             raise ValueError("MP_JOIN address id must fit in 8 bits")
+        self.token = token
+        self.address_id = address_id
+        self.backup = backup
+        self.nonce = nonce
+        self.wire_length = wire_length
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, slots=True, unsafe_hash=True)
 class DssOption:
     """DSS: the data-sequence signal.
 
@@ -70,20 +98,31 @@ class DssOption:
     (``data_ack``) and the DATA_FIN flag.
     """
 
-    data_seq: Optional[int] = None
-    data_len: int = 0
-    data_ack: Optional[int] = None
-    data_fin: bool = False
+    data_seq: Optional[int]
+    data_len: int
+    data_ack: Optional[int]
+    data_fin: bool
+    wire_length: int
 
-    wire_length: int = 20
-
-    def __post_init__(self) -> None:
-        if self.data_len < 0:
+    def __init__(
+        self,
+        data_seq: Optional[int] = None,
+        data_len: int = 0,
+        data_ack: Optional[int] = None,
+        data_fin: bool = False,
+        wire_length: int = 20,
+    ) -> None:
+        if data_len < 0:
             raise ValueError("DSS data_len cannot be negative")
-        if self.data_seq is not None and self.data_seq < 0:
+        if data_seq is not None and data_seq < 0:
             raise ValueError("DSS data_seq cannot be negative")
-        if self.data_ack is not None and self.data_ack < 0:
+        if data_ack is not None and data_ack < 0:
             raise ValueError("DSS data_ack cannot be negative")
+        self.data_seq = data_seq
+        self.data_len = data_len
+        self.data_ack = data_ack
+        self.data_fin = data_fin
+        self.wire_length = wire_length
 
     @property
     def has_mapping(self) -> bool:

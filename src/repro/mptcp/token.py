@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import lru_cache
 
 from repro.sim.randomness import RandomSource
 
@@ -20,8 +21,13 @@ def generate_key(rng: RandomSource) -> int:
     return (rng.randint(0, 0xFFFFFFFF) << 32) | rng.randint(0, 0xFFFFFFFF)
 
 
+@lru_cache(maxsize=256)
 def derive_token(key: int) -> int:
-    """Derive the 32-bit connection token from a 64-bit key (RFC 6824)."""
+    """Derive the 32-bit connection token from a 64-bit key (RFC 6824).
+
+    Memoised: every key's token is derived at both ends of its connection
+    (and again by capture analysis), a SHA-1 each time otherwise.
+    """
     if not 0 <= key < (1 << 64):
         raise ValueError(f"MPTCP key must fit in 64 bits, got {key!r}")
     digest = hashlib.sha1(struct.pack("!Q", key)).digest()

@@ -9,7 +9,7 @@ those concepts first-class, hashable types.
 from __future__ import annotations
 
 import struct
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
 
@@ -33,7 +33,9 @@ class IPAddress:
             raise TypeError(f"cannot build an IPAddress from {address!r}")
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def _parse(text: str) -> int:
+        # Memoised: scenarios spell the same few addresses in every cell.
         parts = text.strip().split(".")
         if len(parts) != 4:
             raise ValueError(f"invalid IPv4 address: {text!r}")

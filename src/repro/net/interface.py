@@ -28,7 +28,7 @@ class Interface:
         #: Interface name, unique within its node (e.g. ``"wifi0"``).
         self.name = name
         #: The IPv4 address assigned to this interface.
-        self.address = IPAddress(address)
+        self.address = address if type(address) is IPAddress else IPAddress(address)
         #: The link this interface is attached to, if any.
         self.link: Optional["Link"] = None
         self._direction: object = None  # the link's transmit state for this end

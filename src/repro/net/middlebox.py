@@ -148,10 +148,9 @@ class NatFirewall(TwoLeggedMiddlebox):
     # ------------------------------------------------------------------
     def _canonical(self, flow: FourTuple) -> FourTuple:
         """State is direction-independent: store the lexicographically smaller form."""
-        reverse = flow.reversed()
-        forward_key = (flow.src.value, flow.sport, flow.dst.value, flow.dport)
-        backward_key = (reverse.src.value, reverse.sport, reverse.dst.value, reverse.dport)
-        return flow if forward_key <= backward_key else reverse
+        forward_key = (flow.src._value, flow.sport, flow.dst._value, flow.dport)
+        backward_key = (flow.dst._value, flow.dport, flow.src._value, flow.sport)
+        return flow if forward_key <= backward_key else flow.reversed()
 
     def _expire_stale(self) -> None:
         now = self.sim.now

@@ -35,7 +35,7 @@ class Node:
         """Create a new interface with the given name and address."""
         if name in self.interfaces:
             raise ValueError(f"node {self.name} already has an interface named {name!r}")
-        iface = Interface(self, name, IPAddress(address))
+        iface = Interface(self, name, address if type(address) is IPAddress else IPAddress(address))
         self.interfaces[name] = iface
         self._address_index.setdefault(iface.address._value, iface)
         return iface

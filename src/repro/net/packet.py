@@ -51,6 +51,7 @@ _RST_BIT = 0x04
 _PSH_BIT = 0x08
 _ACK_BIT = 0x10
 _CTRL_BITS = _SYN_BIT | _FIN_BIT | _RST_BIT
+_RST_ACK_FLAGS = TCPFlags.RST | TCPFlags.ACK
 
 # A nominal IPv4 + TCP header cost charged on every segment when computing
 # link serialisation times.  MPTCP options add their own length on top.
@@ -268,7 +269,7 @@ def reset_for(segment: Segment) -> Optional[Segment]:
     if segment.is_ack:
         seq, ack, flags = segment.ack, 0, TCPFlags.RST
     else:
-        seq, ack, flags = 0, segment.end_seq, TCPFlags.RST | TCPFlags.ACK
+        seq, ack, flags = 0, segment.end_seq, _RST_ACK_FLAGS
     return Segment(
         src=segment.dst, dst=segment.src, sport=segment.dport, dport=segment.sport,
         seq=seq, ack=ack, flags=flags,

@@ -52,11 +52,6 @@ class Scenario:
     fault_injector: Optional[FaultInjector] = None
     fault_plan: Optional[FaultPlan] = None
 
-    @property
-    def sim(self) -> Simulator:
-        """The simulation engine."""
-        return self.topology.sim
-
 
 def _build_two_path(
     sim: Simulator,

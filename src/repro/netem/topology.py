@@ -157,4 +157,4 @@ class Topology:
         if isinstance(side, Interface):
             return side
         node, iface_name, address = side
-        return node.add_interface(iface_name, IPAddress(address))
+        return node.add_interface(iface_name, address)

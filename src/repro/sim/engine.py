@@ -184,12 +184,24 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay!r})")
-        return self.schedule_at(self.now + delay, callback, *args, **kwargs)
+        if not callable(callback):
+            raise SimulationError(f"callback must be callable, got {callback!r}")
+        return self._push(self.now + delay, callback, args, kwargs)
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> ScheduledEvent:
         """Schedule ``callback`` to run at the absolute simulated ``time``."""
         if not callable(callback):
             raise SimulationError(f"callback must be callable, got {callback!r}")
+        return self._push(time, callback, args, kwargs)
+
+    def _push(self, time: float, callback: Callable[..., Any], args: tuple, kwargs: Optional[dict]) -> ScheduledEvent:
+        """Queue a fresh cancellable event for a callable already checked.
+
+        The one scheduling path behind :meth:`schedule` and
+        :meth:`schedule_at`; timers, whose callback is a bound method fixed
+        at construction, enter here directly and skip the per-call
+        ``callable`` check.
+        """
         if not self.now <= time <= _MAX_EVENT_TIME:  # rejects NaN, inf and the past at once
             self._reject_time(time)
         event = ScheduledEvent(time, callback, args, kwargs)

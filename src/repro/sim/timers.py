@@ -20,7 +20,9 @@ class Timer:
     The callback receives no arguments; capture context in a closure or a
     bound method.  Restarting an armed timer cancels the previous deadline.
     ``expiry`` is the absolute simulated time of the pending expiry, ``None``
-    while the timer is not armed.
+    while the timer is not armed.  ``armed`` is True while the timer counts
+    down: a plain attribute, because the TCP and MPTCP send paths read it
+    on every segment.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
@@ -30,13 +32,9 @@ class Timer:
         self.name = name
         self._event: Optional[ScheduledEvent] = None
         self.expiry: Optional[float] = None
+        self.armed = False
         log = sim.event_log
         self._trace = log.channel("timer") if log is not None else None
-
-    @property
-    def armed(self) -> bool:
-        """True when the timer is currently counting down."""
-        return self._event is not None  # ``_fire`` and ``stop`` clear it
 
     @property
     def remaining(self) -> Optional[float]:
@@ -52,7 +50,8 @@ class Timer:
             event.cancel()
         sim = self._sim
         self.expiry = expiry = sim.now + delay
-        self._event = sim.schedule_at(expiry, self._fire)
+        self._event = sim._push(expiry, self._fire, (), None)
+        self.armed = True
 
     def stop(self) -> None:
         """Disarm the timer if it is armed."""
@@ -60,10 +59,12 @@ class Timer:
             self._event.cancel()
             self._event = None
         self.expiry = None
+        self.armed = False
 
     def _fire(self) -> None:
         self._event = None
         self.expiry = None
+        self.armed = False
         if self._trace is not None:
             self._trace.emit(self._sim.now, "timer", "fire", self.name)
         self._callback()

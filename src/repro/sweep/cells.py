@@ -16,6 +16,7 @@ registered workload is a sweep experiment over every registered scenario.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Mapping
 
@@ -59,6 +60,23 @@ def run_cell(spec_dict: Mapping, campaign_seed: int) -> dict:
     ):
         raise ValueError(f"cell {spec.key!r} references an unknown registry entry")
 
+    # The cyclic GC stays paused for the whole cell, probes included, and
+    # resumes only once ``_run_cell`` has returned and its ``HarnessRun``
+    # is gone.  A cell is a few hundred objects in reference cycles
+    # (simulator <-> sockets <-> timers); collecting while it is still
+    # alive only promotes it, and an older generation then walks it a
+    # second time once it is dead.  Paused, the dead graph is freed by the
+    # first young-generation collection after the cell.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_cell(spec, campaign_seed)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _run_cell(spec: CellSpec, campaign_seed: int) -> dict:
     params = spec.param_dict
     run = Harness().run(
         HarnessSpec(

@@ -52,6 +52,11 @@ class TcpConfig:
     congestion_control: str = "lia"
     """Default congestion controller: ``"reno"`` or the coupled ``"lia"``."""
 
+    def __post_init__(self) -> None:
+        # Frozen, so checked once here rather than by every socket that
+        # shares the configuration.
+        self.validate()
+
     def validate(self) -> None:
         """Raise ``ValueError`` for obviously inconsistent settings."""
         if self.mss <= 0:

@@ -40,6 +40,9 @@ _SYN_BIT = 0x02
 _RST_BIT = 0x04
 _ACK_BIT = 0x10
 _ACK_PSH_FLAGS = TCPFlags.ACK | TCPFlags.PSH
+_SYN_ACK_FLAGS = TCPFlags.SYN | TCPFlags.ACK
+_FIN_ACK_FLAGS = TCPFlags.FIN | TCPFlags.ACK
+_RST_ACK_FLAGS = TCPFlags.RST | TCPFlags.ACK
 
 #: Advertised receive window in bytes (large enough to never bind).
 RECEIVE_WINDOW = 4 << 20
@@ -127,18 +130,19 @@ class TcpSocket:
         #: The simulation engine.
         self.sim = sim
         #: Local IP address.
-        self.local_address = IPAddress(local_addr)
+        self.local_address = local_addr if type(local_addr) is IPAddress else IPAddress(local_addr)
         #: Local TCP port.
         self.local_port = int(local_port)
         #: Remote IP address.
-        self.remote_address = IPAddress(remote_addr)
+        self.remote_address = remote_addr if type(remote_addr) is IPAddress else IPAddress(remote_addr)
         #: Remote TCP port.
         self.remote_port = int(remote_port)
+        #: (local address, local port, remote address, remote port).
+        self.four_tuple = FourTuple(self.local_address, self.local_port, self.remote_address, self.remote_port)
         self._transmit = transmit
         self._observer = observer if observer is not None else SubflowObserver()
-        #: The TCP configuration in effect.
+        #: The TCP configuration in effect (validated when it was built).
         self.config = config if config is not None else TcpConfig()
-        self.config.validate()
         #: Socket label used in traces.
         self.name = name
 
@@ -202,11 +206,6 @@ class TcpSocket:
     # ------------------------------------------------------------------
     # identity & simple accessors
     # ------------------------------------------------------------------
-    @property
-    def four_tuple(self) -> FourTuple:
-        """(local address, local port, remote address, remote port)."""
-        return FourTuple(self.local_address, self.local_port, self.remote_address, self.remote_port)
-
     @property
     def is_established(self) -> bool:
         """True while data can be exchanged."""
@@ -311,7 +310,7 @@ class TcpSocket:
     def _send_syn_ack(self) -> None:
         options = self._observer.handshake_options(self, "synack")
         self._emit(
-            flags=TCPFlags.SYN | TCPFlags.ACK,
+            flags=_SYN_ACK_FLAGS,
             seq=self._iss,
             payload_len=0,
             options=options,
@@ -395,7 +394,7 @@ class TcpSocket:
         self._fin_seq = self.snd_nxt
         self.snd_nxt += 1
         self._emit(
-            flags=TCPFlags.FIN | TCPFlags.ACK,
+            flags=_FIN_ACK_FLAGS,
             seq=self._fin_seq,
             payload_len=0,
             options=self._observer.ack_options(self),
@@ -413,7 +412,7 @@ class TcpSocket:
             return
         if send_rst and self.state not in (TcpState.CLOSED,):
             self._emit(
-                flags=TCPFlags.RST | TCPFlags.ACK,
+                flags=_RST_ACK_FLAGS,
                 seq=self.snd_nxt,
                 payload_len=0,
                 options=(),
@@ -704,7 +703,7 @@ class TcpSocket:
             )
         options = self._observer.data_options(self, sent.metadata)
         self._emit(
-            flags=TCPFlags.ACK | TCPFlags.PSH,
+            flags=_ACK_PSH_FLAGS,
             seq=sent.seq,
             payload_len=sent.length,
             options=options,
@@ -790,7 +789,7 @@ class TcpSocket:
                     {"seq": self._fin_seq, "length": 0},
                 )
             self._emit(
-                flags=TCPFlags.FIN | TCPFlags.ACK,
+                flags=_FIN_ACK_FLAGS,
                 seq=self._fin_seq,
                 payload_len=0,
                 options=self._observer.ack_options(self),

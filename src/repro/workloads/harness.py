@@ -269,7 +269,10 @@ class Harness:
         # allocates segments/events at a rate that triggers generation-0
         # collections constantly, none of which find garbage cycles worth
         # the pauses.  Objects freed during the run are still reclaimed by
-        # reference counting; the backlog is swept when GC resumes.
+        # reference counting; the backlog is swept when GC resumes.  Only
+        # a pause taken here is lifted here: ``run_cell`` pauses the whole
+        # cell itself and resumes once the finished run is dropped, so for
+        # sweep cells this is a no-op and probes also run paused.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

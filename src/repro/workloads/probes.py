@@ -20,11 +20,18 @@ from repro.analysis.trace import (
     extract_sequence_trace,
     syn_join_delays,
 )
-from repro.net.tracer import PacketTracer
+from repro.net.tracer import PacketRecord, PacketTracer
 from repro.workloads.base import HarnessContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.workloads.harness import HarnessRun
+
+_SYN_BIT = 0x02
+
+
+#: Records formatted per ``sha256.update``: large captures are hashed in
+#: bounded slices instead of one string the size of the whole trace.
+_DIGEST_SLICE = 4096
 
 
 def trace_digest(tracer: PacketTracer) -> str:
@@ -34,28 +41,63 @@ def trace_digest(tracer: PacketTracer) -> str:
     location, TCP header fields and carried option types — the signal the
     determinism regression tests key on.
     """
+    return _walk_capture(tracer.records)[0]
+
+
+def _walk_capture(records: list[PacketRecord]) -> tuple[str, int, set[str], list[PacketRecord]]:
+    """One pass over a capture: its digest, payload bytes, the links that
+    carried payload, and the SYN records (what :func:`syn_join_delays`
+    reads).
+
+    Each record hashes as the line
+    ``time|link|from>to|src:sport>dst:dport|seq=.. ack=.. flags=.. len=..|Opt,..``.
+    Only time, seq, ack, flags and length change from segment to segment,
+    so the hop-and-four-tuple prefix and the joined option type names are
+    formatted once each and reused; the lines of a slice of records are
+    joined and hashed with one ``update``.
+    """
     digest = hashlib.sha256()
+    prefixes: dict[tuple, str] = {}
     # Option tuples are widely shared between segments (pure acks reuse one
-    # cached DSS tuple), so the joined type-name string is memoised by tuple
-    # identity; every record holds its segment alive, so ids stay stable for
-    # the duration of the loop.
+    # cached DSS tuple), so the names are memoised by tuple identity; every
+    # record holds its segment alive, so ids stay stable for the walk.
     names_by_options: dict[int, str] = {}
-    for record in tracer.records:
-        segment = record.segment
-        options = segment.options
-        option_names = names_by_options.get(id(options))
-        if option_names is None:
-            option_names = ",".join(type(option).__name__ for option in options)
-            names_by_options[id(options)] = option_names
-        digest.update(
-            (
-                f"{record.time!r}|{record.link}|{record.from_iface}>{record.to_iface}|"
-                f"{segment.src}:{segment.sport}>{segment.dst}:{segment.dport}|"
-                f"seq={segment.seq} ack={segment.ack} flags={int(segment.flags)} "
-                f"len={segment.payload_len}|{option_names}\n"
-            ).encode("utf-8")
-        )
-    return digest.hexdigest()
+    data_bytes = 0
+    data_links: set[str] = set()
+    syns: list[PacketRecord] = []
+    for start in range(0, len(records), _DIGEST_SLICE):
+        lines: list[str] = []
+        for record in records[start:start + _DIGEST_SLICE]:
+            segment = record.segment
+            link = record.link
+            src = segment.src
+            dst = segment.dst
+            key = (link, record.from_iface, record.to_iface,
+                   src._value, segment.sport, dst._value, segment.dport)
+            prefix = prefixes.get(key)
+            if prefix is None:
+                prefix = prefixes[key] = (
+                    f"|{link}|{record.from_iface}>{record.to_iface}|"
+                    f"{src}:{segment.sport}>{dst}:{segment.dport}|seq="
+                )
+            options = segment.options
+            option_names = names_by_options.get(id(options))
+            if option_names is None:
+                option_names = ",".join([type(option).__name__ for option in options])
+                names_by_options[id(options)] = option_names
+            length = segment.payload_len
+            flags = segment._flag_bits
+            lines.append(
+                f"{record.time!r}{prefix}{segment.seq} ack={segment.ack} flags={flags} "
+                f"len={length}|{option_names}\n"
+            )
+            if length:
+                data_bytes += length
+                data_links.add(link)
+            if flags & _SYN_BIT:
+                syns.append(record)
+        digest.update("".join(lines).encode("utf-8"))
+    return digest.hexdigest(), data_bytes, data_links, syns
 
 
 class Probe(ABC):
@@ -108,19 +150,12 @@ class TraceProbe(Probe):
         from repro.analysis.aggregate import fold_series
 
         assert self.tracer is not None, "TraceProbe.collect before attach"
-        # Wire-level payload bytes, and the links that carried any.
-        data_bytes = 0
-        data_links = set()
-        for record in self.tracer.records:
-            length = record.segment.payload_len
-            if length:
-                data_bytes += length
-                data_links.add(record.link)
+        digest, data_bytes, data_links, syns = _walk_capture(self.tracer.records)
         metrics: dict[str, Any] = {
             "trace_packets": len(self.tracer),
-            "trace_digest": trace_digest(self.tracer),
-            # Against the workload's delivered bytes this exposes the
-            # retransmission overhead of the run.
+            "trace_digest": digest,
+            # Wire-level payload bytes: against the workload's delivered
+            # bytes this exposes the retransmission overhead of the run.
             "trace_data_bytes": data_bytes,
         }
         # Figure 2c's quantity, only on multi-path scenarios: how many path
@@ -132,7 +167,7 @@ class TraceProbe(Probe):
         # Figure 3's quantity, only in cells that joined a subflow.  In µs:
         # the latency family's absolute tolerance (0.01) would swallow any
         # drift measured in seconds.
-        delays = syn_join_delays(self.tracer)
+        delays = syn_join_delays(syns)
         if delays:
             metrics["mp_join_samples"] = len(delays)
             metrics.update(fold_series([delay * 1e6 for delay in delays], "join_delay_us"))
@@ -147,7 +182,7 @@ class TraceProbe(Probe):
     def syn_join_delays(self) -> list[float]:
         """The Figure 3 data set (MP_CAPABLE-SYN to MP_JOIN-SYN delays)."""
         assert self.tracer is not None, "TraceProbe used before attach"
-        return syn_join_delays(self.tracer)
+        return syn_join_delays(self.tracer.records)
 
 
 class GoodputProbe(Probe):

@@ -150,7 +150,7 @@ class TestAnalysis:
         driver = HttpClientDriver(client_stack, scenario.server_addresses[0], 80, request_count=3, object_size=50_000)
         driver.start()
         sim.run(until=10.0)
-        delays = syn_join_delays(tracer)
+        delays = syn_join_delays(tracer.records)
         assert len(delays) == 3
         assert all(0 < delay < 0.01 for delay in delays)
 
@@ -158,8 +158,6 @@ class TestAnalysis:
         """Two connections interleave (SYN A, SYN B, JOIN A, JOIN B): each
         JOIN pairs with its own connection through the token of the key its
         SYN/ACK returned, and a JOIN captured on two links counts once."""
-        from types import SimpleNamespace
-
         from repro.mptcp.options import MpCapableOption, MpJoinOption
         from repro.mptcp.token import derive_token
         from repro.net.addressing import IPAddress
@@ -184,7 +182,7 @@ class TestAnalysis:
             capture(time, join)
             capture(time + 0.0001, join, link="wan")
 
-        delays = syn_join_delays(SimpleNamespace(records=records))
+        delays = syn_join_delays(records)
         assert delays == pytest.approx([0.020, 0.020])
 
 

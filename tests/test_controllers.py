@@ -252,6 +252,27 @@ class TestUserspaceFullMeshController:
         assert app.delivered_messages >= 3
 
 
+    def test_a_closed_connection_leaves_no_requested_pair(self):
+        """In-flight create requests are kept per token: a closing
+        connection drops its own and leaves a live connection's alone."""
+        sim, scenario, manager, server_stack, _ = build_smapp_rig()
+        controller = manager.attach_controller(UserspaceFullMeshController)
+        short = manager.stack.connect(scenario.server_addresses[0], SERVER_PORT,
+                                      listener=BulkSenderApp(20_000),
+                                      local_address=scenario.client_addresses[0])
+        sim.run(until=0.2)
+        long = manager.stack.connect(scenario.server_addresses[0], SERVER_PORT,
+                                     listener=RecordingApp(),
+                                     local_address=scenario.client_addresses[0])
+        sim.run(until=0.4)
+        assert controller._requested[short.local_token]
+        assert controller._requested[long.local_token]
+        sim.run(until=5.0)
+        assert short.closed and not long.closed
+        assert short.local_token not in controller._requested
+        assert controller._requested[long.local_token]
+
+
 class TestRefreshController:
     def test_replaces_slowest_subflow(self):
         from repro.netem.scenarios import build_ecmp

@@ -234,7 +234,7 @@ class TestOwnersAreTheOnlyWriters:
         "sim/engine.py:Simulator": "now processed_events",
         "sim/latency.py:ShiftedLatency": "base shift",
         "sim/randomness.py:RandomSource": "seed",
-        "sim/timers.py:Timer": "name expiry",
+        "sim/timers.py:Timer": "name expiry armed",
         "sim/timers.py:PeriodicTimer": "interval running ticks",
         "store/campaign.py:CampaignStore": "root",
         "tcp/buffers.py:RetransmissionQueue": "segments",

@@ -55,6 +55,37 @@ class TestOptions:
         with pytest.raises(ValueError):
             DssOption(data_len=-1)
 
+    def test_dss_value_semantics(self):
+        """Equality, hashing and repr over all five fields, as the frozen
+        dataclass had; the data_ack check stands next to the other two."""
+        dss = DssOption(data_seq=100, data_len=50, data_ack=20)
+        same = DssOption(data_seq=100, data_len=50, data_ack=20)
+        assert dss == same and dss is not same
+        assert hash(dss) == hash(same) == hash((100, 50, 20, False, 20))
+        assert len({dss, same, DssOption(data_ack=20)}) == 2
+        assert dss != DssOption(data_seq=100, data_len=50, data_ack=20, data_fin=True)
+        assert dss != (100, 50, 20, False, 20)
+        assert repr(dss) == (
+            "DssOption(data_seq=100, data_len=50, data_ack=20, data_fin=False, wire_length=20)"
+        )
+        assert [field.name for field in dataclasses.fields(DssOption)] == [
+            "data_seq", "data_len", "data_ack", "data_fin", "wire_length",
+        ]
+        assert not hasattr(dss, "__dict__")
+        with pytest.raises(ValueError, match="data_ack"):
+            DssOption(data_ack=-1)
+
+    def test_dss_mapping_value_semantics(self):
+        from repro.mptcp.connection import DssMapping
+
+        mapping = DssMapping(7, 1400)
+        assert mapping == DssMapping(data_seq=7, length=1400)
+        assert mapping != DssMapping(7, 1399)
+        assert hash(mapping) == hash(DssMapping(7, 1400)) == hash((7, 1400))
+        assert repr(mapping) == "DssMapping(data_seq=7, length=1400)"
+        assert mapping.end == 1407
+        assert not hasattr(mapping, "__dict__")
+
     def test_add_addr_validation(self):
         from repro.net.addressing import ip
 

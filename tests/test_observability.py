@@ -24,7 +24,7 @@ from repro.obs import (
     format_telemetry_report,
     summarize_telemetry,
 )
-from repro.sweep import CampaignGrid, run_campaign
+from repro.sweep import SCENARIOS, CampaignGrid, run_campaign
 from repro.workloads import Harness, HarnessSpec
 from repro.workloads.probes import DEFAULT_PROBES, PROBES
 
@@ -318,6 +318,75 @@ class TestPacketTracerRecords:
         records.append(None)
         assert len(tracer.records) == before
         assert tracer.records is not tracer.records
+
+
+# ----------------------------------------------------------------------
+# The one-pass trace probe against the per-record digest it replaced
+# ----------------------------------------------------------------------
+def _oracle_trace_digest(tracer) -> str:
+    """The trace digest as it was first written: one formatted line and one
+    ``sha256.update`` per record.  Kept as the reference the cached,
+    one-pass digest must reproduce byte for byte."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    names_by_options: dict[int, str] = {}
+    for record in tracer.records:
+        segment = record.segment
+        options = segment.options
+        option_names = names_by_options.get(id(options))
+        if option_names is None:
+            option_names = ",".join(type(option).__name__ for option in options)
+            names_by_options[id(options)] = option_names
+        digest.update(
+            (
+                f"{record.time!r}|{record.link}|{record.from_iface}>{record.to_iface}|"
+                f"{segment.src}:{segment.sport}>{segment.dst}:{segment.dport}|"
+                f"seq={segment.seq} ack={segment.ack} flags={int(segment.flags)} "
+                f"len={segment.payload_len}|{option_names}\n"
+            ).encode("utf-8")
+        )
+    return digest.hexdigest()
+
+
+class TestTraceDigestOracle:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_one_pass_collect_matches_the_oracle(self, scenario):
+        """Every registered scenario, clean, faulted and middlebox alike:
+        the digest equals the oracle's, and the payload bytes and Figure 3
+        delays read off the one pass equal a walk over every record."""
+        from repro.analysis.trace import syn_join_delays
+        from repro.workloads.probes import trace_digest
+
+        run = Harness().run(
+            HarnessSpec(
+                workload="bulk_transfer",
+                scenario=scenario,
+                controller="fullmesh",
+                seed=5,
+                horizon=10.0,
+                params={"transfer_bytes": 30_000},
+            )
+        )
+        tracer = run.probe("trace").tracer
+        records = tracer.records
+        assert records
+        assert run.metrics["trace_digest"] == _oracle_trace_digest(tracer) == trace_digest(tracer)
+        assert run.metrics["trace_data_bytes"] == sum(r.segment.payload_len for r in records)
+        delays = syn_join_delays(records)
+        assert run.metrics.get("mp_join_samples", 0) == len(delays)
+
+    def test_large_captures_hash_in_slices_without_changing_the_digest(self, monkeypatch):
+        from repro.workloads import probes
+
+        run = Harness().run(
+            HarnessSpec(workload="bulk_transfer", scenario="dual_homed", controller="fullmesh",
+                        seed=5, horizon=10.0, params={"transfer_bytes": 30_000})
+        )
+        tracer = run.probe("trace").tracer
+        monkeypatch.setattr(probes, "_DIGEST_SLICE", 7)
+        assert len(tracer) > 7 * 3
+        assert probes.trace_digest(tracer) == _oracle_trace_digest(tracer)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for the sweep subsystem: grids, cells, engine, report."""
 
+import gc
 import json
 import os
 import time
@@ -121,6 +122,65 @@ class TestRegistries:
         spec["scenario"] = "atlantis"
         with pytest.raises(ValueError):
             run_cell(spec, 1)
+
+
+class TestCellGc:
+    """``run_cell`` pauses the cyclic GC for the whole cell and resumes it
+    only after the finished run is dropped."""
+
+    @pytest.fixture
+    def gc_restored(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_is_left_as_found(self, gc_restored, enabled):
+        spec = tiny_grid().expand()[0].as_dict()
+        gc.enable() if enabled else gc.disable()
+        run_cell(spec, 1)
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_is_left_as_found_when_the_cell_raises(self, gc_restored, monkeypatch, enabled):
+        from repro.sweep import cells
+
+        paused = []
+
+        def failing_run(self, spec):
+            paused.append(not gc.isenabled())
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(cells.Harness, "run", failing_run)
+        spec = tiny_grid().expand()[0].as_dict()
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_cell(spec, 1)
+        assert paused == [True]
+        assert gc.isenabled() is enabled
+
+    def test_the_dead_cell_goes_in_one_young_collection(self, gc_restored, monkeypatch):
+        import weakref
+
+        from repro.workloads import harness
+
+        sims = []
+
+        class WatchedSimulator(harness.Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sims.append(weakref.ref(self))
+
+        monkeypatch.setattr(harness, "Simulator", WatchedSimulator)
+        gc.enable()
+        gc.collect()
+        run_cell(tiny_grid(controllers=["fullmesh"]).expand()[0].as_dict(), 1)
+        (sim,) = sims
+        gc.collect(0)
+        assert sim() is None
 
 
 class TestEngine:
