@@ -22,6 +22,7 @@ from typing import Any
 
 from repro.analysis.report import format_table
 from repro.experiments.grids import named_grid
+from repro.sweep.backends import usable_cpus
 from repro.sweep.engine import run_campaign
 
 #: The delay statistics the report prints per path manager, in µs.
@@ -69,10 +70,15 @@ def run_fig3(seed: int = 1, request_count: int = 200, stressed: bool = False) ->
     ``request_count`` overrides the grid's 200 requests with a horizon of
     0.1 s per request plus 10 s; ``stressed`` adds ``cpu_stress`` to both
     cells.  At the defaults this is ``runner sweep --grid fig3``'s plan.
+    The cells run on every usable CPU; what they store does not depend on
+    the worker count.
     """
     grid = named_grid("fig3", seed)
     grid.params.update(request_count=request_count, horizon=request_count / 10 + 10.0)
     if stressed:
         grid.params["cpu_stress"] = True
-    cells = {cell.spec.controller: cell.result for cell in run_campaign(grid).cells}
+    cells = {
+        cell.spec.controller: cell.result
+        for cell in run_campaign(grid, workers=usable_cpus()).cells
+    }
     return Fig3Result(cells["ndiffports"], cells["userspace_ndiffports"], request_count, stressed)

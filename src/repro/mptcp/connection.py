@@ -570,19 +570,19 @@ class MptcpConnection(SubflowObserver):
             # alone.  (Pending options still drain — MP_FAIL in particular.)
             return tuple(self._drain_pending_options())
         mapping: Optional[DssMapping] = metadata
-        options: list = []
         if mapping is not None:
-            options.append(
-                DssOption(
-                    data_seq=mapping.data_seq,
-                    data_len=mapping.length,
-                    data_ack=self._data_ack_value(),
-                )
-            )
+            # ``_data_ack_value()``, inline: this runs for every data segment.
+            data_ack = self._data_reassembly.rcv_nxt
+            if self._remote_fin_consumed:
+                data_ack += 1
+            dss = DssOption(mapping.data_seq, mapping.length, data_ack)
         else:
-            options.append(self._ack_only_dss()[0])
-        options.extend(self._drain_pending_options())
-        return tuple(options)
+            dss = self._ack_only_dss()[0]
+        pending = self._pending_options
+        if not pending:
+            return (dss,)
+        self._pending_options = []
+        return (dss, *pending)
 
     def ack_options(self, sock: TcpSocket) -> tuple:
         if self.is_fallback:
@@ -639,7 +639,7 @@ class MptcpConnection(SubflowObserver):
     # ------------------------------------------------------------------
     def segment_options_received(self, sock: TcpSocket, segment: Segment) -> None:
         options = segment.options_by_type
-        dss = options.get(DssOption)
+        dss = options[DssOption] if DssOption in options else None
         if (
             dss is not None
             and not segment._flag_bits & _SYN_BIT
@@ -649,8 +649,12 @@ class MptcpConnection(SubflowObserver):
             # SACK beside it.  None of the handshake, fallback, address or
             # priority signalling below applies, so only the DSS is read.
             if not self.is_fallback:
-                if dss.data_ack is not None:
-                    self._process_data_ack(dss.data_ack)
+                data_ack = dss.data_ack
+                # A data ack at or below ``data_una`` changes nothing (the
+                # data receiver's every segment carries one), so only a
+                # higher one is processed.
+                if data_ack is not None and data_ack > self.data_una:
+                    self._process_data_ack(data_ack)
                 if dss.data_fin and dss.data_seq is not None:
                     self._process_data_fin(dss, self._subflow_by_socket.get(id(sock)))
             return
@@ -720,12 +724,16 @@ class MptcpConnection(SubflowObserver):
         self._check_remote_data_fin(flow)
 
     def on_data(self, sock: TcpSocket, segment: Segment, new_bytes: int) -> None:
-        flow = self._subflow_by_socket.get(id(sock))
+        # Per data segment: the subflow is looked up only on the branches
+        # that need it.
         if self.is_fallback:
-            self._fallback_receive(sock, segment, flow)
+            self._fallback_receive(sock, segment, self._subflow_by_socket.get(id(sock)))
             return
-        dss = segment.options_by_type.get(DssOption)
-        if dss is None or not dss.has_mapping:
+        options = segment.options_by_type
+        dss = options[DssOption] if DssOption in options else None
+        # ``dss.has_mapping``, inline.
+        if dss is None or dss.data_seq is None or dss.data_len <= 0:
+            flow = self._subflow_by_socket.get(id(sock))
             if (
                 segment.payload_len > 0
                 and len(self.subflows) == 1
@@ -743,18 +751,23 @@ class MptcpConnection(SubflowObserver):
                 self._send_mp_fail()
                 self._fallback_receive(sock, segment, flow)
             return
-        before = self._data_reassembly.rcv_nxt
-        self._data_reassembly.register(dss.data_seq, dss.data_len)
-        advanced = self._data_reassembly.rcv_nxt - before
+        reassembly = self._data_reassembly
+        before = reassembly.rcv_nxt
+        reassembly.register(dss.data_seq, dss.data_len)
+        if self._next_subflow_id == 2:  # one subflow ever: len(self.subflows) == 1
+            flow = self._subflow_by_socket.get(id(sock))
+            if flow is not None and flow.is_initial:
+                # Keep the fallback switch point current: if a later
+                # segment's DSS is corrupted, the infinite mapping continues
+                # the stream from exactly the subflow bytes consumed so far.
+                # (Set before the listener runs, which cannot move it.)
+                self._fallback_rx_seen = sock.rcv_nxt
+        advanced = reassembly.rcv_nxt - before
         if advanced > 0:
             self.bytes_received += advanced
             self.listener.on_data(self, advanced)
-        if flow is not None and flow.is_initial and len(self.subflows) == 1:
-            # Keep the fallback switch point current: if a later segment's
-            # DSS is corrupted, the infinite mapping continues the stream
-            # from exactly the subflow bytes consumed so far.
-            self._fallback_rx_seen = sock.rcv_nxt
-        self._check_remote_data_fin(flow)
+        if self._remote_fin_seq is not None and not self._remote_fin_consumed:
+            self._check_remote_data_fin(self._subflow_by_socket.get(id(sock)))
 
     def _send_mp_fail(self) -> None:
         """Queue a one-shot MP_FAIL; the ACK for the offending data segment
@@ -851,6 +864,11 @@ class MptcpConnection(SubflowObserver):
         self._reinject_outstanding(flow, head_only=True)
         self._push_data()
 
+    def on_left_established(self, sock: TcpSocket) -> None:
+        flow = self._subflow_by_socket.get(id(sock))
+        if flow is not None:
+            flow.sync_state()
+
     def on_fin_received(self, sock: TcpSocket) -> None:
         # Subflow-level FIN: nothing to do at the connection level — the
         # DATA_FIN drives connection teardown — except in fallback, where
@@ -924,7 +942,7 @@ class MptcpConnection(SubflowObserver):
                 flow = next((f for f in self.live_subflows if f.is_usable), None)
                 if flow is None:
                     break
-                window = flow.socket.available_window()
+                window = flow.socket.send_space
             elif not alone:
                 picked = self._scheduler.pick(self.live_subflows)
                 if picked is None:

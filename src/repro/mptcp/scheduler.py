@@ -15,6 +15,11 @@ The contract is :meth:`Scheduler.pick`: one pass answers the subflow for the
 next chunk, the window it was found with and whether it was the *only*
 eligible one with window — all ``MptcpConnection._push_data`` needs to send
 a flight without asking again.  ``select`` is that answer's subflow.
+
+A scheduler reads, and never calls for, what it ranks on: a subflow's
+``is_usable``, ``backup`` and ``id``, and its socket's ``send_space`` (the
+value :meth:`repro.tcp.socket.TcpSocket.available_window` answers, kept
+current by the socket) and ``rtt.srtt`` are all plain attributes.
 """
 
 from __future__ import annotations
@@ -47,14 +52,14 @@ class Scheduler(ABC):
         candidates = regular if regular else usable
         out = []
         for flow in candidates:
-            if flow.socket.available_window() > 0:
+            if flow.socket.send_space > 0:
                 out.append(flow)
         return out
 
     @abstractmethod
     def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
         """``(subflow, window, alone)`` for the next chunk, or ``None`` to wait:
-        the chosen subflow, its (positive) ``available_window()``, and whether
+        the chosen subflow, its (positive) ``socket.send_space``, and whether
         no other eligible subflow had window — so that asking again after
         sending on it could only name the same subflow or nobody."""
 
@@ -97,7 +102,7 @@ class LowestRttScheduler(Scheduler):
                 best = None
                 open_flows = 0
             socket = flow.socket
-            window = socket.available_window()
+            window = socket.send_space
             if window <= 0:
                 continue
             open_flows += 1
@@ -147,7 +152,7 @@ class RoundRobinScheduler(Scheduler):
                     chosen = flow
                     break
         self._last_id = chosen.id
-        return chosen, chosen.socket.available_window(), len(candidates) == 1
+        return chosen, chosen.socket.send_space, len(candidates) == 1
 
 
 class RedundantScheduler(Scheduler):
@@ -162,7 +167,7 @@ class RedundantScheduler(Scheduler):
 
     def eligible(self, subflows: Sequence[Subflow]) -> list[Subflow]:
         usable = [flow for flow in subflows if flow.is_usable]
-        return [flow for flow in usable if flow.socket.available_window() > 0]
+        return [flow for flow in usable if flow.socket.send_space > 0]
 
     def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
         candidates = self.eligible(subflows)
@@ -172,7 +177,7 @@ class RedundantScheduler(Scheduler):
             srtt = flow.socket.rtt.srtt
             return (srtt is not None, srtt if srtt is not None else 0.0, flow.id)
         chosen = min(candidates, key=key)
-        return chosen, chosen.socket.available_window(), len(candidates) == 1
+        return chosen, chosen.socket.send_space, len(candidates) == 1
 
 
 SCHEDULER_REGISTRY: dict[str, type[Scheduler]] = {

@@ -38,6 +38,12 @@ class Subflow:
     within the connection), ``socket`` (the underlying TCP socket),
     ``origin`` (how it was created) and ``is_initial`` (true for the
     MP_CAPABLE subflow).
+
+    ``is_usable`` — True when the scheduler may place data on this subflow:
+    it is open and its socket sits in ESTABLISHED — is a plain attribute
+    too, read by every scheduler pass.  :meth:`sync_state` recomputes it;
+    the connection calls it (directly or through :meth:`mark_established` /
+    :meth:`mark_closed`) each time its socket enters or leaves ESTABLISHED.
     """
 
     def __init__(
@@ -63,6 +69,7 @@ class Subflow:
         # fallback (always a subset of ``bytes_scheduled``; nonzero only on
         # the single surviving subflow of a fallen-back connection).
         self.fallback_bytes = 0
+        self.sync_state()
 
     # ------------------------------------------------------------------
     # identity
@@ -85,23 +92,24 @@ class Subflow:
         """True once the subflow terminated (cleanly or not)."""
         return self.closed_at is not None or self.socket.is_closed
 
-    @property
-    def is_usable(self) -> bool:
-        """True when the scheduler may place data on this subflow."""
+    def sync_state(self) -> None:
+        """Recompute ``is_usable`` after the socket's state changed."""
         # Flattened is_established/is_closed: an open subflow whose socket
         # sits in ESTABLISHED is by definition not closed.
-        return self.closed_at is None and self.socket.state is TcpState.ESTABLISHED
+        self.is_usable = self.closed_at is None and self.socket.state is TcpState.ESTABLISHED
 
     def mark_established(self, when: float) -> None:
         """Record establishment time (called by the connection)."""
         if self.established_at is None:
             self.established_at = when
+        self.sync_state()
 
     def mark_closed(self, when: float, reason: int) -> None:
         """Record closure time and reason (called by the connection)."""
         if self.closed_at is None:
             self.closed_at = when
             self.close_reason = reason
+        self.sync_state()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

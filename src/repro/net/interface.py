@@ -83,12 +83,18 @@ class Interface:
         dropped later by the queue or by random loss), ``False`` when the
         interface is down or not attached.
         """
-        if not self.is_up or self.link is None:
+        link = self.link
+        if not self.is_up or link is None:
             self.dropped_down += 1
             return False
         self.tx_packets += 1
         self.tx_bytes += segment.size_bytes
-        self.link.transmit(segment, self)
+        if link._fault_handler is None:
+            # The common case skips Link.transmit: this end's direction is
+            # bound at attach time, so the segment goes straight to the queue.
+            link._admit(segment, self._direction)
+        else:
+            link.transmit(segment, self)
         return True
 
     def deliver(self, segment: Segment) -> None:

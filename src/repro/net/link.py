@@ -11,8 +11,10 @@ transmitter, as it does on a real lossy wireless hop.
 
 The send side is bound once, in :meth:`Link.connect`: each interface holds
 the ``_Direction`` it transmits into and each direction its two ends, so a
-segment goes ``Interface.send -> Link.transmit -> _admit`` (the one place
-the queue/drop rule is stated) without an ``id()`` or dictionary lookup.
+segment goes ``Interface.send -> _admit`` (the one place the queue/drop
+rule is stated) without an ``id()`` or dictionary lookup.  Only a link with
+a fault handler routes it through :meth:`Link.transmit`, which applies the
+handler first.
 """
 
 from __future__ import annotations

@@ -25,11 +25,16 @@ Design choices
   in docs/ARCHITECTURE.md, *Performance*).  The recycled-event path
   (:meth:`Simulator.schedule_pooled` / :meth:`Simulator.rearm`) was audited
   the same way and pays (+2.4 % / +3.2 % ``wall_s`` without it), so it stays.
-* Cancellation by invalidation.  A cancelled :class:`ScheduledEvent` is
-  flagged and skipped when popped; a live counter keeps
-  :attr:`Simulator.pending_events` O(1), and :meth:`Simulator.run`
-  compacts the queue automatically once dead entries pile up past
-  ``_AUTO_COMPACT_THRESHOLD``.
+* Cancellation by invalidation.  A heap entry ``(time, seq, event)`` is
+  live only while ``seq`` equals the event's own ``_seq``: the kernel
+  skips any other entry when it pops it.  Cancelling sets ``_seq`` to -1;
+  re-keying a queued event (:meth:`repro.sim.timers.Timer.start` on an
+  armed timer) draws a fresh sequence number, stores it in ``_seq`` and
+  pushes a second entry, which leaves the first one dead without a cancel
+  call or a new event object.  Live counters keep
+  :attr:`Simulator.pending_events` O(1) and count the dead entries, and
+  :meth:`Simulator.run` compacts the queue automatically once they pile
+  up past ``_AUTO_COMPACT_THRESHOLD``.
 * Stable ordering.  Events scheduled for the same instant run in the order
   they were scheduled (a monotonically increasing sequence number breaks
   ties), which removes a whole class of flaky behaviours.
@@ -49,7 +54,7 @@ from repro.sim.randomness import RandomSource
 #: one chained comparison on the hot path.
 _MAX_EVENT_TIME = 1.7976931348623157e308
 
-#: Lingering cancelled entries that trigger a compaction inside
+#: Lingering dead entries that trigger a compaction inside
 #: :meth:`Simulator.run`.  Far above what a baseline campaign cell ever
 #: accumulates, so the gated ``events_compacted`` metric is unaffected.
 _AUTO_COMPACT_THRESHOLD = 1024
@@ -68,7 +73,7 @@ class ScheduledEvent:
     not meant to be constructed directly.
     """
 
-    __slots__ = ("time", "callback", "args", "kwargs", "_cancelled", "_executed", "_sim", "_pooled")
+    __slots__ = ("time", "callback", "args", "kwargs", "_seq", "_cancelled", "_executed", "_sim", "_pooled")
 
     def __init__(
         self,
@@ -81,6 +86,8 @@ class ScheduledEvent:
         self.callback = callback
         self.args = args
         self.kwargs = kwargs
+        # Sequence number of the one live heap entry; -1 once cancelled.
+        self._seq = -1
         self._cancelled = False
         self._executed = False
         self._sim: Optional["Simulator"] = None
@@ -112,6 +119,7 @@ class ScheduledEvent:
         if self._executed or self._cancelled:
             return
         self._cancelled = True
+        self._seq = -1
         sim = self._sim
         if sim is not None:
             sim._pending -= 1
@@ -166,15 +174,15 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still queued and not cancelled.
 
-        Maintained as a live counter (O(1)); cancelled events linger in the
-        queue until popped or :meth:`compact`-ed and are counted by
-        :attr:`queued_entries` instead.
+        Maintained as a live counter (O(1)); dead entries (cancelled or
+        re-keyed) linger in the queue until popped or :meth:`compact`-ed and
+        are counted by :attr:`queued_entries` instead.
         """
         return self._pending
 
     @property
     def queued_entries(self) -> int:
-        """Raw queue size, including cancelled entries (see :meth:`compact`)."""
+        """Raw queue size, including dead entries (see :meth:`compact`)."""
         return len(self._queue)
 
     # ------------------------------------------------------------------
@@ -206,8 +214,9 @@ class Simulator:
             self._reject_time(time)
         event = ScheduledEvent(time, callback, args, kwargs)
         event._sim = self
+        event._seq = seq = next(self._sequence)
         self._pending += 1
-        heappush(self._queue, (time, next(self._sequence), event))
+        heappush(self._queue, (time, seq, event))
         return event
 
     def call_soon(self, callback: Callable[..., Any], *args: Any, **kwargs: Any) -> ScheduledEvent:
@@ -239,8 +248,9 @@ class Simulator:
             event = ScheduledEvent(time, callback, args, None)
             event._sim = self
             event._pooled = True
+        event._seq = seq = next(self._sequence)
         self._pending += 1
-        heappush(self._queue, (time, next(self._sequence), event))
+        heappush(self._queue, (time, seq, event))
 
     def rearm(self, event: ScheduledEvent, delay: float) -> None:
         """Re-arm an event that already ran to fire again ``delay`` from now.
@@ -258,8 +268,9 @@ class Simulator:
             self._reject_time(time)
         event.time = time
         event._executed = False
+        event._seq = seq = next(self._sequence)
         self._pending += 1
-        heappush(self._queue, (time, next(self._sequence), event))
+        heappush(self._queue, (time, seq, event))
 
     def cancel(self, event: Optional[ScheduledEvent]) -> None:
         """Cancel a previously scheduled event (``None`` is tolerated)."""
@@ -267,14 +278,15 @@ class Simulator:
             event.cancel()
 
     def compact(self) -> int:
-        """Drop cancelled events from the queue and re-heapify it.
+        """Drop dead entries from the queue and re-heapify it.
 
-        Cancellation is lazy (a heap has no efficient removal), so
+        Cancellation and re-keying are lazy (a heap has no efficient
+        removal), so
         long-lived simulations — and batch drivers such as the sweep engine
         that reuse a process for many cells — accumulate dead entries that
         inflate the queue and slow every push/pop.  Returns the number of
-        entries dropped.  :meth:`run` discards cancelled entries as they
-        reach the head, so after a run that is exactly the cancelled entries
+        entries dropped.  :meth:`run` discards dead entries as they reach
+        the head, so after a run that is exactly the dead entries
         ordered after the earliest still-pending event (0 when nothing is
         pending) — the definition of the ``events_compacted`` cell metric.
         """
@@ -296,7 +308,7 @@ class Simulator:
         """Drop dead entries in place (``run`` holds the list in a local)."""
         dropped = self._dead
         queue = self._queue
-        queue[:] = [entry for entry in queue if not entry[2]._cancelled]
+        queue[:] = [entry for entry in queue if entry[1] == entry[2]._seq]
         heapify(queue)
         self._dead = 0
         return dropped
@@ -336,8 +348,9 @@ class Simulator:
             while True:
                 if self._dead >= _AUTO_COMPACT_THRESHOLD:
                     self._compact_queue()
-                # Cancelled entries are discarded as they reach the head.
-                while queue and (entry := queue[0])[2]._cancelled:
+                # Dead entries (cancelled or re-keyed) are discarded as
+                # they reach the head.
+                while queue and (entry := queue[0])[1] != entry[2]._seq:
                     heappop(queue)
                     self._dead -= 1
                 if not queue:

@@ -9,20 +9,30 @@ book-keeping and cancellation corner cases.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, Optional
 
-from repro.sim.engine import ScheduledEvent, Simulator
+from repro.sim.engine import _MAX_EVENT_TIME, ScheduledEvent, Simulator
 
 
 class Timer:
     """A single-shot, restartable timer.
 
     The callback receives no arguments; capture context in a closure or a
-    bound method.  Restarting an armed timer cancels the previous deadline.
-    ``expiry`` is the absolute simulated time of the pending expiry, ``None``
-    while the timer is not armed.  ``armed`` is True while the timer counts
-    down: a plain attribute, because the TCP and MPTCP send paths read it
-    on every segment.
+    bound method.  ``expiry`` is the absolute simulated time of the pending
+    expiry, ``None`` while the timer is not armed.  ``armed`` is True while
+    the timer counts down: a plain attribute, because the TCP and MPTCP
+    send paths read it on every segment.
+
+    A timer keeps one :class:`ScheduledEvent` from its first start until
+    it is stopped.  Liveness is decided by the heap entry's sequence number
+    (see :mod:`repro.sim.engine`): restarting an armed timer re-keys the
+    event — a fresh sequence number, the same one a cancel-and-push would
+    draw, and a second heap entry — so the entry for the old deadline is
+    dead without a cancel call or a new event object.  Restarting a timer
+    that fired queues the same event again.  ``stop`` cancels the event and
+    lets it go, so the timers of a closed socket hold nothing; the next
+    start pushes a fresh one.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
@@ -45,24 +55,34 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
-        event = self._event
-        if event is not None:
-            event.cancel()
         sim = self._sim
-        self.expiry = expiry = sim.now + delay
-        self._event = sim._push(expiry, self._fire, (), None)
+        expiry = sim.now + delay
+        event = self._event
+        if event is None:
+            self._event = sim._push(expiry, self._fire, (), None)
+        else:
+            if not sim.now <= expiry <= _MAX_EVENT_TIME:
+                sim._reject_time(expiry)
+            if self.armed:
+                sim._dead += 1  # the entry for the old deadline
+            else:  # it fired
+                event._executed = False
+                sim._pending += 1
+            event.time = expiry
+            event._seq = seq = next(sim._sequence)
+            heappush(sim._queue, (expiry, seq, event))
+        self.expiry = expiry
         self.armed = True
 
     def stop(self) -> None:
         """Disarm the timer if it is armed."""
-        if self._event is not None:
+        if self.armed:
             self._event.cancel()
-            self._event = None
+        self._event = None
         self.expiry = None
         self.armed = False
 
     def _fire(self) -> None:
-        self._event = None
         self.expiry = None
         self.armed = False
         if self._trace is not None:

@@ -47,9 +47,6 @@ class RetransmissionQueue:
     def __len__(self) -> int:
         return len(self.segments)
 
-    def __bool__(self) -> bool:
-        return bool(self.segments)
-
     def push(self, segment: SentSegment) -> None:
         """Append a newly transmitted segment (sequence order is maintained
         because new data is always sent at ``snd_nxt``)."""
@@ -103,15 +100,18 @@ class ReceiveReassembly:
     next expected in-order sequence number, is a plain attribute (read for
     every emitted segment) that only this class writes.
 
-    The out-of-order list is kept sorted, disjoint and non-adjacent (two
-    ranges that touch are one range), so ``start`` and ``end`` are both
-    increasing along it and a register costs a bisection plus the ranges it
-    actually touches, whatever the depth of the window behind the hole.
+    ``buffered``, the out-of-order list, is kept sorted, disjoint and
+    non-adjacent (two ranges that touch are one range), so ``start`` and
+    ``end`` are both increasing along it and a register costs a bisection
+    plus the ranges it actually touches, whatever the depth of the window
+    behind the hole.  The socket tests it for emptiness on every segment it
+    emits (a SACK rides along while it is not).
     """
 
     def __init__(self, initial_seq: int = 0) -> None:
         self.rcv_nxt = initial_seq
-        self._out_of_order: list[_Range] = []
+        #: The ranges buffered beyond a hole, as ``_Range`` (do not mutate).
+        self.buffered: list[_Range] = []
         #: Bytes received more than once (retransmissions/spurious).
         self.duplicate_bytes = 0
         self._stamp = 0
@@ -119,12 +119,12 @@ class ReceiveReassembly:
     @property
     def has_out_of_order(self) -> bool:
         """True while at least one range is buffered beyond a hole."""
-        return bool(self._out_of_order)
+        return bool(self.buffered)
 
     @property
     def out_of_order_ranges(self) -> list[tuple[int, int]]:
         """Currently buffered out-of-order ranges as (start, end) tuples."""
-        return [(r.start, r.end) for r in self._out_of_order]
+        return [(r.start, r.end) for r in self.buffered]
 
     def sack_blocks(self, limit: int = 4) -> list[tuple[int, int]]:
         """Out-of-order ranges ordered most-recently-updated first (RFC 2018).
@@ -133,7 +133,7 @@ class ReceiveReassembly:
         lets the sender learn about *every* hole within a round trip even
         though each ACK only carries a handful of blocks.
         """
-        ordered = sorted(self._out_of_order, key=_BY_STAMP, reverse=True)
+        ordered = sorted(self.buffered, key=_BY_STAMP, reverse=True)
         return [(r.start, r.end) for r in ordered[:limit]]
 
     def register(self, seq: int, length: int) -> int:
@@ -150,7 +150,7 @@ class ReceiveReassembly:
         if start < rcv_nxt:
             self.duplicate_bytes += rcv_nxt - start
             start = rcv_nxt
-        if start == rcv_nxt and not self._out_of_order:
+        if start == rcv_nxt and not self.buffered:
             # In-order fast path: nothing to merge, the window just slides.
             self.rcv_nxt = end
             return end - start
@@ -165,7 +165,7 @@ class ReceiveReassembly:
 
     def _insert(self, start: int, end: int) -> int:
         """Merge [start, end) into the out-of-order list, returning new bytes."""
-        ranges = self._out_of_order
+        ranges = self.buffered
         # First range reaching ``start`` (ends are increasing): everything
         # before it lies strictly below the new range and stays untouched.
         first = bisect_left(ranges, start, key=_BY_END)
@@ -189,10 +189,10 @@ class ReceiveReassembly:
             last += 1
         self._stamp += 1
         ranges[first:last] = [_Range(start, end, self._stamp)]
-        return max(new_bytes, 0)
+        return new_bytes if new_bytes > 0 else 0
 
     def _advance(self) -> None:
-        ranges = self._out_of_order
+        ranges = self.buffered
         rcv_nxt = self.rcv_nxt
         consumed = 0
         for head in ranges:

@@ -56,7 +56,7 @@ class CongestionControl(ABC):
         if self.fast_recovery:
             # The window stays frozen at ssthresh until recovery completes.
             return
-        if self.in_slow_start:
+        if self.cwnd < self.ssthresh:  # ``in_slow_start``, inline: per ACK
             self.cwnd += acked_bytes
         else:
             self.cwnd += self._congestion_avoidance_increase(acked_bytes)
@@ -100,8 +100,9 @@ class RenoCongestionControl(CongestionControl):
     def _congestion_avoidance_increase(self, acked_bytes: int) -> int:
         # Standard appropriate-byte-counting increase: one MSS per window's
         # worth of acknowledged data.
-        increase = (self.mss * acked_bytes) // max(self.cwnd, 1)
-        return max(increase, 1)
+        cwnd = self.cwnd
+        increase = (self.mss * acked_bytes) // (cwnd if cwnd > 1 else 1)
+        return increase if increase > 1 else 1
 
 
 class CouplingGroup:
@@ -149,7 +150,8 @@ class CouplingGroup:
             denominator += cwnd_segments / rtt
         if best <= 0.0 or denominator <= 0.0:
             return total, 1.0
-        total_segments = total / max(self.members[0].mss, 1)
+        mss = self.members[0].mss
+        total_segments = total / (mss if mss > 1 else 1)
         return total, total_segments * best / (denominator * denominator)
 
     def total_cwnd(self) -> int:
@@ -190,10 +192,16 @@ class LiaCongestionControl(CongestionControl):
         # RFC 6356: increase per ACK is
         #   min( alpha * bytes_acked * MSS / tot_cwnd, bytes_acked * MSS / cwnd )
         # i.e. never more aggressive than regular TCP on this subflow.
+        # Per ACK, so ``min``/``max`` are spelt as compares with their tie
+        # rule: ``max(a, b)`` is ``b if b > a else a``, ``min(a, b)`` is
+        # ``b if b < a else a``.
         total, alpha = self.group.coupling()
-        coupled = alpha * acked_bytes * self.mss / max(total, self.mss)
-        uncoupled = acked_bytes * self.mss / max(self.cwnd, 1)
-        return max(int(min(coupled, uncoupled)), 1)
+        mss = self.mss
+        cwnd = self.cwnd
+        coupled = alpha * acked_bytes * mss / (mss if mss > total else total)
+        uncoupled = acked_bytes * mss / (1 if 1 > cwnd else cwnd)
+        increase = int(uncoupled if uncoupled < coupled else coupled)
+        return 1 if 1 > increase else increase
 
 
 def make_congestion_control(

@@ -17,7 +17,10 @@ class RttEstimator:
     """Jacobson/Karels smoothed RTT with RFC 6298 RTO computation.
 
     ``srtt`` is the smoothed RTT in seconds (``None`` before the first
-    sample): a plain attribute that only :meth:`add_sample` writes.
+    sample): a plain attribute that only :meth:`add_sample` writes.  ``rto``
+    is the current retransmission timeout in seconds, exponential backoff
+    included: a plain attribute too, read on every ACK and refreshed here
+    whenever the base timeout or the backoff changes.
     """
 
     ALPHA = 1.0 / 8.0
@@ -43,6 +46,7 @@ class RttEstimator:
         self._rto = rto_initial
         #: Number of consecutive RTO doublings currently applied.
         self.backoff_exponent = 0
+        self._update_rto()
         #: Number of samples incorporated.
         self.samples = 0
         #: Smallest RTT observed so far.
@@ -62,37 +66,49 @@ class RttEstimator:
         if rtt < 0:
             raise ValueError(f"RTT cannot be negative, got {rtt!r}")
         self.samples += 1
-        self.min_rtt = rtt if self.min_rtt is None else min(self.min_rtt, rtt)
-        if self.srtt is None or self.rttvar is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
+        # Per ACK, so ``min``/``max``/``abs`` are spelt as compares with the
+        # same tie rule: ``max(a, b)`` is ``b if b > a else a`` and
+        # ``min(a, b)`` is ``b if b < a else a``.
+        min_rtt = self.min_rtt
+        if min_rtt is None or rtt < min_rtt:
+            self.min_rtt = rtt
+        srtt = self.srtt
+        if srtt is None or self.rttvar is None:
+            self.srtt = srtt = rtt
+            self.rttvar = rttvar = rtt / 2.0
         else:
-            self.rttvar = (1 - self.BETA) * self.rttvar + self.BETA * abs(self.srtt - rtt)
-            self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt
+            error = srtt - rtt
+            if error < 0:
+                error = -error
+            self.rttvar = rttvar = (1 - self.BETA) * self.rttvar + self.BETA * error
+            self.srtt = srtt = (1 - self.ALPHA) * srtt + self.ALPHA * rtt
         self.backoff_exponent = 0
-        self._recompute()
+        # RFC 6298: RTO = SRTT + max(G, K * RTTVAR), clamped to the bounds.
+        spread = self.K * rttvar
+        base = srtt + (spread if spread > self.G else self.G)
+        if base > self._rto_min:
+            self._rto = base if base < self._rto_max else self._rto_max
+        else:
+            self._rto = self._rto_min if self._rto_min < self._rto_max else self._rto_max
+        self._update_rto()
 
     def on_timeout(self) -> float:
         """Apply exponential backoff after an RTO expiry; returns the new RTO."""
         self.backoff_exponent += 1
+        self._update_rto()
         return self.rto
 
     def reset_backoff(self) -> None:
         """Clear the backoff (forward progress was made)."""
-        self.backoff_exponent = 0
+        if self.backoff_exponent:
+            self.backoff_exponent = 0
+            self._update_rto()
 
-    def _recompute(self) -> None:
-        assert self.srtt is not None and self.rttvar is not None
-        base = self.srtt + max(self.G, self.K * self.rttvar)
-        self._rto = min(self._rto_max, max(self._rto_min, base))
-
-    # ------------------------------------------------------------------
-    # accessors
-    # ------------------------------------------------------------------
-    @property
-    def rto(self) -> float:
-        """Current retransmission timeout, including exponential backoff."""
-        return min(self._rto_max, self._rto * (2.0 ** self.backoff_exponent))
+    def _update_rto(self) -> None:
+        """Refresh ``rto`` from the base timeout and the backoff."""
+        # min(rto_max, scaled), with ``min``'s tie rule.
+        scaled = self._rto * (2.0 ** self.backoff_exponent)
+        self.rto = scaled if scaled < self._rto_max else self._rto_max
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         srtt = f"{self.srtt * 1000:.1f}ms" if self.srtt is not None else "-"

@@ -39,6 +39,7 @@ _FIN_BIT = 0x01
 _SYN_BIT = 0x02
 _RST_BIT = 0x04
 _ACK_BIT = 0x10
+_CTRL_BITS = _FIN_BIT | _SYN_BIT | _RST_BIT
 _ACK_PSH_FLAGS = TCPFlags.ACK | TCPFlags.PSH
 _SYN_ACK_FLAGS = TCPFlags.SYN | TCPFlags.ACK
 _FIN_ACK_FLAGS = TCPFlags.FIN | TCPFlags.ACK
@@ -91,6 +92,11 @@ class SubflowObserver:
 
     def on_established(self, sock: "TcpSocket") -> None:
         """The three-way handshake completed."""
+
+    def on_left_established(self, sock: "TcpSocket") -> None:
+        """The socket left ESTABLISHED for FIN_WAIT_1 (it sent its FIN) or
+        CLOSE_WAIT (the peer's FIN arrived); ``sock.state`` is the new state.
+        Leaving it for CLOSED is reported by :meth:`on_closed`."""
 
     def on_data(self, sock: "TcpSocket", segment: Segment, new_bytes: int) -> None:
         """A data segment arrived (``new_bytes`` excludes duplicated ranges)."""
@@ -178,6 +184,14 @@ class TcpSocket:
                 INITIAL_SSTHRESH_BYTES,
             )
         self.congestion = congestion
+        # The coupled controller, if that is what this is: the RTT estimate
+        # is handed to it on every ACK.
+        self._lia = congestion if isinstance(congestion, LiaCongestionControl) else None
+        #: Bytes of new data the windows allow right now: what
+        #: :meth:`available_window` answers, kept current by this class
+        #: whenever ``cwnd``, the peer's window, ``snd_una`` or ``snd_nxt``
+        #: changes, so that schedulers read it instead of calling.
+        self.send_space = self.available_window()
         self._rtx_queue = RetransmissionQueue()
         self._rto_timer = Timer(sim, self._on_rto_expired, name=f"{name}-rto")
         self._syn_timer = Timer(sim, self._on_syn_timeout, name=f"{name}-syn")
@@ -219,7 +233,8 @@ class TcpSocket:
     @property
     def in_flight(self) -> int:
         """Unacknowledged bytes (including SYN/FIN sequence space)."""
-        return max(0, self.snd_nxt - self.snd_una)
+        in_flight = self.snd_nxt - self.snd_una
+        return in_flight if in_flight > 0 else 0
 
     @property
     def rcv_nxt(self) -> int:
@@ -294,6 +309,7 @@ class TcpSocket:
         self.state = TcpState.SYN_SENT
         self.snd_una = self._iss
         self.snd_nxt = self._iss + 1
+        self.send_space = self.available_window()
         self._syn_sent_at = self.sim.now
         self._send_syn()
         self._syn_timer.start(self.config.syn_timeout)
@@ -345,12 +361,13 @@ class TcpSocket:
             return False
         if length <= 0 or length > self.config.mss:
             raise ValueError(f"segment length must be in (0, mss]; got {length!r}")
-        if length > self.available_window():
+        if length > self.send_space:
             return False
         seq = self.snd_nxt
         now = self.sim.now
         self._rtx_queue.push(SentSegment(seq, length, metadata, now, now))
         self.snd_nxt += length
+        self.send_space = self.available_window()
         options = self._observer.data_options(self, metadata)
         self._emit(
             flags=_ACK_PSH_FLAGS,
@@ -387,12 +404,13 @@ class TcpSocket:
     def _maybe_send_fin(self) -> None:
         if not self._pending_close or self._fin_seq is not None:
             return
-        if self._rtx_queue:
+        if self._rtx_queue.segments:
             return
         if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT, TcpState.SYN_RECEIVED):
             return
         self._fin_seq = self.snd_nxt
         self.snd_nxt += 1
+        self.send_space = self.available_window()
         self._emit(
             flags=_FIN_ACK_FLAGS,
             seq=self._fin_seq,
@@ -401,6 +419,9 @@ class TcpSocket:
         )
         if self.state == TcpState.CLOSE_WAIT:
             self.state = TcpState.LAST_ACK
+        elif self.state is TcpState.ESTABLISHED:
+            self.state = TcpState.FIN_WAIT_1
+            self._observer.on_left_established(self)
         else:
             self.state = TcpState.FIN_WAIT_1
         if not self._rto_timer.armed:
@@ -427,8 +448,8 @@ class TcpSocket:
         self.close_reason = reason
         self._rto_timer.stop()
         self._syn_timer.stop()
-        if isinstance(self.congestion, LiaCongestionControl):
-            self.congestion.detach()
+        if self._lia is not None:
+            self._lia.detach()
         # Notify the upper layer before dropping the retransmission queue:
         # MPTCP reads the outstanding mappings here to reinject the data
         # stranded on this subflow onto the remaining ones.
@@ -443,7 +464,9 @@ class TcpSocket:
         if self.closed_at is not None:
             return
         self.segments_received += 1
-        self._peer_window = segment.window
+        if segment.window != self._peer_window:
+            self._peer_window = segment.window
+            self.send_space = self.available_window()
         self._observer.segment_options_received(self, segment)
 
         bits = segment._flag_bits
@@ -497,6 +520,7 @@ class TcpSocket:
         self.state = TcpState.SYN_RECEIVED
         self.snd_una = self._iss
         self.snd_nxt = self._iss + 1
+        self.send_space = self.available_window()
         self._syn_sent_at = self.sim.now
         self._send_syn_ack()
         self._syn_timer.start(self.config.syn_timeout)
@@ -509,6 +533,7 @@ class TcpSocket:
         self._irs = segment.seq
         self._reassembly = ReceiveReassembly(segment.seq + 1)
         self.snd_una = segment.ack
+        self.send_space = self.available_window()
         self._syn_timer.stop()
         if self._syn_retries == 0 and self._syn_sent_at is not None:
             self.rtt.add_sample(self.sim.now - self._syn_sent_at)
@@ -531,7 +556,9 @@ class TcpSocket:
 
         if self.state is TcpState.SYN_RECEIVED:
             if ack >= self._iss + 1:
-                self.snd_una = max(self.snd_una, ack)
+                if ack > self.snd_una:
+                    self.snd_una = ack
+                    self.send_space = self.available_window()
                 self._syn_timer.stop()
                 if self._syn_retries == 0 and self._syn_sent_at is not None:
                     self.rtt.add_sample(self.sim.now - self._syn_sent_at)
@@ -575,15 +602,21 @@ class TcpSocket:
             self.bytes_acked += payload_acked
             if recovery_ack:
                 sample_segment = None
+            rtt = self.rtt
             if sample_segment is not None:
-                self.rtt.add_sample(self.sim.now - sample_segment.first_sent_at)
-            else:
-                self.rtt.reset_backoff()
-            self._propagate_rtt()
+                rtt.add_sample(self.sim.now - sample_segment.first_sent_at)
+            elif rtt.backoff_exponent:
+                rtt.reset_backoff()
+            # ``_propagate_rtt``, inline: this runs for every ACK.
+            if self._lia is not None:
+                self._lia.observe_rtt(rtt.srtt)
 
-            if self.congestion.fast_recovery:
-                self.congestion.on_recovery_ack(self.snd_una)
-            self.congestion.on_ack(payload_acked, self.in_flight)
+            congestion = self.congestion
+            if congestion.fast_recovery:
+                congestion.on_recovery_ack(ack)
+            # ``ack <= snd_nxt`` held above, so this is ``in_flight``.
+            congestion.on_ack(payload_acked, self.snd_nxt - ack)
+            self.send_space = self.available_window()
 
             # FIN handling: our FIN is acknowledged when snd_una passes it.
             if self._fin_seq is not None and self.snd_una > self._fin_seq:
@@ -591,8 +624,8 @@ class TcpSocket:
                 if self.closed_at is not None:
                     return
 
-            if self._rtx_queue or self.in_flight > 0:
-                self._rto_timer.start(self.rtt.rto)
+            if self._rtx_queue.segments or self.snd_nxt > self.snd_una:
+                self._rto_timer.start(rtt.rto)
             else:
                 self._rto_timer.stop()
 
@@ -601,12 +634,14 @@ class TcpSocket:
                 self._observer.on_acked(self, metadata, payload_acked)
             if self._pending_close:
                 self._maybe_send_fin()
-            if self.available_window() > 0 and self.state in _SEND_READY_STATES:
+            if self.send_space > 0 and self.state in _SEND_READY_STATES:
                 self._observer.on_send_space(self)
         elif (
             ack == self.snd_una
-            and segment.is_pure_ack
-            and self._rtx_queue
+            and self._rtx_queue.segments
+            # ``segment.is_pure_ack`` (the ACK bit is known to be set).
+            and segment.payload_len == 0
+            and not segment._flag_bits & _CTRL_BITS
         ):
             self._dupacks += 1
             if self._dupacks == self.config.dupack_threshold:
@@ -662,6 +697,7 @@ class TcpSocket:
             if not self.congestion.fast_recovery:
                 self.lost_events += 1
                 self.congestion.on_fast_retransmit(self.in_flight, self.snd_nxt)
+                self.send_space = self.available_window()
 
     def _retransmit_lost(self, budget: int = 3) -> None:
         """Retransmit up to ``budget`` segments marked lost by SACK."""
@@ -688,6 +724,7 @@ class TcpSocket:
             return
         self.lost_events += 1
         self.congestion.on_fast_retransmit(self.in_flight, self.snd_nxt)
+        self.send_space = self.available_window()
         self._retransmit(head)
         self._rto_timer.start(self.rtt.rto)
 
@@ -733,6 +770,7 @@ class TcpSocket:
             self._observer.on_fin_received(self)
             if self.state == TcpState.ESTABLISHED:
                 self.state = TcpState.CLOSE_WAIT
+                self._observer.on_left_established(self)
             elif self.state == TcpState.FIN_WAIT_1:
                 self.state = TcpState.CLOSING
             elif self.state == TcpState.FIN_WAIT_2:
@@ -765,6 +803,7 @@ class TcpSocket:
             return
         self.lost_events += 1
         self.congestion.on_retransmission_timeout()
+        self.send_space = self.available_window()
         self.rtt.on_timeout()
         consecutive = self.rtt.backoff_exponent
         new_rto = self.rtt.rto
@@ -801,8 +840,8 @@ class TcpSocket:
     # low-level emission
     # ------------------------------------------------------------------
     def _propagate_rtt(self) -> None:
-        if isinstance(self.congestion, LiaCongestionControl):
-            self.congestion.observe_rtt(self.rtt.srtt)
+        if self._lia is not None:
+            self._lia.observe_rtt(self.rtt.srtt)
 
     def _emit(self, flags: TCPFlags, seq: int, payload_len: int, options: tuple) -> None:
         """Build one segment (its ack field is ``rcv_nxt``, 0 until the
@@ -813,7 +852,7 @@ class TcpSocket:
             ack = 0
         else:
             ack = reassembly.rcv_nxt
-            if flags & _ACK_BIT and reassembly.has_out_of_order:
+            if flags & _ACK_BIT and reassembly.buffered:
                 blocks = tuple(reassembly.sack_blocks(4))
                 options = tuple(options) + (SackOption(blocks=blocks),)
         # Positional construction (src, dst, sport, dport, seq, ack, flags,

@@ -237,7 +237,7 @@ class TestExperimentsSmall:
 
         planned = []
 
-        def plan_only(grid):
+        def plan_only(grid, **_run_options):
             planned.append(plan_campaign(grid).hashes)
             raise StopIteration
 
@@ -267,7 +267,7 @@ class TestExperimentsSmall:
 
         planned = []
 
-        def plan_only(grid):
+        def plan_only(grid, **_run_options):
             planned.append(plan_campaign(grid).hashes)
             raise StopIteration
 

@@ -221,7 +221,7 @@ class TestOwnersAreTheOnlyWriters:
         "mptcp/stack.py:MptcpStack": (
             "sim host name mptcp_config path_manager connections fallback_connections"
         ),
-        "mptcp/subflow.py:Subflow": "socket is_initial",
+        "mptcp/subflow.py:Subflow": "socket is_initial is_usable",
         "net/host.py:Host": "stack",
         "net/interface.py:Interface": "node name address link is_up full_name",
         "net/link.py:Link": "name sim rate_bps delay loss_rate",
@@ -238,13 +238,13 @@ class TestOwnersAreTheOnlyWriters:
         "sim/timers.py:PeriodicTimer": "interval running ticks",
         "store/campaign.py:CampaignStore": "root",
         "tcp/buffers.py:RetransmissionQueue": "segments",
-        "tcp/buffers.py:ReceiveReassembly": "rcv_nxt duplicate_bytes",
+        "tcp/buffers.py:ReceiveReassembly": "rcv_nxt duplicate_bytes buffered",
         "tcp/congestion.py:CongestionControl": "cwnd mss ssthresh",
         "tcp/congestion.py:CouplingGroup": "members",
         "tcp/congestion.py:LiaCongestionControl": "group smoothed_rtt",
-        "tcp/rtt.py:RttEstimator": "srtt rttvar min_rtt samples backoff_exponent",
+        "tcp/rtt.py:RttEstimator": "srtt rttvar min_rtt samples backoff_exponent rto",
         "tcp/socket.py:TcpSocket": (
-            "sim name config local_address remote_address local_port remote_port"
+            "sim name config local_address remote_address local_port remote_port send_space"
         ),
     }
 

@@ -292,6 +292,31 @@ class TestLinkFaultModels:
         assert len(sink.segments) == 1
         assert sim.now >= 1.4  # released by the hold timer, not immediately
 
+    def test_coalesce_window_closing_over_a_held_segment_flushes_it_once(self, sim):
+        """The window closes at 1.5 s while a segment sits in the hold slot
+        until 3.1 s: closing flushes it then and there, exactly once, and
+        its hold timer, cancelled by the flush, never emits a second copy."""
+        left, right, link, sink = build_pair(sim)
+        plan = plan_of(
+            FaultEvent(1.0, "wire", "coalesce_segments",
+                       (("duration", 0.5), ("hold", 2.0)))
+        )
+        injector = FaultInjector(sim, {"wire": link}, plan)
+        injector.install()
+        sim.schedule_at(1.1, send, left, payload_len=100, seq=0,
+                        options=(DssOption(data_seq=0, data_len=100),))
+        sim.run(until=1.49)
+        assert sink.segments == []  # held, the window still open
+        sim.run(until=1.6)
+        (flushed,) = sink.segments
+        assert (flushed.seq, flushed.payload_len) == (0, 100)
+        assert flushed.find_option(DssOption).data_len == 100
+        sim.run()
+        assert len(sink.segments) == 1  # nothing more once the hold expires
+        assert sim.now < 3.1  # the hold timer's event never ran
+        assert sim.pending_events == 0
+        assert injector.stats()["segments_coalesced"] == 0
+
     def test_nat_rebind_blackholes_established_flows_until_new_syn(self, sim):
         left, right, link, sink = build_pair(sim)
         plan = plan_of(FaultEvent(2.0, "wire", "nat_rebind"))

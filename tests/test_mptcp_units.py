@@ -156,6 +156,12 @@ class FakeSocket:
     def available_window(self):
         return self._window
 
+    @property
+    def send_space(self):
+        # What a TcpSocket keeps in its ``send_space`` attribute, and what
+        # schedulers read.
+        return self._window
+
 
 def make_flow(flow_id, srtt, window, backup=False, established=True):
     import types

@@ -274,6 +274,12 @@ class _SchedFakeSocket:
     def available_window(self):
         return self._window
 
+    @property
+    def send_space(self):
+        # What a TcpSocket keeps in its ``send_space`` attribute, and what
+        # schedulers read.
+        return self._window
+
 
 class _SchedFakeFlow:
     def __init__(self, flow_id, srtt, window, backup, established):
@@ -591,6 +597,103 @@ class TestEventKernelProperties:
         assert order == reference
         assert sim.pending_events == sim.queued_entries == 0
         assert sim.processed_events == len(reference)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("start"), st.integers(0, 2), _kernel_delays),
+                st.tuples(st.just("stop"), st.integers(0, 2)),
+                # An event that, when it runs, restarts a timer (or not).
+                st.tuples(st.just("schedule"), _kernel_delays,
+                          st.one_of(st.none(), st.tuples(st.integers(0, 2), _kernel_delays))),
+                st.tuples(st.just("cancel"), st.integers(0, 40)),
+                st.tuples(st.just("run"), _kernel_delays),
+                st.tuples(st.just("compact")),
+            ),
+            min_size=1,
+            max_size=50,
+        ),
+        # Per timer: the delay it restarts itself with when it fires, if any.
+        st.lists(st.one_of(st.none(), _kernel_delays), min_size=3, max_size=3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_timer_rekey_matches_cancel_and_push(self, ops, reloads):
+        """A ``Timer`` restart re-keys its one queued event instead of
+        cancelling it and pushing a new one.  Random mixes of timer start,
+        restart, stop and fire with ``schedule``, ``cancel``, ``run(until=)``
+        and ``compact()`` match that cancel-and-push reference in execution
+        order, ``pending_events``, ``queued_entries`` and compacted count."""
+        from repro.sim import Simulator, Timer
+
+        class CancelAndPushTimer:
+            """The restartable timer as it was: cancel, then a fresh event."""
+
+            def __init__(self, sim, callback):
+                self._sim = sim
+                self._callback = callback
+                self._event = None
+                self.armed = False
+
+            def start(self, delay):
+                if self._event is not None:
+                    self._event.cancel()
+                self._event = self._sim.schedule(delay, self._fire)
+                self.armed = True
+
+            def stop(self):
+                if self._event is not None:
+                    self._event.cancel()
+                    self._event = None
+                self.armed = False
+
+            def _fire(self):
+                self._event = None
+                self.armed = False
+                self._callback()
+
+        def replay(timer_class):
+            sim = Simulator(seed=1)
+            log = []
+            timers = []
+
+            def on_fire(index):
+                log.append(("timer", index, sim.now))
+                if reloads[index] is not None:
+                    timers[index].start(reloads[index])
+
+            for index in range(3):
+                timers.append(timer_class(sim, lambda index=index: on_fire(index)))
+
+            def on_event(label, restart):
+                log.append(("event", label, sim.now))
+                if restart is not None:
+                    timers[restart[0]].start(restart[1])
+
+            handles = []
+            states = []
+            for op in ops:
+                kind = op[0]
+                if kind == "start":
+                    timers[op[1]].start(op[2])
+                elif kind == "stop":
+                    timers[op[1]].stop()
+                elif kind == "schedule":
+                    handles.append(sim.schedule(op[1], on_event, len(handles), op[2]))
+                elif kind == "cancel" and handles:
+                    handles[op[1] % len(handles)].cancel()
+                elif kind == "run":
+                    # Bounded: a timer that restarts itself keeps the
+                    # queue non-empty for ever.
+                    sim.run(until=sim.now + op[1], max_events=200)
+                elif kind == "compact":
+                    log.append(("compacted", sim.compact()))
+                states.append((sim.pending_events, sim.queued_entries,
+                               [timer.armed for timer in timers]))
+            sim.run(max_events=200)
+            states.append((sim.pending_events, sim.queued_entries, sim.compact()))
+            return log, states, [(handle.cancelled, handle.executed) for handle in handles]
+
+        assert replay(Timer) == replay(CancelAndPushTimer)
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,24 @@ class TestTimer:
         sim.run()
         assert fired == [5.0]
 
+    def test_many_restarts_fire_once_at_the_last_expiry(self, sim):
+        """Each restart re-keys the timer's one event: the superseded
+        deadlines stay queued as dead entries, none of them fires, and the
+        timer fires exactly once, at the expiry of its last start."""
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        for step in range(1, 101):
+            sim.run(until=step * 0.01)
+            timer.start(0.5 + step * 0.01)
+        assert timer.expiry == pytest.approx(2.5)
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [pytest.approx(2.5)]
+        assert not timer.armed
+        assert sim.pending_events == 0
+        assert sim.compact() == 0  # every dead entry was popped and skipped
+        assert sim.queued_entries == 0
+
     def test_stop_prevents_firing(self, sim):
         fired = []
         timer = Timer(sim, lambda: fired.append(sim.now))
