@@ -13,7 +13,10 @@ class Application(ConnectionListener):
     Applications are :class:`~repro.mptcp.connection.ConnectionListener`
     instances with a little extra bookkeeping that every experiment wants:
     the connection they are bound to and the times of the main life-cycle
-    transitions.
+    transitions.  ``connection`` is set at establishment and reset to
+    ``None`` at close, so an app kept after its connection closed (a
+    harness keeps every server app) does not keep the connection alive;
+    the scalar fields stay.
     """
 
     name = "app"
@@ -36,6 +39,7 @@ class Application(ConnectionListener):
 
     def on_connection_closed(self, conn: MptcpConnection) -> None:
         self.closed_at = conn.stack.sim.now
+        self.connection = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -1144,8 +1144,10 @@ class MptcpConnection(SubflowObserver):
             return
         self.closed = True
         self.closed_at = self._sim.now
-        self._data_fin_timer.stop()
-        self._meta_rtx_timer.stop()
+        # Both timers call bound methods of this connection; releasing them
+        # leaves no reference cycle through a closed connection.
+        self._data_fin_timer.release()
+        self._meta_rtx_timer.release()
         if self._trace_conn is not None:
             self._trace_conn.emit(
                 self._sim.now, "connection", "closed", self._trace_id,

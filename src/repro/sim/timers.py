@@ -31,8 +31,13 @@ class Timer:
     draw, and a second heap entry — so the entry for the old deadline is
     dead without a cancel call or a new event object.  Restarting a timer
     that fired queues the same event again.  ``stop`` cancels the event and
-    lets it go, so the timers of a closed socket hold nothing; the next
-    start pushes a fresh one.
+    lets it go; the next start pushes a fresh one.
+
+    The callback is usually a bound method of the timer's owner, so the
+    owner and its timer form a reference cycle.  :meth:`release` stops the
+    timer for good and drops the callback: a socket or connection that
+    closed releases its timers, and reference counting frees it without
+    the cyclic GC.  Starting a released timer raises.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
@@ -59,6 +64,8 @@ class Timer:
         expiry = sim.now + delay
         event = self._event
         if event is None:
+            if self._callback is None:
+                raise RuntimeError(f"timer {self.name!r} was released and cannot start")
             self._event = sim._push(expiry, self._fire, (), None)
         else:
             if not sim.now <= expiry <= _MAX_EVENT_TIME:
@@ -81,6 +88,11 @@ class Timer:
         self._event = None
         self.expiry = None
         self.armed = False
+
+    def release(self) -> None:
+        """Stop the timer for good and drop its callback (its owner closed)."""
+        self.stop()
+        self._callback = None
 
     def _fire(self) -> None:
         self.expiry = None

@@ -62,11 +62,14 @@ def run_cell(spec_dict: Mapping, campaign_seed: int) -> dict:
 
     # The cyclic GC stays paused for the whole cell, probes included, and
     # resumes only once ``_run_cell`` has returned and its ``HarnessRun``
-    # is gone.  A cell is a few hundred objects in reference cycles
-    # (simulator <-> sockets <-> timers); collecting while it is still
-    # alive only promotes it, and an older generation then walks it a
-    # second time once it is dead.  Paused, the dead graph is freed by the
-    # first young-generation collection after the cell.
+    # is gone.  A connection that closes releases its timers and
+    # back-edges, so reference counting frees it during the run; what
+    # stays in reference cycles is the cell's live graph (simulator <->
+    # hosts <-> stacks, and each connection still open, with its sockets
+    # and timers).  Collecting while that graph is alive only promotes
+    # it, and an older generation then walks it a second time once it is
+    # dead.  Paused, the dead graph is freed by the first young-generation
+    # collection after the cell.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -446,14 +446,20 @@ class TcpSocket:
         self.state = TcpState.CLOSED
         self.closed_at = self.sim.now
         self.close_reason = reason
-        self._rto_timer.stop()
-        self._syn_timer.stop()
+        # A closed socket never runs a timer or calls up again (every entry
+        # point tests ``closed_at`` or the CLOSED state first).  Releasing
+        # the timers (their callbacks are bound methods of this socket) and
+        # dropping the observer back-edge after the last upcall leave no
+        # reference cycle: the socket is freed once its connection lets go.
+        self._rto_timer.release()
+        self._syn_timer.release()
         if self._lia is not None:
             self._lia.detach()
         # Notify the upper layer before dropping the retransmission queue:
         # MPTCP reads the outstanding mappings here to reinject the data
         # stranded on this subflow onto the remaining ones.
         self._observer.on_closed(self, reason)
+        self._observer = None
         self._rtx_queue.clear()
 
     # ------------------------------------------------------------------

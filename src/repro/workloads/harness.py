@@ -269,7 +269,9 @@ class Harness:
         # allocates segments/events at a rate that triggers generation-0
         # collections constantly, none of which find garbage cycles worth
         # the pauses.  Objects freed during the run are still reclaimed by
-        # reference counting; the backlog is swept when GC resumes.  Only
+        # reference counting, closed connections included (they release
+        # their timers and back-edges at close); what is left in cycles is
+        # the run's live graph, swept by a collection once it is dead.  Only
         # a pause taken here is lifted here: ``run_cell`` pauses the whole
         # cell itself and resumes once the finished run is dropped, so for
         # sweep cells this is a no-op and probes also run paused.

@@ -67,6 +67,25 @@ class TestHttpApps:
         assert client_stack.connections == []
         assert len(servers) == 5
 
+    def test_closed_app_lets_go_of_its_connection(self):
+        """A server app drops its connection at close and keeps its
+        life-cycle times, so a harness that holds every app holds no
+        closed connection."""
+        sim = Simulator(seed=5)
+        scenario = build_lan(sim)
+        servers = []
+        server_stack = MptcpStack(sim, scenario.server)
+        server_stack.listen(80, lambda: servers.append(HttpServerApp(object_size=20_000)) or servers[-1])
+        client_stack = MptcpStack(sim, scenario.client)
+        driver = HttpClientDriver(client_stack, scenario.server_addresses[0], 80,
+                                  request_count=3, object_size=20_000)
+        driver.start()
+        sim.run(until=30.0)
+        assert driver.done and len(servers) == 3
+        for app in servers:
+            assert app.connection is None
+            assert app.established_at <= app.finished_at <= app.closed_at
+
     def test_driver_validation(self):
         sim = Simulator(seed=5)
         scenario = build_lan(sim)

@@ -84,6 +84,19 @@ class TestTimer:
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
 
+    def test_released_timer_drops_its_callback_and_refuses_start(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now), name="rto")
+        timer.start(1.0)
+        timer.release()
+        assert not timer.armed and timer._callback is None
+        assert sim.pending_events == 0
+        with pytest.raises(RuntimeError, match="'rto' was released"):
+            timer.start(1.0)
+        sim.run()
+        assert fired == []
+        assert sim.pending_events == 0
+
 
 class TestPeriodicTimer:
     def test_ticks_at_interval(self, sim):

@@ -7,6 +7,7 @@ rest of the reproduction builds on.
 """
 
 import errno
+import gc
 
 import pytest
 
@@ -341,6 +342,30 @@ class TestCloseAndReset:
         rig.sim.run(until=rig.sim.now + 1.0)
         assert rig.client.is_closed
         assert not rig.server.is_closed
+
+    @pytest.mark.parametrize("close", ["graceful", "abort"])
+    def test_closed_socket_holds_no_reference_cycle(self, close):
+        """Once closed, a socket's timers and its observer slot reach back
+        to nothing: reference counting alone frees it."""
+        rig = TcpRig()
+        rig.handshake()
+        if close == "graceful":
+            rig.client.close()
+            rig.sim.schedule(0.5, rig.server.close)
+        else:
+            rig.client.abort()
+        rig.sim.run(until=rig.sim.now + 10.0)
+        for sock in (rig.client, rig.server):
+            assert sock.is_closed
+            assert sock._observer is None
+            for timer in (sock._rto_timer, sock._syn_timer):
+                assert not timer.armed
+                assert not any(
+                    obj is sock or getattr(obj, "__self__", None) is sock
+                    for obj in gc.get_referents(timer)
+                )
+                with pytest.raises(RuntimeError, match="released"):
+                    timer.start(1.0)
 
     def test_close_is_idempotent(self):
         rig = TcpRig()

@@ -7,10 +7,16 @@ every registered scenario, probes report consistent metrics, and the
 heavier apps (HTTP, long-lived) survive the lossy scenarios.
 """
 
+import gc
+from collections import Counter
+
 import pytest
 
+from repro.mptcp.connection import MptcpConnection
 from repro.netem.scenarios import build_dual_homed
+from repro.sim.timers import Timer
 from repro.sweep import run_cell
+from repro.tcp.socket import TcpSocket
 from repro.workloads import (
     CONTROLLERS,
     PROBES,
@@ -336,3 +342,59 @@ class TestLossyScenarioApps:
         assert sent >= 30
         assert run.metrics["messages_delivered"] >= sent - 2
         assert run.metrics["delivery_time_max"] > run.metrics["delivery_time_mean"]
+
+
+class TestClosedConnectionsFreeThemselves:
+    """A closed connection holds no reference cycle and no app holds it.
+
+    The cyclic GC is paused for a whole run, so anything a closed
+    connection leaves in a cycle stays in memory until the run ends; on an
+    HTTP cell (one connection per request) that is every connection it
+    ever opened.  Mid-run, a full collection must find none of the
+    connection, socket or timer objects in garbage cycles, and no closed
+    connection may still be reachable.
+    """
+
+    def test_http_cell_frees_each_connection_at_close(self):
+        census = {}
+
+        def take_census(driver):
+            census["gc_paused"] = not gc.isenabled()
+            census["closed"] = driver.completed_requests
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            try:
+                gc.collect()
+                census["cyclic"] = Counter(
+                    type(obj).__name__ for obj in gc.garbage
+                    if isinstance(obj, (MptcpConnection, TcpSocket, Timer))
+                )
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+            gc.collect()
+            census["closed_alive"] = sum(
+                1 for obj in gc.get_objects()
+                if isinstance(obj, MptcpConnection) and obj.closed
+            )
+
+        def hook(run):
+            run.sim.schedule_at(10.0, take_census, run.driver)
+
+        gc.collect()
+        run = Harness().run(
+            HarnessSpec(
+                workload="http",
+                scenario="asymmetric_loss",
+                controller="userspace_fullmesh",
+                seed=33,
+                horizon=30.0,
+                params={"request_count": 60, "object_size": 10_000},
+                trace_probe=False,
+                hooks=(hook,),
+            )
+        )
+        assert census["gc_paused"]
+        assert 30 <= census["closed"] < 60  # mid-run, most requests done
+        assert census["cyclic"] == {}
+        assert census["closed_alive"] == 0
+        assert run.metrics["requests_completed"] == 60
