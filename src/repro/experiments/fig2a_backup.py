@@ -1,40 +1,31 @@
 """Figure 2a — smarter backup: data-sequence progress across the handover.
 
 A bulk transfer of 8 MB starts on the primary path of a 2 Mbps, 10 ms
-dual-homed topology; after ``LOSS_START`` (1 s) the primary path becomes
-very lossy (30 % in the paper).  The smart backup controller watches the
+dual-homed topology; after 1 s the primary path becomes very lossy
+(30 % in the paper).  The smart backup controller watches the
 ``timeout`` events and, once the reported RTO exceeds its threshold
 (1 s), closes the primary subflow and creates a subflow over the backup
 path.  The figure plots the data sequence numbers
 of the segments sent over time, coloured by subflow; the reproduction
 returns exactly that series plus the controller's switch time.
 
-The run is a preset over the unified workload harness: the bulk workload
-composed with a dual-homed scenario, a smart-backup client stack, a trace
-probe and a scheduled loss-onset hook.
+The run is the ``fig2a`` grid's one cell — the bulk workload on the
+dual-homed scenario at 2 Mbps with the loss onset as its ``loss_from``
+keyword, under the smart-backup controller — at simulator seed ``seed``,
+with a trace probe whose capture the figure reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from repro.analysis.report import format_table
 from repro.analysis.trace import SubflowSequenceTrace
+from repro.experiments.grids import named_grid
 from repro.mptcp.subflow import SubflowOrigin
 from repro.net.addressing import FourTuple
-from repro.netem.scenarios import build_dual_homed
 from repro.workloads import Harness, HarnessSpec, TraceProbe
-
-SERVER_PORT = 5001
-
-#: When the primary path turns lossy, and how lossy it becomes.
-LOSS_START = 1.0
-LOSS_PERCENT = 30.0
-
-#: The §4.2 topology at 2 Mbps per path.
-_build_scenario = partial(build_dual_homed, rate_mbps=2.0)
 
 
 @dataclass
@@ -76,28 +67,21 @@ class Fig2aResult:
         return "\n".join(lines)
 
 
-def _schedule_loss(run) -> None:
-    """Hook: the primary path turns lossy at ``LOSS_START``."""
-    run.sim.schedule(
-        LOSS_START, run.scenario.path_links[0].set_loss_rate, LOSS_PERCENT / 100.0
-    )
-
-
 def run_fig2a(seed: int = 1, duration: float = 5.0) -> Fig2aResult:
     """Run the smart-backup handover experiment (Figure 2a) with the
-    controller's 1 s RTO threshold."""
-    trace_probe = TraceProbe(tracer_name="capture")
+    controller's 1 s RTO threshold: the ``fig2a`` grid's cell at simulator
+    seed ``seed`` for ``duration`` seconds."""
+    grid = named_grid("fig2a")
+    trace_probe = TraceProbe()
     run = Harness().run(
         HarnessSpec(
-            workload="bulk_transfer",
-            scenario=_build_scenario,
-            controller="smart_backup",
+            workload=grid.experiments[0],
+            scenario=grid.scenarios[0],
+            controller=grid.controllers[0],
             seed=seed,
             horizon=duration,
-            server_port=SERVER_PORT,
-            params={"transfer_bytes": 8_000_000, "close_when_done": False},
+            params=grid.params,
             probes=(trace_probe,),
-            hooks=(_schedule_loss,),
         )
     )
 
@@ -121,7 +105,7 @@ def run_fig2a(seed: int = 1, duration: float = 5.0) -> Fig2aResult:
         trace=trace,
         primary=primary_tuple,
         backup=backup_tuple,
-        loss_start=LOSS_START,
+        loss_start=grid.params["loss_from"],
         switch_time=switch_time,
         bytes_on_primary=bytes_primary,
         bytes_on_backup=bytes_backup,

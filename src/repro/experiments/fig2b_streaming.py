@@ -9,9 +9,11 @@ the loss-free case even at 10-40 % loss: it opens the second path as soon
 as a block makes insufficient progress and closes any subflow whose RTO
 exceeds one second.
 
-Each run is a preset over the unified workload harness: the streaming
-workload on the dual-homed scenario with either the full-mesh path manager
-or the smart streaming controller as the client stack.
+Each run is a cell of the ``fig2b`` grid — the streaming workload on the
+dual-homed scenario, whose ``loss_percent`` keyword sets the loss of the
+initial path, under the ``fullmesh`` path manager or the
+``smart_streaming`` controller — at its own simulator seed, loss rate and
+block count.
 """
 
 from __future__ import annotations
@@ -21,16 +23,8 @@ from typing import Sequence
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.report import format_cdf_table
-from repro.apps.streaming import StreamingSinkApp
-from repro.core.controllers import SmartStreamingController
-from repro.core.manager import SmappManager
-from repro.netem.scenarios import build_dual_homed
-from repro.workloads import ClientSetup, Harness, HarnessSpec
-
-SERVER_PORT = 6001
-BLOCK_BYTES = 64 * 1024
-#: One block per second, which is also each block's deadline.
-BLOCK_INTERVAL = 1.0
+from repro.experiments.grids import named_grid
+from repro.workloads import Harness, HarnessSpec
 
 
 @dataclass
@@ -61,52 +55,6 @@ class Fig2bResult:
         return "\n".join(lines)
 
 
-def _smart_streaming_client(ctx) -> ClientSetup:
-    """Client stack preset: SMAPP manager with the smart streaming controller."""
-    manager = SmappManager(ctx.sim, ctx.scenario.client)
-    controller = manager.attach_controller(
-        SmartStreamingController,
-        secondary_local_address=ctx.scenario.client_addresses[1],
-        secondary_remote_address=ctx.scenario.server_addresses[1],
-        secondary_remote_port=SERVER_PORT,
-        block_interval=BLOCK_INTERVAL,
-        progress_threshold=BLOCK_BYTES // 2,
-        rto_limit=1.0,
-    )
-    return ClientSetup(manager.stack, manager=manager, controller=controller)
-
-
-def _run_stream(
-    seed: int,
-    loss_percent: float,
-    smart: bool,
-    block_count: int,
-) -> StreamingSinkApp:
-    """One streaming run; returns the sink with its per-block records."""
-    run = Harness().run(
-        HarnessSpec(
-            workload="streaming",
-            scenario=lambda sim: build_dual_homed(sim, loss_percent=(loss_percent, 0.0)),
-            controller=_smart_streaming_client if smart else "fullmesh",
-            seed=seed,
-            # Leave generous drain time so every block (even badly delayed
-            # ones) gets delivered and measured.
-            horizon=block_count * BLOCK_INTERVAL + 30.0,
-            server_port=SERVER_PORT,
-            params={
-                "block_bytes": BLOCK_BYTES,
-                "interval": BLOCK_INTERVAL,
-                "block_count": block_count,
-                "close_when_done": True,
-            },
-            probes=(),
-        )
-    )
-    if run.server_apps:
-        return run.server_apps[0]
-    return StreamingSinkApp(block_bytes=BLOCK_BYTES, interval=BLOCK_INTERVAL)
-
-
 def run_fig2b(
     seed: int = 1,
     loss_percents: Sequence[float] = (10.0, 20.0, 30.0, 40.0),
@@ -127,40 +75,45 @@ def run_fig2b(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
+    params = named_grid("fig2b").params
+    params["block_count"] = block_count
+    #: One block per interval, which is also each block's deadline.
+    deadline = params["interval"]
+    runs = [(f"fullmesh {loss:.0f}% loss", loss, "fullmesh") for loss in loss_percents]
+    if include_smart_sweep:
+        runs += [(f"smart stream {loss:.0f}% loss", loss, "smart_streaming")
+                 for loss in loss_percents]
+    else:
+        runs.append(("smart stream", smart_loss_percent, "smart_streaming"))
+
     cdfs: dict[str, Cdf] = {}
     late: dict[str, int] = {}
-
-    def collect(loss: float, smart: bool) -> tuple[list[float], int]:
+    for label, loss, controller in runs:
         delays: list[float] = []
-        late_count = 0
+        late[label] = 0
         for repetition in range(repetitions):
-            sink = _run_stream(
-                seed=seed + repetition * 101,
-                loss_percent=loss,
-                smart=smart,
-                block_count=block_count,
+            run = Harness().run(
+                HarnessSpec(
+                    workload="streaming",
+                    scenario="dual_homed",
+                    controller=controller,
+                    seed=seed + repetition * 101,
+                    # Leave generous drain time so every block (even badly
+                    # delayed ones) gets delivered and measured.
+                    horizon=block_count * deadline + 30.0,
+                    params={**params, "loss_percent": [loss, 0.0]},
+                    probes=(),
+                )
             )
+            sink = run.server_apps[0]
             delays.extend(sink.completion_times())
-            late_count += sink.late_blocks(BLOCK_INTERVAL)
-        return delays, late_count
-
-    for loss in loss_percents:
-        label = f"fullmesh {loss:.0f}% loss"
-        delays, late_count = collect(loss, smart=False)
+            late[label] += sink.late_blocks(deadline)
         cdfs[label] = Cdf(delays, label=label)
-        late[label] = late_count
-
-    smart_losses = list(loss_percents) if include_smart_sweep else [smart_loss_percent]
-    for loss in smart_losses:
-        label = f"smart stream {loss:.0f}% loss" if include_smart_sweep else "smart stream"
-        delays, late_count = collect(loss, smart=True)
-        cdfs[label] = Cdf(delays, label=label)
-        late[label] = late_count
 
     return Fig2bResult(
         title="Figure 2b - CDF of 64 KB block completion time",
         cdfs=cdfs,
         late_blocks=late,
         block_count=block_count * repetitions,
-        deadline=BLOCK_INTERVAL,
+        deadline=deadline,
     )

@@ -30,13 +30,14 @@ sweep the same matrices.  :func:`named_grid` is the one way to get one:
   come up as a fallback with nonzero goodput (triage verdict
   ``fallback``), which the determinism suite and CI pin.
 
-Plus one campaign per paper figure.  ``fig2c`` and ``fig3`` *are*
-Figures 2c and 3: ``runner fig2c`` formats the ten ``ndiffports`` and ten
-``refresh`` cells on ``ecmp``, and ``runner fig3`` the in-kernel /
-userspace ndiffports cell pair.  The fig2a, fig2b and longlived rows are
-one-cell sweep twins that approximate presets still living in their
-``repro.experiments`` modules, but give every figure a cached,
-regression-tracked data point inside the campaign format.
+Plus one campaign per paper figure.  ``fig2c``, ``fig3`` and ``longlived``
+*are* Figures 2c and 3 and the §4.1 run: ``runner fig2c`` formats the ten
+``ndiffports`` and ten ``refresh`` cells on ``ecmp``, ``runner fig3`` the
+in-kernel / userspace ndiffports cell pair and ``runner longlived`` the one
+NAT cell.  The ``fig2a`` and ``fig2b`` rows run their figures'
+configurations — the scenario keywords ``rate_mbps``, ``loss_percent`` and
+``loss_from`` are cell params — while the figures themselves still read
+per-segment and per-block records that no cell stores.
 """
 
 from __future__ import annotations
@@ -135,21 +136,24 @@ GRIDS: dict[str, dict] = {
             "horizon": 15.0,
         },
     ),
-    # Fig 2a: handover off a failing primary path with the smart backup
-    # controller (§4.2).  Large enough that the transfer straddles the
-    # t=1.5s blackout, so the handover is actually on the critical path.
+    # Fig 2a: an 8 MB transfer at 2 Mbps per path whose primary path turns
+    # 30 % lossy at t=1 s; the smart backup controller moves the transfer
+    # onto the backup path once the primary's RTO passes 1 s (§4.2).
     "fig2a": dict(
         experiments=["bulk_transfer"],
-        scenarios=["path_failure_recovery"],
+        scenarios=["dual_homed"],
         controllers=["smart_backup"],
-        params={"transfer_bytes": 2_000_000, "horizon": 30.0},
+        params={"transfer_bytes": 8_000_000, "close_when_done": False, "rate_mbps": 2.0,
+                "loss_percent": [30.0, 0.0], "loss_from": 1.0, "horizon": 5.0},
     ),
-    # Fig 2b: fixed-rate streaming over paths with very unequal loss (§4.3).
+    # Fig 2b: one 64 KB block a second with 30 % loss on the initial path,
+    # under the in-kernel full mesh and the smart streaming controller (§4.3).
     "fig2b": dict(
         experiments=["streaming"],
-        scenarios=["asymmetric_loss"],
-        controllers=["passive"],
-        params={"block_count": 10, "horizon": 25.0},
+        scenarios=["dual_homed"],
+        controllers=["fullmesh", "smart_streaming"],
+        params={"block_bytes": 65_536, "interval": 1.0, "block_count": 10,
+                "loss_percent": [30.0, 0.0], "horizon": 40.0},
     ),
     # Fig 2c: a 10 MB transfer (a tenth of the paper's 100 MB) over the
     # four ECMP paths, ten seeds each under in-kernel ndiffports and under
@@ -172,14 +176,16 @@ GRIDS: dict[str, dict] = {
         controllers=["ndiffports", "userspace_ndiffports"],
         params={"request_count": 200, "object_size": 524288, "horizon": 30.0},
     ),
-    # §4.1: a long-lived connection through an aggressive NAT, repaired by
-    # the userspace full-mesh controller.  Message gaps beyond the NAT's
-    # 60 s idle timeout, so every message finds its subflow expired.
+    # §4.1: a long-lived connection through a NAT that forgets idle flows
+    # after 60 s and resets them, repaired by the userspace full-mesh
+    # controller.  Messages 150 s apart find their subflow expired, and the
+    # secondary interface goes down at t=400 s for 60 s.
     "longlived": dict(
         experiments=["longlived"],
         scenarios=["natted"],
         controllers=["userspace_fullmesh"],
-        params={"message_bytes": 400, "message_interval": 90.0, "horizon": 380.0},
+        params={"message_bytes": 400, "message_interval": 150.0, "nat_idle_timeout": 60.0,
+                "nat_sends_rst": True, "flap_at": 400.0, "horizon": 900.0},
     ),
 }
 

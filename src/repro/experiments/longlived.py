@@ -8,11 +8,11 @@ events) and re-establishes the failed subflows with failure-specific
 back-off timers, so the application's messages keep flowing without any
 per-path keep-alive traffic.
 
-The run is a preset over the unified workload harness: the long-lived
-workload on the NAT scenario under the userspace full-mesh controller,
-with an interface-flap hook exercising the address up/down reactions: the
-secondary interface goes down at ``FLAP_AT`` (400 s) and comes back 60 s
-later.
+The run is the ``longlived`` named grid's one cell: the long-lived
+workload on the NAT scenario under the userspace full-mesh controller.
+The scenario's ``flap_at`` keyword also exercises the address up/down
+reactions: the secondary interface goes down at 400 s and comes back 60 s
+later.  This module runs that cell and formats what it stores.
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.report import format_table
-from repro.netem.scenarios import build_natted
-from repro.workloads import Harness, HarnessSpec
-
-SERVER_PORT = 9001
-FLAP_AT = 400.0
+from repro.experiments.grids import named_grid
+from repro.sweep.engine import run_campaign
 
 
 @dataclass
@@ -67,59 +64,36 @@ class LongLivedResult:
         ])
 
 
-def _schedule_interface_flap(run) -> None:
-    """Hook: take the secondary interface down once, then bring it back.
-
-    Exercises the new_local_addr / del_local_addr reaction of the
-    controller on top of the NAT expiries.
-    """
-    iface = run.scenario.client.interface("if1")
-    run.sim.schedule(FLAP_AT, iface.set_down)
-    run.sim.schedule(FLAP_AT + 60.0, iface.set_up)
-
-
 def run_longlived(
     seed: int = 1,
     duration: float = 900.0,
     nat_timeout: float = 60.0,
     message_interval: float = 150.0,
 ) -> LongLivedResult:
-    """Run the long-lived-connection experiment."""
-    flaps = 1 if FLAP_AT < duration else 0
-    hooks = (_schedule_interface_flap,) if flaps else ()
+    """Run the ``longlived`` grid under campaign seed ``seed`` (§4.1).
 
-    run = Harness().run(
-        HarnessSpec(
-            workload="longlived",
-            scenario=lambda sim: build_natted(
-                sim, nat_idle_timeout=nat_timeout, nat_sends_rst=True
-            ),
-            controller="userspace_fullmesh",
-            seed=seed,
-            horizon=duration,
-            server_port=SERVER_PORT,
-            params={"message_bytes": 400, "message_interval": message_interval},
-            probes=(),
-            hooks=hooks,
-        )
+    ``duration``, ``nat_timeout`` and ``message_interval`` override the
+    grid's ``horizon``, ``nat_idle_timeout`` and ``message_interval``; at
+    the defaults this is ``runner sweep --grid longlived``'s plan.  The one
+    cell runs in this process.
+    """
+    grid = named_grid("longlived", seed)
+    grid.params.update(
+        horizon=float(duration),
+        nat_idle_timeout=float(nat_timeout),
+        message_interval=float(message_interval),
     )
-
-    controller = run.client.controller
-    failures = 0
-    for view in controller.state.connections.values():
-        failures += sum(1 for flow in view.subflows.values() if flow.closed)
-
-    app = run.driver
-    delivery_times = app.delivery_times()
+    (cell,) = run_campaign(grid).cells
+    metrics = cell.result
     return LongLivedResult(
         title="Section 4.1 - long-lived connection across an aggressive NAT",
         duration=duration,
         nat_timeout=nat_timeout,
-        messages_sent=len(app.messages),
-        messages_delivered=app.delivered_messages,
-        max_delivery_time=max(delivery_times) if delivery_times else 0.0,
-        subflow_failures=failures,
-        reestablishments=controller.reestablishments,
-        nat_expired_flows=run.scenario.middlebox.expired_flows,
-        interface_flaps=flaps,
+        messages_sent=metrics["messages_sent"],
+        messages_delivered=metrics["messages_delivered"],
+        max_delivery_time=metrics["delivery_time_max"] or 0.0,
+        subflow_failures=metrics["subflow_failures"],
+        reestablishments=metrics["reestablishments"],
+        nat_expired_flows=metrics["nat_expired_flows"],
+        interface_flaps=1 if grid.params["flap_at"] < duration else 0,
     )

@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="concurrent client connections (the scale axis); "
                                "starts are staggered over the connection_stagger param")),
         ("--params", dict(type=_json_object, default=None,
-                          help="workload parameters as a JSON object")),
+                          help="workload parameters and scenario keywords as a JSON object")),
     )
     workload, scenario, controller, scheduler, horizon, _, params = cell
     figure_steps = [(name, partial(_run_figure, name)) for name in FIGURES]

@@ -88,10 +88,19 @@ def build_dual_homed(
     delay_ms: float = 10.0,
     loss_percent: tuple[float, float] = (0.0, 0.0),
     queue_packets: int = 100,
+    loss_from: Optional[float] = None,
 ) -> Scenario:
     """Build the two-path smartphone topology of §4.2 and §4.3: path 0 is
-    the primary (e.g. WiFi) interface, path 1 the secondary (e.g. cellular)."""
-    return _build_two_path(
+    the primary (e.g. WiFi) interface, path 1 the secondary (e.g. cellular).
+
+    With ``loss_from`` set, path 0 is clean until that time and only then
+    starts losing ``loss_percent[0]`` percent of its packets — Figure 2a's
+    loss onset on the primary path.
+    """
+    primary_loss = loss_percent[0]
+    if loss_from is not None:
+        loss_percent = (0.0, loss_percent[1])
+    scenario = _build_two_path(
         sim,
         "dual-homed",
         [
@@ -104,6 +113,9 @@ def build_dual_homed(
             for index in range(2)
         ],
     )
+    if loss_from is not None:
+        sim.schedule(loss_from, scenario.path_links[0].set_loss_rate, primary_loss / 100.0)
+    return scenario
 
 
 def build_ecmp(sim: Simulator) -> Scenario:
@@ -238,19 +250,28 @@ def build_natted(
     nat_idle_timeout: float = 60.0,
     nat_sends_rst: bool = False,
     delay_ms: float = 10.0,
+    flap_at: Optional[float] = None,
 ) -> Scenario:
     """Build the NAT-on-the-primary-path topology of §4.1.
 
     The NAT drops the state of idle flows after a (configurable,
-    aggressive) timeout, silently killing idle subflows.
+    aggressive) timeout, silently killing idle subflows.  With ``flap_at``
+    set, the client's secondary interface goes down at that time and comes
+    back 60 s later, exercising a path manager's address down/up reactions
+    on top of the NAT expiries.
     """
-    return build_middlebox_path(
+    scenario = build_middlebox_path(
         sim,
         "natted",
         lambda topo: topo.add_nat("nat", idle_timeout=nat_idle_timeout, send_rst=nat_sends_rst),
         leg_prefix="nat",
         delay_ms=delay_ms,
     )
+    if flap_at is not None:
+        secondary = scenario.client.interface("if1")
+        sim.schedule(flap_at, secondary.set_down)
+        sim.schedule(flap_at + 60.0, secondary.set_up)
+    return scenario
 
 
 def build_wifi_lte_handover(

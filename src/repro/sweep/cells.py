@@ -31,8 +31,6 @@ from repro.workloads import (
     trace_digest,
 )
 
-SERVER_PORT = 9001
-
 #: Workloads double as the sweep's experiment axis.
 EXPERIMENTS: Mapping = WORKLOADS
 
@@ -40,7 +38,6 @@ __all__ = [
     "SCENARIOS",
     "CONTROLLERS",
     "EXPERIMENTS",
-    "SERVER_PORT",
     "run_cell",
     "run_cell_with_telemetry",
     "trace_digest",
@@ -90,7 +87,6 @@ def _run_cell(spec: CellSpec, campaign_seed: int) -> dict:
             seed=spec.cell_seed(campaign_seed),
             horizon=float(params.get("horizon", 30.0)),
             connections=spec.connections,
-            server_port=SERVER_PORT,
             params=params,
             probes=DEFAULT_PROBES,
             # Grid-level opt-out for very large cells, where the capture

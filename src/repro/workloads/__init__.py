@@ -9,9 +9,9 @@
 * the **probes** — pluggable metric extraction feeding both figure reports
   and sweep aggregation.
 
-Register a workload (see :mod:`repro.workloads.catalog` for the pattern)
-and it immediately becomes a sweep experiment over every scenario and a
-runnable CLI cell.
+Add a workload to the registry table (see :mod:`repro.workloads.catalog`
+for the pattern) and it immediately becomes a sweep experiment over every
+scenario and a runnable CLI cell.
 """
 
 from repro._lazy import lazy_exports
@@ -32,6 +32,7 @@ _EXPORTS = {
     "AppLatencyProbe": "repro.workloads.probes",
     "FaultProbe": "repro.workloads.probes",
     "FallbackProbe": "repro.workloads.probes",
+    "RepairProbe": "repro.workloads.probes",
     "AggregateProbe": "repro.workloads.probes",
     "EventsProbe": "repro.workloads.probes",
     "PROBES": "repro.workloads.probes",
@@ -41,9 +42,6 @@ _EXPORTS = {
     "SCENARIOS": "repro.workloads.registry",
     "CONTROLLERS": "repro.workloads.registry",
     "WORKLOADS": "repro.workloads.registry",
-    "register_scenario": "repro.workloads.registry",
-    "register_controller": "repro.workloads.registry",
-    "register_workload": "repro.workloads.registry",
     "get_workload": "repro.workloads.registry",
     "BulkTransferWorkload": "repro.workloads.catalog",
     "StreamingWorkload": "repro.workloads.catalog",

@@ -32,8 +32,8 @@ class ClientSetup:
 
     Plain path managers only fill ``stack``; SMAPP-style userspace
     controllers also expose the manager and the controller object so figure
-    presets can read controller state (switch times, reestablishment
-    counts) after the run.
+    presets and probes can read controller state (switch times,
+    reestablishment counts) after the run.
     """
 
     stack: MptcpStack

@@ -8,17 +8,22 @@ presets in :mod:`repro.experiments` and the sweep cell runner in
 so the same run order (and therefore the same deterministic trace) backs
 both.
 
-Axis values may be registry names (the sweep path: everything stays
-picklable) or ready callables/instances (the figure path: presets inject
-bespoke scenario parameters, client stacks and hooks without losing the
-shared assembly).
+A scenario is a registry name plus its keywords: every param whose name
+is a keyword parameter of the resolved scenario builder (``rate_mbps``,
+``loss_percent``, ``nat_idle_timeout``, ...) is passed to it, so a cell
+configures its topology — and the mid-run events the builder schedules,
+such as ``loss_from`` or ``flap_at`` — through its params, and a run has
+a config hash.  Axis values may still be ready callables or instances
+(the fault shrinker's explicit plan is a callable scenario).
 """
 
 from __future__ import annotations
 
 import gc
+import inspect
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.mptcp.config import MptcpConfig
@@ -30,7 +35,7 @@ from repro.workloads.base import ClientSetup, HarnessContext, Workload
 from repro.workloads.probes import DEFAULT_PROBES, Probe, make_probe
 from repro.workloads.registry import CONTROLLERS, SCENARIOS, get_workload
 
-#: Default server port of harness runs (kept from the sweep cell runner).
+#: The port every harness run's server listens on.
 DEFAULT_SERVER_PORT = 9001
 
 ScenarioSpec = Union[str, Callable[[Simulator], Any]]
@@ -58,12 +63,10 @@ class HarnessSpec:
     event at a per-connection offset derived purely from the spec seed
     (see :func:`~repro.sim.randomness.derive_seed`), spread over the
     ``connection_stagger`` param (seconds, default 1.0)."""
-    server_port: int = DEFAULT_SERVER_PORT
     params: Mapping[str, Any] = field(default_factory=dict)
+    """Workload knobs over the workload's defaults; the params named after
+    a keyword parameter of the scenario builder are passed to it."""
     probes: Sequence[Union[str, Probe]] = DEFAULT_PROBES
-    hooks: Sequence[Callable[["HarnessRun"], None]] = ()
-    """Callbacks run after the client started, before ``sim.run`` — the
-    place to schedule mid-run events (loss onset, interface flaps)."""
     trace_probe: bool = True
     """When ``False``, probes named ``trace`` are dropped from the spec's
     probe list before attaching.  The packet-capture list dominates memory
@@ -146,12 +149,22 @@ def _resolve(kind: str, registry: Mapping[str, Callable], entry: Union[str, Call
         raise ValueError(f"unknown {kind} {entry!r} (have {sorted(registry)})") from None
 
 
+@lru_cache(maxsize=64)
+def scenario_keywords(builder: Callable) -> frozenset[str]:
+    """The keyword parameters of a scenario builder (all but ``sim``)."""
+    parameters = list(inspect.signature(builder).parameters.values())[1:]
+    return frozenset(
+        parameter.name for parameter in parameters
+        if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD, parameter.KEYWORD_ONLY)
+    )
+
+
 class Harness:
     """Compose scenario × controller × workload × probes into one run.
 
     The assembly order is fixed and mirrors the hand-wired figure scripts
     this layer replaced: simulator, scenario, probes, server stack, client
-    stack, workload start, hooks, run, collect.  Keeping that order is what
+    stack, workload start, run, collect.  Keeping that order is what
     lets the refactored figure presets reproduce their original reports
     byte for byte.
     """
@@ -165,14 +178,17 @@ class Harness:
         params: dict[str, Any] = {**workload.default_params, **dict(spec.params)}
 
         sim = Simulator(seed=spec.seed)
-        scenario = _resolve("scenario", SCENARIOS, spec.scenario)(sim)
+        builder = _resolve("scenario", SCENARIOS, spec.scenario)
+        scenario = builder(
+            sim, **{name: params[name] for name in scenario_keywords(builder) if name in params}
+        )
         config = MptcpConfig(scheduler=spec.scheduler)
         ctx = HarnessContext(
             sim=sim,
             scenario=scenario,
             config=config,
             params=params,
-            server_port=spec.server_port,
+            server_port=DEFAULT_SERVER_PORT,
         )
 
         probes: dict[str, Probe] = {}
@@ -196,7 +212,7 @@ class Harness:
             return app
 
         server_stack = MptcpStack(sim, scenario.server, config=config)
-        server_stack.listen(spec.server_port, server_factory)
+        server_stack.listen(DEFAULT_SERVER_PORT, server_factory)
 
         client = resolve_client_setup(_resolve("controller", CONTROLLERS, spec.controller)(ctx))
 
@@ -261,9 +277,6 @@ class Harness:
                     derive_seed(spec.seed, "connection", index) % 10**9
                 ) / 10**9 * stagger
                 sim.schedule(offset, start_connection, index)
-
-        for hook in spec.hooks:
-            hook(run)
 
         # Pause the cyclic GC for the event loop itself: the simulation
         # allocates segments/events at a rate that triggers generation-0

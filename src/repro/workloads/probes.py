@@ -139,12 +139,11 @@ class TraceProbe(Probe):
 
     name = "trace"
 
-    def __init__(self, tracer_name: str = "sweep") -> None:
-        self._tracer_name = tracer_name
+    def __init__(self) -> None:
         self.tracer: Optional[PacketTracer] = None
 
     def attach(self, ctx: HarnessContext) -> None:
-        self.tracer = ctx.scenario.topology.add_tracer(self._tracer_name)
+        self.tracer = ctx.scenario.topology.add_tracer("sweep")
 
     def collect(self, run: "HarnessRun") -> dict[str, Any]:
         from repro.analysis.aggregate import fold_series
@@ -293,6 +292,38 @@ class FallbackProbe(Probe):
         }
 
 
+class RepairProbe(Probe):
+    """Subflow repair accounting (the §4.1 long-lived connection).
+
+    Collects nothing for runs where repair neither applies nor happened, so
+    the metrics — and committed baselines — of ordinary cells stay
+    untouched.  It applies under a controller that re-establishes failed
+    subflows (``userspace_fullmesh``): ``subflow_failures`` counts the
+    subflows that controller saw close and ``reestablishments`` the ones it
+    re-opened.  It happened when the scenario's NAT expired idle flow
+    state: ``nat_expired_flows`` counts the expiries.
+    """
+
+    name = "repair"
+
+    def collect(self, run: "HarnessRun") -> dict[str, Any]:
+        controller = run.client.controller
+        expired = getattr(run.scenario.middlebox, "expired_flows", 0)
+        repairs = hasattr(controller, "reestablishments")
+        if not repairs and not expired:
+            return {}
+        metrics: dict[str, Any] = {"nat_expired_flows": expired}
+        if repairs:
+            metrics["reestablishments"] = controller.reestablishments
+            metrics["subflow_failures"] = sum(
+                1
+                for view in controller.state.connections.values()
+                for flow in view.subflows.values()
+                if flow.closed
+            )
+        return metrics
+
+
 class AggregateProbe(Probe):
     """Per-connection metrics folded into bounded summary statistics.
 
@@ -409,6 +440,7 @@ PROBES: dict[str, Callable[[], Probe]] = {
     "app_latency": AppLatencyProbe,
     "faults": FaultProbe,
     "fallback": FallbackProbe,
+    "repair": RepairProbe,
     "aggregate": AggregateProbe,
     "events": EventsProbe,
 }
@@ -416,7 +448,7 @@ PROBES: dict[str, Callable[[], Probe]] = {
 #: The probes every sweep cell runs, in collection order.
 DEFAULT_PROBES: tuple[str, ...] = (
     "trace", "goodput", "subflows", "app_latency", "faults", "fallback",
-    "aggregate", "events",
+    "repair", "aggregate", "events",
 )
 
 

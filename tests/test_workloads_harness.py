@@ -19,12 +19,14 @@ from repro.sweep import run_cell
 from repro.tcp.socket import TcpSocket
 from repro.workloads import (
     CONTROLLERS,
+    DEFAULT_PROBES,
     PROBES,
     SCENARIOS,
     WORKLOADS,
     ClientSetup,
     Harness,
     HarnessSpec,
+    Probe,
     TraceProbe,
     Workload,
     get_workload,
@@ -98,8 +100,6 @@ class TestWorkloadScenarioMatrix:
 
 class TestHarnessComposition:
     def test_callable_axes_compose_with_registry_axes(self):
-        events = []
-
         def scenario_builder(sim):
             return build_dual_homed(sim, rate_mbps=8.0)
 
@@ -114,10 +114,8 @@ class TestHarnessComposition:
                 seed=3,
                 horizon=10.0,
                 params={"transfer_bytes": 30_000},
-                hooks=(lambda r: events.append(r.sim.now),),
             )
         )
-        assert events == [0.0]  # hooks fire before the clock starts
         assert run.metrics["completion_time"] is not None
         assert isinstance(run.client, ClientSetup)
 
@@ -149,12 +147,55 @@ class TestHarnessComposition:
         assert run.metrics["subflows_used"] >= 2  # round robin spreads load
 
 
+class TestScenarioKeywords:
+    """A cell's params that name a scenario builder's keywords reach it."""
+
+    def test_a_natted_cell_sets_the_nat_idle_timeout(self):
+        run = Harness().run(
+            small_spec("longlived", scenario="natted", horizon=1.0,
+                       params={"message_interval": 2.0, "nat_idle_timeout": 40})
+        )
+        assert run.scenario.middlebox.idle_timeout == 40
+
+    def test_builders_schedule_their_mid_run_events(self):
+        from repro.netem.scenarios import build_natted
+        from repro.sim.engine import Simulator
+
+        sim = Simulator(seed=1)
+        dual = build_dual_homed(sim, loss_percent=(30.0, 0.0), loss_from=1.0)
+        natted = build_natted(sim, flap_at=2.0)
+        secondary = natted.client.interface("if1")
+        assert dual.path_links[0].loss_rate == 0.0
+        sim.run(until=1.5)
+        assert dual.path_links[0].loss_rate == 0.3
+        assert secondary.is_up
+        sim.run(until=3.0)
+        assert not secondary.is_up
+        sim.run(until=70.0)
+        assert secondary.is_up
+
+    def test_no_workload_default_or_non_figure_grid_param_names_a_builder_keyword(self):
+        """A workload default or a shared grid param named like a builder
+        keyword would silently rebind the topology of every cell."""
+        from repro.experiments.grids import GRIDS
+        from repro.workloads.harness import scenario_keywords
+
+        keywords = set().union(*(scenario_keywords(SCENARIOS[name]) for name in SCENARIOS))
+        assert {"rate_mbps", "loss_percent", "loss_from", "nat_idle_timeout", "flap_at"} <= keywords
+        for name in WORKLOADS:
+            assert not keywords & set(WORKLOADS[name].default_params), name
+        figures = {"fig2a", "fig2b", "fig2c", "fig3", "longlived"}
+        for name, row in GRIDS.items():
+            if name not in figures:
+                assert not keywords & set(row.get("params", {})), name
+
+
 class TestProbes:
     def test_probe_registry_contents(self):
         assert {"trace", "goodput", "subflows", "app_latency"} <= set(PROBES)
 
     def test_trace_probe_feeds_both_scalars_and_figures(self):
-        probe = TraceProbe(tracer_name="capture")
+        probe = TraceProbe()
         run = Harness().run(small_spec("bulk_transfer", probes=(probe,)))
         assert run.probe("trace") is probe
         assert run.metrics["trace_packets"] == len(probe.tracer)
@@ -236,7 +277,7 @@ class TestProbeOverheadAndTraceOptOut:
         overhead = run.metrics["probe_overhead_s"]
         assert set(overhead) == {
             "trace", "goodput", "subflows", "app_latency", "faults", "fallback",
-            "aggregate", "events",
+            "repair", "aggregate", "events",
         }
         assert all(value >= 0.0 for value in overhead.values())
 
@@ -250,7 +291,7 @@ class TestProbeOverheadAndTraceOptOut:
         assert run.metrics["subflows_created"] >= 1
 
     def test_trace_opt_out_skips_probe_instances_too(self):
-        probe = TraceProbe(tracer_name="capture")
+        probe = TraceProbe()
         run = Harness().run(
             small_spec("bulk_transfer", probes=(probe,), trace_probe=False)
         )
@@ -357,10 +398,10 @@ class TestClosedConnectionsFreeThemselves:
 
     def test_http_cell_frees_each_connection_at_close(self):
         census = {}
+        census_at = 10.0
 
-        def take_census(driver):
+        def take_census():
             census["gc_paused"] = not gc.isenabled()
-            census["closed"] = driver.completed_requests
             gc.set_debug(gc.DEBUG_SAVEALL)
             try:
                 gc.collect()
@@ -377,8 +418,20 @@ class TestClosedConnectionsFreeThemselves:
                 if isinstance(obj, MptcpConnection) and obj.closed
             )
 
-        def hook(run):
-            run.sim.schedule_at(10.0, take_census, run.driver)
+        class CensusProbe(Probe):
+            """Takes the census mid-run; counts the requests done by then."""
+
+            name = "census"
+
+            def attach(self, ctx):
+                ctx.sim.schedule_at(census_at, take_census)
+
+            def collect(self, run):
+                census["closed"] = sum(
+                    1 for record in run.driver.records
+                    if record.completed_at is not None and record.completed_at <= census_at
+                )
+                return {}
 
         gc.collect()
         run = Harness().run(
@@ -389,8 +442,8 @@ class TestClosedConnectionsFreeThemselves:
                 seed=33,
                 horizon=30.0,
                 params={"request_count": 60, "object_size": 10_000},
+                probes=(*DEFAULT_PROBES, CensusProbe()),
                 trace_probe=False,
-                hooks=(hook,),
             )
         )
         assert census["gc_paused"]
