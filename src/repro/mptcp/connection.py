@@ -49,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mptcp.stack import MptcpStack
 
 _SYN_BIT = 0x02
+_HANDSHAKE_STATES = (TcpState.SYN_SENT, TcpState.SYN_RECEIVED)
 
 #: Where a fallen-back connection's hooks go: the base class, whose hooks
 #: do nothing.
@@ -717,6 +718,14 @@ class MptcpConnection(SubflowObserver):
             flow.socket.backup = prio.backup
 
     def _process_data_fin(self, dss: DssOption, flow: Optional[Subflow]) -> None:
+        if self._remote_fin_consumed:
+            # A repeated DATA_FIN: the data ack that covered it was lost,
+            # and the peer retransmits until one arrives.  Ack it again on
+            # the subflow it came in on (a closed subflow's socket is no
+            # longer mapped, so ``flow`` is one that can still transmit).
+            if flow is not None:
+                flow.socket.send_ack()
+            return
         # The DATA_FIN occupies the data-sequence slot right after the
         # peer's last byte (``data_seq`` when no mapping is attached, the
         # end of the mapping otherwise).
@@ -850,6 +859,11 @@ class MptcpConnection(SubflowObserver):
                 {"subflow": flow.id},
             )
         self._path_manager.on_subflow_established(self, flow)
+        if self._data_fin_acked and self._remote_fin_consumed:
+            # A join that completed after the connection finished has
+            # nothing left to carry.
+            sock.close()
+            return
         self._push_data()
 
     def on_rto_expired(self, sock: TcpSocket, rto: float, consecutive: int) -> None:
@@ -1133,11 +1147,25 @@ class MptcpConnection(SubflowObserver):
                 flow.socket.send_ack()
             elif capable:
                 capable[0].socket.send_ack()
+            if self._data_fin_acked:
+                self._close_subflows_gracefully()
 
     def _close_subflows_gracefully(self) -> None:
+        """Close every live subflow.
+
+        Once the connection has finished in both directions (our DATA_FIN
+        acked, the peer's consumed), a subflow still in its handshake is
+        aborted instead, and its RST resets the peer's half: a socket
+        closed in SYN_SENT would keep its FIN pending past the handshake
+        and stay ESTABLISHED on both ends.
+        """
+        finished = self._data_fin_acked and self._remote_fin_consumed
         for flow in list(self.live_subflows):
-            if not flow.is_closed:
-                flow.socket.close()
+            sock = flow.socket
+            if finished and sock.state in _HANDSHAKE_STATES:
+                sock.abort()
+            elif not flow.is_closed:
+                sock.close()
 
     def _finalise_close(self) -> None:
         if self.closed:

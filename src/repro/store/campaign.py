@@ -49,7 +49,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 #: experiments).  Version 3: cells that join a subflow store their
 #: SYN→MP_JOIN delays (``mp_join_samples``, ``join_delay_us_*``).
 #: Version 4: cells on multi-path scenarios store ``paths_used``.
-SWEEP_FORMAT_VERSION = 4
+#: Version 5: a finished connection closes (a repeated DATA_FIN is acked
+#: again, and every subflow closes once both DATA_FINs are settled).
+SWEEP_FORMAT_VERSION = 5
 
 #: Bump when the manifest schema changes incompatibly.
 MANIFEST_FORMAT_VERSION = 1

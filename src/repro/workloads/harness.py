@@ -129,14 +129,10 @@ class HarnessRun:
 
 
 def resolve_client_setup(setup: Any) -> ClientSetup:
-    """Normalise a controller entry's return value to a :class:`ClientSetup`."""
+    """Check that a controller entry returned a :class:`ClientSetup`."""
     if isinstance(setup, ClientSetup):
         return setup
-    if isinstance(setup, MptcpStack):
-        return ClientSetup(stack=setup)
-    raise TypeError(
-        f"controller setup must return a ClientSetup or MptcpStack, got {type(setup).__name__}"
-    )
+    raise TypeError(f"controller setup must return a ClientSetup, got {type(setup).__name__}")
 
 
 def _resolve(kind: str, registry: Mapping[str, Callable], entry: Union[str, Callable]) -> Callable:

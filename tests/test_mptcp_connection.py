@@ -5,8 +5,11 @@ import errno
 import pytest
 
 from tests.helpers import RecordingApp, SERVER_PORT, build_dual_homed_rig
+from repro.mptcp.connection import ConnectionListener, MptcpConnection
+from repro.mptcp.options import DssOption, MpJoinOption
 from repro.mptcp.path_manager import FullMeshPathManager, NdiffportsPathManager, PassivePathManager
 from repro.mptcp.subflow import SubflowOrigin
+from repro.tcp.socket import TcpState
 
 
 class TestConnectionEstablishment:
@@ -381,3 +384,141 @@ class TestStackBehaviour:
         rig.sim.run(until=20.0)
         assert all(sender.completed for sender in senders)
         assert len(rig.server_apps) == 5
+
+
+class _Responder(ConnectionListener):
+    """Server side: answers each connection with 10 kB and closes first."""
+
+    def __init__(self) -> None:
+        self.connection = None
+
+    def on_connection_established(self, conn: MptcpConnection) -> None:
+        self.connection = conn
+        conn.send(10_000)
+        conn.close()
+
+
+class _LateCloser(ConnectionListener):
+    """Client side: closes 0.2 s after the server's DATA_FIN is consumed,
+    so its own DATA_FIN goes out on exactly one segment."""
+
+    def __init__(self, sim, on_established=None) -> None:
+        self.sim = sim
+        self.on_established = on_established
+        self.acked_at: list[float] = []
+
+    def on_connection_established(self, conn: MptcpConnection) -> None:
+        if self.on_established is not None:
+            self.on_established(conn)
+
+    def on_connection_finished(self, conn: MptcpConnection) -> None:
+        self.sim.schedule(0.2, conn.close)
+
+    def on_data_acked(self, conn: MptcpConnection, data_una: int) -> None:
+        # The client writes nothing, so the only data ack that advances
+        # is the one covering its DATA_FIN.
+        self.acked_at.append(self.sim.now)
+
+
+class TestFinishedConnectionsClose:
+    """A connection finished in both directions ends, whatever was lost.
+
+    Each history drops exactly one segment: the server's data ack that
+    covers the client's DATA_FIN.  The server has consumed that DATA_FIN
+    and its own DATA_FIN is acked, so only a re-ack of the client's
+    retransmission can end the connection.
+    """
+
+    def _rig(self, monkeypatch, on_established=None, on_drop=None):
+        retransmissions: list[tuple[bool, float]] = []
+        original = MptcpConnection._retransmit_data_fin
+
+        def counting(conn):
+            retransmissions.append((conn.is_client, conn._sim.now))
+            original(conn)
+
+        monkeypatch.setattr(MptcpConnection, "_retransmit_data_fin", counting)
+        rig = build_dual_homed_rig(server_listener_factory=_Responder)
+        app = _LateCloser(rig.sim, on_established)
+        client = rig.client_stack.connect(
+            rig.server_addresses[0], SERVER_PORT, listener=app,
+            local_address=rig.client_addresses[0],
+        )
+        dropped: list[float] = []
+        server_host = rig.scenario.server
+
+        def drop_the_fin_ack(segment, from_iface):
+            dss = segment.find_option(DssOption)
+            if (
+                not dropped
+                and from_iface.node is server_host
+                and dss is not None
+                and dss.data_ack is not None
+                and dss.data_ack > client.data_next  # covers the DATA_FIN
+            ):
+                dropped.append(rig.sim.now)
+                if on_drop is not None:
+                    rig.sim.call_soon(on_drop)
+                return []
+            return [segment]
+
+        rig.scenario.path_links[0].set_fault_handler(drop_the_fin_ack)
+        return rig, app, client, dropped, retransmissions
+
+    def test_a_lost_data_fin_ack_is_repaired_by_the_first_retransmission(self, monkeypatch):
+        rig, app, client, dropped, retransmissions = self._rig(monkeypatch)
+        rig.sim.run(until=0.1)
+        server = rig.server_apps[0].connection
+        rig.sim.run(until=10.0)
+
+        assert len(dropped) == 1
+        assert len(retransmissions) == 1
+        is_client, retransmitted_at = retransmissions[0]
+        assert is_client and retransmitted_at > dropped[0]
+        assert app.acked_at and app.acked_at[0] > retransmitted_at
+        assert client.closed and server.closed
+        assert client.closed_at <= retransmitted_at + 1.0
+        assert server.closed_at <= retransmitted_at + 1.0
+        assert rig.client_stack.connections == []
+        assert rig.server_stack.connections == []
+
+    def test_a_join_completing_after_both_data_fins_ends_closed(self, monkeypatch):
+        # The join's SYN is held until the server has finished (its
+        # DATA_FIN acked, the client's consumed), so the server completes
+        # the join's handshake only after both DATA_FINs.
+        held: list = []
+
+        def open_join(conn):
+            conn.create_subflow(rig.client_addresses[1], remote_address=rig.server_addresses[1])
+
+        def hold_the_join(segment, from_iface):
+            if not released and segment.is_syn and segment.find_option(MpJoinOption):
+                held.append((segment, from_iface))
+                return []
+            return [segment]
+
+        def release():
+            released.append(True)
+            for segment, from_iface in held:
+                rig.scenario.path_links[1].inject(segment, from_iface)
+
+        released: list = []
+        rig, _app, client, dropped, _ = self._rig(
+            monkeypatch, on_established=open_join, on_drop=release
+        )
+        rig.scenario.path_links[1].set_fault_handler(hold_the_join)
+        rig.sim.run(until=0.1)
+        server = rig.server_apps[0].connection
+        rig.sim.run(until=10.0)
+
+        assert len(held) == 1
+        server_join = server.subflows[1]
+        assert server_join.established_at is not None
+        assert server_join.established_at > dropped[0]
+        assert client.subflows[1].established_at is not None
+        for conn in (client, server):
+            assert conn.closed
+            assert conn.live_subflows == []
+            assert all(flow.socket.state is TcpState.CLOSED for flow in conn.subflows)
+        assert rig.client_stack.connections == []
+        assert rig.server_stack.connections == []
