@@ -129,6 +129,25 @@ class ConnectionListener:
 class MptcpConnection(SubflowObserver):
     """One Multipath TCP connection."""
 
+    # Slotted for the reason given on TcpSocket.__slots__.
+    __slots__ = (
+        "stack", "_sim", "listener", "_path_manager", "_scheduler", "_config",
+        "_mss", "is_client", "local_key", "local_token", "remote_key",
+        "remote_token", "remote_address", "remote_port",
+        "live_subflows", "subflows", "_subflow_by_socket", "_next_subflow_id",
+        "data_next", "data_una", "_unassigned", "bytes_sent",
+        "_data_reassembly", "_dss_ack_cache", "bytes_received", "_remote_fin_seq",
+        "_remote_fin_consumed",
+        "_meta_rtx_timer", "_meta_backoff", "meta_rto_expirations",
+        "_close_requested", "_data_fin_seq", "_data_fin_acked", "_data_fin_timer",
+        "_aborted", "closed", "established", "established_at", "closed_at",
+        "_remote_addresses", "_announced_local_ids", "_pending_options",
+        "is_fallback", "fallback_reason", "fell_back_at", "fallback_bytes_sent",
+        "fallback_bytes_received", "_fallback_rx_seen", "_mp_fail_sent",
+        "_trace_conn", "_trace_subflow", "_trace_sched", "_trace_fallback",
+        "_trace_pm", "_trace_id",
+    )
+
     def __init__(
         self,
         stack: "MptcpStack",

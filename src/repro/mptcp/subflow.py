@@ -46,6 +46,10 @@ class Subflow:
     :meth:`mark_closed`) each time its socket enters or leaves ESTABLISHED.
     """
 
+    __slots__ = ("id", "socket", "origin", "is_initial", "backup", "created_at",
+                 "established_at", "closed_at", "close_reason", "bytes_scheduled",
+                 "reinjected_bytes", "fallback_bytes", "is_usable")
+
     def __init__(
         self,
         subflow_id: int,

@@ -40,6 +40,8 @@ class Timer:
     the cyclic GC.  Starting a released timer raises.
     """
 
+    __slots__ = ("_sim", "_callback", "name", "_event", "expiry", "armed", "_trace")
+
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
         self._sim = sim
         self._callback = callback

@@ -38,6 +38,8 @@ class SentSegment:
 class RetransmissionQueue:
     """Ordered queue of sent-but-unacknowledged segments."""
 
+    __slots__ = ("segments",)
+
     def __init__(self) -> None:
         # A deque: cumulative ACKs strip segments from the front, so the
         # hot ``ack_upto`` path must not shift the whole list per segment.
@@ -107,6 +109,8 @@ class ReceiveReassembly:
     behind the hole.  The socket tests it for emptiness on every segment it
     emits (a SACK rides along while it is not).
     """
+
+    __slots__ = ("rcv_nxt", "buffered", "duplicate_bytes", "_stamp")
 
     def __init__(self, initial_seq: int = 0) -> None:
         self.rcv_nxt = initial_seq

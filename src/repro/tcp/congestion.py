@@ -27,6 +27,8 @@ class CongestionControl(ABC):
     read per segment by the send path and written by this module only.
     """
 
+    __slots__ = ("mss", "cwnd", "ssthresh", "fast_recovery", "_recovery_point")
+
     def __init__(self, mss: int, initial_cwnd_segments: int, initial_ssthresh: int) -> None:
         if mss <= 0:
             raise ValueError(f"mss must be positive, got {mss!r}")
@@ -97,6 +99,8 @@ class CongestionControl(ABC):
 class RenoCongestionControl(CongestionControl):
     """NewReno-style additive increase, multiplicative decrease."""
 
+    __slots__ = ()
+
     def _congestion_avoidance_increase(self, acked_bytes: int) -> int:
         # Standard appropriate-byte-counting increase: one MSS per window's
         # worth of acknowledged data.
@@ -107,6 +111,8 @@ class RenoCongestionControl(CongestionControl):
 
 class CouplingGroup:
     """The shared state of all LIA controllers of one MPTCP connection."""
+
+    __slots__ = ("members",)
 
     def __init__(self) -> None:
         #: Current members (do not mutate).
@@ -165,6 +171,8 @@ class CouplingGroup:
 
 class LiaCongestionControl(CongestionControl):
     """Coupled congestion control (Linked-Increases Algorithm, RFC 6356)."""
+
+    __slots__ = ("group", "smoothed_rtt")
 
     def __init__(
         self,

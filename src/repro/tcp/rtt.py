@@ -23,6 +23,9 @@ class RttEstimator:
     whenever the base timeout or the backoff changes.
     """
 
+    __slots__ = ("_rto_initial", "_rto_min", "_rto_max", "srtt", "rttvar", "_rto",
+                 "backoff_exponent", "samples", "min_rtt", "rto")
+
     ALPHA = 1.0 / 8.0
     BETA = 1.0 / 4.0
     K = 4.0

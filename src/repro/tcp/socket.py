@@ -75,6 +75,9 @@ class SubflowObserver:
     everything.
     """
 
+    # Empty, so that a slotted subclass (MptcpConnection) has no __dict__.
+    __slots__ = ()
+
     def handshake_options(self, sock: "TcpSocket", kind: str) -> tuple:
         """Options for handshake segments; ``kind`` is ``"syn"``, ``"synack"`` or ``"ack"``."""
         return ()
@@ -119,6 +122,21 @@ class SubflowObserver:
 
 class TcpSocket:
     """One TCP connection endpoint driven entirely by simulator events."""
+
+    # Slotted: past 30 attribute names CPython stops sharing instance-dict
+    # keys, and every socket would carry a 1.6 kB dict of its own.
+    __slots__ = (
+        "sim", "local_address", "local_port", "remote_address", "remote_port",
+        "four_tuple", "_transmit", "_observer", "config", "name", "state",
+        "_iss", "snd_una", "snd_nxt", "_peer_window", "_pending_close", "_fin_seq",
+        "_irs", "_reassembly", "_fin_received",
+        "rtt", "congestion", "_lia", "send_space", "_rtx_queue", "_rto_timer",
+        "_syn_timer", "_syn_sent_at", "_syn_retries", "_dupacks", "_lost_pending",
+        "_trace_timer",
+        "total_retransmissions", "lost_events", "bytes_acked", "bytes_received",
+        "segments_sent", "segments_received", "last_ack_time", "established_at",
+        "closed_at", "close_reason", "backup",
+    )
 
     def __init__(
         self,

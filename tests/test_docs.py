@@ -32,6 +32,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,8 @@ from repro.experiments.runner import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
+#: What ``inspect.getattr_static`` returns for a name the class does not have.
+_ABSENT = object()
 
 #: The packages whose public surface the docstring gate covers.
 DOCUMENTED_PACKAGES = (
@@ -318,8 +321,14 @@ class TestOwnersAreTheOnlyWriters:
         "name", sorted({name for names in OWNERS.values() for name in names.split()})
     )
     def test_they_are_attributes_not_properties(self, name):
+        # A slot is a member descriptor on the class: it stores the instance
+        # value and computes nothing.  Anything else found there is a
+        # property or a class-level value.
         for owner in self._owners()[name]:
-            assert not hasattr(owner, name), f"{owner.__name__}.{name} is a class attribute"
+            found = inspect.getattr_static(owner, name, _ABSENT)
+            assert found is _ABSENT or isinstance(found, types.MemberDescriptorType), (
+                f"{owner.__name__}.{name} is a class attribute"
+            )
 
     def test_no_property_only_returns_a_private_field(self):
         package = REPO_ROOT / "src" / "repro"
