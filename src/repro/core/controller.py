@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.core.events import Event
+from repro.core.events import ConnClosedEvent, Event
 from repro.core.library import PathManagerLibrary
 from repro.net.addressing import FourTuple, IPAddress
 
@@ -68,11 +68,19 @@ class ControllerState:
 
     Each event is folded in by the method its class names as ``hook`` —
     the name it also reaches on :class:`SubflowController`.
+
+    A connection's view appears with the first event that names its token
+    (normally ``created``); :class:`SubflowController` drops it once the
+    ``closed`` event has been handled, so :attr:`connections` holds only
+    connections that are open.
+    :attr:`subflows_closed` counts the subflow views that turned closed
+    over the whole run, those of dropped views included.
     """
 
     def __init__(self) -> None:
         self.connections: dict[int, ConnectionView] = {}
         self.local_addresses: dict[str, IPAddress] = {}
+        self.subflows_closed = 0
 
     def prime_local_addresses(self, addresses: Iterable[tuple[str, IPAddress]]) -> None:
         """Seed the initially available local addresses.
@@ -122,6 +130,8 @@ class ControllerState:
     def on_subflow_closed(self, event: Event) -> None:
         flow = self.connection(event.token).subflow(event.subflow_id)
         flow.four_tuple = event.four_tuple
+        if not flow.closed:
+            self.subflows_closed += 1
         flow.closed = True
         flow.close_reason = event.reason
         flow.closed_at = event.time
@@ -150,7 +160,12 @@ class SubflowController:
 
     Subclasses override the ``on_*`` hooks they care about; the base class
     keeps :attr:`state` up to date before any hook runs, so hooks can reason
-    about the current picture rather than raw events.
+    about the current picture rather than raw events.  A connection's view
+    is in ``state.connections`` from its first event until its
+    ``on_conn_closed`` hook has returned; the hook still sees it, and a
+    timer that fires later finds no view (``state.connections.get(token)``
+    is ``None``).  This relies on ``closed`` being the last event the
+    kernel sends for a token.
     """
 
     name = "controller"
@@ -183,6 +198,8 @@ class SubflowController:
         self.events_seen += 1
         self.state.update(event)
         getattr(self, event.hook)(event)
+        if isinstance(event, ConnClosedEvent):
+            self.state.connections.pop(event.token, None)
 
     # ------------------------------------------------------------------
     # hooks (subclasses override what they need)

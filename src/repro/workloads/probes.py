@@ -315,12 +315,7 @@ class RepairProbe(Probe):
         metrics: dict[str, Any] = {"nat_expired_flows": expired}
         if repairs:
             metrics["reestablishments"] = controller.reestablishments
-            metrics["subflow_failures"] = sum(
-                1
-                for view in controller.state.connections.values()
-                for flow in view.subflows.values()
-                if flow.closed
-            )
+            metrics["subflow_failures"] = controller.state.subflows_closed
         return metrics
 
 

@@ -21,8 +21,10 @@ from repro.core.controllers import (
     UserspaceFullMeshController,
     UserspaceNdiffportsController,
 )
-from repro.core.events import ConnCreatedEvent, SubflowClosedEvent, TimeoutEvent
+from repro.core.events import ConnClosedEvent, ConnCreatedEvent, SubflowClosedEvent, TimeoutEvent
+from repro.core.library import PathManagerLibrary
 from repro.core.manager import SmappManager
+from repro.core.netlink import NetlinkChannel
 from repro.mptcp.stack import MptcpStack
 from repro.net.addressing import FourTuple, ip
 from repro.netem.scenarios import build_dual_homed, build_natted
@@ -60,6 +62,32 @@ class TestControllerState:
         assert view.subflow(1).close_reason == errno.ETIMEDOUT
         assert view.active_subflows == []
 
+    def test_closed_connection_view_is_dropped_after_its_hook(self, sim):
+        tup = FourTuple(ip("10.0.0.1"), 1000, ip("10.0.0.2"), 80)
+        seen = []
+
+        class Watching(SubflowController):
+            def on_conn_closed(self, event):
+                seen.append(self.state.connections.get(event.token))
+
+        controller = Watching(PathManagerLibrary(NetlinkChannel(sim)))
+        controller._handle_event(ConnCreatedEvent(0.1, 7, tup, 1, True))
+        controller._handle_event(ConnCreatedEvent(0.2, 8, tup, 1, True))
+        controller._handle_event(SubflowClosedEvent(0.5, 7, 1, tup, errno.ECONNRESET))
+        controller._handle_event(ConnClosedEvent(0.6, 7))
+        assert len(seen) == 1 and seen[0].token == 7 and seen[0].closed
+        assert seen[0].subflow(1).closed
+        assert list(controller.state.connections) == [8]
+        assert controller.state.subflows_closed == 1
+
+    def test_a_repeated_subflow_close_counts_once(self):
+        state = ControllerState()
+        tup = FourTuple(ip("10.0.0.1"), 1000, ip("10.0.0.2"), 80)
+        for _ in range(2):
+            state.update(SubflowClosedEvent(0.6, 7, 1, tup, errno.ETIMEDOUT))
+        state.update(SubflowClosedEvent(0.7, 7, 2, tup, errno.ETIMEDOUT))
+        assert state.subflows_closed == 2
+
     def test_prime_local_addresses(self):
         state = ControllerState()
         state.prime_local_addresses([("if0", ip("10.0.0.1")), ("if1", ip("10.1.0.1"))])
@@ -76,7 +104,7 @@ class TestSmappPlumbing:
         sim.run(until=10.0)
         assert sender.completed
         assert controller.events_seen >= 4  # created, estab, sub_estab, ... closed
-        assert all(view.closed for view in controller.state.connections.values())
+        assert controller.state.connections == {}
 
     def test_commands_report_errors_for_unknown_connection(self):
         sim, scenario, manager, *_ = build_smapp_rig()

@@ -210,6 +210,7 @@ class TestOwnersAreTheOnlyWriters:
     #: "module:Class" -> the read-only attributes that class owns.
     OWNERS = {
         "analysis/cdf.py:Cdf": "samples",
+        "core/controller.py:ControllerState": "subflows_closed",
         "core/controllers/backup.py:SmartBackupController": "rto_threshold",
         "core/controllers/ndiffports.py:UserspaceNdiffportsController": "subflow_count",
         "core/library.py:PathManagerLibrary": "channel name",

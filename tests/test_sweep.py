@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.sweep import (
     EXPERIMENTS,
     SCENARIOS,
     CampaignGrid,
+    CampaignResult,
+    CellOutcome,
     CellSpec,
     format_campaign_report,
     run_campaign,
@@ -249,6 +252,66 @@ class TestEngine:
         result = run_campaign(grid, workers=1)
         values = result.metric_values("completion_time")
         assert values and all(value > 0 for value in values)
+
+
+def hand_built_campaign(cell_count: int, name: str = "hand-built") -> CampaignResult:
+    """A campaign of ``cell_count`` cells whose results hold non-ASCII text,
+    ``None`` and non-finite floats, built without running anything."""
+    cells = []
+    for index in range(cell_count):
+        spec = CellSpec(
+            "bulk_transfer", "dual_homed", "lowest_rtt", "passive", index,
+            params=(("transfer_bytes", 40_000), ("label", "débit ↑")),
+        )  # fmt: skip
+        result = {
+            "goodput_mbps": 9.5 + index / 7,
+            "completion_time": None if index % 3 else 0.25 * index,
+            "rtt_max": float("inf") if index % 5 == 0 else 0.031,
+            "loss": float("nan"),
+            "note": "sous-flux fermé",
+            "samples": [index * 0.001 * step for step in range(8)],
+            "events_processed": 70 + index,
+        }
+        cells.append(CellOutcome(spec, f"{index:064x}", result, cached=False))
+    return CampaignResult(name, 42, cells, workers_requested=1, workers_used=1)
+
+
+def one_dumps(result: CampaignResult) -> str:
+    """The canonical JSON as one ``json.dumps`` over the whole payload."""
+    payload = {
+        "name": result.name,
+        "campaign_seed": result.campaign_seed,
+        "cells": [
+            {"spec": cell.spec.as_dict(), "config_hash": cell.config_hash, "result": cell.result}
+            for cell in result.cells
+        ],
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class TestCanonicalJson:
+    @pytest.mark.parametrize("cell_count", [0, 1, 12])
+    def test_it_is_one_dumps_of_the_payload(self, cell_count):
+        result = hand_built_campaign(cell_count, name="campagne « été » ∞")
+        canonical = result.to_canonical_json()
+        assert canonical == one_dumps(result)
+        assert json.loads(canonical)["name"] == "campagne « été » ∞"
+
+    def test_a_run_campaign_matches_too(self):
+        result = run_campaign(tiny_grid(controllers=["passive", "fullmesh"]), workers=1)
+        assert result.to_canonical_json() == one_dumps(result)
+
+    def test_its_peak_stays_near_the_output_size(self):
+        """Encoded cell by cell, the transient peak is about twice the
+        output; one ``json.dumps`` over this payload held 8.5 times."""
+        result = hand_built_campaign(256)
+        tracemalloc.start()
+        try:
+            canonical = result.to_canonical_json()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(canonical)
 
 
 class TestReport:

@@ -12,10 +12,13 @@ from collections import Counter
 
 import pytest
 
+from repro.core.controller import SubflowController
+from repro.core.events import ConnClosedEvent, SubflowClosedEvent, TimeoutEvent
+from repro.experiments.grids import named_grid
 from repro.mptcp.connection import MptcpConnection
 from repro.netem.scenarios import build_dual_homed
 from repro.sim.timers import Timer
-from repro.sweep import run_cell
+from repro.sweep import plan_campaign, run_cell
 from repro.tcp.socket import TcpSocket
 from repro.workloads import (
     CONTROLLERS,
@@ -373,6 +376,54 @@ class TestLossyScenarioApps:
         assert run.metrics["delivery_time_max"] > run.metrics["delivery_time_mean"]
 
 
+def record_controller_events(monkeypatch) -> list:
+    """Record every ``(controller, event)`` a controller handles from now on."""
+    handled = []
+    handle = SubflowController._handle_event
+
+    def recording(controller, event):
+        handled.append((controller, event))
+        handle(controller, event)
+
+    monkeypatch.setattr(SubflowController, "_handle_event", recording)
+    return handled
+
+
+def events_after_close(handled) -> list:
+    """The events of ``handled`` that follow their connection's ``conn_closed``.
+
+    The history is checked per controller, in the order it handled the
+    events; the two local-address events name no connection.
+    """
+    closed = set()
+    late = []
+    for controller, event in handled:
+        if event.hook in ("on_local_addr_up", "on_local_addr_down"):
+            continue
+        key = (id(controller), event.token)
+        if key in closed:
+            late.append(event)
+        if event.hook == "on_conn_closed":
+            closed.add(key)
+    return late
+
+
+def run_http_rig():
+    """The 60-request HTTP cell, one connection per request, under the
+    userspace full-mesh controller."""
+    return Harness().run(
+        HarnessSpec(
+            workload="http",
+            scenario="asymmetric_loss",
+            controller="userspace_fullmesh",
+            seed=33,
+            horizon=30.0,
+            params={"request_count": 60, "object_size": 10_000},
+            trace_probe=False,
+        )
+    )
+
+
 class TestClosedConnectionsFreeThemselves:
     """A closed connection holds no reference cycle and no app holds it.
 
@@ -476,3 +527,43 @@ class TestClosedConnectionsFreeThemselves:
             conn for conn in ends
             if conn._meta_rtx_timer.armed or conn._data_fin_timer.armed
         ] == []
+
+    def test_controller_keeps_views_of_open_connections_only(self, monkeypatch):
+        """A closed connection's view goes once its ``conn_closed`` is handled;
+        the failure count survives it."""
+        handled = record_controller_events(monkeypatch)
+        run = run_http_rig()
+        controller = run.client.controller
+        assert run.metrics["requests_completed"] == 60
+        assert sum(event.hook == "on_conn_closed" for _, event in handled) == 60
+        assert controller.state.connections == {}
+        closes = sum(isinstance(event, SubflowClosedEvent) for _, event in handled)
+        assert closes > 60
+        assert controller.state.subflows_closed == closes
+        assert run.metrics["subflow_failures"] == closes
+
+
+class TestConnClosedIsTheLastEvent:
+    """No event for a token reaches a controller after that token's
+    ``conn_closed``: the history check the dropping of closed views relies on."""
+
+    def test_http_cell(self, monkeypatch):
+        handled = record_controller_events(monkeypatch)
+        run_http_rig()
+        assert sum(event.hook == "on_conn_closed" for _, event in handled) == 60
+        assert events_after_close(handled) == []
+
+    def test_longlived_cell(self, monkeypatch):
+        """The §4.1 connection stays open to the horizon, so its view stays."""
+        handled = record_controller_events(monkeypatch)
+        spec = plan_campaign(named_grid("longlived")).specs[0]
+        result = run_cell(spec.as_dict(), 1)
+        assert result["subflow_failures"] == 10
+        assert events_after_close(handled) == []
+        (controller,) = {controller for controller, _ in handled}
+        assert len(controller.state.connections) == 1
+        assert controller.state.subflows_closed == 10
+
+    def test_the_check_sees_a_late_event(self):
+        handled = [(None, ConnClosedEvent(1.0, 7)), (None, TimeoutEvent(2.0, 7, 1, 0.4, 2))]
+        assert events_after_close(handled) == [handled[1][1]]
