@@ -950,16 +950,30 @@ class MptcpConnection(SubflowObserver):
     def _push_data(self) -> None:
         """Hand unassigned data to the subflows until the windows are shut.
 
+        A chunk is ``min(MSS, rest of its range)`` and always leaves whole:
+        a subflow has window for it only when its ``send_space`` holds all
+        of it, and the loop stops rather than cut a chunk to fit (sender
+        silly-window avoidance, RFC 9293 §3.8.6.2.1).  This cannot
+        deadlock: a usable subflow with nothing in flight has ``send_space
+        = min(cwnd, peer window) >= MSS``, since ``cwnd`` never drops below
+        one MSS and the peer advertises 4 MiB; with data in flight, its ACKs
+        reopen the window.  The plain-TCP fallback path applies the same
+        test to its one subflow.
+
         One scheduler pass per flight: while ``pick`` says its subflow was
-        the only one with window (``alone``), the loop sends on it out of
-        that window and stops when it is spent.  Asking per chunk would
-        answer the same: inside one call only the loop's own ``send_data(n)``
-        changes any subflow's usability, backup flag, ``srtt`` or window
-        (links only schedule; nothing calls back into a socket
-        synchronously), and it lowers that socket's window by ``n``."""
+        the only one with window for ``need`` bytes (``alone``), the loop
+        sends on it out of that window and stops when the window no longer
+        holds the next chunk.  Asking per chunk would answer the same as
+        long as that chunk is at least ``need`` bytes: inside one call only
+        the loop's own ``send_data(n)`` changes any subflow's usability,
+        backup flag, ``srtt`` or window (links only schedule; nothing calls
+        back into a socket synchronously), and it lowers that socket's
+        window by ``n`` — every other subflow still has fewer than ``need``
+        bytes, so fewer than the chunk.  A shorter chunk (a range's tail)
+        may fit where ``need`` did not, so it is picked for afresh."""
         if self.closed:
             return
-        flow, window, alone = None, 0, False
+        flow, window, need, alone = None, 0, 0, False
         while self._unassigned:
             start, end = self._unassigned[0]
             if end <= self.data_una:
@@ -976,28 +990,28 @@ class MptcpConnection(SubflowObserver):
                 if flow is None:
                     break
                 window = flow.socket.send_space
-            elif not alone:
-                picked = self._scheduler.pick(self.live_subflows)
+            elif not alone or chunk < need:
+                picked = self._scheduler.pick(self.live_subflows, chunk)
                 if picked is None:
                     break
                 flow, window, alone = picked
-            if window <= 0:
+                need = chunk
+            if window < chunk:
                 break
-            send_len = chunk if chunk <= window else window
-            mapping = DssMapping(start, send_len)
-            if not flow.socket.send_data(send_len, mapping):
+            mapping = DssMapping(start, chunk)
+            if not flow.socket.send_data(chunk, mapping):
                 break
-            window -= send_len
+            window -= chunk
             if self._trace_sched is not None:
                 self._trace_sched.emit(
                     self._sim.now, "scheduler", "select", self._trace_id,
-                    {"subflow": flow.id, "data_seq": start, "length": send_len},
+                    {"subflow": flow.id, "data_seq": start, "length": chunk},
                 )
-            flow.bytes_scheduled += send_len
+            flow.bytes_scheduled += chunk
             if self.is_fallback:
-                flow.fallback_bytes += send_len
-                self.fallback_bytes_sent += send_len
-            new_start = start + send_len
+                flow.fallback_bytes += chunk
+                self.fallback_bytes_sent += chunk
+            new_start = start + chunk
             if new_start >= end:
                 self._unassigned.popleft()
             else:

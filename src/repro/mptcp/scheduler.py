@@ -11,10 +11,15 @@ benchmark.
 Backup semantics (RFC 6824): subflows flagged as backup are only eligible
 when no non-backup subflow is usable.
 
-The contract is :meth:`Scheduler.pick`: one pass answers the subflow for the
-next chunk, the window it was found with and whether it was the *only*
-eligible one with window — all ``MptcpConnection._push_data`` needs to send
-a flight without asking again.  ``select`` is that answer's subflow.
+The contract is ``Scheduler.pick(subflows, need)``: one pass answers the
+subflow for the next chunk of ``need`` bytes, the window it was found with
+and whether it was the *only* eligible one with window for ``need`` bytes —
+all ``MptcpConnection._push_data`` needs to send a flight without asking
+again.  A subflow counts as having window only when its ``send_space``
+holds the whole chunk (``send_space >= need``): a chunk is never cut to
+fit a window, which is the sender-side silly-window avoidance of RFC 9293
+§3.8.6.2.1 (Linux gets it by counting ``cwnd`` in packets).
+``select(subflows, chunk_len)`` is ``pick(subflows, chunk_len)``'s subflow.
 
 A scheduler reads, and never calls for, what it ranks on: a subflow's
 ``is_usable``, ``backup`` and ``id``, and its socket's ``send_space`` (the
@@ -36,11 +41,12 @@ class Scheduler(ABC):
 
     name = "abstract"
 
-    def eligible(self, subflows: Sequence[Subflow]) -> list[Subflow]:
-        """Filter subflows the scheduler may use right now.
+    def eligible(self, subflows: Sequence[Subflow], need: int) -> list[Subflow]:
+        """Filter subflows the scheduler may use right now for ``need`` bytes.
 
-        Applies establishment, window and backup-priority rules; the
-        concrete scheduler then ranks the survivors.
+        Applies establishment, window (``send_space >= need``) and
+        backup-priority rules; the concrete scheduler then ranks the
+        survivors.
         """
         usable = []
         regular = []
@@ -52,20 +58,23 @@ class Scheduler(ABC):
         candidates = regular if regular else usable
         out = []
         for flow in candidates:
-            if flow.socket.send_space > 0:
+            if flow.socket.send_space >= need:
                 out.append(flow)
         return out
 
     @abstractmethod
-    def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
-        """``(subflow, window, alone)`` for the next chunk, or ``None`` to wait:
-        the chosen subflow, its (positive) ``socket.send_space``, and whether
-        no other eligible subflow had window — so that asking again after
-        sending on it could only name the same subflow or nobody."""
+    def pick(self, subflows: Sequence[Subflow], need: int) -> Optional[tuple[Subflow, int, bool]]:
+        """``(subflow, window, alone)`` for the next ``need``-byte chunk
+        (``need`` > 0), or ``None`` to wait: the chosen subflow, its
+        ``socket.send_space`` (at least ``need``), and whether no other
+        eligible subflow had ``need`` bytes of window — so that asking again
+        for as many bytes or more after sending on it could only name the
+        same subflow or nobody."""
 
     def select(self, subflows: Sequence[Subflow], chunk_len: int) -> Optional[Subflow]:
-        """Return the subflow to use for the next chunk, or ``None`` to wait."""
-        picked = self.pick(subflows)
+        """Return the subflow whose window holds the next ``chunk_len``
+        bytes, or ``None`` to wait."""
+        picked = self.pick(subflows, chunk_len)
         return picked[0] if picked is not None else None
 
 
@@ -79,7 +88,7 @@ class LowestRttScheduler(Scheduler):
 
     name = "lowest_rtt"
 
-    def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
+    def pick(self, subflows: Sequence[Subflow], need: int) -> Optional[tuple[Subflow, int, bool]]:
         # ``eligible()`` and the argmin over (has_estimate, srtt, id) folded
         # into one pass without intermediate lists: this runs for every
         # flight the connection pushes.  Backup subflows are ranked (and
@@ -103,7 +112,7 @@ class LowestRttScheduler(Scheduler):
                 open_flows = 0
             socket = flow.socket
             window = socket.send_space
-            if window <= 0:
+            if window < need:
                 continue
             open_flows += 1
             srtt = socket.rtt.srtt
@@ -129,8 +138,8 @@ class RoundRobinScheduler(Scheduler):
     def __init__(self) -> None:
         self._last_id: Optional[int] = None
 
-    def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
-        candidates = sorted(self.eligible(subflows), key=lambda flow: flow.id)
+    def pick(self, subflows: Sequence[Subflow], need: int) -> Optional[tuple[Subflow, int, bool]]:
+        candidates = sorted(self.eligible(subflows, need), key=lambda flow: flow.id)
         if not candidates:
             return None
         cursor_alive = self._last_id is not None and any(
@@ -165,12 +174,12 @@ class RedundantScheduler(Scheduler):
 
     name = "redundant"
 
-    def eligible(self, subflows: Sequence[Subflow]) -> list[Subflow]:
+    def eligible(self, subflows: Sequence[Subflow], need: int) -> list[Subflow]:
         usable = [flow for flow in subflows if flow.is_usable]
-        return [flow for flow in usable if flow.socket.send_space > 0]
+        return [flow for flow in usable if flow.socket.send_space >= need]
 
-    def pick(self, subflows: Sequence[Subflow]) -> Optional[tuple[Subflow, int, bool]]:
-        candidates = self.eligible(subflows)
+    def pick(self, subflows: Sequence[Subflow], need: int) -> Optional[tuple[Subflow, int, bool]]:
+        candidates = self.eligible(subflows, need)
         if not candidates:
             return None
         def key(flow: Subflow) -> tuple:

@@ -51,7 +51,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 #: Version 4: cells on multi-path scenarios store ``paths_used``.
 #: Version 5: a finished connection closes (a repeated DATA_FIN is acked
 #: again, and every subflow closes once both DATA_FINs are settled).
-SWEEP_FORMAT_VERSION = 5
+#: Version 6: a chunk is never cut to fit a window (sender silly-window
+#: avoidance), so bulk cells send whole segments.
+SWEEP_FORMAT_VERSION = 6
 
 #: Bump when the manifest schema changes incompatibly.
 MANIFEST_FORMAT_VERSION = 1

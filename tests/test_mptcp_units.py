@@ -216,6 +216,15 @@ class TestSchedulers:
         picks = [scheduler.select(flows, 1400).id for _ in range(6)]
         assert picks == [1, 2, 3, 1, 2, 3]
 
+    def test_select_needs_window_for_the_whole_chunk(self):
+        flows = [make_flow(1, 0.01, 500), make_flow(2, 0.05, 1399)]
+        for name in ("lowest_rtt", "round_robin", "redundant"):
+            assert make_scheduler(name).select(flows, 1400) is None
+            assert make_scheduler(name).select(flows, 1) is not None
+        scheduler = LowestRttScheduler()
+        assert scheduler.select(flows, 1000).id == 2
+        assert scheduler.select(flows, 500).id == 1
+
     def test_factory(self):
         assert isinstance(make_scheduler("lowest_rtt"), LowestRttScheduler)
         assert isinstance(make_scheduler("round_robin"), RoundRobinScheduler)
